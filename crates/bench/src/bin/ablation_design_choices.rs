@@ -4,7 +4,7 @@
 //! 1. Store replacement at capacity: redundancy-scored dedup (the paper's
 //!    §4.4) vs FIFO vs random, measured by the match scores achieved.
 //! 2. Prefetch issue ordering: `PRI = p/(l − l_now)` vs FIFO.
-//! 3. Matcher placement: asynchronous pub/sub (§4.3) vs synchronous.
+//! 3. Matcher placement: asynchronous (§4.3) vs synchronous.
 //! 4. Prefetch window depth.
 //!
 //! ```sh

@@ -128,5 +128,5 @@ fn main() {
     println!("model's full expert set (Qwen fits entirely from ~24 GB up).");
     println!("policy table: SIEVE should track LRU closely and beat FIFO on");
     println!("the skewed trace, at one visited-bit flip per hit instead of a");
-    println!("list move — the lock-friendliness the sharded cache exploits.");
+    println!("list move.");
 }

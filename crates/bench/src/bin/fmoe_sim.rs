@@ -19,6 +19,7 @@ use fmoe_bench::harness::{CellConfig, System};
 use fmoe_bench::report::{write_csv, Table};
 use fmoe_model::{presets, ModelConfig};
 use fmoe_serving::online::{serve as serve_online, ServeOptions};
+use fmoe_trace::{events_text, TraceSink};
 use fmoe_workload::{AzureTraceSpec, DatasetSpec};
 use std::collections::HashMap;
 use std::process::ExitCode;
@@ -87,20 +88,21 @@ fn timeline(flags: &HashMap<String, String>) -> Result<(), String> {
     if let Some(p) = history.first() {
         let _ = engine.serve_request(*p, predictor.as_mut());
     }
-    engine.set_timeline_enabled(true);
+    let sink = TraceSink::recording(1 << 20);
+    engine.set_trace_sink(sink.clone());
     let mut p = *test.first().ok_or("no test prompt available")?;
     p.output_tokens = p.output_tokens.min(3);
     let metrics = engine.serve_request(p, predictor.as_mut());
-    let entries = engine.take_timeline();
+    let records = sink.take_records();
     println!(
         "timeline of request {} on {} with {} ({} events):
 ",
         metrics.request_id,
         cell.model.name,
         cell.system.name(),
-        entries.len()
+        records.len()
     );
-    print!("{}", fmoe_serving::timeline::render(&entries));
+    print!("{}", events_text(&records));
     println!(
         "
 TTFT {:.1} ms, TPOT {:.1} ms, hit rate {:.1}%",

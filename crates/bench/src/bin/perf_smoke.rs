@@ -17,11 +17,6 @@
 //!   over an Expert Map Store.
 //! * `matcher_trajectory_incremental` — the streaming trajectory tracker
 //!   over the same store.
-//! * `sharded_cache_1shard` / `sharded_cache_16shards` — the
-//!   lock-contention micro: N threads hammer a `ShardedExpertCache`
-//!   with a fixed seeded access mix, against one global lock vs 16
-//!   shard locks. The per-op throughput ratio is reported as
-//!   `shard_speedup`.
 //!
 //! `--quick` shrinks every scenario to CI size (seconds, not minutes);
 //! the JSON records the mode plus the machine's available parallelism,
@@ -41,7 +36,6 @@ use fmoe::matcher::{Matcher, TrajectoryTracker};
 use fmoe::store::ExpertMapStore;
 use fmoe_bench::harness::{CellConfig, ParallelRunner, System};
 use fmoe_bench::perf::{self, PerfRecord, PerfReport, RunMode};
-use fmoe_cache::{PolicyKind, ShardedExpertCache};
 use fmoe_model::gate::TokenSpan;
 use fmoe_model::{presets, GateParams, GateSimulator, RequestRouting};
 use fmoe_workload::DatasetSpec;
@@ -198,57 +192,6 @@ fn matcher_records(mode: RunMode) -> Vec<PerfRecord> {
     ]
 }
 
-/// The lock-contention micro: `threads` workers each replay a seeded
-/// access mix (record_access + insert-on-miss) against one shared
-/// cache. Contention — and nothing else — separates the 1-shard and
-/// 16-shard configurations: total ops, expert set, and per-thread
-/// schedules are identical.
-fn contention_record(shards: usize, threads: usize, mode: RunMode) -> PerfRecord {
-    let ops_per_thread: usize = match mode {
-        RunMode::Quick => 10_000,
-        RunMode::Full => 50_000,
-    };
-    let model = presets::small_test_model();
-    let cache =
-        ShardedExpertCache::new(&model, model.expert_bytes() * 32, shards, PolicyKind::Sieve);
-    let total_ops = (threads * ops_per_thread) as u64;
-    let (wall_ms, _) = time_iters(1, || {
-        std::thread::scope(|scope| {
-            for t in 0..threads {
-                let cache = &cache;
-                scope.spawn(move || {
-                    // Splitmix64, seeded per thread: same schedule every run.
-                    let mut state = 0x9e37 + t as u64;
-                    for i in 0..ops_per_thread {
-                        state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
-                        let mut z = state;
-                        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-                        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-                        let e = fmoe_model::ExpertId::from_dense_index(
-                            ((z ^ (z >> 31)) % 64) as usize,
-                            model.experts_per_layer,
-                        );
-                        if !cache.record_access(e, i as u64) {
-                            let _ = cache.insert(e, i as u64);
-                        }
-                    }
-                });
-            }
-        });
-        black_box(cache.stats());
-    });
-    PerfRecord {
-        scenario: if shards == 1 {
-            "sharded_cache_1shard".to_string()
-        } else {
-            "sharded_cache_16shards".to_string()
-        },
-        wall_ms,
-        iters_per_s: total_ops as f64 / (wall_ms / 1e3),
-        jobs: threads,
-    }
-}
-
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mode = if args.iter().any(|a| a == "--quick") {
@@ -278,19 +221,11 @@ fn main() {
 
     records.extend(matcher_records(mode));
 
-    let threads = jobs.clamp(4, 16);
-    let one_shard = contention_record(1, threads, mode);
-    let many_shards = contention_record(16, threads, mode);
-    let shard_speedup = perf::speedup(one_shard.wall_ms, many_shards.wall_ms);
-    records.push(one_shard);
-    records.push(many_shards);
-
     let report = PerfReport {
         jobs,
         parallelism,
         mode,
         sweep_speedup,
-        shard_speedup,
         records,
     };
 
@@ -308,15 +243,8 @@ fn main() {
             r.scenario, r.wall_ms, r.iters_per_s, r.jobs
         );
     }
-    let show = |v: Option<f64>| match v {
-        Some(s) => format!("{s:.2}x"),
-        None => "n/a".to_string(),
-    };
-    println!("sweep speedup (jobs1 / jobsN): {}", show(sweep_speedup));
-    println!(
-        "shard speedup (1 shard / 16 shards): {}",
-        show(shard_speedup)
-    );
+    let speedup = sweep_speedup.map_or_else(|| "n/a".to_string(), |s| format!("{s:.2}x"));
+    println!("sweep speedup (jobs1 / jobsN): {speedup}");
 
     match std::fs::write("BENCH_perf.json", report.to_json()) {
         Ok(()) => println!("wrote BENCH_perf.json"),

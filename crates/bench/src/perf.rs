@@ -13,7 +13,8 @@
 //!   queries/sec, …) are only meaningful between runs on comparable
 //!   hardware, so they apply the 15% tolerance **only when the
 //!   parallelism + mode fingerprint matches** and are skipped (visibly,
-//!   never silently) otherwise.
+//!   never silently) otherwise. A baseline scenario missing from the
+//!   current run fails whatever the fingerprint.
 //!
 //! Speedups whose numerator or denominator wall time rounds to zero are
 //! `None` — serialized as JSON `null` — and skip their gate check
@@ -83,8 +84,6 @@ pub struct PerfReport {
     /// jobs1 / jobsN sweep wall-time ratio. `None` when no parallel run
     /// happened (one effective worker) or a wall time rounded to zero.
     pub sweep_speedup: Option<f64>,
-    /// 1-shard / 16-shard contention wall-time ratio (same `None` rules).
-    pub shard_speedup: Option<f64>,
     /// Per-scenario timings.
     pub records: Vec<PerfRecord>,
 }
@@ -123,10 +122,6 @@ impl PerfReport {
         out.push_str(&format!(
             "  \"sweep_speedup\": {},\n",
             json_f64_opt(self.sweep_speedup)
-        ));
-        out.push_str(&format!(
-            "  \"shard_speedup\": {},\n",
-            json_f64_opt(self.shard_speedup)
         ));
         out.push_str("  \"records\": [\n");
         for (i, r) in self.records.iter().enumerate() {
@@ -194,7 +189,6 @@ impl PerfReport {
             parallelism: num_field("parallelism")? as usize,
             mode,
             sweep_speedup: opt_field("sweep_speedup")?,
-            shard_speedup: opt_field("shard_speedup")?,
             records,
         })
     }
@@ -568,15 +562,24 @@ pub fn gate(baseline: &PerfReport, current: &PerfReport, tolerance: f64) -> Gate
     );
 
     // Absolute comparisons: per-scenario throughput vs the baseline,
-    // only on matching hardware/workload fingerprints.
+    // only on matching hardware/workload fingerprints. A scenario the
+    // current run lacks fails on any fingerprint, so a deleted or renamed
+    // scenario cannot hide behind a machine change.
     let comparable = baseline.parallelism == current.parallelism && baseline.mode == current.mode;
     for base in &baseline.records {
         let name = format!("{} iters/s", base.scenario);
-        let check = if !comparable {
-            GateCheck {
+        let check = match current.record(&base.scenario) {
+            None => GateCheck {
                 name,
                 baseline: Some(base.iters_per_s),
-                current: current.record(&base.scenario).map(|r| r.iters_per_s),
+                current: None,
+                status: CheckStatus::Fail,
+                detail: "scenario missing from current run".to_string(),
+            },
+            Some(cur) if !comparable => GateCheck {
+                name,
+                baseline: Some(base.iters_per_s),
+                current: Some(cur.iters_per_s),
                 status: CheckStatus::Skip,
                 detail: format!(
                     "fingerprint differs (baseline parallelism={} mode={}, current parallelism={} mode={})",
@@ -585,40 +588,30 @@ pub fn gate(baseline: &PerfReport, current: &PerfReport, tolerance: f64) -> Gate
                     current.parallelism,
                     current.mode.as_str()
                 ),
-            }
-        } else {
-            match current.record(&base.scenario) {
-                Some(cur) if base.iters_per_s > 0.0 && cur.iters_per_s > 0.0 => {
-                    let floor = base.iters_per_s * (1.0 - tolerance);
-                    let failed = cur.iters_per_s < floor;
-                    let delta = (cur.iters_per_s - base.iters_per_s) / base.iters_per_s * 100.0;
-                    GateCheck {
-                        name,
-                        baseline: Some(base.iters_per_s),
-                        current: Some(cur.iters_per_s),
-                        status: if failed {
-                            CheckStatus::Fail
-                        } else {
-                            CheckStatus::Pass
-                        },
-                        detail: format!("{delta:+.1}%"),
-                    }
-                }
-                Some(cur) => GateCheck {
+            },
+            Some(cur) if base.iters_per_s > 0.0 && cur.iters_per_s > 0.0 => {
+                let floor = base.iters_per_s * (1.0 - tolerance);
+                let failed = cur.iters_per_s < floor;
+                let delta = (cur.iters_per_s - base.iters_per_s) / base.iters_per_s * 100.0;
+                GateCheck {
                     name,
                     baseline: Some(base.iters_per_s),
                     current: Some(cur.iters_per_s),
-                    status: CheckStatus::Skip,
-                    detail: "wall time rounded to zero; not comparable".to_string(),
-                },
-                None => GateCheck {
-                    name,
-                    baseline: Some(base.iters_per_s),
-                    current: None,
-                    status: CheckStatus::Fail,
-                    detail: "scenario missing from current run".to_string(),
-                },
+                    status: if failed {
+                        CheckStatus::Fail
+                    } else {
+                        CheckStatus::Pass
+                    },
+                    detail: format!("{delta:+.1}%"),
+                }
             }
+            Some(cur) => GateCheck {
+                name,
+                baseline: Some(base.iters_per_s),
+                current: Some(cur.iters_per_s),
+                status: CheckStatus::Skip,
+                detail: "wall time rounded to zero; not comparable".to_string(),
+            },
         };
         checks.push(check);
     }
@@ -636,7 +629,6 @@ mod tests {
             parallelism: 1,
             mode: RunMode::Quick,
             sweep_speedup: None,
-            shard_speedup: Some(2.5),
             records: vec![
                 PerfRecord {
                     scenario: "sweep_offline_jobs1".to_string(),
@@ -667,7 +659,6 @@ mod tests {
         // catastrophic regression).
         let json = report().to_json();
         assert!(json.contains("\"sweep_speedup\": null"), "{json}");
-        assert!(json.contains("\"shard_speedup\": 2.500"), "{json}");
         assert!(!json.contains("\"sweep_speedup\": 0.000"), "{json}");
         assert!(json.contains("\"parallelism\": 1"), "{json}");
         assert!(json.contains("\"mode\": \"quick\""), "{json}");
@@ -767,6 +758,22 @@ mod tests {
             .checks
             .iter()
             .any(|c| c.status == CheckStatus::Skip && c.detail.contains("fingerprint")));
+    }
+
+    #[test]
+    fn gate_fails_on_missing_scenario_across_fingerprints() {
+        let base = report();
+        let mut cur = report();
+        cur.parallelism = 4; // different machine
+        cur.records.retain(|r| r.scenario != "sweep_offline_jobs1");
+        let outcome = gate(&base, &cur, DEFAULT_TOLERANCE);
+        assert!(!outcome.passed(), "{}", outcome.delta_table());
+        assert!(outcome
+            .checks
+            .iter()
+            .any(|c| c.name.starts_with("sweep_offline_jobs1")
+                && c.status == CheckStatus::Fail
+                && c.detail.contains("missing")));
     }
 
     #[test]

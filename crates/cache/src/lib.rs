@@ -18,8 +18,7 @@
 //!
 //! The residency core is an arena-allocated intrusive list
 //! ([`arena::LinkArena`]: `Vec<Option<Node>>` + `u32` indices, no
-//! unsafe), and [`sharded::ShardedExpertCache`] layers an N-way
-//! shard-by-expert concurrent cache on top for multi-replica hosts.
+//! unsafe).
 //!
 //! The cache is a pure bookkeeping structure: it knows nothing about
 //! virtual time beyond the monotone counter callers pass for recency, and
@@ -31,14 +30,12 @@
 pub mod arena;
 pub mod cache;
 pub mod policy;
-pub mod sharded;
 pub mod stats;
 
 pub use cache::{ExpertCache, InsertOutcome, Placement};
 pub use policy::{
     EvictionPolicy, FifoPolicy, FmoePriorityPolicy, LfuPolicy, LruPolicy, PolicyKind, SievePolicy,
 };
-pub use sharded::{ShardOccupancy, ShardedExpertCache};
 pub use stats::CacheStats;
 
 #[cfg(test)]

@@ -351,12 +351,11 @@ struct SieveEntry {
 /// SIEVE eviction (NSDI '24) on the arena-allocated intrusive list.
 ///
 /// New experts join at the head unvisited; a **hit is a single visited-
-/// bit flip** — no move-to-front, no list mutation, which is what makes
-/// SIEVE's hit path lock-friendly in the sharded concurrent cache. The
-/// eviction *hand* sweeps from the tail (oldest) toward the head,
-/// wrapping around: a visited entry survives (its bit is cleared and the
-/// hand moves on), the first unvisited entry is the victim, and the hand
-/// parks just past it for the next eviction.
+/// bit flip** — no move-to-front, no list mutation. The eviction *hand*
+/// sweeps from the tail (oldest) toward the head, wrapping around: a
+/// visited entry survives (its bit is cleared and the hand moves on), the
+/// first unvisited entry is the victim, and the hand parks just past it
+/// for the next eviction.
 ///
 /// Entries outside the candidate set (pinned, or resident on another
 /// GPU) are skipped without touching their bits: they are not
@@ -513,8 +512,8 @@ impl EvictionPolicy for SievePolicy {
 }
 
 /// A nameable eviction-policy choice: the closed catalog of shipped
-/// policies, so builders, benches, and the sharded cache's per-shard
-/// factories can carry a `Copy` value instead of a `Box<dyn ..>`.
+/// policies, so builders and benches can carry a `Copy` value instead of
+/// a `Box<dyn ..>`.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum PolicyKind {
     /// [`LruPolicy`].

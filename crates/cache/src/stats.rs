@@ -5,11 +5,11 @@ use serde::Serialize;
 /// Counters describing cache behaviour over an experiment.
 ///
 /// Invariant (checked by [`CacheStats::check_invariants`]): every lookup
-/// is either a hit or a miss, so `hits + misses == lookups` — per cache,
-/// per shard of a sharded cache, and for any [`CacheStats::merged`] sum
-/// of such stats. Warm-restart replays are booked separately under
-/// `warmup_inserts` so merging a pre-crash snapshot with post-restart
-/// stats never double-counts replayed experts as demand insertions.
+/// is either a hit or a miss, so `hits + misses == lookups` — per cache
+/// and for any [`CacheStats::merged`] sum of such stats. Warm-restart
+/// replays are booked separately under `warmup_inserts` so merging a
+/// pre-crash snapshot with post-restart stats never double-counts
+/// replayed experts as demand insertions.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize)]
 pub struct CacheStats {
     /// Expert lookups that found the expert resident.
@@ -48,7 +48,7 @@ impl CacheStats {
     }
 
     /// `true` when the lookup accounting identity `hits + misses ==
-    /// lookups` holds. Holds for any cache, any shard, and any
+    /// lookups` holds. Holds for any cache and any
     /// [`CacheStats::merged`] combination of stats that individually
     /// hold it (the identity is linear).
     #[must_use]
@@ -59,7 +59,7 @@ impl CacheStats {
     /// Field-wise sum with `other`. Used to carry counters across a
     /// replica restart (`ExpertCache::clear` resets stats, so lifetime
     /// accounting adds the pre-restart snapshot back in) and to merge
-    /// per-shard stats of a `ShardedExpertCache` into one fleet view.
+    /// per-replica stats into one fleet view.
     #[must_use]
     pub fn merged(&self, other: &CacheStats) -> CacheStats {
         CacheStats {

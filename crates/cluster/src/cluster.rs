@@ -13,7 +13,6 @@ use fmoe_serving::{
 use fmoe_trace::{Marker, TraceRecord, NO_GPU, NO_LAYER, NO_REQUEST, NO_SLOT};
 use fmoe_workload::TraceEvent;
 use serde::Serialize;
-use std::sync::Arc;
 
 /// One replica: an engine, its predictor, and FIFO-queue bookkeeping.
 struct Replica {
@@ -124,12 +123,6 @@ pub struct Cluster {
     /// Requests routed so far (both dispatch arrivals and nothing else:
     /// failovers re-route existing requests and do not re-count).
     dispatched: u64,
-    /// Optional shared host-tier expert cache every replica engine
-    /// mirrors accesses into (see
-    /// [`fmoe_serving::ServingEngine::set_shared_host_cache`]).
-    /// Observational; `None` keeps output byte-identical to before the
-    /// feature existed.
-    host_cache: Option<Arc<fmoe_cache::ShardedExpertCache>>,
 }
 
 impl Cluster {
@@ -153,26 +146,7 @@ impl Cluster {
             failover_shed: Vec::new(),
             lifecycle: Vec::new(),
             dispatched: 0,
-            host_cache: None,
         }
-    }
-
-    /// Attaches a shared host-tier [`fmoe_cache::ShardedExpertCache`]:
-    /// every replica (existing and future) mirrors its expert accesses
-    /// into it, modelling one host-memory expert pool under the fleet.
-    /// The fleet-wide host view lands in
-    /// [`ClusterReport::host_cache`](crate::report::ClusterReport).
-    pub fn set_shared_host_cache(&mut self, host: Arc<fmoe_cache::ShardedExpertCache>) {
-        for replica in &mut self.replicas {
-            replica.engine.set_shared_host_cache(Arc::clone(&host));
-        }
-        self.host_cache = Some(host);
-    }
-
-    /// The attached shared host-tier cache, if any.
-    #[must_use]
-    pub fn shared_host_cache(&self) -> Option<&Arc<fmoe_cache::ShardedExpertCache>> {
-        self.host_cache.as_ref()
     }
 
     /// Builds `engine` and registers it (with its predictor) as the next
@@ -184,12 +158,8 @@ impl Cluster {
         engine: EngineBuilder,
         predictor: Box<dyn ExpertPredictor>,
     ) -> usize {
-        let mut engine = engine.build();
-        if let Some(host) = &self.host_cache {
-            engine.set_shared_host_cache(Arc::clone(host));
-        }
         self.replicas.push(Replica {
-            engine,
+            engine: engine.build(),
             predictor,
             finish_times: Vec::new(),
             drained: 0,
@@ -619,7 +589,6 @@ impl Cluster {
             failover,
             failover_shed: self.failover_shed.clone(),
             dispatched: self.dispatched,
-            host_cache: self.host_cache.as_ref().map(|h| h.stats()),
         }
     }
 

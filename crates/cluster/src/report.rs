@@ -66,10 +66,6 @@ pub struct ClusterReport {
     /// Requests routed by `dispatch` so far (failover re-dispatches
     /// re-route existing requests and do not re-count).
     pub dispatched: u64,
-    /// Fleet-wide stats of the shared host-tier cache (the field-wise
-    /// merge of its shards), when one was attached via
-    /// `Cluster::set_shared_host_cache`. `None` otherwise.
-    pub host_cache: Option<CacheStats>,
 }
 
 impl ClusterReport {
@@ -120,14 +116,13 @@ impl ClusterReport {
     }
 
     /// The per-replica lookup identity, fleet-wide: every replica's
-    /// lifetime cache stats (and the shared host cache, if attached)
-    /// satisfy `hits + misses == lookups`. Restart carry-over merges
-    /// snapshots field-wise, which preserves the identity — a
-    /// double-counted warmup or rejection would break it here.
+    /// lifetime cache stats satisfy `hits + misses == lookups`. Restart
+    /// carry-over merges snapshots field-wise, which preserves the
+    /// identity — a double-counted warmup or rejection would break it
+    /// here.
     #[must_use]
     pub fn cache_accounting_balances(&self) -> bool {
         self.replicas.iter().all(|r| r.cache.check_invariants())
-            && self.host_cache.is_none_or(|h| h.check_invariants())
     }
 
     /// Fleet-wide end-to-end latency CDF over every served request.

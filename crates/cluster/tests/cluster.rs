@@ -334,58 +334,6 @@ fn queue_depths_are_tracked() {
     assert!(r.latency_quantile_ns(0.5).is_some());
 }
 
-#[test]
-fn shared_host_cache_observes_without_perturbing_replica_output() {
-    use fmoe_cache::{PolicyKind, ShardedExpertCache};
-    use std::sync::Arc;
-
-    let events = trace(12);
-    let run = |host: Option<Arc<ShardedExpertCache>>| {
-        let mut c = Cluster::new(gate(), RoutingPolicy::RoundRobin, None);
-        if let Some(h) = &host {
-            c.set_shared_host_cache(Arc::clone(h));
-        }
-        for _ in 0..2 {
-            c.add_replica(builder(), Box::new(warmed_predictor(&[0, 1])));
-        }
-        c.dispatch(&events)
-    };
-
-    let m = model();
-    let host = Arc::new(ShardedExpertCache::new(
-        &m,
-        m.expert_bytes() * 32,
-        4,
-        PolicyKind::Sieve,
-    ));
-    let with_host = run(Some(Arc::clone(&host)));
-    let without = run(None);
-
-    // The host tier is observational: per-replica serving output must be
-    // byte-identical with and without it attached.
-    assert_eq!(
-        format!("{:?}", with_host.replicas),
-        format!("{:?}", without.replicas),
-        "host cache must not perturb the sim path"
-    );
-    assert!(without.host_cache.is_none());
-
-    // But the fleet report now carries the merged host view, and it saw
-    // every expert access the replicas recorded.
-    let host_stats = with_host.host_cache.expect("host stats in report");
-    assert_eq!(host_stats, host.stats());
-    assert!(host_stats.lookups > 0, "host tier observed accesses");
-    assert!(host_stats.check_invariants());
-    assert!(with_host.cache_accounting_balances());
-    let replica_lookups: u64 = with_host.replicas.iter().map(|r| r.cache.lookups).sum();
-    assert_eq!(
-        host_stats.lookups, replica_lookups,
-        "every replica access is mirrored exactly once"
-    );
-    assert!(host.resident_count() > 0);
-    assert_eq!(host.occupancy().len(), 4);
-}
-
 /// EP×DP composition: a fleet of multi-GPU EP replicas serves the same
 /// trace deterministically, and the fleet report attributes per-GPU
 /// compute and all2all time inside every replica.

@@ -22,9 +22,6 @@
 //! * [`predictor`] — [`FmoePredictor`], wiring the above into the
 //!   `fmoe-serving` policy interface, with ablation switches for every
 //!   design ingredient (trajectory-only, no dynamic threshold, …).
-//! * [`pubsub`] — a live (threaded) publisher/subscriber matcher mirroring
-//!   the paper's asynchronous architecture (§4.3), demonstrating that the
-//!   decision pipeline runs off the critical path.
 //!
 //! ## Quick start
 //!
@@ -46,7 +43,6 @@ pub mod map;
 pub mod matcher;
 pub mod persist;
 pub mod predictor;
-pub mod pubsub;
 pub mod selection;
 pub mod store;
 

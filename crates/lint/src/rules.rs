@@ -397,15 +397,11 @@ mod tests {
     }
 
     #[test]
-    fn classify_covers_arena_and_sharded_cache_files() {
-        // The arena-backed core and the sharded concurrent cache are
-        // sim-path library code under the full contract (FM001/FM008):
+    fn classify_covers_arena_cache_files() {
+        // The arena-backed core and its eviction policies are sim-path
+        // library code under the full contract (FM001/FM008):
         // no hash containers, no wall clocks, forbid(unsafe_code).
-        for path in [
-            "crates/cache/src/arena.rs",
-            "crates/cache/src/sharded.rs",
-            "crates/cache/src/policy.rs",
-        ] {
+        for path in ["crates/cache/src/arena.rs", "crates/cache/src/policy.rs"] {
             let ctx = FileContext::classify(path);
             assert_eq!(ctx.kind, FileKind::Library, "{path}");
             assert!(ctx.sim_path, "{path} must be sim-path");
@@ -415,8 +411,6 @@ mod tests {
         // (FM004 unwrap rules, etc.) like any other test file.
         let t = FileContext::classify("crates/cache/tests/oracle_diff.rs");
         assert_eq!(t.kind, FileKind::TestOrBench);
-        let s = FileContext::classify("crates/cache/tests/sharded_concurrency.rs");
-        assert_eq!(s.kind, FileKind::TestOrBench);
     }
 
     #[test]

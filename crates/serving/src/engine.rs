@@ -25,8 +25,7 @@
 use crate::metrics::{Breakdown, PerGpuBreakdown, RequestMetrics};
 use crate::placement::PlacementPolicy;
 use crate::predictor::{ExpertPredictor, IterationContext, PrefetchPlan};
-use crate::timeline::{Timeline, TimelineEvent};
-use fmoe_cache::{EvictionPolicy, ExpertCache, InsertOutcome, ShardedExpertCache};
+use fmoe_cache::{EvictionPolicy, ExpertCache, InsertOutcome};
 use fmoe_memsim::{
     all2all_layer_time, FaultSchedule, GpuId, Nanos, RetryPolicy, Topology, TransferEngine,
     TransferError, VirtualClock,
@@ -35,7 +34,6 @@ use fmoe_model::gate::TokenSpan;
 use fmoe_model::{CostModel, DenseIdMap, DenseIdSet, ExpertId, GateSimulator, GpuSpec};
 use fmoe_trace::{Marker, Phase, TraceSink, NO_GPU, NO_LAYER, NO_REQUEST, NO_SLOT, NO_VALUE};
 use fmoe_workload::Prompt;
-use std::sync::Arc;
 
 /// Engine tuning knobs.
 #[derive(Debug, Clone)]
@@ -460,8 +458,6 @@ pub struct ServingEngine {
     free_slots: Vec<usize>,
     /// Next fresh slot id for the continuous batch.
     next_slot: usize,
-    /// Optional execution-timeline recorder.
-    timeline: Timeline,
     /// Prefetched experts staged for a layer that has not executed yet:
     /// pinned so eviction cannot undo a deliberate prefetch before use
     /// (all real offloading runtimes protect staged weights this way).
@@ -484,12 +480,6 @@ pub struct ServingEngine {
     /// the transfer engine and expert cache so all three interleave into
     /// one causally-ordered virtual-time timeline.
     trace: TraceSink,
-    /// Optional shared host-tier cache ([`ShardedExpertCache`]) this
-    /// engine mirrors its expert accesses into. Purely observational:
-    /// residency decisions and the sim timeline never read it, so with
-    /// `None` (the default) engine output is byte-identical to a build
-    /// without the field.
-    host_cache: Option<Arc<ShardedExpertCache>>,
     /// Expert-parallel runtime state; `None` when EP is off or the
     /// topology has a single GPU — that path is byte-identical to the
     /// pre-EP engine.
@@ -513,8 +503,6 @@ pub struct EngineBuilder {
     trace_sink: Option<TraceSink>,
     fault_schedule: Option<FaultSchedule>,
     retry_policy: Option<RetryPolicy>,
-    timeline: bool,
-    host_cache: Option<Arc<ShardedExpertCache>>,
     assignment: Option<Vec<u32>>,
 }
 
@@ -532,8 +520,6 @@ impl EngineBuilder {
             trace_sink: None,
             fault_schedule: None,
             retry_policy: None,
-            timeline: false,
-            host_cache: None,
             assignment: None,
         }
     }
@@ -572,14 +558,6 @@ impl EngineBuilder {
     #[must_use]
     pub fn policy_kind(self, kind: fmoe_cache::PolicyKind) -> Self {
         self.policy(kind.build())
-    }
-
-    /// Attaches a shared host-tier cache the engine mirrors accesses
-    /// into (default: none). See [`ServingEngine::set_shared_host_cache`].
-    #[must_use]
-    pub fn shared_host_cache(mut self, host: Arc<ShardedExpertCache>) -> Self {
-        self.host_cache = Some(host);
-        self
     }
 
     /// Replaces the eviction policy (default: LRU).
@@ -638,13 +616,6 @@ impl EngineBuilder {
         self
     }
 
-    /// Enables execution-timeline recording (default: off).
-    #[must_use]
-    pub fn timeline(mut self, enabled: bool) -> Self {
-        self.timeline = enabled;
-        self
-    }
-
     /// Builds the engine, delegating to [`ServingEngine::new`] and the
     /// existing setters so builder-built and hand-assembled engines are
     /// indistinguishable.
@@ -660,12 +631,6 @@ impl EngineBuilder {
         }
         if let Some(retry) = self.retry_policy {
             engine.set_retry_policy(retry);
-        }
-        if self.timeline {
-            engine.set_timeline_enabled(true);
-        }
-        if let Some(host) = self.host_cache {
-            engine.set_shared_host_cache(host);
         }
         if let Some(owners) = self.assignment {
             engine.set_expert_assignment(owners);
@@ -715,7 +680,6 @@ impl ServingEngine {
             active: Vec::new(),
             free_slots: Vec::new(),
             next_slot: 0,
-            timeline: Timeline::default(),
             staged: DenseIdSet::with_capacity(num_experts),
             breakdown: Breakdown::default(),
             config,
@@ -723,7 +687,6 @@ impl ServingEngine {
             degraded_mode: false,
             scratch: IterationScratch::default(),
             trace: TraceSink::disabled(),
-            host_cache: None,
             ep,
             per_gpu: PerGpuBreakdown::default(),
         };
@@ -798,11 +761,6 @@ impl ServingEngine {
         self.cache.set_assignment(owners);
     }
 
-    /// Enables or disables execution-timeline recording.
-    pub fn set_timeline_enabled(&mut self, enabled: bool) {
-        self.timeline.set_enabled(enabled);
-    }
-
     /// Installs a trace sink. Clones of the handle are forwarded to the
     /// transfer engine and expert cache so engine spans, wire activity,
     /// and cache churn land in one shared timeline. Pass
@@ -817,27 +775,6 @@ impl ServingEngine {
     #[must_use]
     pub fn trace_sink(&self) -> &TraceSink {
         &self.trace
-    }
-
-    /// Attaches a shared host-tier cache: every expert access this
-    /// engine records is mirrored into it (`record_access`, plus an
-    /// insert on miss, modelling the host tier faulting the expert in).
-    /// Observational only — GPU-side residency, eviction, and timing
-    /// never consult the host cache, so attaching one does not perturb
-    /// the deterministic sim path.
-    pub fn set_shared_host_cache(&mut self, host: Arc<ShardedExpertCache>) {
-        self.host_cache = Some(host);
-    }
-
-    /// The attached shared host-tier cache, if any.
-    #[must_use]
-    pub fn shared_host_cache(&self) -> Option<&Arc<ShardedExpertCache>> {
-        self.host_cache.as_ref()
-    }
-
-    /// Takes the recorded timeline entries.
-    pub fn take_timeline(&mut self) -> Vec<crate::timeline::TimelineEntry> {
-        self.timeline.take()
     }
 
     /// Retunes the expert-cache budget at runtime (SwapMoE-style tunable
@@ -1172,17 +1109,6 @@ impl ServingEngine {
         self.trace
             .begin(iter_start, Phase::Iteration, NO_REQUEST, NO_LAYER);
         self.trace.count("engine.iterations", 1);
-        self.timeline.record(
-            iter_start,
-            TimelineEvent::IterationStart {
-                iteration: elements
-                    .iter()
-                    .filter(|e| !e.done)
-                    .map(|e| e.iteration)
-                    .min()
-                    .unwrap_or(0),
-            },
-        );
         let timing = predictor.timing();
         self.breakdown.matching_synchronous = timing.synchronous;
         let num_layers = self.gate.config().num_layers;
@@ -1258,12 +1184,6 @@ impl ServingEngine {
                 effective = effective.saturating_sub(live_kv);
             }
             if pressure < 1.0 {
-                self.timeline.record(
-                    self.clock.now(),
-                    TimelineEvent::BudgetPressure {
-                        effective_bytes: effective,
-                    },
-                );
                 self.trace.instant(
                     self.clock.now(),
                     Marker::BudgetPressure,
@@ -1314,8 +1234,6 @@ impl ServingEngine {
             if layer > 0 {
                 self.prune_stale_prefetches(Some(layer), &mut scratch.stale);
             }
-            self.timeline
-                .record(self.clock.now(), TimelineEvent::LayerStart { layer });
             // Attention + gate + always-on shared experts + host dispatch.
             let compute = self.cost.attention_time(batch_tokens, context_len)
                 + self.cost.gate_time(batch_tokens)
@@ -1487,11 +1405,6 @@ impl ServingEngine {
                         self.trace.count("engine.expert_misses", 1);
                     }
                     self.cache.record_access(e, now);
-                    if let Some(host) = &self.host_cache {
-                        if !host.record_access(e, now) {
-                            let _ = host.insert(e, now);
-                        }
-                    }
                 }
             }
 
@@ -1520,8 +1433,6 @@ impl ServingEngine {
                 for &e in waited_inflight {
                     let gpu = self.cache.home_gpu(e);
                     let tag = e.dense_index(j) as u64;
-                    self.timeline
-                        .record(start, TimelineEvent::InFlightWait { expert: e });
                     self.trace.instant(
                         start,
                         Marker::InFlightWait,
@@ -1564,8 +1475,6 @@ impl ServingEngine {
                     if let Some(ep) = self.ep.as_mut() {
                         if ep.config.peer_fetch && ep.take(d) {
                             let done = t0 + self.topology.peer_link.transfer_time(want);
-                            self.timeline
-                                .record(t0, TimelineEvent::PeerFetch { expert: e });
                             self.trace.instant(
                                 t0,
                                 Marker::PeerFetch,
@@ -1583,15 +1492,11 @@ impl ServingEngine {
                             }
                             if want < bytes && !loaded.contains(d) {
                                 loaded.insert(d, want);
-                                self.timeline
-                                    .record(t0, TimelineEvent::OnDemandDegraded { expert: e });
                             }
                             per_gpu_now[gpu as usize] = Some(done);
                             continue;
                         }
                     }
-                    self.timeline
-                        .record(t0, TimelineEvent::OnDemandLoad { expert: e });
                     self.trace.instant(
                         t0,
                         Marker::OnDemandLoad,
@@ -1627,10 +1532,6 @@ impl ServingEngine {
                     };
                     if want < bytes && !loaded.contains(d) {
                         loaded.insert(d, want);
-                    }
-                    if loaded.contains(d) {
-                        self.timeline
-                            .record(t0, TimelineEvent::OnDemandDegraded { expert: e });
                     }
                     if let Some(t) = self.per_gpu.transfer_ns.get_mut(gpu as usize) {
                         *t += done.saturating_sub(t0);
@@ -1804,8 +1705,6 @@ impl ServingEngine {
         }
 
         self.breakdown.iteration_total_ns += self.clock.now() - iter_start;
-        self.timeline
-            .record(self.clock.now(), TimelineEvent::IterationEnd);
         self.trace
             .end(self.clock.now(), Phase::Iteration, NO_REQUEST, NO_LAYER);
         // Hand the working memory back for the next iteration; the
@@ -1902,12 +1801,6 @@ impl ServingEngine {
             }
             let gpu = GpuId(self.cache.home_gpu(plan.expert));
             self.transfer.submit_prefetch(gpu, tag, bytes, at);
-            self.timeline.record(
-                at,
-                TimelineEvent::PrefetchIssued {
-                    expert: plan.expert,
-                },
-            );
             // Recorded at `now`, not at the (possibly future) issue time:
             // the recorder's timeline is monotone and a future stamp would
             // drag later events forward. The scheduled issue time rides in
@@ -1971,8 +1864,6 @@ impl ServingEngine {
             }
             let expert = ExpertId::from_dense_index(c.tag as usize, j);
             self.breakdown.prefetch_async_ns += self.topology.host_link.wire_time(c.bytes);
-            self.timeline
-                .record(c.completed_at, TimelineEvent::PrefetchArrived { expert });
             self.trace.instant(
                 c.completed_at,
                 Marker::PrefetchArrived,
@@ -2007,8 +1898,6 @@ impl ServingEngine {
         for f in self.transfer.drain_failures() {
             if self.in_flight.remove(f.tag as usize) {
                 let expert = ExpertId::from_dense_index(f.tag as usize, j);
-                self.timeline
-                    .record(f.failed_at, TimelineEvent::PrefetchFailed { expert });
                 self.trace.instant(
                     f.failed_at,
                     Marker::PrefetchFailed,
@@ -2030,6 +1919,7 @@ mod tests {
     use crate::predictor::NoPrefetch;
     use fmoe_cache::LruPolicy;
     use fmoe_model::{presets, GateParams};
+    use fmoe_trace::{TraceEvent, TraceRecord};
     use fmoe_workload::DatasetSpec;
 
     fn tiny_engine(cache_slots_total: u64, preload: bool) -> ServingEngine {
@@ -2156,36 +2046,53 @@ mod tests {
         assert_eq!(b2.iterations, 0);
     }
 
+    /// Installs a recording trace sink on `e` and returns a handle to it.
+    fn record_trace(e: &mut ServingEngine) -> TraceSink {
+        let sink = TraceSink::recording(1 << 16);
+        e.set_trace_sink(sink.clone());
+        sink
+    }
+
+    /// Values of every `marker` instant in `records`.
+    fn marker_values(records: &[TraceRecord], marker: Marker) -> Vec<u64> {
+        records
+            .iter()
+            .filter_map(|r| match r.event {
+                TraceEvent::Instant {
+                    marker: m, value, ..
+                } if m == marker => Some(value),
+                _ => None,
+            })
+            .collect()
+    }
+
     #[test]
-    fn timeline_records_a_consistent_execution_trace() {
-        use crate::timeline::TimelineEvent;
+    fn trace_records_a_consistent_execution_trace() {
         let mut e = tiny_engine(8, false);
-        e.set_timeline_enabled(true);
+        let sink = record_trace(&mut e);
         let _ = e.serve_request(prompt(12), &mut NoPrefetch);
-        let entries = e.take_timeline();
-        assert!(!entries.is_empty());
+        let records = sink.take_records();
+        assert!(!records.is_empty());
         // Timestamps are monotone.
-        for w in entries.windows(2) {
+        for w in records.windows(2) {
             assert!(w[0].at_ns <= w[1].at_ns);
         }
-        // Iteration starts and ends pair up; layers appear in order
-        // within each iteration; a cold cache shows on-demand loads.
-        let starts = entries
-            .iter()
-            .filter(|x| matches!(x.event, TimelineEvent::IterationStart { .. }))
-            .count();
-        let ends = entries
-            .iter()
-            .filter(|x| matches!(x.event, TimelineEvent::IterationEnd))
-            .count();
-        assert_eq!(starts, ends);
-        assert!(entries
-            .iter()
-            .any(|x| matches!(x.event, TimelineEvent::OnDemandLoad { .. })));
+        // Iteration begins and ends pair up; a cold cache shows
+        // on-demand loads.
+        let iteration = |r: &&TraceRecord, begin: bool| match r.event {
+            TraceEvent::Begin { phase, .. } => begin && phase == Phase::Iteration,
+            TraceEvent::End { phase, .. } => !begin && phase == Phase::Iteration,
+            _ => false,
+        };
+        let begins = records.iter().filter(|r| iteration(r, true)).count();
+        let ends = records.iter().filter(|r| iteration(r, false)).count();
+        assert!(begins > 0);
+        assert_eq!(begins, ends);
+        assert!(!marker_values(&records, Marker::OnDemandLoad).is_empty());
         // Disabled again: nothing accrues.
-        e.set_timeline_enabled(false);
+        e.set_trace_sink(TraceSink::disabled());
         let _ = e.serve_request(prompt(13), &mut NoPrefetch);
-        assert!(e.take_timeline().is_empty());
+        assert!(sink.take_records().is_empty());
     }
 
     #[test]
@@ -2268,17 +2175,14 @@ mod tests {
         with_deadline.set_fault_schedule(schedule);
         // Tighter than any transfer on the crippled link can manage.
         with_deadline.config.on_demand_deadline_ns = Some(1_000);
-        with_deadline.set_timeline_enabled(true);
+        let sink = record_trace(&mut with_deadline);
         let bounded = with_deadline.serve_request(prompt(33), &mut NoPrefetch);
         assert!(
             bounded.degraded_loads > 0,
             "the crippled link cannot meet the deadline at full precision"
         );
         assert!(bounded.total_ns < slow.total_ns);
-        assert!(with_deadline
-            .take_timeline()
-            .iter()
-            .any(|x| matches!(x.event, TimelineEvent::OnDemandDegraded { .. })));
+        assert!(!marker_values(&sink.take_records(), Marker::OnDemandDegraded).is_empty());
     }
 
     #[test]
@@ -2288,17 +2192,10 @@ mod tests {
             .build();
         let mut e = tiny_engine(8, false);
         e.set_fault_schedule(schedule);
-        e.set_timeline_enabled(true);
+        let sink = record_trace(&mut e);
         let m = e.serve_request(prompt(34), &mut NoPrefetch);
         assert!(m.total_ns > 0, "pressure degrades but never wedges");
-        let entries = e.take_timeline();
-        let squeezed: Vec<u64> = entries
-            .iter()
-            .filter_map(|x| match x.event {
-                TimelineEvent::BudgetPressure { effective_bytes } => Some(effective_bytes),
-                _ => None,
-            })
-            .collect();
+        let squeezed = marker_values(&sink.take_records(), Marker::BudgetPressure);
         assert!(!squeezed.is_empty(), "pressure window must be recorded");
         for b in squeezed {
             assert!(b < e.cache_budget());
@@ -2358,16 +2255,13 @@ mod tests {
             base_backoff_ns: 1_000,
             max_backoff_ns: 1_000,
         });
-        e.set_timeline_enabled(true);
+        let sink = record_trace(&mut e);
         let m = e.serve_request(prompt(35), &mut NextLayerPrefetch);
         assert!(m.total_ns > 0);
         let stats = e.transfer_stats();
         assert!(stats.failed_jobs > 0, "prefetches must die under rate 1.0");
         assert!(stats.faults_injected > 0);
-        assert!(e
-            .take_timeline()
-            .iter()
-            .any(|x| matches!(x.event, TimelineEvent::PrefetchFailed { .. })));
+        assert!(!marker_values(&sink.take_records(), Marker::PrefetchFailed).is_empty());
 
         // With the default policy the same storm shows up as retries and
         // backoff time instead of permanent failures.

@@ -27,7 +27,6 @@ pub mod metrics;
 pub mod online;
 pub mod placement;
 pub mod predictor;
-pub mod timeline;
 
 pub use engine::{
     EngineBuilder, EngineConfig, ExpertParallelConfig, IndexMode, ServeError, ServingEngine,
@@ -41,7 +40,6 @@ pub use placement::{
     FmoeMapPlacement, LoadBalancedPlacement, PlacementPolicy, RoundRobinPlacement,
 };
 pub use predictor::{ExpertPredictor, IterationContext, NoPrefetch, PredictorTiming, PrefetchPlan};
-pub use timeline::{Timeline, TimelineEntry, TimelineEvent};
 
 #[cfg(test)]
 mod proptests;

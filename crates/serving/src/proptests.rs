@@ -154,19 +154,21 @@ proptest! {
         prop_assert_eq!(e.active_requests(), 0);
     }
 
-    /// The breakdown's critical-path components never exceed the total
-    /// iteration time.
+    /// The breakdown's critical-path components add up exactly to the
+    /// total iteration time.
     #[test]
     fn breakdown_components_fit_iteration_total(p in prompt()) {
         let mut e = engine(4, 2, 6);
         let _ = e.serve_request(p, &mut NoPrefetch);
         let b = e.take_breakdown();
         prop_assert!(b.iterations > 0);
-        let sync = b.compute_ns
+        let matching = if b.matching_synchronous { b.matching_ns } else { 0 };
+        let sync = b.context_collection_ns
+            + matching
+            + b.compute_ns
             + b.on_demand_wait_ns
-            + b.context_collection_ns
-            + b.blocking_prefetch_ns;
-        prop_assert!(sync <= b.iteration_total_ns,
-            "sync {} > total {}", sync, b.iteration_total_ns);
+            + b.blocking_prefetch_ns
+            + b.all2all_ns;
+        prop_assert_eq!(sync, b.iteration_total_ns);
     }
 }

@@ -42,7 +42,7 @@ pub use event::{
     Marker, Nanos, Phase, TraceEvent, TraceRecord, NO_GPU, NO_LAYER, NO_REQUEST, NO_SLOT, NO_VALUE,
 };
 pub use export::{chrome_trace_json, events_text, phase_totals};
-pub use metrics::{shard_metric, FixedHistogram, MetricsRegistry};
+pub use metrics::{FixedHistogram, MetricsRegistry};
 pub use recorder::RingRecorder;
 pub use sink::TraceSink;
 

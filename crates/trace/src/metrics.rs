@@ -87,18 +87,6 @@ impl FixedHistogram {
     }
 }
 
-/// Deterministic shard-scoped metric name: `{base}.shard{NN}.{field}`.
-///
-/// The shard index is zero-padded to two digits so the registry's
-/// lexicographic iteration order equals shard order for up to 100 shards
-/// (the sharded expert cache caps well below that). Used by
-/// `fmoe-cache`'s `ShardedExpertCache` to export per-shard hit/miss
-/// counters into one [`MetricsRegistry`].
-#[must_use]
-pub fn shard_metric(base: &str, shard: usize, field: &str) -> String {
-    format!("{base}.shard{shard:02}.{field}")
-}
-
 /// Named counters, gauges, and histograms with deterministic iteration.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct MetricsRegistry {

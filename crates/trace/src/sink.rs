@@ -9,13 +9,12 @@
 //! transfer engine and expert cache and all three interleave into one
 //! causally-ordered timeline.
 //!
-//! The handle is `Send + Sync` so structures that *contain* a sink (the
-//! expert cache, and through it the sharded concurrent cache) can be
-//! shared across threads. The simulation path itself stays
-//! single-threaded by design (DESIGN.md §10 — determinism forbids
-//! cross-thread interleaving in the sim path); the disabled-path cost is
-//! still a pointer-sized `Option` check, and the enabled path pays one
-//! uncontended lock per emission.
+//! The handle is `Send + Sync`, so structures that *contain* a sink (the
+//! serving engine, transfer engine and expert cache) stay `Send + Sync`
+//! too. The simulation path itself stays single-threaded by design
+//! (DESIGN.md §10 — determinism forbids cross-thread interleaving in the
+//! sim path); the disabled-path cost is still a pointer-sized `Option`
+//! check, and the enabled path pays one uncontended lock per emission.
 
 use crate::event::{Marker, Nanos, Phase, TraceRecord};
 use crate::metrics::MetricsRegistry;
@@ -218,9 +217,8 @@ mod tests {
 
     #[test]
     fn sink_handles_are_send_and_sync() {
-        // The sharded concurrent expert cache embeds sinks in structures
-        // shared across threads; losing these bounds is a compile break
-        // there, but pin it here at the source.
+        // Every engine component embeds a sink; losing these bounds
+        // would make them all `!Send`, so pin them here at the source.
         fn assert_send_sync<T: Send + Sync>() {}
         assert_send_sync::<TraceSink>();
     }

@@ -14,11 +14,11 @@
 //! This suite replays the golden online scenario for the paper lineup's
 //! baselines plus fMoE on both paths with identical seeds and asserts
 //! **byte-identical** output at every observable surface: the rendered
-//! `OnlineReport`, the execution timeline, and the one-line-per-event
-//! trace text. Any divergence — an iteration-order change, a dropped
-//! entry, a different victim choice — shows up as a specific event diff,
-//! in the same spirit as the arena-cache differential oracles of the
-//! cache crate. CI runs this in release mode.
+//! `OnlineReport` and the one-line-per-event trace text. Any divergence
+//! — an iteration-order change, a dropped entry, a different victim
+//! choice — shows up as a specific event diff, in the same spirit as the
+//! arena-cache differential oracles of the cache crate. CI runs this in
+//! release mode.
 
 use fmoe_bench::{CellConfig, System};
 use fmoe_model::presets;
@@ -41,7 +41,7 @@ fn cell(system: System, mode: IndexMode) -> CellConfig {
 /// Runs the golden online scenario and renders every observable surface.
 /// Under `IndexMode::Reference` the engine uses the `BTreeMap` residency
 /// index and (for fMoE) the predictor uses the `BTreeMap` element table.
-fn surfaces(system: System, mode: IndexMode) -> (String, String, String) {
+fn surfaces(system: System, mode: IndexMode) -> (String, String) {
     let cell = cell(system, mode);
     let gate = cell.gate();
     let (history, _) = cell.split();
@@ -53,7 +53,6 @@ fn surfaces(system: System, mode: IndexMode) -> (String, String, String) {
         };
     let mut engine = cell.engine(gate);
     engine.set_trace_sink(TraceSink::recording(1 << 16));
-    engine.set_timeline_enabled(true);
     let mut spec = AzureTraceSpec::paper_online_serving(DatasetSpec::tiny_test());
     spec.num_requests = 3;
     let events = spec.generate();
@@ -66,29 +65,18 @@ fn surfaces(system: System, mode: IndexMode) -> (String, String, String) {
     .expect("fcfs serving is infallible");
     assert_eq!(report.results.len(), 3, "scenario serves every request");
     assert_eq!(engine.trace_sink().dropped_records(), 0);
-    let timeline = engine
-        .take_timeline()
-        .iter()
-        .map(|entry| format!("{entry:?}\n"))
-        .collect::<String>();
     let trace = fmoe_trace::events_text(&engine.trace_sink().take_records());
-    (format!("{report:#?}"), timeline, trace)
+    (format!("{report:#?}"), trace)
 }
 
 fn assert_identical(system: System) {
-    let (report_dense, timeline_dense, trace_dense) = surfaces(system, IndexMode::Dense);
-    let (report_ref, timeline_ref, trace_ref) = surfaces(system, IndexMode::Reference);
+    let (report_dense, trace_dense) = surfaces(system, IndexMode::Dense);
+    let (report_ref, trace_ref) = surfaces(system, IndexMode::Reference);
     assert!(!trace_dense.is_empty(), "{}: empty trace", system.name());
     assert_eq!(
         report_dense,
         report_ref,
         "{}: OnlineReport diverges between dense and reference paths",
-        system.name()
-    );
-    assert_eq!(
-        timeline_dense,
-        timeline_ref,
-        "{}: execution timeline diverges between dense and reference paths",
         system.name()
     );
     assert_eq!(

@@ -29,7 +29,6 @@ fn engine_with(config: EngineConfig, topology: Topology) -> ServingEngine {
         Box::new(FmoePriorityPolicy::new()),
         config,
     );
-    e.set_timeline_enabled(true);
     e.set_trace_sink(TraceSink::recording(1 << 16));
     e
 }
@@ -62,12 +61,11 @@ fn trace(n: u64) -> Vec<TraceEvent> {
 }
 
 /// Everything observable about a serving run, rendered to bytes: the
-/// per-request results, the engine timeline, and the canonical trace
-/// text. Equality here is the API's behavioural contract.
+/// per-request results and the canonical trace text. Equality here is
+/// the API's behavioural contract.
 fn drain(engine: &mut ServingEngine, results: String) -> String {
     format!(
-        "results:\n{results}\ntimeline:\n{:?}\ntrace:\n{}",
-        engine.take_timeline(),
+        "results:\n{results}\ntrace:\n{}",
         fmoe_trace::events_text(&engine.trace_sink().take_records())
     )
 }
@@ -92,7 +90,6 @@ fn builder_built_engine_matches_hand_assembled_engine() {
         ServingEngine::builder(gate, GpuSpec::rtx_3090(), Topology::single_gpu(8 << 30))
             .policy(Box::new(FmoePriorityPolicy::new()))
             .config(base_config())
-            .timeline(true)
             .trace_sink(TraceSink::recording(1 << 16))
             .build();
     let built = fingerprint_of(built_engine, &events);
@@ -162,7 +159,6 @@ fn builder_placement_policy_matches_manual_assignment() {
         .policy(Box::new(FmoePriorityPolicy::new()))
         .config(config.clone())
         .placement_policy(&RoundRobinPlacement)
-        .timeline(true)
         .trace_sink(TraceSink::recording(1 << 16))
         .build();
     let sugar = fingerprint_of(via_builder, &events);
