@@ -28,7 +28,7 @@ use crate::predictor::{ExpertPredictor, IterationContext, PrefetchPlan};
 use fmoe_cache::{EvictionPolicy, ExpertCache, InsertOutcome};
 use fmoe_memsim::{
     all2all_layer_time, FaultSchedule, GpuId, Nanos, RetryPolicy, Topology, TransferEngine,
-    TransferError, VirtualClock,
+    VirtualClock,
 };
 use fmoe_model::gate::TokenSpan;
 use fmoe_model::{CostModel, DenseIdMap, DenseIdSet, ExpertId, GateSimulator, GpuSpec};
@@ -177,59 +177,25 @@ impl EngineConfig {
 /// Typed error for the fallible serving entry points.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ServeError {
-    /// `try_serve_batch` was handed an empty prompt slice.
-    EmptyBatch,
-    /// A lockstep batch was requested while a continuous batch is active.
-    BatchActive,
-    /// The transfer substrate rejected a load.
-    Transfer(TransferError),
     /// Online-scheduler bookkeeping lost track of a request — an engine
     /// invariant violation surfaced as an error instead of a panic.
     UnknownRequest {
         /// The request the scheduler could not account for.
         request_id: u64,
     },
-    /// The requested `ServeOptions` combination is not supported (e.g.
-    /// continuous batching with per-request degradation).
-    UnsupportedOptions {
-        /// Why the combination is rejected.
-        reason: &'static str,
-    },
 }
 
 impl std::fmt::Display for ServeError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            Self::EmptyBatch => write!(f, "batch must contain at least one prompt"),
-            Self::BatchActive => write!(
-                f,
-                "lockstep batch cannot run while a continuous batch is active"
-            ),
-            Self::Transfer(e) => write!(f, "transfer failed: {e}"),
             Self::UnknownRequest { request_id } => {
                 write!(f, "request {request_id} finished without being admitted")
             }
-            Self::UnsupportedOptions { reason } => {
-                write!(f, "unsupported serve options: {reason}")
-            }
         }
     }
 }
 
-impl std::error::Error for ServeError {
-    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
-        match self {
-            Self::Transfer(e) => Some(e),
-            _ => None,
-        }
-    }
-}
-
-impl From<TransferError> for ServeError {
-    fn from(e: TransferError) -> Self {
-        Self::Transfer(e)
-    }
-}
+impl std::error::Error for ServeError {}
 
 /// Per-request bookkeeping during a batch run.
 #[derive(Debug)]
@@ -254,7 +220,8 @@ struct Element {
     /// On-demand loads that fell back to reduced precision for this
     /// element (deadline misses or SLO-degraded serving).
     degraded_loads: u64,
-    /// `true` when the request runs in SLO-degraded mode.
+    /// `true` when the request runs in SLO-degraded mode: on-demand
+    /// loads that only degraded elements need move half payloads.
     degraded: bool,
     /// Realized per-layer distributions of the current iteration.
     realized_map: Vec<Vec<f64>>,
@@ -286,6 +253,9 @@ struct IterationScratch {
     layer_plans: Vec<PrefetchPlan>,
     /// Union of activated experts for the current layer (dense bitset).
     union: DenseIdSet,
+    /// Experts a full-precision element activated in the current layer
+    /// (maintained only while a degraded element is live).
+    full_precision: DenseIdSet,
     /// Pre-load residency per needed expert (keyed access only).
     residency: DenseIdMap<bool>,
     /// In-flight transfers the layer must wait for.
@@ -325,6 +295,7 @@ impl IterationScratch {
     fn ensure_model(&mut self, num_experts: usize, num_gpus: usize) {
         if self.union.capacity() != num_experts {
             self.union = DenseIdSet::with_capacity(num_experts);
+            self.full_precision = DenseIdSet::with_capacity(num_experts);
             self.residency = DenseIdMap::with_capacity(num_experts);
             self.loaded = DenseIdMap::with_capacity(num_experts);
         }
@@ -412,6 +383,25 @@ impl Element {
             routing: self.prompt.routing,
         }
     }
+
+    /// The finished request's metrics (serving time only; queueing is
+    /// the scheduler's concern).
+    fn metrics(&self) -> RequestMetrics {
+        let ttft = self.ttft_ns.unwrap_or(self.finished_ns - self.start_ns);
+        let total = self.finished_ns - self.start_ns;
+        RequestMetrics {
+            request_id: self.prompt.id,
+            ttft_ns: ttft,
+            decode_ns: total - ttft,
+            decode_iterations: self.decode_iterations,
+            total_ns: total,
+            expert_hits: self.hits,
+            expert_misses: self.misses,
+            degraded_hits: self.degraded_hits,
+            degraded_loads: self.degraded_loads,
+            served_degraded: self.degraded,
+        }
+    }
 }
 
 /// The serving engine. See the module docs.
@@ -452,11 +442,12 @@ pub struct ServingEngine {
     /// ascending tag order — what the old `BTreeMap<u64, ExpertId>`
     /// iterated in.
     in_flight: DenseIdSet,
-    /// Requests currently in the continuous batch (see [`Self::admit`]).
+    /// Requests currently in the batch, in admission order (see
+    /// [`Self::admit`]).
     active: Vec<Element>,
-    /// Reusable slot ids freed by finished continuous-batch requests.
+    /// Reusable slot ids freed by finished requests.
     free_slots: Vec<usize>,
-    /// Next fresh slot id for the continuous batch.
+    /// Next fresh slot id.
     next_slot: usize,
     /// Prefetched experts staged for a layer that has not executed yet:
     /// pinned so eviction cannot undo a deliberate prefetch before use
@@ -470,9 +461,6 @@ pub struct ServingEngine {
     /// mirrors the transfer engine's copy so the iteration loop can apply
     /// memory-pressure windows to the cache budget.
     faults: Option<FaultSchedule>,
-    /// `true` while serving a request in SLO-degraded mode: on-demand
-    /// loads move half-precision payloads to cut the stall.
-    degraded_mode: bool,
     /// Reusable per-iteration working memory (see [`IterationScratch`]).
     scratch: IterationScratch,
     /// Structured-event trace sink (disabled by default — every emission
@@ -684,7 +672,6 @@ impl ServingEngine {
             breakdown: Breakdown::default(),
             config,
             faults: None,
-            degraded_mode: false,
             scratch: IterationScratch::default(),
             trace: TraceSink::disabled(),
             ep,
@@ -840,7 +827,6 @@ impl ServingEngine {
         self.active.clear();
         self.free_slots.clear();
         self.next_slot = 0;
-        self.degraded_mode = false;
         if let Some(ep) = self.ep.as_mut() {
             // Spilled peer copies died with the replica's device memory.
             ep.clear();
@@ -887,16 +873,16 @@ impl ServingEngine {
         done
     }
 
-    /// Admits a request into the engine's **continuous batch**: it joins
-    /// the running batch at the next [`Self::step`] boundary, prefilling
-    /// while earlier requests keep decoding — the scheduling modern
-    /// serving systems use instead of static batches. Returns the
-    /// request's stable slot id.
+    /// Admits a request into the engine's batch: it joins at the next
+    /// iteration boundary, prefilling while earlier requests keep
+    /// decoding — the continuous batching modern serving systems use
+    /// instead of static batches. A `degraded` request trades quality for
+    /// latency: on-demand loads that only degraded requests need move
+    /// half-precision payloads. Returns the request's stable slot id.
     ///
     /// TTFT is measured from admission; queueing before admission is the
-    /// scheduler's concern (see `online::serve` with
-    /// [`crate::online::ServeOptions::continuous`]).
-    pub fn admit(&mut self, prompt: Prompt) -> usize {
+    /// scheduler's concern (see `online::serve`).
+    pub fn admit(&mut self, prompt: Prompt, degraded: bool) -> usize {
         let slot = self.free_slots.pop().unwrap_or_else(|| {
             let s = self.next_slot;
             self.next_slot += 1;
@@ -921,7 +907,7 @@ impl ServingEngine {
             misses: 0,
             degraded_hits: 0,
             degraded_loads: 0,
-            degraded: self.degraded_mode,
+            degraded,
             realized_map: Vec::new(),
             embedding: Vec::new(),
             activated: Vec::new(),
@@ -929,9 +915,10 @@ impl ServingEngine {
         slot
     }
 
-    /// Runs **one** lockstep iteration over the continuous batch and
-    /// returns the metrics of every request that finished during it.
-    /// A no-op returning an empty vec when the batch is empty.
+    /// Runs **one** iteration over the batch and returns the metrics of
+    /// every request that finished during it. Finished requests free
+    /// their slots for the next admission. A no-op returning an empty
+    /// vec when the batch is empty.
     pub fn step(&mut self, predictor: &mut dyn ExpertPredictor) -> Vec<RequestMetrics> {
         if self.active.is_empty() {
             return Vec::new();
@@ -942,20 +929,7 @@ impl ServingEngine {
         for e in elements {
             if e.done {
                 self.free_slots.push(e.slot);
-                let ttft = e.ttft_ns.unwrap_or(e.finished_ns - e.start_ns);
-                let total = e.finished_ns - e.start_ns;
-                finished.push(RequestMetrics {
-                    request_id: e.prompt.id,
-                    ttft_ns: ttft,
-                    decode_ns: total - ttft,
-                    decode_iterations: e.decode_iterations,
-                    total_ns: total,
-                    expert_hits: e.hits,
-                    expert_misses: e.misses,
-                    degraded_hits: e.degraded_hits,
-                    degraded_loads: e.degraded_loads,
-                    served_degraded: e.degraded,
-                });
+                finished.push(e.metrics());
             } else {
                 self.active.push(e);
             }
@@ -963,142 +937,52 @@ impl ServingEngine {
         finished
     }
 
-    /// Requests currently in the continuous batch.
+    /// Runs iterations until every admitted request has finished and
+    /// returns their metrics in admission order. Emptying the batch
+    /// resets the slot allocator, so the next batch on the idle engine
+    /// gets slots `0..n` in admission order again.
+    pub(crate) fn drain(&mut self, predictor: &mut dyn ExpertPredictor) -> Vec<RequestMetrics> {
+        let mut elements = std::mem::take(&mut self.active);
+        while elements.iter().any(|e| !e.done) {
+            self.run_iteration(&mut elements, predictor);
+        }
+        self.free_slots.clear();
+        self.next_slot = 0;
+        elements.iter().map(Element::metrics).collect()
+    }
+
+    /// Requests currently in the batch.
     #[must_use]
     pub fn active_requests(&self) -> usize {
         self.active.len()
     }
 
-    /// Serves one request (batch size 1).
-    ///
-    /// # Panics
-    ///
-    /// Inherits [`Self::serve_batch`]'s panic on engine errors (e.g. a
-    /// continuous batch still active); use [`Self::try_serve_batch`]
-    /// where panicking is unacceptable.
+    /// Serves one request at full precision and returns its metrics.
+    /// Requests already admitted run alongside it; use
+    /// [`Self::serve_batch`] to collect their metrics too.
     pub fn serve_request(
         &mut self,
         prompt: Prompt,
         predictor: &mut dyn ExpertPredictor,
     ) -> RequestMetrics {
-        self.serve_batch(&[prompt], predictor).remove(0)
+        self.serve_batch(&[prompt], predictor)
+            .pop()
+            .unwrap_or_default()
     }
 
-    /// Serves one request in **degraded mode**: on-demand loads move
-    /// half-precision payloads, trading output quality for latency. The
-    /// SLO-aware online scheduler uses this for requests whose queueing
-    /// delay already blew their budget (see `online::SloPolicy`).
-    ///
-    /// # Panics
-    ///
-    /// Inherits [`Self::serve_batch`]'s panic on engine errors; use
-    /// [`Self::try_serve_batch`] where panicking is unacceptable.
-    pub fn serve_request_degraded(
-        &mut self,
-        prompt: Prompt,
-        predictor: &mut dyn ExpertPredictor,
-    ) -> RequestMetrics {
-        self.degraded_mode = true;
-        let metrics = self.serve_request(prompt, predictor);
-        self.degraded_mode = false;
-        metrics
-    }
-
-    /// Serves a batch of requests in lockstep, returning per-request
-    /// metrics in input order.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `prompts` is empty. See [`Self::try_serve_batch`] for
-    /// the non-panicking variant.
+    /// Serves a lockstep batch: admits every prompt at full precision,
+    /// then runs until the batch drains. Returns every finished request
+    /// in admission order — on an idle engine, the order of `prompts`.
+    /// An empty slice on an idle engine returns an empty vec.
     pub fn serve_batch(
         &mut self,
         prompts: &[Prompt],
         predictor: &mut dyn ExpertPredictor,
     ) -> Vec<RequestMetrics> {
-        assert!(
-            !prompts.is_empty(),
-            "batch must contain at least one prompt"
-        );
-        match self.try_serve_batch(prompts, predictor) {
-            Ok(metrics) => metrics,
-            Err(e) => panic!("serve_batch failed: {e}"),
+        for &prompt in prompts {
+            self.admit(prompt, false);
         }
-    }
-
-    /// Serves a batch of requests in lockstep, returning per-request
-    /// metrics in input order.
-    ///
-    /// # Errors
-    ///
-    /// [`ServeError::EmptyBatch`] for an empty slice;
-    /// [`ServeError::BatchActive`] while a continuous batch is running.
-    pub fn try_serve_batch(
-        &mut self,
-        prompts: &[Prompt],
-        predictor: &mut dyn ExpertPredictor,
-    ) -> Result<Vec<RequestMetrics>, ServeError> {
-        if prompts.is_empty() {
-            return Err(ServeError::EmptyBatch);
-        }
-        if !self.active.is_empty() {
-            return Err(ServeError::BatchActive);
-        }
-        let start = self.clock.now();
-        let mut elements: Vec<Element> = prompts
-            .iter()
-            .enumerate()
-            .map(|(slot, &prompt)| {
-                let total = match self.config.max_decode_iterations {
-                    Some(cap) => prompt.iterations().min(1 + cap),
-                    None => prompt.iterations(),
-                };
-                Element {
-                    prompt,
-                    slot,
-                    iteration: 0,
-                    position: 0,
-                    total_iterations: total,
-                    done: false,
-                    start_ns: start,
-                    ttft_ns: None,
-                    finished_ns: start,
-                    decode_iterations: 0,
-                    hits: 0,
-                    misses: 0,
-                    degraded_hits: 0,
-                    degraded_loads: 0,
-                    degraded: self.degraded_mode,
-                    realized_map: Vec::new(),
-                    embedding: Vec::new(),
-                    activated: Vec::new(),
-                }
-            })
-            .collect();
-
-        while elements.iter().any(|e| !e.done) {
-            self.run_iteration(&mut elements, predictor);
-        }
-
-        Ok(elements
-            .into_iter()
-            .map(|e| {
-                let ttft = e.ttft_ns.unwrap_or(e.finished_ns - e.start_ns);
-                let total = e.finished_ns - e.start_ns;
-                RequestMetrics {
-                    request_id: e.prompt.id,
-                    ttft_ns: ttft,
-                    decode_ns: total - ttft,
-                    decode_iterations: e.decode_iterations,
-                    total_ns: total,
-                    expert_hits: e.hits,
-                    expert_misses: e.misses,
-                    degraded_hits: e.degraded_hits,
-                    degraded_loads: e.degraded_loads,
-                    served_degraded: e.degraded,
-                }
-            })
-            .collect())
+        self.drain(predictor)
     }
 
     /// Runs one lockstep iteration over all live elements.
@@ -1221,6 +1105,7 @@ impl ServingEngine {
             .filter(|e| !e.done)
             .map(|e| e.span().count)
             .sum();
+        let any_degraded = elements.iter().any(|e| !e.done && e.degraded);
         let context_len = elements
             .iter()
             .filter(|e| !e.done)
@@ -1254,9 +1139,13 @@ impl ServingEngine {
             // Gate ground truth per element; union of activated experts.
             scratch.union.clear();
             scratch.layer_plans.clear();
+            if any_degraded {
+                scratch.full_precision.clear();
+            }
             {
                 let IterationScratch {
                     union,
+                    full_precision,
                     layer_plans,
                     contexts,
                     ..
@@ -1276,7 +1165,11 @@ impl ServingEngine {
                         self.gate
                             .activated_slots(el.prompt.routing, el.iteration, layer, span);
                     for &slot in &activated {
-                        union.insert(layer as usize * j as usize + slot as usize);
+                        let d = layer as usize * j as usize + slot as usize;
+                        union.insert(d);
+                        if any_degraded && !el.degraded {
+                            full_precision.insert(d);
+                        }
                     }
                     el.realized_map.push(dist.clone());
                     el.activated.push(activated);
@@ -1457,9 +1350,10 @@ impl ServingEngine {
                     }
                 }
                 // On-demand payload sizes: full precision normally, half
-                // precision when the request runs SLO-degraded or when a
-                // deadline miss forces the fallback. `loaded` records what
-                // actually moved so the cache insert matches the wire.
+                // precision when only SLO-degraded elements need the expert
+                // or when a deadline miss forces the fallback. `loaded`
+                // records what actually moved so the cache insert matches
+                // the wire.
                 scratch.loaded.clear();
                 let loaded = &mut scratch.loaded;
                 for &e in missing {
@@ -1467,7 +1361,11 @@ impl ServingEngine {
                     let gpu = self.cache.home_gpu(e);
                     let gpu_now = per_gpu_now[gpu as usize].unwrap_or(start);
                     let t0 = gpu_now.max(start);
-                    let want = if self.degraded_mode { bytes / 2 } else { bytes };
+                    let want = if any_degraded && !scratch.full_precision.contains(d) {
+                        bytes / 2
+                    } else {
+                        bytes
+                    };
                     // Peer-to-peer tier: a copy spilled to a peer device
                     // serves the miss over the fast peer link instead of
                     // re-reading host memory (and without pausing the
@@ -2026,10 +1924,71 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "at least one prompt")]
-    fn empty_batch_panics() {
+    fn empty_batch_on_idle_engine_is_empty() {
         let mut e = tiny_engine(8, false);
-        let _ = e.serve_batch(&[], &mut NoPrefetch);
+        assert!(e.serve_batch(&[], &mut NoPrefetch).is_empty());
+        assert_eq!(e.now(), 0, "nothing ran");
+    }
+
+    #[test]
+    fn serve_batch_drains_running_requests_in_admission_order() {
+        let mut e = tiny_engine(8, false);
+        e.admit(prompt(20), false);
+        e.admit(prompt(21), false);
+        assert!(
+            e.step(&mut NoPrefetch).is_empty(),
+            "prefill finishes no one"
+        );
+        let ms = e.serve_batch(&[prompt(22), prompt(23)], &mut NoPrefetch);
+        let ids: Vec<u64> = ms.iter().map(|m| m.request_id).collect();
+        assert_eq!(ids, [20, 21, 22, 23]);
+        assert_eq!(e.active_requests(), 0);
+    }
+
+    /// Records the slot of every request at its prefill iteration.
+    #[derive(Default)]
+    struct SlotRecorder {
+        seen: Vec<(u64, usize)>,
+    }
+
+    impl ExpertPredictor for SlotRecorder {
+        fn name(&self) -> String {
+            "SlotRecorder".into()
+        }
+
+        fn timing(&self) -> crate::predictor::PredictorTiming {
+            crate::predictor::PredictorTiming::free()
+        }
+
+        fn begin_iteration(&mut self, ctx: &IterationContext) -> Vec<PrefetchPlan> {
+            if ctx.is_prefill {
+                self.seen.push((ctx.request_id, ctx.element));
+            }
+            Vec::new()
+        }
+
+        fn observe_gate(
+            &mut self,
+            _ctx: &IterationContext,
+            _layer: u32,
+            _distribution: &[f64],
+        ) -> Vec<PrefetchPlan> {
+            Vec::new()
+        }
+
+        fn end_iteration(&mut self, _ctx: &IterationContext, _realized_map: &[Vec<f64>]) {}
+    }
+
+    #[test]
+    fn back_to_back_batches_get_slots_in_input_order() {
+        let mut e = tiny_engine(8, false);
+        let mut recorder = SlotRecorder::default();
+        let _ = e.serve_batch(&[prompt(24), prompt(25), prompt(26)], &mut recorder);
+        let _ = e.serve_batch(&[prompt(27), prompt(28), prompt(29)], &mut recorder);
+        assert_eq!(
+            recorder.seen,
+            [(24, 0), (25, 1), (26, 2), (27, 0), (28, 1), (29, 2)]
+        );
     }
 
     #[test]
@@ -2116,20 +2075,6 @@ mod tests {
     }
 
     #[test]
-    fn try_serve_batch_reports_typed_errors() {
-        let mut e = tiny_engine(8, false);
-        assert_eq!(
-            e.try_serve_batch(&[], &mut NoPrefetch),
-            Err(ServeError::EmptyBatch)
-        );
-        e.admit(prompt(20));
-        assert_eq!(
-            e.try_serve_batch(&[prompt(21)], &mut NoPrefetch),
-            Err(ServeError::BatchActive)
-        );
-    }
-
-    #[test]
     fn inert_fault_schedule_changes_nothing() {
         let mut plain = tiny_engine(8, false);
         let mut faulted = tiny_engine(8, false);
@@ -2143,7 +2088,8 @@ mod tests {
     #[test]
     fn degraded_request_moves_half_payloads_and_is_flagged() {
         let mut e = tiny_engine(8, false);
-        let m = e.serve_request_degraded(prompt(31), &mut NoPrefetch);
+        e.admit(prompt(31), true);
+        let m = e.drain(&mut NoPrefetch)[0];
         assert!(m.served_degraded);
         assert!(
             m.degraded_loads > 0,
@@ -2157,6 +2103,30 @@ mod tests {
         let mut full = tiny_engine(8, false);
         let mf = full.serve_request(prompt(31), &mut NoPrefetch);
         assert!(m.total_ns < mf.total_ns);
+    }
+
+    #[test]
+    fn degradation_is_per_request_inside_a_shared_batch() {
+        let mut e = tiny_engine(8, false);
+        e.admit(prompt(37), true);
+        e.admit(prompt(38), false);
+        let mut finished = Vec::new();
+        while e.active_requests() > 0 {
+            finished.extend(e.step(&mut NoPrefetch));
+        }
+        let by_id = |id: u64| finished.iter().find(|m| m.request_id == id).copied();
+        let degraded = by_id(37).expect("degraded request finishes");
+        let full = by_id(38).expect("full-precision request finishes");
+        assert!(degraded.served_degraded);
+        assert!(
+            degraded.degraded_loads > 0,
+            "cold-cache loads only the degraded request needs run degraded"
+        );
+        assert!(!full.served_degraded);
+        assert_eq!(
+            full.degraded_loads, 0,
+            "experts a full-precision request activates load at full precision"
+        );
     }
 
     #[test]

@@ -5,7 +5,7 @@ use fmoe_stats::Summary;
 use serde::Serialize;
 
 /// Metrics for one served request.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize)]
 pub struct RequestMetrics {
     /// Request id.
     pub request_id: u64,

@@ -27,8 +27,9 @@ pub enum SloAction {
     /// Reject the request outright (load shedding): it is never served
     /// and is reported in [`OnlineReport::shed`].
     Shed,
-    /// Serve it anyway, but in degraded mode: on-demand loads move
-    /// half-precision payloads to cut the remaining latency.
+    /// Serve it anyway, but in degraded mode: on-demand loads that no
+    /// full-precision request in the batch needs move half-precision
+    /// payloads to cut the remaining latency.
     Degrade,
 }
 
@@ -89,8 +90,10 @@ pub enum Scheduler {
 pub struct ServeOptions {
     /// Scheduling discipline.
     pub scheduler: Scheduler,
-    /// Optional SLO admission policy. Under `Continuous` scheduling only
-    /// [`SloAction::Shed`] is supported (see [`serve`] errors).
+    /// Optional SLO admission policy, applied under either scheduler.
+    /// Under `Continuous` scheduling a degraded request shares iterations
+    /// with full-precision ones; only the on-demand loads no
+    /// full-precision request needs move half payloads.
     pub slo: Option<SloPolicy>,
 }
 
@@ -204,6 +207,51 @@ pub enum FcfsOutcome {
     Shed(ShedRequest),
 }
 
+/// Applies the SLO policy to `event` at the engine's current instant and
+/// admits it unless the policy sheds it. An admitted request's queueing
+/// is recorded retroactively as a span ending now, so the queue wait
+/// shows up on the request's own track in the exported timeline.
+fn admit_or_shed(
+    engine: &mut ServingEngine,
+    event: &TraceEvent,
+    slo: Option<SloPolicy>,
+) -> Result<(), ShedRequest> {
+    let now = engine.now();
+    let id = event.prompt.id;
+    let queued = now.saturating_sub(event.arrival_ns);
+    let action = slo
+        .filter(|policy| queued > policy.max_queueing_ns)
+        .map(|policy| policy.action);
+    let trace_sink = engine.trace_sink();
+    if action == Some(SloAction::Shed) {
+        trace_sink.instant(now, Marker::Shed, id, NO_LAYER, NO_SLOT, NO_GPU, queued);
+        trace_sink.count("online.shed", 1);
+        return Err(ShedRequest {
+            request_id: id,
+            arrival_ns: event.arrival_ns,
+            queued_ns: queued,
+        });
+    }
+    if queued > 0 {
+        trace_sink.span(now, Phase::Queue, id, NO_LAYER, NO_GPU, queued, 0);
+    }
+    let degrade = action == Some(SloAction::Degrade);
+    if degrade {
+        trace_sink.instant(
+            now,
+            Marker::DegradedServe,
+            id,
+            NO_LAYER,
+            NO_SLOT,
+            NO_GPU,
+            queued,
+        );
+        trace_sink.count("online.degraded_serves", 1);
+    }
+    engine.admit(event.prompt, degrade);
+    Ok(())
+}
+
 /// Serves one trace event FCFS on `engine`, applying the optional SLO
 /// policy when the request's turn comes.
 ///
@@ -220,66 +268,11 @@ pub fn serve_event_fcfs(
     // FCFS: the engine serves the request when both it and the request
     // are ready.
     engine.idle_until(event.arrival_ns);
-    let queued = engine.now().saturating_sub(event.arrival_ns);
-    let mut degrade = false;
-    if let Some(policy) = slo {
-        if queued > policy.max_queueing_ns {
-            match policy.action {
-                SloAction::Shed => {
-                    let trace_sink = engine.trace_sink();
-                    trace_sink.instant(
-                        engine.now(),
-                        Marker::Shed,
-                        event.prompt.id,
-                        NO_LAYER,
-                        NO_SLOT,
-                        NO_GPU,
-                        queued,
-                    );
-                    trace_sink.count("online.shed", 1);
-                    return FcfsOutcome::Shed(ShedRequest {
-                        request_id: event.prompt.id,
-                        arrival_ns: event.arrival_ns,
-                        queued_ns: queued,
-                    });
-                }
-                SloAction::Degrade => degrade = true,
-            }
-        }
-    }
     let start = engine.now();
-    // Queueing happened over `[arrival, start]`: record it retroactively
-    // as a span ending now, so the queue wait shows up on the request's
-    // own track in the exported timeline.
-    if queued > 0 {
-        engine.trace_sink().span(
-            start,
-            Phase::Queue,
-            event.prompt.id,
-            NO_LAYER,
-            NO_GPU,
-            queued,
-            0,
-        );
+    if let Err(shed) = admit_or_shed(engine, event, slo) {
+        return FcfsOutcome::Shed(shed);
     }
-    if degrade {
-        let trace_sink = engine.trace_sink();
-        trace_sink.instant(
-            start,
-            Marker::DegradedServe,
-            event.prompt.id,
-            NO_LAYER,
-            NO_SLOT,
-            NO_GPU,
-            queued,
-        );
-        trace_sink.count("online.degraded_serves", 1);
-    }
-    let metrics = if degrade {
-        engine.serve_request_degraded(event.prompt, predictor)
-    } else {
-        engine.serve_request(event.prompt, predictor)
-    };
+    let metrics = engine.drain(predictor).pop().unwrap_or_default();
     let finish = engine.now();
     engine
         .trace_sink()
@@ -300,44 +293,33 @@ pub fn serve_event_fcfs(
 /// `fmoe_workload::AzureTraceSpec::generate`). With
 /// [`Scheduler::Fcfs`] requests are served one at a time in arrival
 /// order; with [`Scheduler::Continuous`] up to `max_slots` requests share
-/// each iteration. An optional [`SloPolicy`] sheds (or, under FCFS,
-/// degrades) requests whose queueing delay blows the budget when their
-/// turn comes.
+/// each iteration. An optional [`SloPolicy`] sheds or degrades requests
+/// whose queueing delay blows the budget when their turn comes, under
+/// either scheduler.
 ///
 /// # Errors
 ///
-/// * [`ServeError::UnsupportedOptions`] — `Continuous` scheduling
-///   combined with [`SloAction::Degrade`]: the engine's degraded mode
-///   applies engine-wide during an iteration, so per-request degradation
-///   inside a shared batch would silently mis-model; the combination is
-///   rejected instead.
-/// * [`ServeError::UnknownRequest`] — the engine reported a finished
-///   request that was never admitted (an engine bookkeeping invariant;
-///   surfaced as a typed error rather than a panic).
+/// [`ServeError::UnknownRequest`] — the engine reported a finished
+/// request that was never admitted (an engine bookkeeping invariant;
+/// surfaced as a typed error rather than a panic).
 pub fn serve(
     engine: &mut ServingEngine,
     trace: &[TraceEvent],
     predictor: &mut dyn ExpertPredictor,
     options: &ServeOptions,
 ) -> Result<OnlineReport, ServeError> {
-    match options.scheduler {
-        Scheduler::Fcfs => Ok(serve_fcfs(engine, trace, predictor, options.slo)),
+    let (results, shed) = match options.scheduler {
+        Scheduler::Fcfs => serve_fcfs(engine, trace, predictor, options.slo),
         Scheduler::Continuous { max_slots } => {
-            if matches!(
-                options.slo,
-                Some(SloPolicy {
-                    action: SloAction::Degrade,
-                    ..
-                })
-            ) {
-                return Err(ServeError::UnsupportedOptions {
-                    reason: "continuous batching cannot degrade individual requests \
-                             (engine degraded mode is engine-wide); use SloAction::Shed",
-                });
-            }
-            serve_continuous(engine, trace, predictor, max_slots, options.slo)
+            serve_continuous(engine, trace, predictor, max_slots, options.slo)?
         }
-    }
+    };
+    let degraded_serves = results.iter().filter(|r| r.metrics.served_degraded).count() as u64;
+    Ok(OnlineReport {
+        results,
+        shed,
+        degraded_serves,
+    })
 }
 
 /// FCFS replay: [`serve_event_fcfs`] over the trace, in order.
@@ -346,30 +328,20 @@ fn serve_fcfs(
     trace: &[TraceEvent],
     predictor: &mut dyn ExpertPredictor,
     slo: Option<SloPolicy>,
-) -> OnlineReport {
+) -> (Vec<OnlineResult>, Vec<ShedRequest>) {
     let mut results = Vec::with_capacity(trace.len());
     let mut shed = Vec::new();
-    let mut degraded_serves = 0u64;
     for event in trace {
         match serve_event_fcfs(engine, event, predictor, slo) {
-            FcfsOutcome::Served(result) => {
-                if result.metrics.served_degraded {
-                    degraded_serves += 1;
-                }
-                results.push(result);
-            }
+            FcfsOutcome::Served(result) => results.push(result),
             FcfsOutcome::Shed(request) => shed.push(request),
         }
     }
-    OnlineReport {
-        results,
-        shed,
-        degraded_serves,
-    }
+    (results, shed)
 }
 
 /// Continuous-batching replay: admit while slots are free, step the
-/// shared batch, collect finishes. An SLO policy (Shed only) rejects
+/// shared batch, collect finishes. An SLO policy sheds or degrades
 /// requests whose queueing delay has blown the budget by the time a slot
 /// frees up for them.
 fn serve_continuous(
@@ -378,7 +350,7 @@ fn serve_continuous(
     predictor: &mut dyn ExpertPredictor,
     max_slots: usize,
     slo: Option<SloPolicy>,
-) -> Result<OnlineReport, ServeError> {
+) -> Result<(Vec<OnlineResult>, Vec<ShedRequest>), ServeError> {
     let max_slots = max_slots.max(1);
     let mut results = Vec::with_capacity(trace.len());
     let mut shed = Vec::new();
@@ -393,45 +365,12 @@ fn serve_continuous(
             && trace[next_arrival].arrival_ns <= engine.now()
         {
             let event = &trace[next_arrival];
-            let queued = engine.now().saturating_sub(event.arrival_ns);
-            if let Some(policy) = slo {
-                if queued > policy.max_queueing_ns {
-                    // Only Shed reaches here; Degrade was rejected up
-                    // front in `serve`.
-                    let trace_sink = engine.trace_sink();
-                    trace_sink.instant(
-                        engine.now(),
-                        Marker::Shed,
-                        event.prompt.id,
-                        NO_LAYER,
-                        NO_SLOT,
-                        NO_GPU,
-                        queued,
-                    );
-                    trace_sink.count("online.shed", 1);
-                    shed.push(ShedRequest {
-                        request_id: event.prompt.id,
-                        arrival_ns: event.arrival_ns,
-                        queued_ns: queued,
-                    });
-                    next_arrival += 1;
-                    continue;
+            match admit_or_shed(engine, event, slo) {
+                Ok(()) => {
+                    admissions.insert(event.prompt.id, (event.arrival_ns, engine.now()));
                 }
+                Err(request) => shed.push(request),
             }
-            let _slot = engine.admit(event.prompt);
-            let admitted = engine.now();
-            if queued > 0 {
-                engine.trace_sink().span(
-                    admitted,
-                    Phase::Queue,
-                    event.prompt.id,
-                    NO_LAYER,
-                    NO_GPU,
-                    queued,
-                    0,
-                );
-            }
-            admissions.insert(event.prompt.id, (event.arrival_ns, admitted));
             next_arrival += 1;
         }
         if engine.active_requests() == 0 {
@@ -462,11 +401,7 @@ fn serve_continuous(
             });
         }
     }
-    Ok(OnlineReport {
-        results,
-        shed,
-        degraded_serves: 0,
-    })
+    Ok((results, shed))
 }
 
 #[cfg(test)]
@@ -758,18 +693,38 @@ mod tests {
     }
 
     #[test]
-    fn continuous_degrade_is_a_typed_error() {
-        let t = trace(2);
+    fn continuous_degrade_serves_over_budget_requests_flagged() {
+        // Everyone arrives at t=0 with two slots and a zero queueing
+        // budget: the two head requests run at full precision, everyone
+        // queued behind them is admitted degraded as slots free up.
+        let mut t = trace(6);
+        for ev in &mut t {
+            ev.arrival_ns = 0;
+        }
         let mut e = engine();
-        let err = serve(
+        let sink = fmoe_trace::TraceSink::recording(1 << 16);
+        e.set_trace_sink(sink.clone());
+        let report = serve(
             &mut e,
             &t,
             &mut NoPrefetch,
             &ServeOptions::continuous(2).with_slo(SloPolicy::degrade(0)),
         )
-        .expect_err("continuous + degrade must be rejected");
-        assert!(matches!(err, ServeError::UnsupportedOptions { .. }));
-        assert!(err.to_string().contains("unsupported serve options"));
+        .expect("continuous + degrade serves");
+        assert_eq!(report.results.len() + report.shed.len(), t.len());
+        assert!(report.shed.is_empty(), "degrade mode sheds nothing");
+        let flagged = report
+            .results
+            .iter()
+            .filter(|r| r.metrics.served_degraded)
+            .count() as u64;
+        assert_eq!(flagged, 4, "only the two head requests avoid queueing");
+        assert_eq!(flagged, report.degraded_serves);
+        assert_eq!(
+            sink.metrics_snapshot().counter("online.degraded_serves"),
+            report.degraded_serves
+        );
+        assert_eq!(e.active_requests(), 0);
     }
 
     #[test]
@@ -859,8 +814,8 @@ mod tests {
         assert_eq!(e.active_requests(), 0);
         assert!(e.step(&mut NoPrefetch).is_empty());
         let t = trace(2);
-        let s0 = e.admit(t[0].prompt);
-        let s1 = e.admit(t[1].prompt);
+        let s0 = e.admit(t[0].prompt, false);
+        let s1 = e.admit(t[1].prompt, false);
         assert_ne!(s0, s1);
         assert_eq!(e.active_requests(), 2);
         let mut guard = 0;
@@ -870,7 +825,7 @@ mod tests {
             assert!(guard < 100, "requests must terminate");
         }
         // Freed slots are reused.
-        let s2 = e.admit(t[0].prompt);
+        let s2 = e.admit(t[0].prompt, false);
         assert!(s2 == s0 || s2 == s1);
     }
 }

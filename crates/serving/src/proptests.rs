@@ -141,7 +141,7 @@ proptest! {
         while admitted < prompts.len() || e.active_requests() > 0 {
             // Admit up to 3 at a time.
             while admitted < prompts.len() && e.active_requests() < 3 {
-                let _ = e.admit(pending[admitted]);
+                let _ = e.admit(pending[admitted], false);
                 admitted += 1;
             }
             let steps = bursts.next().unwrap_or(1);

@@ -126,6 +126,26 @@ fn golden_trace_oracle() {
     check_golden("oracle", &rendered_trace(System::Oracle));
 }
 
+/// Lockstep batching: two requests share every iteration. MoE-Infinity
+/// keys its per-request activation matrix by batch slot, so this pins
+/// which slot each request gets as well as the shared-iteration timing.
+#[test]
+fn golden_trace_moe_infinity_batch2() {
+    let mut cell = cell(System::MoeInfinity);
+    cell.batch_size = 2;
+    cell.test_requests = 4;
+    let traced = cell.run_offline_traced(1 << 16);
+    assert_eq!(traced.outcome.requests.len(), 4, "every request is served");
+    assert_eq!(
+        traced.dropped_records, 0,
+        "golden capacity must hold the whole run"
+    );
+    check_golden(
+        "moe_infinity_batch2",
+        &fmoe_trace::events_text(&traced.records),
+    );
+}
+
 /// The golden scenario itself must be reproducible, otherwise a diff
 /// would mean nothing: two in-process runs render identically.
 #[test]
