@@ -16,7 +16,7 @@
 //! signal for *this* iteration — the mechanism behind its low hit rate in
 //! Fig. 9 and the "Hit count" ablation curve in Fig. 12a.
 
-use fmoe_model::gate::TokenSpan;
+use fmoe_model::gate::{GateScratch, TokenSpan};
 use fmoe_model::{ExpertId, GateSimulator, ModelConfig, RequestRouting};
 use fmoe_serving::{ExpertPredictor, IterationContext, PredictorTiming, PrefetchPlan};
 use fmoe_stats::cosine_similarity;
@@ -152,6 +152,7 @@ impl MoeInfinityPredictor {
         history: &[EamHistoryRequest],
         max_iterations_per_request: u64,
     ) {
+        let mut scratch = GateScratch::default();
         for req in history {
             let mut matrix = vec![0.0; self.lj()];
             let iters = req.iterations.min(max_iterations_per_request).max(1);
@@ -162,8 +163,8 @@ impl MoeInfinityPredictor {
                     TokenSpan::single(req.prompt_tokens + iter - 1)
                 };
                 for layer in 0..self.num_layers {
-                    let dist = gate.iteration_distribution(req.routing, iter, layer, span);
-                    self.record(&mut matrix, layer, &dist);
+                    gate.route_into(req.routing, iter, layer, span, &mut scratch);
+                    self.record(&mut matrix, layer, &scratch.dist);
                 }
             }
             self.commit_matrix(matrix);

@@ -17,6 +17,10 @@
 //!   over an Expert Map Store.
 //! * `matcher_trajectory_incremental` — the streaming trajectory tracker
 //!   over the same store.
+//! * `router_prefill` / `router_decode` — one `GateSimulator::route_into`
+//!   call per iteration over a fixed set of Mixtral-8x7B coordinates, on
+//!   a 512-token prefill span (subsampled to the 128-token cap) and on
+//!   single-token decode spans.
 //!
 //! `--quick` shrinks every scenario to CI size (seconds, not minutes);
 //! the JSON records the mode plus the machine's available parallelism,
@@ -36,7 +40,7 @@ use fmoe::matcher::{Matcher, TrajectoryTracker};
 use fmoe::store::ExpertMapStore;
 use fmoe_bench::harness::{CellConfig, ParallelRunner, System};
 use fmoe_bench::perf::{self, PerfRecord, PerfReport, RunMode};
-use fmoe_model::gate::TokenSpan;
+use fmoe_model::gate::{GateScratch, TokenSpan};
 use fmoe_model::{presets, GateParams, GateSimulator, RequestRouting};
 use fmoe_workload::DatasetSpec;
 use std::hint::black_box;
@@ -192,6 +196,55 @@ fn matcher_records(mode: RunMode) -> Vec<PerfRecord> {
     ]
 }
 
+/// The router kernel alone: `route_into` with one reused scratch, walking
+/// requests × layers so every call routes fresh coordinates.
+fn router_records(mode: RunMode) -> Vec<PerfRecord> {
+    let (prefill_calls, decode_calls) = match mode {
+        RunMode::Quick => (2_000, 40_000),
+        RunMode::Full => (20_000, 400_000),
+    };
+    let gate = GateSimulator::with_defaults(presets::mixtral_8x7b());
+    let layers = u64::from(gate.config().num_layers);
+    let coords = |call: u64| {
+        let routing = RequestRouting {
+            cluster: call / layers % 40,
+            request_seed: call / layers,
+        };
+        (routing, (call % layers) as u32)
+    };
+    let mut scratch = GateScratch::default();
+    let mut call = 0u64;
+    let (prefill_ms, prefill_ips) = time_iters(prefill_calls, || {
+        let (routing, layer) = coords(call);
+        gate.route_into(routing, 0, layer, TokenSpan::prefill(512), &mut scratch);
+        black_box(&scratch);
+        call += 1;
+    });
+    let mut call = 0u64;
+    let (decode_ms, decode_ips) = time_iters(decode_calls, || {
+        let (routing, layer) = coords(call);
+        let iteration = 1 + call % 16;
+        let span = TokenSpan::single(511 + iteration);
+        gate.route_into(routing, iteration, layer, span, &mut scratch);
+        black_box(&scratch);
+        call += 1;
+    });
+    vec![
+        PerfRecord {
+            scenario: "router_prefill".to_string(),
+            wall_ms: prefill_ms,
+            iters_per_s: prefill_ips,
+            jobs: 1,
+        },
+        PerfRecord {
+            scenario: "router_decode".to_string(),
+            wall_ms: decode_ms,
+            iters_per_s: decode_ips,
+            jobs: 1,
+        },
+    ]
+}
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mode = if args.iter().any(|a| a == "--quick") {
@@ -220,6 +273,7 @@ fn main() {
     };
 
     records.extend(matcher_records(mode));
+    records.extend(router_records(mode));
 
     let report = PerfReport {
         jobs,

@@ -11,7 +11,7 @@
 //! ```
 
 use fmoe_bench::report::{write_csv, Table};
-use fmoe_model::gate::TokenSpan;
+use fmoe_model::gate::{GateScratch, TokenSpan};
 use fmoe_model::{presets, GateParams, GateSimulator, ModelConfig, RequestRouting};
 use fmoe_stats::{cosine_similarity, shannon_entropy, shannon_entropy_of_counts};
 
@@ -33,6 +33,7 @@ fn measure(model: &ModelConfig) -> GateReport {
     let mut fine = 0.0;
     let mut coarse = 0.0;
     let mut n = 0.0;
+    let mut scratch = GateScratch::default();
     for r in 0..10u64 {
         let routing = RequestRouting {
             cluster: r % 5,
@@ -42,9 +43,9 @@ fn measure(model: &ModelConfig) -> GateReport {
             let mut counts = vec![0.0; j];
             for iter in 1..=24u64 {
                 let span = TokenSpan::single(32 + iter);
-                let dist = gate.iteration_distribution(routing, iter, layer, span);
-                fine += shannon_entropy(&dist);
-                for s in gate.activated_slots(routing, iter, layer, span) {
+                gate.route_into(routing, iter, layer, span, &mut scratch);
+                fine += shannon_entropy(&scratch.dist);
+                for &s in &scratch.activated {
                     counts[s as usize] += 1.0;
                 }
                 n += 1.0;

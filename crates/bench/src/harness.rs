@@ -9,7 +9,7 @@ use fmoe_baselines::{
 };
 use fmoe_cache::{EvictionPolicy, FmoePriorityPolicy, LfuPolicy, LruPolicy};
 use fmoe_memsim::Topology;
-use fmoe_model::gate::TokenSpan;
+use fmoe_model::gate::{GateScratch, TokenSpan};
 use fmoe_model::{GateParams, GateSimulator, GpuSpec, ModelConfig};
 use fmoe_serving::{
     AggregateMetrics, Breakdown, EngineConfig, ExpertPredictor, IndexMode, IterationContext,
@@ -354,6 +354,7 @@ pub fn coverage_probe(
     let mut total = 0u64;
     let mut planned_count = 0u64;
     let mut planned_layers = 0u64;
+    let mut scratch = GateScratch::default();
     for prompt in test {
         let iters = prompt.iterations().min(max_iterations).max(1);
         for iteration in 0..iters {
@@ -378,23 +379,21 @@ pub fn coverage_probe(
                 }
             }
             let mut realized: Vec<Vec<f64>> = Vec::with_capacity(layers as usize);
+            let mut activated: Vec<Vec<u32>> = Vec::with_capacity(layers as usize);
             for layer in 0..layers {
-                let dist = gate.iteration_distribution(prompt.routing, iteration, layer, span);
-                for plan in predictor.observe_gate(&ctx, layer, &dist) {
+                gate.route_into(prompt.routing, iteration, layer, span, &mut scratch);
+                for plan in predictor.observe_gate(&ctx, layer, &scratch.dist) {
                     if !plan.advisory {
                         planned[plan.expert.layer as usize].push(plan.expert.slot);
                     }
                 }
-                realized.push(dist);
+                realized.push(scratch.dist.clone());
+                activated.push(scratch.activated.clone());
             }
-            for layer in 0..layers {
-                let activated = gate.activated_slots(prompt.routing, iteration, layer, span);
+            for (activated, planned) in activated.iter().zip(&planned) {
                 total += activated.len() as u64;
-                covered += activated
-                    .iter()
-                    .filter(|s| planned[layer as usize].contains(s))
-                    .count() as u64;
-                planned_count += planned[layer as usize].len() as u64;
+                covered += activated.iter().filter(|s| planned.contains(s)).count() as u64;
+                planned_count += planned.len() as u64;
                 planned_layers += 1;
             }
             predictor.end_iteration(&ctx, &realized);

@@ -24,7 +24,7 @@ use crate::map::ExpertMap;
 use crate::matcher::{Matcher, TrajectoryTracker};
 use crate::selection::{prefetch_priority, select_experts, select_top_n, SelectedExpert};
 use crate::store::ExpertMapStore;
-use fmoe_model::gate::TokenSpan;
+use fmoe_model::gate::{GateScratch, TokenSpan};
 use fmoe_model::{ExpertId, GateSimulator, ModelConfig, RequestRouting};
 use fmoe_serving::{ExpertPredictor, IndexMode, IterationContext, PredictorTiming, PrefetchPlan};
 use std::collections::BTreeMap;
@@ -185,6 +185,7 @@ impl FmoePredictor {
         max_iterations_per_request: u64,
     ) {
         let layers = self.model.num_layers;
+        let mut scratch = GateScratch::default();
         for req in history {
             let iters = req.iterations.min(max_iterations_per_request).max(1);
             for iter in 0..iters {
@@ -194,7 +195,10 @@ impl FmoePredictor {
                     TokenSpan::single(req.prompt_tokens + iter - 1)
                 };
                 let rows: Vec<Vec<f64>> = (0..layers)
-                    .map(|l| gate.iteration_distribution(req.routing, iter, l, span))
+                    .map(|l| {
+                        gate.route_into(req.routing, iter, l, span, &mut scratch);
+                        scratch.dist.clone()
+                    })
                     .collect();
                 let embedding = gate.semantic_embedding(req.routing, iter);
                 self.store.insert(embedding, ExpertMap::new(rows));

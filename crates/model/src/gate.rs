@@ -27,8 +27,9 @@
 //! router's output for any coordinate without shared mutable state.
 
 use crate::config::ModelConfig;
-use fmoe_stats::rng::{gumbel_noise, hash_to_unit, normal_noise};
+use fmoe_stats::rng::{gumbel_of, hash_fold, hash_to_unit, normal_noise, HASH_INIT};
 use serde::{Deserialize, Serialize};
+use std::sync::OnceLock;
 
 /// Tunable parameters of the synthetic router.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -184,24 +185,57 @@ const TAG_EMB_REQUEST: u64 = 0x07;
 const TAG_EMB_ITER: u64 = 0x08;
 const TAG_EMB_PHASE: u64 = 0x09;
 
+/// Reusable working memory of [`GateSimulator::route_into`].
+///
+/// One scratch serves any number of calls, on any model: every call
+/// resizes the buffers to its model's `J` and overwrites them, so a
+/// caller that keeps one scratch routes without allocating once the
+/// buffers have grown.
+#[derive(Debug, Clone, Default)]
+pub struct GateScratch {
+    /// The iteration distribution of the last call (length `J`).
+    pub dist: Vec<f64>,
+    /// The slots the last call activated: the union of every routed
+    /// token's top-K, ascending.
+    pub activated: Vec<u32>,
+    /// One token's logits, then (in place) its softmax numerators.
+    logits: Vec<f64>,
+    /// Per slot: the hash state folded through `(seed, request_seed,
+    /// iteration, layer, slot)`.
+    slot_hash: Vec<u64>,
+    /// Per slot: the scaled iteration-shared gumbel.
+    shared: Vec<f64>,
+    /// Per slot: the static expert bias of this layer.
+    bias: Vec<f64>,
+    /// Per slot: whether any routed token activated it.
+    hit: Vec<bool>,
+    /// The last token's top-K, highest logit first.
+    top: Vec<u32>,
+}
+
 /// The synthetic router for one model.
 ///
 /// ```
 /// use fmoe_model::{presets, GateSimulator, RequestRouting};
-/// use fmoe_model::gate::TokenSpan;
+/// use fmoe_model::gate::{GateScratch, TokenSpan};
 ///
 /// let gate = GateSimulator::with_defaults(presets::small_test_model());
 /// let req = RequestRouting { cluster: 3, request_seed: 42 };
-/// let dist = gate.iteration_distribution(req, 0, 2, TokenSpan::single(10));
-/// assert_eq!(dist.len(), 8);
-/// assert!((dist.iter().sum::<f64>() - 1.0).abs() < 1e-9);
+/// let mut scratch = GateScratch::default();
+/// gate.route_into(req, 0, 2, TokenSpan::single(10), &mut scratch);
+/// assert_eq!(scratch.dist.len(), 8);
+/// assert!((scratch.dist.iter().sum::<f64>() - 1.0).abs() < 1e-9);
+/// assert_eq!(scratch.activated.len(), 2); // one token, top-2
 /// // Deterministic: the same coordinates always route identically.
-/// assert_eq!(dist, gate.iteration_distribution(req, 0, 2, TokenSpan::single(10)));
+/// assert_eq!(scratch.dist, gate.iteration_distribution(req, 0, 2, TokenSpan::single(10)));
 /// ```
 #[derive(Debug, Clone)]
 pub struct GateSimulator {
     config: ModelConfig,
     params: GateParams,
+    /// Static expert bias, `L×J` row-major; built on first route so
+    /// constructing a router stays O(1).
+    bias: OnceLock<Vec<f64>>,
 }
 
 impl GateSimulator {
@@ -216,7 +250,11 @@ impl GateSimulator {
         config
             .validate()
             .unwrap_or_else(|e| panic!("invalid model config: {e}"));
-        Self { config, params }
+        Self {
+            config,
+            params,
+            bias: OnceLock::new(),
+        }
     }
 
     /// Convenience constructor with [`GateParams::for_model`] defaults.
@@ -258,71 +296,15 @@ impl GateSimulator {
         base + iteration as f64 * stride + f64::from(layer) * p.layer_rate + drift + jitter
     }
 
-    /// Circular (ring) distance between expert slot `slot` and a
-    /// real-valued center position.
-    fn ring_distance(&self, slot: u32, center: f64) -> f64 {
-        let j = f64::from(self.config.experts_per_layer);
-        let c = center.rem_euclid(j);
-        let d = (f64::from(slot) - c).abs();
-        d.min(j - d)
-    }
-
-    /// Raw logits over the `J` routed experts for one token at relative
-    /// position `offset` within the iteration's span (0 for decode).
-    fn token_logits_at(
-        &self,
-        req: RequestRouting,
-        iteration: u64,
-        layer: u32,
-        token: u64,
-        offset: u64,
-    ) -> Vec<f64> {
+    /// The static logit bias of expert `slot` at `layer`.
+    fn expert_bias(&self, layer: u32, slot: u32) -> f64 {
         let p = &self.params;
-        let center = self.center(req, iteration, layer) + p.token_spread * offset as f64;
-        let width = p.kernel_width.max(1e-6);
-        (0..self.config.experts_per_layer)
-            .map(|slot| {
-                let d = self.ring_distance(slot, center);
-                let kernel = (-(d / width).powi(2)).exp();
-                let shared = gumbel_noise(&[
-                    p.seed,
-                    req.request_seed,
-                    iteration,
-                    u64::from(layer),
-                    u64::from(slot),
-                    TAG_ITER_NOISE,
-                ]);
-                let per_token = gumbel_noise(&[
-                    p.seed,
-                    req.request_seed,
-                    iteration,
-                    u64::from(layer),
-                    u64::from(slot),
-                    token,
-                    TAG_TOKEN,
-                ]);
-                let bias = p.expert_bias
-                    * normal_noise(&[p.seed, u64::from(layer), u64::from(slot), TAG_EXPERT_BIAS]);
-                p.amplitude * kernel + bias + p.iteration_noise * shared + p.token_noise * per_token
-            })
-            .collect()
-    }
-
-    /// Raw logits over the `J` routed experts for one token (treated as
-    /// the span's first position; decode iterations always hit this path).
-    #[must_use]
-    pub fn token_logits(
-        &self,
-        req: RequestRouting,
-        iteration: u64,
-        layer: u32,
-        token: u64,
-    ) -> Vec<f64> {
-        self.token_logits_at(req, iteration, layer, token, 0)
+        p.expert_bias * normal_noise(&[p.seed, u64::from(layer), u64::from(slot), TAG_EXPERT_BIAS])
     }
 
     /// Softmax distribution over experts for one token — the `P_l^{(i)}`
-    /// of the paper, at token granularity.
+    /// of the paper, at token granularity (the token is treated as its
+    /// span's first position, as in every decode iteration).
     #[must_use]
     pub fn token_distribution(
         &self,
@@ -331,10 +313,7 @@ impl GateSimulator {
         layer: u32,
         token: u64,
     ) -> Vec<f64> {
-        softmax(
-            &self.token_logits(req, iteration, layer, token),
-            self.params.temperature,
-        )
+        self.iteration_distribution(req, iteration, layer, TokenSpan::single(token))
     }
 
     /// Top-K expert slots for one token, highest probability first.
@@ -346,8 +325,15 @@ impl GateSimulator {
         layer: u32,
         token: u64,
     ) -> Vec<u32> {
-        let logits = self.token_logits(req, iteration, layer, token);
-        top_k_indices(&logits, self.config.top_k as usize)
+        let mut scratch = GateScratch::default();
+        self.route_into(
+            req,
+            iteration,
+            layer,
+            TokenSpan::single(token),
+            &mut scratch,
+        );
+        scratch.top
     }
 
     /// The iteration-level gate distribution: the mean of the per-token
@@ -355,6 +341,8 @@ impl GateSimulator {
     /// single token's distribution).
     ///
     /// This is the row an expert map records for `(iteration, layer)`.
+    /// A full [`Self::route_into`] pass; callers that also need the
+    /// activated set should call that once instead.
     #[must_use]
     pub fn iteration_distribution(
         &self,
@@ -363,25 +351,16 @@ impl GateSimulator {
         layer: u32,
         span: TokenSpan,
     ) -> Vec<f64> {
-        let tokens = self.sample_tokens(span);
-        let j = self.config.experts_per_layer as usize;
-        let mut acc = vec![0.0; j];
-        for &t in &tokens {
-            let logits = self.token_logits_at(req, iteration, layer, t, t - span.start);
-            let dist = softmax(&logits, self.params.temperature);
-            for (a, d) in acc.iter_mut().zip(dist) {
-                *a += d;
-            }
-        }
-        let n = tokens.len() as f64;
-        for a in &mut acc {
-            *a /= n;
-        }
-        acc
+        let mut scratch = GateScratch::default();
+        self.route_into(req, iteration, layer, span, &mut scratch);
+        scratch.dist
     }
 
     /// The set of expert slots activated by the span at this layer: the
     /// union of every token's top-K. Sorted ascending.
+    ///
+    /// A full [`Self::route_into`] pass; callers that also need the
+    /// distribution should call that once instead.
     #[must_use]
     pub fn activated_slots(
         &self,
@@ -390,19 +369,132 @@ impl GateSimulator {
         layer: u32,
         span: TokenSpan,
     ) -> Vec<u32> {
-        let tokens = self.sample_tokens(span);
+        let mut scratch = GateScratch::default();
+        self.route_into(req, iteration, layer, span, &mut scratch);
+        scratch.activated
+    }
+
+    /// Routes one `(request, iteration, layer, span)`: fills
+    /// `scratch.dist` with the iteration distribution and
+    /// `scratch.activated` with the activated slots, from one logits pass
+    /// per routed token.
+    ///
+    /// Per token and slot the logit is
+    /// `amplitude·kernel + bias + σ_iter·shared + σ_tok·per_token`
+    /// (DESIGN.md §3). Everything but the kernel and the per-token gumbel
+    /// is the same for every token of the call, so it is computed once:
+    /// the center, the per-slot shared gumbel, the layer's bias row (from
+    /// a table built on first use) and the hash state of
+    /// `(seed, request_seed, iteration, layer, slot)`, from which each
+    /// per-token gumbel folds only `(token, TAG_TOKEN)`. The f64
+    /// operations and their order are those of the per-token formula, so
+    /// the output is bit-identical to it.
+    pub fn route_into(
+        &self,
+        req: RequestRouting,
+        iteration: u64,
+        layer: u32,
+        span: TokenSpan,
+        scratch: &mut GateScratch,
+    ) {
+        let p = &self.params;
         let j = self.config.experts_per_layer as usize;
-        let mut hit = vec![false; j];
-        for &t in &tokens {
-            let logits = self.token_logits_at(req, iteration, layer, t, t - span.start);
-            for slot in top_k_indices(&logits, self.config.top_k as usize) {
-                hit[slot as usize] = true;
+        let k = (self.config.top_k as usize).min(j);
+        let center = self.center(req, iteration, layer);
+        let width = p.kernel_width.max(1e-6);
+        let temperature = p.temperature.max(1e-9);
+        let ring = f64::from(self.config.experts_per_layer);
+
+        let GateScratch {
+            dist,
+            activated,
+            logits,
+            slot_hash,
+            shared,
+            bias,
+            hit,
+            top,
+        } = scratch;
+        let prefix = hash_fold(
+            HASH_INIT,
+            &[p.seed, req.request_seed, iteration, u64::from(layer)],
+        );
+        slot_hash.clear();
+        slot_hash.extend((0..j as u64).map(|slot| hash_fold(prefix, &[slot])));
+        shared.clear();
+        shared.extend(
+            slot_hash
+                .iter()
+                .map(|&h| p.iteration_noise * gumbel_of(hash_fold(h, &[TAG_ITER_NOISE]))),
+        );
+        bias.clear();
+        match self
+            .bias_table()
+            .get(layer as usize * j..(layer as usize + 1) * j)
+        {
+            Some(row) => bias.extend_from_slice(row),
+            // Layers past the model's depth are not tabled.
+            None => {
+                bias.extend((0..self.config.experts_per_layer).map(|s| self.expert_bias(layer, s)))
             }
         }
-        hit.iter()
-            .enumerate()
-            .filter_map(|(i, &h)| h.then_some(i as u32))
-            .collect()
+        dist.clear();
+        dist.resize(j, 0.0);
+        hit.clear();
+        hit.resize(j, false);
+        logits.resize(j, 0.0);
+
+        let count = span.count.max(1);
+        let cap = u64::from(p.prefill_token_cap.max(1));
+        let routed = count.min(cap);
+        for i in 0..routed {
+            // Spans longer than the cap are subsampled uniformly.
+            let token = if count <= cap {
+                span.start + i
+            } else {
+                span.start + (i as f64 * (count as f64 / cap as f64)) as u64
+            };
+            let c = (center + p.token_spread * (token - span.start) as f64).rem_euclid(ring);
+            for (slot, logit) in logits.iter_mut().enumerate() {
+                let d = (slot as f64 - c).abs();
+                let d = d.min(ring - d);
+                let kernel = (-(d / width).powi(2)).exp();
+                let per_token = gumbel_of(hash_fold(slot_hash[slot], &[token, TAG_TOKEN]));
+                *logit =
+                    p.amplitude * kernel + bias[slot] + shared[slot] + p.token_noise * per_token;
+            }
+
+            top_k_into(logits, k, top);
+            for &slot in top.iter() {
+                hit[slot as usize] = true;
+            }
+
+            // Softmax, accumulated into the span mean.
+            let max = logits.iter().copied().fold(f64::NEG_INFINITY, f64::max);
+            for l in logits.iter_mut() {
+                *l = ((*l - max) / temperature).exp();
+            }
+            let sum: f64 = logits.iter().sum();
+            for (a, e) in dist.iter_mut().zip(logits.iter()) {
+                *a += e / sum;
+            }
+        }
+        let n = routed as f64;
+        for a in dist.iter_mut() {
+            *a /= n;
+        }
+        activated.clear();
+        activated.extend((0..j as u32).filter(|&slot| hit[slot as usize]));
+    }
+
+    /// The `L×J` static-bias table, built on first call.
+    fn bias_table(&self) -> &[f64] {
+        self.bias.get_or_init(|| {
+            (0..self.config.num_layers)
+                .flat_map(|l| (0..self.config.experts_per_layer).map(move |s| (l, s)))
+                .map(|(l, s)| self.expert_bias(l, s))
+                .collect()
+        })
     }
 
     /// The semantic embedding the model's embedding layer would emit for
@@ -439,11 +531,115 @@ impl GateSimulator {
         }
         v
     }
+}
+
+/// Writes the indices of the `k` largest `values` into `top`, highest
+/// first, ties broken toward lower indices (`total_cmp`), without
+/// allocating once `top` has grown to `k`.
+fn top_k_into(values: &[f64], k: usize, top: &mut Vec<u32>) {
+    top.clear();
+    for (i, &v) in values.iter().enumerate() {
+        // Scanning in index order, an equal value never displaces an
+        // earlier index: only a strictly greater one moves ahead.
+        let pos = top
+            .iter()
+            .position(|&o| values[o as usize].total_cmp(&v).is_lt())
+            .unwrap_or(top.len());
+        if pos < k {
+            top.truncate(k - 1);
+            top.insert(pos, i as u32);
+        }
+    }
+}
+
+/// The router as first written, one token at a time: every logit hashes
+/// its own noise and bias, and every token allocates its logits, softmax
+/// and top-K. This is the specification [`GateSimulator::route_into`] is
+/// pinned to bit for bit (`crate::proptests`); it never runs outside
+/// tests.
+#[cfg(test)]
+pub(crate) mod reference {
+    use super::{
+        GateSimulator, RequestRouting, TokenSpan, TAG_EXPERT_BIAS, TAG_ITER_NOISE, TAG_TOKEN,
+    };
+    use fmoe_stats::rng::{gumbel_noise, normal_noise};
+
+    /// Circular (ring) distance between expert slot `slot` and a
+    /// real-valued center position.
+    fn ring_distance(g: &GateSimulator, slot: u32, center: f64) -> f64 {
+        let j = f64::from(g.config.experts_per_layer);
+        let c = center.rem_euclid(j);
+        let d = (f64::from(slot) - c).abs();
+        d.min(j - d)
+    }
+
+    /// Raw logits over the `J` routed experts for one token at relative
+    /// position `offset` within the iteration's span (0 for decode).
+    pub fn token_logits_at(
+        g: &GateSimulator,
+        req: RequestRouting,
+        iteration: u64,
+        layer: u32,
+        token: u64,
+        offset: u64,
+    ) -> Vec<f64> {
+        let p = &g.params;
+        let center = g.center(req, iteration, layer) + p.token_spread * offset as f64;
+        let width = p.kernel_width.max(1e-6);
+        (0..g.config.experts_per_layer)
+            .map(|slot| {
+                let d = ring_distance(g, slot, center);
+                let kernel = (-(d / width).powi(2)).exp();
+                let shared = gumbel_noise(&[
+                    p.seed,
+                    req.request_seed,
+                    iteration,
+                    u64::from(layer),
+                    u64::from(slot),
+                    TAG_ITER_NOISE,
+                ]);
+                let per_token = gumbel_noise(&[
+                    p.seed,
+                    req.request_seed,
+                    iteration,
+                    u64::from(layer),
+                    u64::from(slot),
+                    token,
+                    TAG_TOKEN,
+                ]);
+                let bias = p.expert_bias
+                    * normal_noise(&[p.seed, u64::from(layer), u64::from(slot), TAG_EXPERT_BIAS]);
+                p.amplitude * kernel + bias + p.iteration_noise * shared + p.token_noise * per_token
+            })
+            .collect()
+    }
+
+    /// Numerically-stable softmax with temperature.
+    pub fn softmax(logits: &[f64], temperature: f64) -> Vec<f64> {
+        let t = temperature.max(1e-9);
+        let max = logits.iter().copied().fold(f64::NEG_INFINITY, f64::max);
+        let exps: Vec<f64> = logits.iter().map(|&l| ((l - max) / t).exp()).collect();
+        let sum: f64 = exps.iter().sum();
+        exps.into_iter().map(|e| e / sum).collect()
+    }
+
+    /// Indices of the `k` largest values, ties broken toward lower
+    /// indices, returned in descending-value order.
+    pub fn top_k_indices(values: &[f64], k: usize) -> Vec<u32> {
+        let mut idx: Vec<u32> = (0..values.len() as u32).collect();
+        idx.sort_by(|&a, &b| {
+            values[b as usize]
+                .total_cmp(&values[a as usize])
+                .then(a.cmp(&b))
+        });
+        idx.truncate(k);
+        idx
+    }
 
     /// Uniformly subsamples a span down to the prefill token cap.
-    fn sample_tokens(&self, span: TokenSpan) -> Vec<u64> {
+    pub fn sample_tokens(g: &GateSimulator, span: TokenSpan) -> Vec<u64> {
         let count = span.count.max(1);
-        let cap = u64::from(self.params.prefill_token_cap.max(1));
+        let cap = u64::from(g.params.prefill_token_cap.max(1));
         if count <= cap {
             (span.start..span.start + count).collect()
         } else {
@@ -453,28 +649,77 @@ impl GateSimulator {
                 .collect()
         }
     }
-}
 
-/// Numerically-stable softmax with temperature.
-fn softmax(logits: &[f64], temperature: f64) -> Vec<f64> {
-    let t = temperature.max(1e-9);
-    let max = logits.iter().copied().fold(f64::NEG_INFINITY, f64::max);
-    let exps: Vec<f64> = logits.iter().map(|&l| ((l - max) / t).exp()).collect();
-    let sum: f64 = exps.iter().sum();
-    exps.into_iter().map(|e| e / sum).collect()
-}
+    /// Softmax distribution over experts for one token.
+    pub fn token_distribution(
+        g: &GateSimulator,
+        req: RequestRouting,
+        iteration: u64,
+        layer: u32,
+        token: u64,
+    ) -> Vec<f64> {
+        softmax(
+            &token_logits_at(g, req, iteration, layer, token, 0),
+            g.params.temperature,
+        )
+    }
 
-/// Indices of the `k` largest values, ties broken toward lower indices,
-/// returned in descending-value order.
-fn top_k_indices(values: &[f64], k: usize) -> Vec<u32> {
-    let mut idx: Vec<u32> = (0..values.len() as u32).collect();
-    idx.sort_by(|&a, &b| {
-        values[b as usize]
-            .total_cmp(&values[a as usize])
-            .then(a.cmp(&b))
-    });
-    idx.truncate(k);
-    idx
+    /// Top-K expert slots for one token, highest probability first.
+    pub fn token_top_k(
+        g: &GateSimulator,
+        req: RequestRouting,
+        iteration: u64,
+        layer: u32,
+        token: u64,
+    ) -> Vec<u32> {
+        let logits = token_logits_at(g, req, iteration, layer, token, 0);
+        top_k_indices(&logits, g.config.top_k as usize)
+    }
+
+    /// The mean of the per-token distributions over the span.
+    pub fn iteration_distribution(
+        g: &GateSimulator,
+        req: RequestRouting,
+        iteration: u64,
+        layer: u32,
+        span: TokenSpan,
+    ) -> Vec<f64> {
+        let tokens = sample_tokens(g, span);
+        let mut acc = vec![0.0; g.config.experts_per_layer as usize];
+        for &t in &tokens {
+            let logits = token_logits_at(g, req, iteration, layer, t, t - span.start);
+            let dist = softmax(&logits, g.params.temperature);
+            for (a, d) in acc.iter_mut().zip(dist) {
+                *a += d;
+            }
+        }
+        let n = tokens.len() as f64;
+        for a in &mut acc {
+            *a /= n;
+        }
+        acc
+    }
+
+    /// The union of every token's top-K, sorted ascending.
+    pub fn activated_slots(
+        g: &GateSimulator,
+        req: RequestRouting,
+        iteration: u64,
+        layer: u32,
+        span: TokenSpan,
+    ) -> Vec<u32> {
+        let mut hit = vec![false; g.config.experts_per_layer as usize];
+        for &t in &sample_tokens(g, span) {
+            let logits = token_logits_at(g, req, iteration, layer, t, t - span.start);
+            for slot in top_k_indices(&logits, g.config.top_k as usize) {
+                hit[slot as usize] = true;
+            }
+        }
+        hit.iter()
+            .enumerate()
+            .filter_map(|(i, &h)| h.then_some(i as u32))
+            .collect()
+    }
 }
 
 #[cfg(test)]
@@ -677,24 +922,55 @@ mod tests {
     #[test]
     fn prefill_subsampling_caps_work() {
         let g = sim();
-        // Enormous span must not allocate enormous token lists.
-        let spans = g.sample_tokens(TokenSpan::prefill(1_000_000));
+        let spans = reference::sample_tokens(&g, TokenSpan::prefill(1_000_000));
         assert_eq!(spans.len(), g.params().prefill_token_cap as usize);
         assert!(spans.windows(2).all(|w| w[0] < w[1]));
+        // An enormous span routes only the capped subsample.
+        let r = req(5, 77);
+        let big = TokenSpan::prefill(1_000_000);
+        assert_eq!(
+            g.iteration_distribution(r, 0, 3, big),
+            reference::iteration_distribution(&g, r, 0, 3, big)
+        );
     }
 
     #[test]
-    fn top_k_indices_orders_and_breaks_ties() {
-        assert_eq!(top_k_indices(&[0.1, 0.9, 0.5], 2), vec![1, 2]);
-        assert_eq!(top_k_indices(&[0.5, 0.5, 0.1], 2), vec![0, 1]);
-        assert_eq!(top_k_indices(&[1.0], 5), vec![0]);
+    fn layers_past_the_model_depth_route_like_the_reference() {
+        let g = sim();
+        let (r, layer, span) = (req(2, 3), g.config().num_layers + 3, TokenSpan::prefill(40));
+        assert_eq!(
+            g.iteration_distribution(r, 1, layer, span),
+            reference::iteration_distribution(&g, r, 1, layer, span)
+        );
+        assert_eq!(
+            g.activated_slots(r, 1, layer, span),
+            reference::activated_slots(&g, r, 1, layer, span)
+        );
+    }
+
+    #[test]
+    fn top_k_into_orders_and_breaks_ties() {
+        let mut top = Vec::new();
+        for (values, k, want) in [
+            (&[0.1, 0.9, 0.5][..], 2, &[1, 2][..]),
+            (&[0.5, 0.5, 0.1], 2, &[0, 1]),
+            (&[0.1, 0.5, 0.5, 0.9], 2, &[3, 1]),
+            (&[1.0], 5, &[0]),
+        ] {
+            top_k_into(values, k, &mut top);
+            assert_eq!(top, want);
+            assert_eq!(top, reference::top_k_indices(values, k));
+        }
     }
 
     #[test]
     fn softmax_is_stable_for_large_logits() {
-        let p = softmax(&[1000.0, 1001.0], 1.0);
-        assert!(p.iter().all(|v| v.is_finite()));
-        assert!((p.iter().sum::<f64>() - 1.0).abs() < 1e-9);
-        assert!(p[1] > p[0]);
+        let cfg = presets::small_test_model();
+        let mut params = GateParams::for_model(&cfg);
+        params.amplitude = 1e6;
+        let g = GateSimulator::new(cfg, params);
+        let d = g.iteration_distribution(req(1, 1), 0, 0, TokenSpan::prefill(16));
+        assert!(d.iter().all(|v| v.is_finite()));
+        assert!((d.iter().sum::<f64>() - 1.0).abs() < 1e-9);
     }
 }

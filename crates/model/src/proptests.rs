@@ -4,7 +4,7 @@
 
 use crate::compute::{CostModel, GpuSpec};
 use crate::config::ModelConfig;
-use crate::gate::{GateParams, GateSimulator, RequestRouting, TokenSpan};
+use crate::gate::{reference, GateParams, GateScratch, GateSimulator, RequestRouting, TokenSpan};
 use crate::presets;
 use proptest::prelude::*;
 
@@ -18,6 +18,66 @@ fn routing() -> impl Strategy<Value = RequestRouting> {
         cluster,
         request_seed,
     })
+}
+
+/// The four evaluation presets, each with its default router.
+fn preset_gates() -> Vec<GateSimulator> {
+    [
+        presets::mixtral_8x7b(),
+        presets::qwen15_moe_a27b(),
+        presets::phi35_moe(),
+        presets::deepseek_moe_16b(),
+    ]
+    .into_iter()
+    .map(GateSimulator::with_defaults)
+    .collect()
+}
+
+/// Span lengths of every routing regime: an empty span (routed as one
+/// token), a decode token, a prefill under the token cap, and a prefill
+/// over it (subsampled).
+fn span_count() -> impl Strategy<Value = u64> {
+    prop_oneof![Just(0u64), Just(1u64), 2u64..=128, 129u64..600]
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    #[test]
+    fn fused_route_is_bit_identical_to_the_per_token_formula(
+        preset in 0usize..4,
+        req in routing(),
+        iteration in 0u64..1000,
+        start in 0u64..4096,
+        count in span_count(),
+    ) {
+        let gates = preset_gates();
+        let g = &gates[preset];
+        let span = TokenSpan { start, count };
+        // A scratch last used on a model of a different `J`.
+        let mut scratch = GateScratch::default();
+        gates[(preset + 1) % gates.len()].route_into(req, iteration, 0, span, &mut scratch);
+        for layer in 0..g.config().num_layers {
+            g.route_into(req, iteration, layer, span, &mut scratch);
+            let want = reference::iteration_distribution(g, req, iteration, layer, span);
+            prop_assert_eq!(scratch.dist.len(), want.len());
+            for (got, want) in scratch.dist.iter().zip(&want) {
+                prop_assert_eq!(got.to_bits(), want.to_bits());
+            }
+            prop_assert_eq!(
+                &scratch.activated,
+                &reference::activated_slots(g, req, iteration, layer, span)
+            );
+        }
+        let layer = (iteration % u64::from(g.config().num_layers)) as u32;
+        let dist = g.token_distribution(req, iteration, layer, start);
+        let want = reference::token_distribution(g, req, iteration, layer, start);
+        prop_assert!(dist.iter().zip(&want).all(|(a, b)| a.to_bits() == b.to_bits()));
+        prop_assert_eq!(
+            g.token_top_k(req, iteration, layer, start),
+            reference::token_top_k(g, req, iteration, layer, start)
+        );
+    }
 }
 
 proptest! {

@@ -30,7 +30,7 @@ use fmoe_memsim::{
     all2all_layer_time, FaultSchedule, GpuId, Nanos, RetryPolicy, Topology, TransferEngine,
     VirtualClock,
 };
-use fmoe_model::gate::TokenSpan;
+use fmoe_model::gate::{GateScratch, TokenSpan};
 use fmoe_model::{CostModel, DenseIdMap, DenseIdSet, ExpertId, GateSimulator, GpuSpec};
 use fmoe_trace::{Marker, Phase, TraceSink, NO_GPU, NO_LAYER, NO_REQUEST, NO_SLOT, NO_VALUE};
 use fmoe_workload::Prompt;
@@ -286,6 +286,8 @@ struct IterationScratch {
     tokens_to_gpu: Vec<u64>,
     /// Per-GPU all2all busy-time accumulator for one layer.
     a2a_per_gpu: Vec<Nanos>,
+    /// Router working memory: one fused pass per (element, layer).
+    gate: GateScratch,
 }
 
 impl IterationScratch {
@@ -1148,32 +1150,25 @@ impl ServingEngine {
                     full_precision,
                     layer_plans,
                     contexts,
+                    gate,
                     ..
                 } = &mut scratch;
                 for (el, ctx) in elements.iter_mut().zip(contexts.iter()) {
                     let Some(ctx) = ctx else {
                         continue; // finished element
                     };
-                    let span = el.span();
-                    let dist = self.gate.iteration_distribution(
-                        el.prompt.routing,
-                        el.iteration,
-                        layer,
-                        span,
-                    );
-                    let activated =
-                        self.gate
-                            .activated_slots(el.prompt.routing, el.iteration, layer, span);
-                    for &slot in &activated {
+                    self.gate
+                        .route_into(el.prompt.routing, el.iteration, layer, el.span(), gate);
+                    for &slot in &gate.activated {
                         let d = layer as usize * j as usize + slot as usize;
                         union.insert(d);
                         if any_degraded && !el.degraded {
                             full_precision.insert(d);
                         }
                     }
-                    el.realized_map.push(dist.clone());
-                    el.activated.push(activated);
-                    layer_plans.extend(predictor.observe_gate(ctx, layer, &dist));
+                    el.realized_map.push(gate.dist.clone());
+                    el.activated.push(gate.activated.clone());
+                    layer_plans.extend(predictor.observe_gate(ctx, layer, &gate.dist));
                 }
             }
             if !scratch.layer_plans.is_empty() {

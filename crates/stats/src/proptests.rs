@@ -6,9 +6,37 @@ use crate::cdf::EmpiricalCdf;
 use crate::cosine::cosine_similarity;
 use crate::entropy::{normalized_shannon_entropy, shannon_entropy, shannon_entropy_of_counts};
 use crate::pearson::pearson_correlation;
-use crate::rng::{hash_to_unit, SplitMix64};
+use crate::rng::{gumbel_noise, hash_fold, hash_to_unit, normal_noise, SplitMix64, HASH_INIT};
 use crate::summary::Summary;
 use proptest::prelude::*;
+
+/// The coordinate hash as first written: a fresh fold per call and a
+/// heap-allocated tuple for the normal's second uniform. The prefix-fold
+/// forms in `rng` must reproduce it bit for bit.
+mod vec_hash {
+    use crate::rng::SplitMix64;
+
+    pub fn hash_to_unit(coords: &[u64]) -> f64 {
+        let mut acc = 0x243F_6A88_85A3_08D3u64;
+        for &c in coords {
+            acc = SplitMix64::mix(acc ^ c.wrapping_mul(0x9E37_79B9_7F4A_7C15));
+        }
+        (acc >> 11) as f64 / (1u64 << 53) as f64
+    }
+
+    pub fn gumbel_noise(coords: &[u64]) -> f64 {
+        let u = hash_to_unit(coords).clamp(1e-12, 1.0 - 1e-12);
+        -(-u.ln()).ln()
+    }
+
+    pub fn normal_noise(coords: &[u64]) -> f64 {
+        let u1 = hash_to_unit(coords).clamp(1e-12, 1.0 - 1e-12);
+        let mut shifted: Vec<u64> = coords.to_vec();
+        shifted.push(0x5851_F42D_4C95_7F2D);
+        let u2 = hash_to_unit(&shifted);
+        (-2.0 * u1.ln()).sqrt() * (std::f64::consts::TAU * u2).cos()
+    }
+}
 
 /// A random probability distribution of length 2..=32.
 fn distribution() -> impl Strategy<Value = Vec<f64>> {
@@ -175,5 +203,21 @@ proptest! {
         for _ in 0..8 {
             prop_assert_eq!(a.next_u64(), b.next_u64());
         }
+    }
+
+    #[test]
+    fn prefix_fold_noise_matches_vec_formula(
+        coords in prop::collection::vec(any::<u64>(), 1..=8),
+        split in 0usize..=8,
+    ) {
+        prop_assert_eq!(hash_to_unit(&coords).to_bits(), vec_hash::hash_to_unit(&coords).to_bits());
+        prop_assert_eq!(gumbel_noise(&coords).to_bits(), vec_hash::gumbel_noise(&coords).to_bits());
+        prop_assert_eq!(normal_noise(&coords).to_bits(), vec_hash::normal_noise(&coords).to_bits());
+        // Folding a prefix once and finishing from it is the same hash.
+        let (head, tail) = coords.split_at(split.min(coords.len()));
+        prop_assert_eq!(
+            hash_fold(hash_fold(HASH_INIT, head), tail),
+            hash_fold(HASH_INIT, &coords)
+        );
     }
 }

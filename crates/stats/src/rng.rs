@@ -59,6 +59,44 @@ impl SplitMix64 {
     }
 }
 
+/// Initial accumulator of the coordinate hash (pi fractional bits).
+pub const HASH_INIT: u64 = 0x243F_6A88_85A3_08D3;
+
+/// Extra coordinate that derives [`normal_noise`]'s second uniform.
+const NORMAL_TWEAK: u64 = 0x5851_F42D_4C95_7F2D;
+
+/// Folds a coordinate tuple into a hash accumulator, left to right through
+/// the SplitMix64 mixer.
+///
+/// `hash_fold(hash_fold(HASH_INIT, a), b)` equals
+/// `hash_fold(HASH_INIT, a ++ b)`, so a caller that hashes many tuples
+/// sharing a prefix folds the prefix once and finishes each tuple from
+/// there.
+#[must_use]
+#[inline]
+pub fn hash_fold(mut acc: u64, coords: &[u64]) -> u64 {
+    for &c in coords {
+        acc = SplitMix64::mix(acc ^ c.wrapping_mul(0x9E37_79B9_7F4A_7C15));
+    }
+    acc
+}
+
+/// Maps a folded accumulator to `[0, 1)` (53 high bits).
+#[must_use]
+#[inline]
+pub fn unit_of(acc: u64) -> f64 {
+    (acc >> 11) as f64 / (1u64 << 53) as f64
+}
+
+/// Standard-Gumbel noise from a folded accumulator.
+#[must_use]
+#[inline]
+pub fn gumbel_of(acc: u64) -> f64 {
+    // Clamp away from 0 and 1 to keep the double log finite.
+    let u = unit_of(acc).clamp(1e-12, 1.0 - 1e-12);
+    -(-u.ln()).ln()
+}
+
 /// Hashes an arbitrary coordinate tuple to a deterministic value in
 /// `[0, 1)`.
 ///
@@ -66,11 +104,7 @@ impl SplitMix64 {
 /// so permuting them yields independent streams.
 #[must_use]
 pub fn hash_to_unit(coords: &[u64]) -> f64 {
-    let mut acc = 0x243F_6A88_85A3_08D3u64; // pi fractional bits
-    for &c in coords {
-        acc = SplitMix64::mix(acc ^ c.wrapping_mul(0x9E37_79B9_7F4A_7C15));
-    }
-    (acc >> 11) as f64 / (1u64 << 53) as f64
+    unit_of(hash_fold(HASH_INIT, coords))
 }
 
 /// Deterministic standard-Gumbel noise for a coordinate tuple.
@@ -80,19 +114,16 @@ pub fn hash_to_unit(coords: &[u64]) -> f64 {
 /// simulator uses to produce realistic stochastic-but-reproducible routing.
 #[must_use]
 pub fn gumbel_noise(coords: &[u64]) -> f64 {
-    // Clamp away from 0 and 1 to keep the double log finite.
-    let u = hash_to_unit(coords).clamp(1e-12, 1.0 - 1e-12);
-    -(-u.ln()).ln()
+    gumbel_of(hash_fold(HASH_INIT, coords))
 }
 
 /// Deterministic standard-normal noise (Box–Muller on hashed uniforms).
 #[must_use]
 pub fn normal_noise(coords: &[u64]) -> f64 {
-    let u1 = hash_to_unit(coords).clamp(1e-12, 1.0 - 1e-12);
-    // Derive the second uniform from a tweaked coordinate stream.
-    let mut shifted: Vec<u64> = coords.to_vec();
-    shifted.push(0x5851_F42D_4C95_7F2D);
-    let u2 = hash_to_unit(&shifted);
+    let acc = hash_fold(HASH_INIT, coords);
+    let u1 = unit_of(acc).clamp(1e-12, 1.0 - 1e-12);
+    // The second uniform extends the same coordinate stream by one word.
+    let u2 = unit_of(hash_fold(acc, &[NORMAL_TWEAK]));
     (-2.0 * u1.ln()).sqrt() * (std::f64::consts::TAU * u2).cos()
 }
 
