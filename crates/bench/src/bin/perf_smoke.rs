@@ -21,6 +21,11 @@
 //!   call per iteration over a fixed set of Mixtral-8x7B coordinates, on
 //!   a 512-token prefill span (subsampled to the 128-token cap) and on
 //!   single-token decode spans.
+//! * `predictor_observe` / `predictor_end` — the fMoE predictor on a full
+//!   1000-entry Mixtral-8x7B store: one `begin_iteration` plus the 32
+//!   `observe_gate` calls of an iteration, and one at-capacity
+//!   `end_iteration` (the redundancy-scored deduplication). Both run in
+//!   every mode at full store size: smaller stores never fill.
 //!
 //! `--quick` shrinks every scenario to CI size (seconds, not minutes);
 //! the JSON records the mode plus the machine's available parallelism,
@@ -37,11 +42,14 @@
 
 use fmoe::map::ExpertMap;
 use fmoe::matcher::{Matcher, TrajectoryTracker};
+use fmoe::predictor::HistoryRequest;
 use fmoe::store::ExpertMapStore;
+use fmoe::{FmoeConfig, FmoePredictor};
 use fmoe_bench::harness::{CellConfig, ParallelRunner, System};
 use fmoe_bench::perf::{self, PerfRecord, PerfReport, RunMode};
 use fmoe_model::gate::{GateScratch, TokenSpan};
 use fmoe_model::{presets, GateParams, GateSimulator, RequestRouting};
+use fmoe_serving::{ExpertPredictor, IterationContext};
 use fmoe_workload::DatasetSpec;
 use std::hint::black_box;
 use std::time::Instant;
@@ -245,6 +253,96 @@ fn router_records(mode: RunMode) -> Vec<PerfRecord> {
     ]
 }
 
+/// The fMoE predictor's per-iteration work against a full store:
+/// `predictor_observe` is one `begin_iteration` plus an `observe_gate` per
+/// layer, `predictor_end` one at-capacity `end_iteration`. Both cycle
+/// through a fixed set of decode iterations routed outside the timers.
+fn predictor_records(mode: RunMode) -> Vec<PerfRecord> {
+    const CAPACITY: usize = 1000;
+    const QUERIES: u64 = 16;
+    let (observe_iters, end_iters) = match mode {
+        RunMode::Quick => (200, 200),
+        RunMode::Full => (2_000, 2_000),
+    };
+    let model = presets::mixtral_8x7b();
+    let gate = GateSimulator::with_defaults(model.clone());
+    let config = FmoeConfig::for_model(&model).with_capacity(&model, CAPACITY);
+    let mut predictor = FmoePredictor::new(model.clone(), config);
+    // 100 requests × 10 iterations fill the store exactly, without
+    // running the deduplication.
+    let history: Vec<HistoryRequest> = (0..100u64)
+        .map(|i| HistoryRequest {
+            routing: RequestRouting {
+                cluster: i % 40,
+                request_seed: i,
+            },
+            prompt_tokens: 64,
+            iterations: 10,
+        })
+        .collect();
+    predictor.populate_from_history(&gate, &history, 10);
+    assert_eq!(predictor.store_len(), CAPACITY, "the store must be full");
+
+    let mut scratch = GateScratch::default();
+    let queries: Vec<(IterationContext, Vec<Vec<f64>>)> = (0..QUERIES)
+        .map(|k| {
+            let routing = RequestRouting {
+                cluster: k % 40,
+                request_seed: 10_000 + k,
+            };
+            let iteration = 1 + k % 8;
+            let span = TokenSpan::single(64 + iteration);
+            let rows = (0..model.num_layers)
+                .map(|l| {
+                    gate.route_into(routing, iteration, l, span, &mut scratch);
+                    scratch.dist.clone()
+                })
+                .collect();
+            let ctx = IterationContext {
+                element: 0,
+                request_id: 10_000 + k,
+                iteration,
+                is_prefill: false,
+                span,
+                embedding: gate.semantic_embedding(routing, iteration),
+                routing,
+            };
+            (ctx, rows)
+        })
+        .collect();
+
+    let mut call = 0usize;
+    let (observe_ms, observe_ips) = time_iters(observe_iters, || {
+        let (ctx, rows) = &queries[call % queries.len()];
+        black_box(predictor.begin_iteration(ctx));
+        for (l, row) in (0u32..).zip(rows) {
+            black_box(predictor.observe_gate(ctx, l, black_box(row)));
+        }
+        call += 1;
+    });
+    let mut call = 0usize;
+    let (end_ms, end_ips) = time_iters(end_iters, || {
+        let (ctx, rows) = &queries[call % queries.len()];
+        predictor.end_iteration(ctx, black_box(rows));
+        call += 1;
+    });
+    assert_eq!(predictor.store_len(), CAPACITY);
+    vec![
+        PerfRecord {
+            scenario: "predictor_observe".to_string(),
+            wall_ms: observe_ms,
+            iters_per_s: observe_ips,
+            jobs: 1,
+        },
+        PerfRecord {
+            scenario: "predictor_end".to_string(),
+            wall_ms: end_ms,
+            iters_per_s: end_ips,
+            jobs: 1,
+        },
+    ]
+}
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mode = if args.iter().any(|a| a == "--quick") {
@@ -274,6 +372,7 @@ fn main() {
 
     records.extend(matcher_records(mode));
     records.extend(router_records(mode));
+    records.extend(predictor_records(mode));
 
     let report = PerfReport {
         jobs,

@@ -9,12 +9,12 @@
 //!   the target layer.
 //!
 //! The trajectory matcher is incremental: observing one more layer costs
-//! `O(C·J)` (one dot-product row per stored entry) instead of re-scanning
-//! the whole prefix, which is what makes per-layer matching affordable —
-//! the same reason the paper's implementation stores maps as contiguous
-//! ndarrays.
+//! `O(C·J)` (one dot-product row per stored entry, streamed from the
+//! store's contiguous layer block) instead of re-scanning the whole
+//! prefix, which is what makes per-layer matching affordable — the same
+//! reason the paper's implementation stores maps as contiguous ndarrays.
 
-use crate::store::ExpertMapStore;
+use crate::store::{add_row_dots, cosine_from_norms, ExpertMapStore};
 use fmoe_stats::{argmax_cosine_slab, cosine_similarity, top_k_cosine_slab};
 
 /// Outcome of a map search.
@@ -162,6 +162,8 @@ pub struct TrajectoryTracker {
     dots: Vec<f64>,
     query_norm2: f64,
     layers_observed: usize,
+    /// The store's [`ExpertMapStore::generation`] at `reset`.
+    generation: u64,
 }
 
 impl TrajectoryTracker {
@@ -177,6 +179,17 @@ impl TrajectoryTracker {
         self.dots.resize(store.len(), 0.0);
         self.query_norm2 = 0.0;
         self.layers_observed = 0;
+        self.generation = store.generation();
+    }
+
+    /// Panics unless `store` is unchanged since `reset`: an insert or
+    /// clear, including an at-capacity replacement that keeps `len`,
+    /// would silently corrupt the incremental dots.
+    fn assert_unmutated(&self, store: &ExpertMapStore) {
+        assert!(
+            self.generation == store.generation() && self.dots.len() == store.len(),
+            "store mutated since reset(); call reset() first"
+        );
     }
 
     /// Number of layers observed so far this iteration.
@@ -189,30 +202,17 @@ impl TrajectoryTracker {
     ///
     /// # Panics
     ///
-    /// Panics if the store's population changed since `reset` — that
-    /// would silently corrupt the incremental state.
+    /// Panics if the store was mutated since `reset`.
     pub fn observe_layer(&mut self, store: &ExpertMapStore, distribution: &[f64]) {
-        assert_eq!(
-            self.dots.len(),
-            store.len(),
-            "store mutated mid-iteration; call reset() first"
-        );
+        self.assert_unmutated(store);
         let l = self.layers_observed;
-        let j = store.experts_per_layer();
-        let ms = store.map_stride();
-        // Stream the store's contiguous map slab instead of chasing
-        // per-entry `Vec`s; every map has exactly `L·J` elements, so one
-        // bound check covers all rows. Accumulation order per dot product
-        // is unchanged — scores stay bit-identical to the reference
-        // one-shot search.
-        if (l + 1) * j <= ms {
-            let slab = store.map_slab();
-            for (i, dot) in self.dots.iter_mut().enumerate() {
-                let row = &slab[i * ms + l * j..i * ms + (l + 1) * j];
-                for (a, b) in distribution.iter().zip(row) {
-                    *dot += a * b;
-                }
-            }
+        // Stream layer `l`'s contiguous block: row `i` is entry `i`'s
+        // layer-`l` distribution. Each dot product still adds its terms
+        // layer by layer, expert by expert, so scores stay bit-identical
+        // to the one-shot search.
+        if l < store.num_layers() {
+            let j = store.experts_per_layer();
+            add_row_dots(store.layer_block(l), j, distribution, &mut self.dots);
         }
         self.query_norm2 += distribution.iter().map(|p| p * p).sum::<f64>();
         self.layers_observed += 1;
@@ -220,23 +220,21 @@ impl TrajectoryTracker {
 
     /// The best-matching entry for the observed prefix, or `None` when
     /// the store is empty or nothing has been observed.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the store was mutated since `reset`.
     #[must_use]
     pub fn best(&self, store: &ExpertMapStore) -> Option<MatchResult> {
+        self.assert_unmutated(store);
         if self.layers_observed == 0 || store.is_empty() || self.query_norm2 <= 0.0 {
             return None;
         }
         let qn = self.query_norm2.sqrt();
-        let ps = store.num_layers() + 1;
         let layers = self.layers_observed.min(store.num_layers());
-        let norms = store.prefix_norm2_slab();
         let mut best: Option<MatchResult> = None;
-        for (i, &dot) in self.dots.iter().enumerate() {
-            let en2 = norms[i * ps + layers];
-            let score = if en2 <= 0.0 {
-                0.0
-            } else {
-                (dot / (qn * en2.sqrt())).clamp(-1.0, 1.0)
-            };
+        for (i, (&dot, &en)) in self.dots.iter().zip(store.prefix_norms(layers)).enumerate() {
+            let score = cosine_from_norms(dot, qn, en);
             if best.is_none_or(|b| score > b.score) {
                 best = Some(MatchResult {
                     entry_index: i,
@@ -418,6 +416,22 @@ mod tests {
         s.insert(vec![0.0, 1.0], peaked(2, 4, &[1]));
         s.insert(vec![0.5, 0.5], peaked(2, 4, &[2]));
         s.insert(vec![0.5, -0.5], peaked(2, 4, &[3]));
+        t.observe_layer(&s, &[0.25, 0.25, 0.25, 0.25]);
+    }
+
+    #[test]
+    #[should_panic(expected = "store mutated")]
+    fn tracker_detects_replacement_at_capacity() {
+        // An at-capacity replacement keeps `len`, so only the store's
+        // generation shows that the tracker's dots are stale.
+        let mut s = store_with(vec![
+            (vec![1.0, 0.0], peaked(2, 4, &[0])),
+            (vec![0.0, 1.0], peaked(2, 4, &[1])),
+        ]);
+        let mut t = TrajectoryTracker::new();
+        t.reset(&s);
+        s.insert(vec![0.5, 0.5], peaked(2, 4, &[2]));
+        assert_eq!(s.len(), 2);
         t.observe_layer(&s, &[0.25, 0.25, 0.25, 0.25]);
     }
 

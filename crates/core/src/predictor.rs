@@ -314,8 +314,8 @@ impl ExpertPredictor for FmoePredictor {
         let mut targets: Vec<(u32, Vec<SelectedExpert>)> = Vec::new();
         let mut advisories: Vec<PrefetchPlan> = Vec::new();
         for t in target..window_end {
-            let searched = entry.map.layer(t as usize).to_vec();
-            let selection = self.select(&searched, m.score, ctx.is_prefill);
+            let searched = entry.map.layer(t as usize);
+            let selection = self.select(searched, m.score, ctx.is_prefill);
             // §4.5: the searched map's probabilities also drive eviction
             // priority for *cached* experts — advise the non-selected
             // slots so unlikely residents become eviction candidates.

@@ -4,7 +4,7 @@
 #![cfg(test)]
 
 use crate::map::ExpertMap;
-use crate::matcher::{Matcher, TrajectoryTracker};
+use crate::matcher::{MatchResult, Matcher, TrajectoryTracker};
 use crate::selection::{prefetch_priority, select_experts, select_top_n};
 use crate::store::ExpertMapStore;
 use proptest::prelude::*;
@@ -29,6 +29,45 @@ fn map() -> impl Strategy<Value = ExpertMap> {
 fn embedding() -> impl Strategy<Value = Vec<f64>> {
     prop::collection::vec(-1.0f64..1.0, 8)
         .prop_filter("nonzero", |v| v.iter().any(|x| x.abs() > 1e-3))
+}
+
+/// Entry-major reference for [`TrajectoryTracker::best`]: per-entry dots
+/// over the row-major flattened map, squared prefix norms accumulated
+/// entry by entry, and a `sqrt` per entry in the score.
+fn entry_major_best(store: &ExpertMapStore, observed: &[Vec<f64>]) -> Option<MatchResult> {
+    let mut query_norm2 = 0.0;
+    for row in observed {
+        query_norm2 += row.iter().map(|p| p * p).sum::<f64>();
+    }
+    if observed.is_empty() || store.is_empty() || query_norm2 <= 0.0 {
+        return None;
+    }
+    let qn = query_norm2.sqrt();
+    let mut best: Option<MatchResult> = None;
+    for (i, entry) in store.entries().enumerate() {
+        let mut dot = 0.0;
+        let mut en2 = 0.0;
+        for (query, stored) in observed.iter().zip(entry.flat().chunks_exact(J)) {
+            for (a, b) in query.iter().zip(stored) {
+                dot += a * b;
+            }
+            for p in stored {
+                en2 += p * p;
+            }
+        }
+        let score = if en2 <= 0.0 {
+            0.0
+        } else {
+            (dot / (qn * en2.sqrt())).clamp(-1.0, 1.0)
+        };
+        if best.is_none_or(|b| score > b.score) {
+            best = Some(MatchResult {
+                entry_index: i,
+                score,
+            });
+        }
+    }
+    best
 }
 
 proptest! {
@@ -77,6 +116,40 @@ proptest! {
         prop_assume!(r_base > r_other + 1e-9);
         let idx = store.insert(base.0.clone(), base.1.clone());
         prop_assert_eq!(idx, 0);
+    }
+
+    #[test]
+    fn dedup_victim_is_max_by_redundancy(
+        pool in prop::collection::vec((embedding(), map()), 1..5),
+        picks in prop::collection::vec(0usize..5, 1..30),
+        ragged in any::<bool>(),
+        capacity in 1usize..8,
+    ) {
+        // Picks from a small pool give exact duplicates (ties go to the
+        // last index); `ragged` truncates every other pool embedding, so
+        // the semantic half takes the `cosine_similarity` fallback.
+        let mut store = ExpertMapStore::new(capacity, L, J, 2);
+        for pick in picks {
+            let k = pick % pool.len();
+            let (mut e, m) = pool[k].clone();
+            if ragged && k % 2 == 1 {
+                e.truncate(5);
+            }
+            let spec = (store.len() == capacity).then(|| {
+                let flat = m.flatten();
+                (0..store.len())
+                    .max_by(|&a, &b| {
+                        store
+                            .redundancy(&e, &flat, a)
+                            .total_cmp(&store.redundancy(&e, &flat, b))
+                    })
+                    .unwrap()
+            });
+            let idx = store.insert(e, m);
+            if let Some(victim) = spec {
+                prop_assert_eq!(idx, victim);
+            }
+        }
     }
 
     #[test]
@@ -149,7 +222,7 @@ proptest! {
     ) {
         // The one-shot path recomputes the candidate norm over the common
         // prefix inside `cosine_similarity`; the incremental tracker uses
-        // the store's precomputed `prefix_norm2` slab. Both must land on
+        // the store's precomputed prefix-norm columns. Both must land on
         // the same entry and score for every partial trajectory length.
         let mut store = ExpertMapStore::new(16, L, J, 2);
         for (e, m) in &entries {
@@ -180,6 +253,34 @@ proptest! {
             let gap = scores[scores.len() - 1] - scores[scores.len() - 2];
             if gap > 1e-9 {
                 prop_assert_eq!(inc.entry_index, os.entry_index);
+            }
+        }
+    }
+
+    #[test]
+    fn tracker_best_is_bit_identical_to_entry_major_formula(
+        entries in prop::collection::vec((embedding(), map()), 1..12),
+        query in map(),
+        copy in 0usize..12,
+    ) {
+        // Querying with a stored map makes exact-score ties likely among
+        // duplicates; the prefix runs one layer past the model depth.
+        let mut store = ExpertMapStore::new(16, L, J, 2);
+        for (e, m) in &entries {
+            store.insert(e.clone(), m.clone());
+        }
+        for query in [query, entries[copy % entries.len()].1.clone()] {
+            let mut tracker = TrajectoryTracker::new();
+            tracker.reset(&store);
+            let mut observed = Vec::new();
+            for l in 0..=L {
+                let row = query.layer(l.min(L - 1)).to_vec();
+                tracker.observe_layer(&store, &row);
+                observed.push(row);
+                let fast = tracker.best(&store).unwrap();
+                let spec = entry_major_best(&store, &observed).unwrap();
+                prop_assert_eq!(fast.entry_index, spec.entry_index);
+                prop_assert_eq!(fast.score.to_bits(), spec.score.to_bits());
             }
         }
     }

@@ -16,8 +16,8 @@
 //! minimum sphere covering of the activation space).
 
 use crate::map::ExpertMap;
-use fmoe_stats::cosine_similarity;
 use fmoe_stats::SplitMix64;
+use fmoe_stats::{cosine_similarity, slab_row_score};
 use serde::Serialize;
 
 /// How the store chooses which entry an incoming iteration replaces once
@@ -48,31 +48,16 @@ pub struct MapEntry {
     pub map: ExpertMap,
     /// Cached row-major flattening of `map`.
     flat: Vec<f64>,
-    /// `prefix_norm2[l]` = squared L2 norm of the first `l` layers of
-    /// `flat` — lets the trajectory matcher compute prefix cosines
-    /// incrementally.
-    prefix_norm2: Vec<f64>,
 }
 
 impl MapEntry {
     fn new(id: u64, embedding: Vec<f64>, map: ExpertMap) -> Self {
         let flat = map.flatten();
-        let j = map.experts_per_layer();
-        let mut prefix_norm2 = Vec::with_capacity(map.num_layers() + 1);
-        prefix_norm2.push(0.0);
-        let mut acc = 0.0;
-        for l in 0..map.num_layers() {
-            for &p in &flat[l * j..(l + 1) * j] {
-                acc += p * p;
-            }
-            prefix_norm2.push(acc);
-        }
         Self {
             id,
             embedding,
             map,
             flat,
-            prefix_norm2,
         }
     }
 
@@ -80,12 +65,6 @@ impl MapEntry {
     #[must_use]
     pub fn flat(&self) -> &[f64] {
         &self.flat
-    }
-
-    /// Squared norm of the first `layers` layers of the flattened map.
-    #[must_use]
-    pub fn prefix_norm2(&self, layers: usize) -> f64 {
-        self.prefix_norm2[layers.min(self.prefix_norm2.len() - 1)]
     }
 }
 
@@ -124,15 +103,22 @@ pub struct ExpertMapStore {
     rng_state: u64,
     entries: Vec<MapEntry>,
     next_id: u64,
+    /// Bumped by every [`ExpertMapStore::insert`] and
+    /// [`ExpertMapStore::clear`].
+    generation: u64,
     stats: StoreStats,
-    /// Structure-of-arrays mirror of `entries` for the matcher fast path:
-    /// row `i` of each slab is entry `i`'s data, kept in sync by
-    /// [`ExpertMapStore::insert`] and [`ExpertMapStore::clear`].
-    ///
-    /// Row-major flattened maps, stride `L·J`.
-    map_slab: Vec<f64>,
-    /// Cumulative per-layer squared prefix norms, stride `L + 1`.
-    prefix_norm2_slab: Vec<f64>,
+    /// Layer-major mirror of `entries` for the matcher fast path, kept in
+    /// sync by [`ExpertMapStore::insert`] and [`ExpertMapStore::clear`]:
+    /// `layer_blocks[l]` holds `len × J` values, row `i` being entry `i`'s
+    /// layer-`l` distribution.
+    layer_blocks: Vec<Vec<f64>>,
+    /// `prefix_norms[l]`, `l ∈ 0..=L`, holds one value per entry: the L2
+    /// norm of its first `l` layers, the square accumulated left to right
+    /// as `cosine_similarity` does before its `sqrt`.
+    prefix_norms: Vec<Vec<f64>>,
+    /// One trajectory dot product per entry, reused by every at-capacity
+    /// redundancy insert.
+    dedup_dots: Vec<f64>,
     /// Embeddings, stride `emb_stride` — only maintained while every
     /// stored embedding shares one dimension (`emb_uniform`).
     emb_slab: Vec<f64>,
@@ -174,9 +160,11 @@ impl ExpertMapStore {
             rng_state: 0x5EED_CAFE,
             entries: Vec::new(),
             next_id: 0,
+            generation: 0,
             stats: StoreStats::default(),
-            map_slab: Vec::new(),
-            prefix_norm2_slab: Vec::new(),
+            layer_blocks: (0..num_layers).map(|_| Vec::new()).collect(),
+            prefix_norms: (0..=num_layers).map(|_| Vec::new()).collect(),
+            dedup_dots: Vec::new(),
             emb_slab: Vec::new(),
             emb_norm2: Vec::new(),
             emb_stride: 0,
@@ -245,16 +233,25 @@ impl ExpertMapStore {
         self.stats
     }
 
+    /// Mutation counter: changes on every insert and clear, so a reader
+    /// holding per-entry state (the trajectory tracker) can tell that an
+    /// at-capacity replacement invalidated it even though `len` did not
+    /// move.
+    #[must_use]
+    pub fn generation(&self) -> u64 {
+        self.generation
+    }
+
     /// The paper's unified redundancy score between a candidate
-    /// `(embedding, map)` and stored entry `y`.
+    /// `(embedding, map)` and stored entry `y`: the specification the
+    /// at-capacity deduplication's one-pass scoring is pinned against.
     #[must_use]
     pub fn redundancy(&self, embedding: &[f64], flat_map: &[f64], y: usize) -> f64 {
         let entry = &self.entries[y];
         let sem = cosine_similarity(embedding, &entry.embedding);
         let traj = cosine_similarity(flat_map, &entry.flat);
-        let d = f64::from(self.prefetch_distance).min(self.num_layers as f64);
-        let l = self.num_layers as f64;
-        (d / l) * sem + ((l - d) / l) * traj
+        let (w_sem, w_traj) = self.redundancy_weights();
+        w_sem * sem + w_traj * traj
     }
 
     /// Inserts an iteration. Below capacity it is appended; at capacity
@@ -275,54 +272,117 @@ impl ExpertMapStore {
         );
         let id = self.next_id;
         self.next_id += 1;
-        if self.entries.len() < self.capacity {
-            self.entries.push(MapEntry::new(id, embedding, map));
+        self.generation += 1;
+        let entry = MapEntry::new(id, embedding, map);
+        let index = if self.entries.len() < self.capacity {
+            self.entries.push(entry);
             self.stats.appended += 1;
-            let index = self.entries.len() - 1;
-            self.sync_slabs_at(index);
-            return index;
-        }
-        let victim = match self.replacement {
-            ReplacementPolicy::Redundancy => {
-                // Deduplicate: replace the most redundant stored entry.
-                // `new` asserts `capacity > 0`, so the store is non-empty
-                // here; the 0 fallback is unreachable.
-                let flat = map.flatten();
-                (0..self.entries.len())
-                    .max_by(|&a, &b| {
-                        self.redundancy(&embedding, &flat, a)
-                            .total_cmp(&self.redundancy(&embedding, &flat, b))
-                    })
-                    .unwrap_or(0)
-            }
-            ReplacementPolicy::Fifo => (0..self.entries.len())
-                .min_by_key(|&i| self.entries[i].id)
-                .unwrap_or(0),
-            ReplacementPolicy::Random => {
-                self.rng_state = SplitMix64::mix(self.rng_state.wrapping_add(id));
-                (self.rng_state % self.entries.len() as u64) as usize
-            }
+            self.entries.len() - 1
+        } else {
+            let victim = match self.replacement {
+                ReplacementPolicy::Redundancy => self.most_redundant(&entry.embedding, &entry.flat),
+                ReplacementPolicy::Fifo => (0..self.entries.len())
+                    .min_by_key(|&i| self.entries[i].id)
+                    .unwrap_or(0),
+                ReplacementPolicy::Random => {
+                    self.rng_state = SplitMix64::mix(self.rng_state.wrapping_add(id));
+                    (self.rng_state % self.entries.len() as u64) as usize
+                }
+            };
+            self.entries[victim] = entry;
+            self.stats.replaced += 1;
+            victim
         };
-        self.entries[victim] = MapEntry::new(id, embedding, map);
-        self.stats.replaced += 1;
-        self.sync_slabs_at(victim);
-        victim
+        self.sync_slabs_at(index);
+        index
     }
 
-    /// Mirrors `entries[index]` into the structure-of-arrays slabs, either
-    /// appending a fresh row or overwriting a replaced victim's row.
+    /// The deduplication victim: the entry [`ExpertMapStore::redundancy`]
+    /// scores highest against the candidate, the last one on
+    /// `total_cmp` ties (`Iterator::max_by`'s rule).
+    ///
+    /// One pass over the store: the trajectory dots accumulate block by
+    /// block into `dedup_dots`, the candidate's norms are computed once
+    /// and the stored ones come from `prefix_norms(L)` and the embedding
+    /// slab. Every accumulator sums the same terms in the same order as
+    /// `cosine_similarity`, so each score is bit-identical to
+    /// `redundancy`'s.
+    fn most_redundant(&mut self, embedding: &[f64], flat: &[f64]) -> usize {
+        let j = self.experts_per_layer;
+        self.dedup_dots.clear();
+        self.dedup_dots.resize(self.entries.len(), 0.0);
+        for (block, query) in self.layer_blocks.iter().zip(flat.chunks_exact(j)) {
+            add_row_dots(block, j, query, &mut self.dedup_dots);
+        }
+        let mut flat_norm2 = 0.0;
+        for p in flat {
+            flat_norm2 += p * p;
+        }
+        let flat_norm = flat_norm2.sqrt();
+        let stored_norms = &self.prefix_norms[self.num_layers];
+        // The embedding slab serves the semantic half when every stored
+        // embedding shares its stride and the candidate covers it (the
+        // same condition as `argmax_cosine_slab`).
+        let sem_slab = self
+            .embedding_slab()
+            .filter(|&(_, _, stride)| embedding.len() >= stride)
+            .map(|(slab, norms, stride)| {
+                let query = &embedding[..stride];
+                let query_norm2: f64 = query.iter().map(|x| x * x).sum();
+                (query, query_norm2, slab, norms)
+            });
+        let (w_sem, w_traj) = self.redundancy_weights();
+        (0..self.entries.len())
+            .map(|i| {
+                let sem = match sem_slab {
+                    Some((query, query_norm2, slab, norms)) => {
+                        let stride = query.len();
+                        let row = &slab[i * stride..(i + 1) * stride];
+                        slab_row_score(query, row, query_norm2, norms[i])
+                    }
+                    None => cosine_similarity(embedding, &self.entries[i].embedding),
+                };
+                let traj = cosine_from_norms(self.dedup_dots[i], flat_norm, stored_norms[i]);
+                (i, w_sem * sem + w_traj * traj)
+            })
+            .max_by(|a, b| a.1.total_cmp(&b.1))
+            .map_or(0, |(i, _)| i)
+    }
+
+    /// `(d/L, (L−d)/L)`: the semantic and trajectory weights of `RDY`.
+    fn redundancy_weights(&self) -> (f64, f64) {
+        let d = f64::from(self.prefetch_distance).min(self.num_layers as f64);
+        let l = self.num_layers as f64;
+        (d / l, (l - d) / l)
+    }
+
+    /// Mirrors `entries[index]` into the layer blocks, prefix-norm columns
+    /// and embedding slab, either appending a fresh row or overwriting a
+    /// replaced victim's row in place.
     fn sync_slabs_at(&mut self, index: usize) {
-        let ms = self.map_stride();
-        let ps = self.num_layers + 1;
+        let j = self.experts_per_layer;
         let entry = &self.entries[index];
-        if index * ms == self.map_slab.len() {
-            self.map_slab.extend_from_slice(&entry.flat);
-            self.prefix_norm2_slab
-                .extend_from_slice(&entry.prefix_norm2);
-        } else {
-            self.map_slab[index * ms..(index + 1) * ms].copy_from_slice(&entry.flat);
-            self.prefix_norm2_slab[index * ps..(index + 1) * ps]
-                .copy_from_slice(&entry.prefix_norm2);
+        let append = index == self.prefix_norms[0].len();
+        for (l, block) in self.layer_blocks.iter_mut().enumerate() {
+            let row = &entry.flat[l * j..(l + 1) * j];
+            if append {
+                block.extend_from_slice(row);
+            } else {
+                block[index * j..(index + 1) * j].copy_from_slice(row);
+            }
+        }
+        let mut norm2 = 0.0;
+        for (l, column) in self.prefix_norms.iter_mut().enumerate() {
+            if l > 0 {
+                for p in &entry.flat[(l - 1) * j..l * j] {
+                    norm2 += p * p;
+                }
+            }
+            if append {
+                column.push(norm2.sqrt());
+            } else {
+                column[index] = norm2.sqrt();
+            }
         }
 
         if !self.emb_uniform {
@@ -349,26 +409,17 @@ impl ExpertMapStore {
         }
     }
 
-    /// Row-major slab of every stored flattened map; row `i` (stride
-    /// [`ExpertMapStore::map_stride`]) is entry `i`'s
-    /// [`MapEntry::flat`]. The matcher's trajectory fast path streams
-    /// this instead of chasing per-entry `Vec`s.
-    #[must_use]
-    pub fn map_slab(&self) -> &[f64] {
-        &self.map_slab
+    /// Layer `l`'s block: `len × J` values, row `i` being entry `i`'s
+    /// layer-`l` distribution. The trajectory tracker and the
+    /// deduplication stream it instead of chasing per-entry `Vec`s.
+    pub(crate) fn layer_block(&self, l: usize) -> &[f64] {
+        &self.layer_blocks[l]
     }
 
-    /// Stride of [`ExpertMapStore::map_slab`] rows: `L·J` elements.
-    #[must_use]
-    pub fn map_stride(&self) -> usize {
-        self.num_layers * self.experts_per_layer
-    }
-
-    /// Slab of cumulative squared prefix norms, stride `L + 1`; element
-    /// `i·(L+1) + l` is entry `i`'s [`MapEntry::prefix_norm2`] at `l`.
-    #[must_use]
-    pub fn prefix_norm2_slab(&self) -> &[f64] {
-        &self.prefix_norm2_slab
+    /// One value per entry, `l ∈ 0..=L`: the L2 norm of the entry's
+    /// first `l` layers (the `sqrt` of the left-to-right sum of squares).
+    pub(crate) fn prefix_norms(&self, l: usize) -> &[f64] {
+        &self.prefix_norms[l]
     }
 
     /// The semantic fast path's view: `(embeddings, squared norms,
@@ -406,13 +457,39 @@ impl ExpertMapStore {
     /// Clears all entries (between experiments).
     pub fn clear(&mut self) {
         self.entries.clear();
+        self.generation += 1;
         self.stats = StoreStats::default();
-        self.map_slab.clear();
-        self.prefix_norm2_slab.clear();
+        for block in &mut self.layer_blocks {
+            block.clear();
+        }
+        for column in &mut self.prefix_norms {
+            column.clear();
+        }
         self.emb_slab.clear();
         self.emb_norm2.clear();
         self.emb_stride = 0;
         self.emb_uniform = true;
+    }
+}
+
+/// Adds `query · row_i` to `dots[i]` for every `width`-wide row of a
+/// row-major block, each sum running left to right as
+/// `cosine_similarity`'s does.
+pub(crate) fn add_row_dots(block: &[f64], width: usize, query: &[f64], dots: &mut [f64]) {
+    for (dot, row) in dots.iter_mut().zip(block.chunks_exact(width)) {
+        for (a, b) in query.iter().zip(row) {
+            *dot += a * b;
+        }
+    }
+}
+
+/// `cosine_similarity`'s last step from a dot product and the two L2
+/// norms: `0.0` when either norm is zero, else the clamped quotient.
+pub(crate) fn cosine_from_norms(dot: f64, query_norm: f64, entry_norm: f64) -> f64 {
+    if query_norm <= 0.0 || entry_norm <= 0.0 {
+        0.0
+    } else {
+        (dot / (query_norm * entry_norm)).clamp(-1.0, 1.0)
     }
 }
 
@@ -464,6 +541,17 @@ mod tests {
     }
 
     #[test]
+    fn exact_duplicate_ties_go_to_the_last_index() {
+        // Three identical entries score identical redundancy against a
+        // fourth copy; `max_by` keeps the last maximum.
+        let mut s = ExpertMapStore::new(3, 2, 4, 1);
+        for _ in 0..4 {
+            s.insert(emb(0.4), map_peaked_at(2, 4, 1));
+        }
+        assert_eq!(s.entry(2).id, 3);
+    }
+
+    #[test]
     fn redundancy_weights_follow_distance() {
         let mut s = ExpertMapStore::new(4, 4, 4, 1);
         s.insert(emb(0.0), map_peaked_at(4, 4, 0));
@@ -479,9 +567,12 @@ mod tests {
     fn ids_keep_increasing_across_replacement() {
         let mut s = ExpertMapStore::new(1, 2, 4, 1);
         s.insert(emb(0.0), map_peaked_at(2, 4, 0));
+        let generation = s.generation();
         s.insert(emb(0.1), map_peaked_at(2, 4, 1));
         assert_eq!(s.len(), 1);
         assert_eq!(s.entry(0).id, 1);
+        // A replacement keeps `len` but still moves the generation.
+        assert_ne!(s.generation(), generation);
     }
 
     #[test]
@@ -491,12 +582,9 @@ mod tests {
             emb(0.0),
             ExpertMap::new(vec![vec![1.0, 0.0, 0.0, 0.0], vec![0.0, 1.0, 0.0, 0.0]]),
         );
-        let e = s.entry(0);
-        assert_eq!(e.prefix_norm2(0), 0.0);
-        assert!((e.prefix_norm2(1) - 1.0).abs() < 1e-12);
-        assert!((e.prefix_norm2(2) - 2.0).abs() < 1e-12);
-        // Clamped beyond L.
-        assert!((e.prefix_norm2(99) - 2.0).abs() < 1e-12);
+        assert_eq!(s.prefix_norms(0), &[0.0]);
+        assert!((s.prefix_norms(1)[0] - 1.0).abs() < 1e-12);
+        assert!((s.prefix_norms(2)[0] - 2f64.sqrt()).abs() < 1e-12);
     }
 
     #[test]
@@ -513,11 +601,13 @@ mod tests {
     fn clear_resets() {
         let mut s = ExpertMapStore::new(2, 2, 4, 1);
         s.insert(emb(0.0), map_peaked_at(2, 4, 0));
+        let generation = s.generation();
         s.clear();
         assert!(s.is_empty());
+        assert_ne!(s.generation(), generation);
         assert_eq!(s.stats(), StoreStats::default());
-        assert!(s.map_slab().is_empty());
-        assert!(s.prefix_norm2_slab().is_empty());
+        assert!((0..2).all(|l| s.layer_block(l).is_empty()));
+        assert!((0..=2).all(|l| s.prefix_norms(l).is_empty()));
         assert!(s.embedding_slab().is_none());
         // The slabs rebuild after a clear, including the embedding stride.
         s.insert(vec![1.0, 2.0], map_peaked_at(2, 4, 1));
@@ -527,17 +617,23 @@ mod tests {
     }
 
     fn assert_slabs_mirror_entries(s: &ExpertMapStore) {
-        let ms = s.map_stride();
-        let ps = s.num_layers() + 1;
-        assert_eq!(s.map_slab().len(), s.len() * ms);
-        assert_eq!(s.prefix_norm2_slab().len(), s.len() * ps);
+        let j = s.experts_per_layer();
+        for l in 0..s.num_layers() {
+            assert_eq!(s.layer_block(l).len(), s.len() * j);
+        }
+        for l in 0..=s.num_layers() {
+            assert_eq!(s.prefix_norms(l).len(), s.len());
+        }
         for (i, e) in s.entries().enumerate() {
-            assert_eq!(&s.map_slab()[i * ms..(i + 1) * ms], e.flat());
-            for l in 0..=s.num_layers() {
+            for l in 0..s.num_layers() {
                 assert_eq!(
-                    s.prefix_norm2_slab()[i * ps + l].to_bits(),
-                    e.prefix_norm2(l).to_bits()
+                    &s.layer_block(l)[i * j..(i + 1) * j],
+                    &e.flat()[l * j..(l + 1) * j]
                 );
+            }
+            for l in 0..=s.num_layers() {
+                let norm2 = e.flat()[..l * j].iter().fold(0.0, |acc, p| acc + p * p);
+                assert_eq!(s.prefix_norms(l)[i].to_bits(), norm2.sqrt().to_bits());
             }
         }
         if let Some((eslab, enorm, stride)) = s.embedding_slab() {

@@ -143,9 +143,13 @@ pub fn top_k_cosine_slab(
 }
 
 /// One slab row's cosine score given the precomputed squared norms —
-/// the exact expression `cosine_similarity` evaluates.
+/// the exact expression [`cosine_similarity`] evaluates, so the result is
+/// bit-identical to `cosine_similarity(q, row)` when `q.len() ==
+/// row.len()`, `na` and `nb` being the left-to-right sums of squares of
+/// `q` and `row`.
 #[inline]
-fn slab_row_score(q: &[f64], row: &[f64], na: f64, nb: f64) -> f64 {
+#[must_use]
+pub fn slab_row_score(q: &[f64], row: &[f64], na: f64, nb: f64) -> f64 {
     let mut dot = 0.0;
     for (a, b) in q.iter().zip(row) {
         dot += a * b;

@@ -44,7 +44,9 @@ pub mod rng;
 pub mod summary;
 
 pub use cdf::EmpiricalCdf;
-pub use cosine::{argmax_cosine_slab, cosine_similarity, pairwise_cosine, top_k_cosine_slab};
+pub use cosine::{
+    argmax_cosine_slab, cosine_similarity, pairwise_cosine, slab_row_score, top_k_cosine_slab,
+};
 pub use entropy::{normalized_shannon_entropy, shannon_entropy, shannon_entropy_of_counts};
 pub use histogram::Histogram;
 pub use pearson::pearson_correlation;
