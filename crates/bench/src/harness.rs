@@ -12,8 +12,8 @@ use fmoe_memsim::Topology;
 use fmoe_model::gate::{GateScratch, TokenSpan};
 use fmoe_model::{GateParams, GateSimulator, GpuSpec, ModelConfig};
 use fmoe_serving::{
-    AggregateMetrics, Breakdown, EngineConfig, ExpertPredictor, IndexMode, IterationContext,
-    RequestMetrics, ServingEngine,
+    AggregateMetrics, Breakdown, EngineConfig, ExpertPredictor, IterationContext, RequestMetrics,
+    ServingEngine,
 };
 use fmoe_trace::{MetricsRegistry, TraceRecord, TraceSink};
 use fmoe_workload::{split, DatasetSpec, Prompt};
@@ -122,11 +122,6 @@ pub struct CellConfig {
     pub on_demand_deadline_ns: Option<u64>,
     /// Router seed (vary for confidence runs).
     pub gate_seed: u64,
-    /// Residency-index representation: [`IndexMode::Dense`] for the flat
-    /// tables, [`IndexMode::Reference`] for the retained `BTreeMap` path
-    /// (differential testing only; results must be byte-identical either
-    /// way).
-    pub index_mode: IndexMode,
 }
 
 impl CellConfig {
@@ -156,7 +151,6 @@ impl CellConfig {
             low_precision_threshold: None,
             on_demand_deadline_ns: None,
             gate_seed: 0xF0E1_D2C3_B4A5_9687,
-            index_mode: IndexMode::Dense,
         }
     }
 
@@ -247,7 +241,6 @@ impl CellConfig {
             framework_overhead_per_layer_ns: 3_000_000,
             low_precision_threshold: self.low_precision_threshold,
             on_demand_deadline_ns: self.on_demand_deadline_ns,
-            index_mode: self.index_mode,
             ..EngineConfig::paper_default()
         };
         ServingEngine::builder(gate, GpuSpec::rtx_3090(), self.topology.clone())

@@ -3,9 +3,8 @@
 use crate::arena::LinkArena;
 use crate::policy::EvictionPolicy;
 use crate::stats::CacheStats;
-use fmoe_model::{ExpertId, ModelConfig};
+use fmoe_model::{DenseIdMap, ExpertId, ModelConfig};
 use fmoe_trace::{Marker, TraceSink, NO_REQUEST, NO_VALUE};
-use std::collections::BTreeMap;
 
 /// One resident expert's arena node: its identity, footprint, and pin
 /// state live together in the intrusive list (newest → oldest insertion
@@ -17,174 +16,9 @@ struct Resident {
     pinned: bool,
 }
 
-/// Sentinel arena index meaning "not resident" in the dense index.
-const NO_SLOT: u32 = u32::MAX;
-
-/// Expert id → arena node index, in one of two representations.
-///
-/// `Dense` is the default: a flat `Vec<u32>` keyed by
-/// [`ExpertId::dense_index`], so residency lookups are an array load
-/// instead of a `BTreeMap` descent. `Reference` retains the pre-dense
-/// `BTreeMap` core so the differential suite can pin the two against
-/// each other (DESIGN.md §16). Both iterate in ascending expert-id
-/// order — for `Dense` that is ascending dense index, which equals
-/// `ExpertId`'s `(layer, slot)` `Ord` — so victim-candidate lists and
-/// `resident_experts` stay byte-identical across representations.
-#[derive(Debug)]
-enum ResidencyIndex {
-    Dense {
-        /// Arena index per dense expert id; `NO_SLOT` when absent.
-        slots: Vec<u32>,
-        len: usize,
-        experts_per_layer: u32,
-    },
-    Reference(BTreeMap<ExpertId, u32>),
-}
-
-impl ResidencyIndex {
-    fn dense(config: &ModelConfig) -> Self {
-        let capacity = config.num_layers as usize * config.experts_per_layer as usize;
-        Self::Dense {
-            slots: vec![NO_SLOT; capacity],
-            len: 0,
-            experts_per_layer: config.experts_per_layer,
-        }
-    }
-
-    /// Whether `expert` can be represented at all. `Dense` bound-checks
-    /// against the model's `L·J` id space; `Reference` holds anything.
-    fn in_range(&self, expert: ExpertId) -> bool {
-        match self {
-            Self::Dense {
-                slots,
-                experts_per_layer,
-                ..
-            } => expert.dense_index(*experts_per_layer) < slots.len(),
-            Self::Reference(_) => true,
-        }
-    }
-
-    fn get(&self, expert: ExpertId) -> Option<u32> {
-        match self {
-            Self::Dense {
-                slots,
-                experts_per_layer,
-                ..
-            } => slots
-                .get(expert.dense_index(*experts_per_layer))
-                .copied()
-                .filter(|&idx| idx != NO_SLOT),
-            Self::Reference(map) => map.get(&expert).copied(),
-        }
-    }
-
-    /// Inserts the mapping; the caller guarantees `expert` is in range
-    /// and not already present (out-of-range inserts are dropped).
-    fn insert(&mut self, expert: ExpertId, arena_idx: u32) {
-        match self {
-            Self::Dense {
-                slots,
-                len,
-                experts_per_layer,
-            } => {
-                if let Some(slot) = slots.get_mut(expert.dense_index(*experts_per_layer)) {
-                    if *slot == NO_SLOT {
-                        *len += 1;
-                    }
-                    *slot = arena_idx;
-                }
-            }
-            Self::Reference(map) => {
-                map.insert(expert, arena_idx);
-            }
-        }
-    }
-
-    fn remove(&mut self, expert: ExpertId) -> Option<u32> {
-        match self {
-            Self::Dense {
-                slots,
-                len,
-                experts_per_layer,
-            } => {
-                let slot = slots.get_mut(expert.dense_index(*experts_per_layer))?;
-                let idx = (*slot != NO_SLOT).then_some(*slot)?;
-                *slot = NO_SLOT;
-                *len -= 1;
-                Some(idx)
-            }
-            Self::Reference(map) => map.remove(&expert),
-        }
-    }
-
-    fn len(&self) -> usize {
-        match self {
-            Self::Dense { len, .. } => *len,
-            Self::Reference(map) => map.len(),
-        }
-    }
-
-    fn clear(&mut self) {
-        match self {
-            Self::Dense { slots, len, .. } => {
-                slots.fill(NO_SLOT);
-                *len = 0;
-            }
-            Self::Reference(map) => map.clear(),
-        }
-    }
-
-    /// `(expert, arena index)` pairs in ascending expert-id order — the
-    /// iteration order both representations share (see type docs).
-    fn iter(&self) -> IndexIter<'_> {
-        match self {
-            Self::Dense {
-                slots,
-                experts_per_layer,
-                ..
-            } => IndexIter::Dense {
-                slots,
-                pos: 0,
-                experts_per_layer: *experts_per_layer,
-            },
-            Self::Reference(map) => IndexIter::Reference(map.iter()),
-        }
-    }
-}
-
-/// Iterator over a [`ResidencyIndex`], ascending expert-id order.
-enum IndexIter<'a> {
-    Dense {
-        slots: &'a [u32],
-        pos: usize,
-        experts_per_layer: u32,
-    },
-    Reference(std::collections::btree_map::Iter<'a, ExpertId, u32>),
-}
-
-impl Iterator for IndexIter<'_> {
-    type Item = (ExpertId, u32);
-
-    fn next(&mut self) -> Option<(ExpertId, u32)> {
-        match self {
-            Self::Dense {
-                slots,
-                pos,
-                experts_per_layer,
-            } => {
-                while *pos < slots.len() {
-                    let i = *pos;
-                    *pos += 1;
-                    if slots[i] != NO_SLOT {
-                        return Some((ExpertId::from_dense_index(i, *experts_per_layer), slots[i]));
-                    }
-                }
-                None
-            }
-            Self::Reference(iter) => iter.next().map(|(e, idx)| (*e, *idx)),
-        }
-    }
-}
+/// Residency-index key of an expert outside the model: past every
+/// [`DenseIdMap`] capacity, so lookups report it absent.
+const OUTSIDE_MODEL: usize = usize::MAX;
 
 /// How experts map to home GPUs under expert parallelism.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default, serde::Serialize, serde::Deserialize)]
@@ -258,10 +92,11 @@ pub struct ExpertCache {
     /// insertion order. Full-precision experts occupy `expert_bytes`;
     /// quantized ones less.
     arena: LinkArena<Resident>,
-    /// Expert id → arena node. Iterating this yields residents in id
-    /// order, which is what keeps victim-candidate lists (and thus the
-    /// whole sim path) byte-identical across index representations.
-    index: ResidencyIndex,
+    /// Dense expert id (see [`Self::key`]) → arena node. Iterating this
+    /// yields residents in ascending dense index, which equals
+    /// `ExpertId`'s `(layer, slot)` order — the order victim-candidate
+    /// lists (and thus the whole sim path) are pinned to.
+    index: DenseIdMap<u32>,
     policy: Box<dyn EvictionPolicy>,
     stats: CacheStats,
     /// Reused victim-candidate buffer (`mem::take` round-trip), so
@@ -299,7 +134,9 @@ impl ExpertCache {
             per_gpu_budget: total_budget_bytes / u64::from(num_gpus),
             per_gpu_used: vec![0; num_gpus as usize],
             arena: LinkArena::new(),
-            index: ResidencyIndex::dense(config),
+            index: DenseIdMap::with_capacity(
+                config.num_layers as usize * config.experts_per_layer as usize,
+            ),
             policy,
             stats: CacheStats::default(),
             victim_buf: Vec::new(),
@@ -308,15 +145,16 @@ impl ExpertCache {
         }
     }
 
-    /// Switches the residency index to the retained `BTreeMap` reference
-    /// representation (differential testing; DESIGN.md §16). Existing
-    /// residents migrate, so this is safe at any point, though the
-    /// intended use is right after construction.
-    #[must_use]
-    pub fn with_reference_index(mut self) -> Self {
-        let entries: Vec<(ExpertId, u32)> = self.index.iter().collect();
-        self.index = ResidencyIndex::Reference(entries.into_iter().collect());
-        self
+    /// `expert`'s key in [`Self::index`]: its dense index, or
+    /// [`OUTSIDE_MODEL`] — a key the index never holds — when its layer
+    /// or slot lies outside the model. Checking both coordinates keeps an
+    /// out-of-range slot from aliasing the next layer's expert.
+    fn key(&self, expert: ExpertId) -> usize {
+        if expert.layer < self.num_layers && expert.slot < self.experts_per_layer {
+            expert.dense_index(self.experts_per_layer)
+        } else {
+            OUTSIDE_MODEL
+        }
     }
 
     /// Installs an observability sink. Insert/evict/reject markers and
@@ -406,7 +244,7 @@ impl ExpertCache {
     /// `true` when `expert` is resident.
     #[must_use]
     pub fn contains(&self, expert: ExpertId) -> bool {
-        self.index.get(expert).is_some()
+        self.index.contains(self.key(expert))
     }
 
     /// Number of resident experts.
@@ -470,16 +308,14 @@ impl ExpertCache {
 
     fn insert_impl(&mut self, expert: ExpertId, bytes: u64, now: u64, warm: bool) -> InsertOutcome {
         self.last_now = self.last_now.max(now);
-        if !self.index.in_range(expert) {
-            // An id outside the model's L·J space can never be stored in
-            // the dense index; refuse it the way an oversized expert is
-            // refused rather than panicking.
-            self.stats.rejected_inserts += 1;
-            self.mark(Marker::CacheReject, expert, now, bytes);
-            self.trace.count("cache.rejected_inserts", 1);
-            return InsertOutcome::Rejected;
+        let key = self.key(expert);
+        if key == OUTSIDE_MODEL {
+            // An id outside the model can never be stored in the dense
+            // index; refuse it the way an oversized expert is refused
+            // rather than panicking.
+            return self.reject(expert, now, bytes);
         }
-        if let Some(idx) = self.index.get(expert) {
+        if let Some(&idx) = self.index.get(key) {
             self.policy.on_hit(expert, now);
             let existing = self.arena.get(idx).map_or(self.expert_bytes, |r| r.bytes);
             if existing != bytes {
@@ -492,25 +328,15 @@ impl ExpertCache {
             return InsertOutcome::AlreadyResident;
         }
         if bytes > self.per_gpu_budget {
-            self.stats.rejected_inserts += 1;
-            self.mark(Marker::CacheReject, expert, now, bytes);
-            self.trace.count("cache.rejected_inserts", 1);
-            return InsertOutcome::Rejected;
+            return self.reject(expert, now, bytes);
         }
         let gpu = self.home_gpu(expert);
         let mut evicted = Vec::new();
         while self.per_gpu_used[gpu as usize] + bytes > self.per_gpu_budget {
             let Some(victim) = self.choose_victim(gpu) else {
                 // Everything resident on this GPU is pinned: cannot evict.
-                self.stats.rejected_inserts += 1;
-                for v in &evicted {
-                    // Roll back is not meaningful (bytes already freed);
-                    // keep evictions as-is but refuse the insert.
-                    let _ = v;
-                }
-                self.mark(Marker::CacheReject, expert, now, bytes);
-                self.trace.count("cache.rejected_inserts", 1);
-                return InsertOutcome::Rejected;
+                // Evictions already made stand; only the insert is refused.
+                return self.reject(expert, now, bytes);
             };
             self.remove_internal(victim);
             self.stats.evictions += 1;
@@ -524,16 +350,26 @@ impl ExpertCache {
             bytes,
             pinned: false,
         });
-        self.index.insert(expert, idx);
+        self.index.insert(key, idx);
         self.policy.on_insert(expert, now);
-        if warm {
+        let counter = if warm {
             self.stats.warmup_inserts += 1;
+            "cache.warmup_inserts"
         } else {
             self.stats.insertions += 1;
-        }
+            "cache.insertions"
+        };
         self.mark(Marker::CacheInsert, expert, now, bytes);
-        self.trace.count("cache.insertions", 1);
+        self.trace.count(counter, 1);
         InsertOutcome::Inserted { evicted }
+    }
+
+    /// Books a refused insert of `bytes` for `expert`.
+    fn reject(&mut self, expert: ExpertId, now: u64, bytes: u64) -> InsertOutcome {
+        self.stats.rejected_inserts += 1;
+        self.mark(Marker::CacheReject, expert, now, bytes);
+        self.trace.count("cache.rejected_inserts", 1);
+        InsertOutcome::Rejected
     }
 
     /// Asks the policy for a victim among unpinned residents homed on
@@ -544,9 +380,12 @@ impl ExpertCache {
     fn choose_victim(&mut self, gpu: u32) -> Option<ExpertId> {
         let mut buf = std::mem::take(&mut self.victim_buf);
         buf.clear();
-        buf.extend(self.index.iter().filter_map(|(e, idx)| {
-            (self.home_gpu(e) == gpu && self.arena.get(idx).is_some_and(|r| !r.pinned)).then_some(e)
-        }));
+        for (d, &idx) in self.index.iter() {
+            let e = ExpertId::from_dense_index(d, self.experts_per_layer);
+            if self.home_gpu(e) == gpu && self.arena.get(idx).is_some_and(|r| !r.pinned) {
+                buf.push(e);
+            }
+        }
         let victim = self.policy.choose_victim_mut(&buf);
         self.victim_buf = buf;
         victim
@@ -555,7 +394,7 @@ impl ExpertCache {
     /// Bytes a resident expert occupies, or `None` if not resident.
     #[must_use]
     pub fn resident_bytes(&self, expert: ExpertId) -> Option<u64> {
-        let idx = self.index.get(expert)?;
+        let &idx = self.index.get(self.key(expert))?;
         self.arena.get(idx).map(|r| r.bytes)
     }
 
@@ -581,7 +420,7 @@ impl ExpertCache {
         let gpu = self.home_gpu(expert);
         let bytes = self
             .index
-            .remove(expert)
+            .remove(self.key(expert))
             .and_then(|idx| self.arena.remove(idx))
             .map_or(self.expert_bytes, |r| r.bytes);
         self.per_gpu_used[gpu as usize] -= bytes;
@@ -592,7 +431,7 @@ impl ExpertCache {
     /// during execution). Pinning a non-resident expert is a no-op and
     /// returns `false`.
     pub fn pin(&mut self, expert: ExpertId) -> bool {
-        let Some(idx) = self.index.get(expert) else {
+        let Some(&idx) = self.index.get(self.key(expert)) else {
             return false;
         };
         if let Some(r) = self.arena.get_mut(idx) {
@@ -603,7 +442,7 @@ impl ExpertCache {
 
     /// Removes one expert's pin. No-op when not pinned.
     pub fn unpin(&mut self, expert: ExpertId) {
-        if let Some(idx) = self.index.get(expert) {
+        if let Some(&idx) = self.index.get(self.key(expert)) {
             if let Some(r) = self.arena.get_mut(idx) {
                 r.pinned = false;
             }
@@ -691,7 +530,9 @@ impl ExpertCache {
 
     /// Iterator over resident experts (expert-id order).
     pub fn resident_experts(&self) -> impl Iterator<Item = ExpertId> + '_ {
-        self.index.iter().map(|(e, _)| e)
+        self.index
+            .keys()
+            .map(|d| ExpertId::from_dense_index(d, self.experts_per_layer))
     }
 
     /// Iterator over resident experts oldest-insertion-first — the
@@ -982,6 +823,25 @@ mod tests {
             m.gauge("cache.per_gpu_budget_bytes"),
             Some(cfg.expert_bytes())
         );
+    }
+
+    #[test]
+    fn out_of_model_slot_never_aliases_another_expert() {
+        // Tiny model: 4 layers × 4 experts, so E[0,4] has the dense index
+        // E[1,0] owns.
+        let mut c = tiny_cache(4, 1);
+        assert_eq!(c.insert(e(0, 4), 0), InsertOutcome::Rejected);
+        assert_eq!(c.stats().rejected_inserts, 1);
+        assert!(!c.contains(e(1, 0)));
+        assert_eq!(c.resident_count(), 0);
+        c.insert(e(1, 0), 1);
+        for outside in [e(0, 4), e(4, 0)] {
+            assert!(!c.contains(outside));
+            assert!(!c.pin(outside));
+            assert!(!c.remove(outside));
+        }
+        assert!(c.contains(e(1, 0)));
+        assert_eq!(c.resident_experts().collect::<Vec<_>>(), vec![e(1, 0)]);
     }
 
     #[test]

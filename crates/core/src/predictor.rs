@@ -26,8 +26,7 @@ use crate::selection::{prefetch_priority, select_experts, select_top_n, Selected
 use crate::store::ExpertMapStore;
 use fmoe_model::gate::{GateScratch, TokenSpan};
 use fmoe_model::{ExpertId, GateSimulator, ModelConfig, RequestRouting};
-use fmoe_serving::{ExpertPredictor, IndexMode, IterationContext, PredictorTiming, PrefetchPlan};
-use std::collections::BTreeMap;
+use fmoe_serving::{ExpertPredictor, IterationContext, PredictorTiming, PrefetchPlan};
 
 /// A historical request used to pre-populate the store offline (the
 /// paper's 70% split).
@@ -46,41 +45,15 @@ struct ElementState {
     tracker: TrajectoryTracker,
 }
 
-/// Per-element predictor state, in one of two representations.
-///
+/// Element `element`'s state, created default-initialized on first use.
 /// Batch element slots are small dense integers (`0..batch width`), so
-/// the default is a flat `Vec` indexed by element — grown on first
-/// sight of a wider batch, allocation-free at steady state. The
-/// `Reference` variant retains the pre-dense `BTreeMap` so the
-/// differential suite can pin the two against each other (DESIGN.md
-/// §16). Element state is only ever accessed by key — never iterated —
-/// so the representations cannot diverge observably.
-#[derive(Debug)]
-enum ElementTable {
-    Dense(Vec<ElementState>),
-    Reference(BTreeMap<usize, ElementState>),
-}
-
-impl ElementTable {
-    /// The element's state, created default-initialized on first use.
-    fn state_mut(&mut self, element: usize) -> &mut ElementState {
-        match self {
-            Self::Dense(v) => {
-                if element >= v.len() {
-                    v.resize_with(element + 1, ElementState::default);
-                }
-                &mut v[element]
-            }
-            Self::Reference(map) => map.entry(element).or_default(),
-        }
+/// the table is a flat `Vec` indexed by slot: grown on first sight of a
+/// wider batch, allocation-free at steady state.
+fn state_mut(elements: &mut Vec<ElementState>, element: usize) -> &mut ElementState {
+    if element >= elements.len() {
+        elements.resize_with(element + 1, ElementState::default);
     }
-
-    fn clear(&mut self) {
-        match self {
-            Self::Dense(v) => v.clear(),
-            Self::Reference(map) => map.clear(),
-        }
-    }
+    &mut elements[element]
 }
 
 /// The fMoE offloading policy.
@@ -89,7 +62,8 @@ pub struct FmoePredictor {
     model: ModelConfig,
     config: FmoeConfig,
     store: ExpertMapStore,
-    elements: ElementTable,
+    /// Per-batch-slot state (see [`state_mut`]).
+    elements: Vec<ElementState>,
 }
 
 impl FmoePredictor {
@@ -107,20 +81,8 @@ impl FmoePredictor {
             model,
             config,
             store,
-            elements: ElementTable::Dense(Vec::new()),
+            elements: Vec::new(),
         }
-    }
-
-    /// Selects the per-element state representation: [`IndexMode::Dense`]
-    /// keeps the flat `Vec` hot path, [`IndexMode::Reference`] retains the
-    /// pre-dense `BTreeMap` for differential testing (DESIGN.md §16).
-    #[must_use]
-    pub fn with_index_mode(mut self, mode: IndexMode) -> Self {
-        self.elements = match mode {
-            IndexMode::Dense => ElementTable::Dense(Vec::new()),
-            IndexMode::Reference => ElementTable::Reference(BTreeMap::new()),
-        };
-        self
     }
 
     /// Number of maps currently stored.
@@ -269,7 +231,7 @@ impl ExpertPredictor for FmoePredictor {
     }
 
     fn begin_iteration(&mut self, ctx: &IterationContext) -> Vec<PrefetchPlan> {
-        let state = self.elements.state_mut(ctx.element);
+        let state = state_mut(&mut self.elements, ctx.element);
         state.tracker.reset(&self.store);
 
         if !self.config.use_semantic_search || self.store.is_empty() {
@@ -297,7 +259,7 @@ impl ExpertPredictor for FmoePredictor {
         layer: u32,
         distribution: &[f64],
     ) -> Vec<PrefetchPlan> {
-        let state = self.elements.state_mut(ctx.element);
+        let state = state_mut(&mut self.elements, ctx.element);
         state.tracker.observe_layer(&self.store, distribution);
 
         let target = layer + self.config.prefetch_distance;

@@ -880,9 +880,14 @@ impl TransferEngine {
     /// Cancels every queued prefetch on all links.
     pub fn cancel_all_prefetches(&mut self, now: Nanos) {
         self.advance_to(now);
+        let mut cancelled = 0;
         for link in &mut self.links {
-            self.stats.cancelled_jobs += link.queue.len() as u64;
+            cancelled += link.queue.len() as u64;
             link.queue.clear();
+        }
+        self.stats.cancelled_jobs += cancelled;
+        if cancelled > 0 {
+            self.trace.count("transfer.cancelled_jobs", cancelled);
         }
     }
 
@@ -1111,13 +1116,20 @@ mod tests {
 
     #[test]
     fn cancel_all_clears_every_link() {
+        let sink = TraceSink::recording(64);
         let mut e = engine(2);
+        e.set_trace_sink(sink.clone());
         e.submit_prefetch(GpuId(0), 1, 10 * MB, 0);
         e.submit_prefetch(GpuId(1), 2, 10 * MB, 0);
         e.cancel_all_prefetches(0);
         assert_eq!(e.queued_jobs(GpuId(0)), 0);
         assert_eq!(e.queued_jobs(GpuId(1)), 0);
         assert_eq!(e.stats().cancelled_jobs, 2);
+        // The trace counter books a bulk cancel exactly as the stats do.
+        assert_eq!(
+            sink.metrics_snapshot().counter("transfer.cancelled_jobs"),
+            2
+        );
     }
 
     #[test]

@@ -73,10 +73,6 @@ pub struct EngineConfig {
     /// half-precision payload instead of blocking indefinitely. Degraded
     /// loads count as `degraded_loads` in [`RequestMetrics`].
     pub on_demand_deadline_ns: Option<Nanos>,
-    /// Which index representation the hot-path tables use (differential
-    /// testing only; DESIGN.md §16). Output must be byte-identical
-    /// either way — the dense-differential suite pins that.
-    pub index_mode: IndexMode,
     /// Expert parallelism inside the replica (off by default): when set
     /// on a multi-GPU topology, each MoE layer pays a gate-skew-aware
     /// all2all on the peer links, and missing experts evicted to a peer
@@ -84,22 +80,6 @@ pub struct EngineConfig {
     /// (DESIGN.md §17). `None` (or a single-GPU topology) is
     /// byte-identical to the pre-EP engine.
     pub expert_parallel: Option<ExpertParallelConfig>,
-}
-
-/// Which representation the engine's hot-path index tables use.
-///
-/// `Dense` is the production representation (flat tables keyed by dense
-/// expert index); `Reference` retains the `BTreeMap`-based reference
-/// implementation for differential testing (DESIGN.md §16). One enum
-/// replaces the former per-table boolean toggles
-/// (`reference_residency_index`, `with_reference_elements`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, serde::Serialize, serde::Deserialize)]
-pub enum IndexMode {
-    /// Flat dense-index tables — the production hot path.
-    #[default]
-    Dense,
-    /// Retained `BTreeMap` reference tables (differential testing).
-    Reference,
 }
 
 /// Expert-parallelism knobs for a multi-GPU replica (DESIGN.md §17).
@@ -147,7 +127,6 @@ impl EngineConfig {
             kv_aware_budget: false,
             low_precision_threshold: None,
             on_demand_deadline_ns: None,
-            index_mode: IndexMode::Dense,
             expert_parallel: None,
         }
     }
@@ -207,9 +186,9 @@ struct Element {
     iteration: u64,
     /// Tokens processed so far (context length).
     position: u64,
-    /// Total iterations this element will run (after the decode cap).
+    /// Total iterations this element will run (after the decode cap;
+    /// at least one, the prefill).
     total_iterations: u64,
-    done: bool,
     start_ns: Nanos,
     ttft_ns: Option<Nanos>,
     finished_ns: Nanos,
@@ -272,12 +251,11 @@ struct IterationScratch {
     stale: Vec<(u64, ExpertId)>,
     /// Stage pins whose target layer has passed.
     passed: Vec<ExpertId>,
-    /// Per-element iteration contexts, computed once per iteration
-    /// (`None` for finished elements). The context is constant for the
-    /// whole iteration, so this replaces an embedding clone per
-    /// predictor call (one per element per *layer*) with one per
-    /// element per iteration.
-    contexts: Vec<Option<IterationContext>>,
+    /// Per-element iteration contexts, computed once per iteration. The
+    /// context is constant for the whole iteration, so this replaces an
+    /// embedding clone per predictor call (one per element per *layer*)
+    /// with one per element per iteration.
+    contexts: Vec<IterationContext>,
     /// Per-GPU expert-FFN time accumulator for
     /// [`ServingEngine::expert_compute_time`].
     compute_per_gpu: Vec<Nanos>,
@@ -366,6 +344,11 @@ impl EpState {
 }
 
 impl Element {
+    /// Whether the request has run all its iterations.
+    fn is_done(&self) -> bool {
+        self.iteration >= self.total_iterations
+    }
+
     fn span(&self) -> TokenSpan {
         if self.iteration == 0 {
             TokenSpan::prefill(self.prompt.prompt_tokens)
@@ -514,15 +497,6 @@ impl EngineBuilder {
         }
     }
 
-    /// Selects the hot-path index representation (default:
-    /// [`IndexMode::Dense`]; `Reference` exists for differential
-    /// testing, DESIGN.md §16).
-    #[must_use]
-    pub fn index_mode(mut self, mode: IndexMode) -> Self {
-        self.config.index_mode = mode;
-        self
-    }
-
     /// Enables expert parallelism inside the replica (DESIGN.md §17).
     /// Meaningful only on multi-GPU topologies; single-GPU engines
     /// ignore it and stay byte-identical to the pre-EP path.
@@ -647,12 +621,8 @@ impl ServingEngine {
     ) -> Self {
         let model = gate.config().clone();
         let num_experts = model.num_layers as usize * model.experts_per_layer as usize;
-        let mut cache =
-            ExpertCache::new(&model, config.cache_budget_bytes, topology.num_gpus, policy)
-                .with_placement(config.placement);
-        if config.index_mode == IndexMode::Reference {
-            cache = cache.with_reference_index();
-        }
+        let cache = ExpertCache::new(&model, config.cache_budget_bytes, topology.num_gpus, policy)
+            .with_placement(config.placement);
         let transfer = TransferEngine::new(&topology);
         let cost = CostModel::new(model, gpu);
         let ep = config
@@ -900,7 +870,6 @@ impl ServingEngine {
             iteration: 0,
             position: 0,
             total_iterations: total,
-            done: false,
             start_ns: self.clock.now(),
             ttft_ns: None,
             finished_ns: self.clock.now(),
@@ -922,35 +891,56 @@ impl ServingEngine {
     /// their slots for the next admission. A no-op returning an empty
     /// vec when the batch is empty.
     pub fn step(&mut self, predictor: &mut dyn ExpertPredictor) -> Vec<RequestMetrics> {
-        if self.active.is_empty() {
-            return Vec::new();
-        }
-        let mut elements = std::mem::take(&mut self.active);
-        self.run_iteration(&mut elements, predictor);
         let mut finished = Vec::new();
-        for e in elements {
-            if e.done {
-                self.free_slots.push(e.slot);
-                finished.push(e.metrics());
-            } else {
-                self.active.push(e);
-            }
-        }
+        self.step_with(predictor, |e| finished.push(e.metrics()));
         finished
     }
 
-    /// Runs iterations until every admitted request has finished and
-    /// returns their metrics in admission order. Emptying the batch
-    /// resets the slot allocator, so the next batch on the idle engine
-    /// gets slots `0..n` in admission order again.
-    pub(crate) fn drain(&mut self, predictor: &mut dyn ExpertPredictor) -> Vec<RequestMetrics> {
+    /// [`Self::step`], handing each finished element to `on_finished`
+    /// in admission order. The batch is partitioned in place, so the
+    /// live requests keep their admission order and the batch's
+    /// allocation survives the iteration.
+    fn step_with(
+        &mut self,
+        predictor: &mut dyn ExpertPredictor,
+        mut on_finished: impl FnMut(&Element),
+    ) {
+        if self.active.is_empty() {
+            return;
+        }
         let mut elements = std::mem::take(&mut self.active);
-        while elements.iter().any(|e| !e.done) {
-            self.run_iteration(&mut elements, predictor);
+        self.run_iteration(&mut elements, predictor);
+        let free_slots = &mut self.free_slots;
+        elements.retain(|e| {
+            if e.is_done() {
+                free_slots.push(e.slot);
+                on_finished(e);
+            }
+            !e.is_done()
+        });
+        self.active = elements;
+    }
+
+    /// Steps until the batch is empty and returns every finished
+    /// request's metrics in admission order. Emptying the batch resets
+    /// the slot allocator, so the next batch on the idle engine gets
+    /// slots `0..n` in admission order again.
+    pub(crate) fn drain(&mut self, predictor: &mut dyn ExpertPredictor) -> Vec<RequestMetrics> {
+        // Admission position by slot: slots are unique within the batch
+        // and nothing is admitted while it drains. (Request ids may
+        // repeat, so they cannot key the order.)
+        let admitted: Vec<usize> = self.active.iter().map(|e| e.slot).collect();
+        let mut metrics = vec![RequestMetrics::default(); admitted.len()];
+        while !self.active.is_empty() {
+            self.step_with(predictor, |e| {
+                if let Some(pos) = admitted.iter().position(|&slot| slot == e.slot) {
+                    metrics[pos] = e.metrics();
+                }
+            });
         }
         self.free_slots.clear();
         self.next_slot = 0;
-        elements.iter().map(Element::metrics).collect()
+        metrics
     }
 
     /// Requests currently in the batch.
@@ -987,8 +977,13 @@ impl ServingEngine {
         self.drain(predictor)
     }
 
-    /// Runs one lockstep iteration over all live elements.
+    /// Runs one lockstep iteration over the batch. Every element is
+    /// live: [`Self::step_with`] removes requests as they finish.
     fn run_iteration(&mut self, elements: &mut [Element], predictor: &mut dyn ExpertPredictor) {
+        debug_assert!(
+            elements.iter().all(|el| !el.is_done()),
+            "finished request reached run_iteration"
+        );
         let mut scratch = std::mem::take(&mut self.scratch);
         let iter_start = self.clock.now();
         self.breakdown.iterations += 1;
@@ -1011,9 +1006,6 @@ impl ServingEngine {
 
         // Step 1: context collection (synchronous).
         for el in elements.iter_mut() {
-            if el.done {
-                continue;
-            }
             el.embedding = self
                 .gate
                 .semantic_embedding(el.prompt.routing, el.iteration);
@@ -1026,7 +1018,7 @@ impl ServingEngine {
         scratch.contexts.clear();
         scratch
             .contexts
-            .extend(elements.iter().map(|el| (!el.done).then(|| el.context())));
+            .extend(elements.iter().map(Element::context));
         self.clock.advance(self.config.context_collection_ns);
         self.breakdown.context_collection_ns += self.config.context_collection_ns;
         self.trace.span(
@@ -1064,7 +1056,6 @@ impl ServingEngine {
                 let kv_per_token = self.gate.config().kv_bytes_per_token();
                 let live_kv: u64 = elements
                     .iter()
-                    .filter(|e| !e.done)
                     .map(|e| (e.position + e.span().count) * kv_per_token)
                     .sum();
                 effective = effective.saturating_sub(live_kv);
@@ -1092,7 +1083,7 @@ impl ServingEngine {
                 contexts,
                 ..
             } = &mut scratch;
-            for ctx in contexts.iter().flatten() {
+            for ctx in contexts.iter() {
                 begin_plans.extend(predictor.begin_iteration(ctx));
             }
         }
@@ -1102,15 +1093,10 @@ impl ServingEngine {
             let _ = self.issue_prefetches(&scratch.begin_plans, issue_at);
         }
 
-        let batch_tokens: u64 = elements
-            .iter()
-            .filter(|e| !e.done)
-            .map(|e| e.span().count)
-            .sum();
-        let any_degraded = elements.iter().any(|e| !e.done && e.degraded);
+        let batch_tokens: u64 = elements.iter().map(|e| e.span().count).sum();
+        let any_degraded = elements.iter().any(|e| e.degraded);
         let context_len = elements
             .iter()
-            .filter(|e| !e.done)
             .map(|e| e.position + e.span().count)
             .max()
             .unwrap_or(1);
@@ -1154,9 +1140,6 @@ impl ServingEngine {
                     ..
                 } = &mut scratch;
                 for (el, ctx) in elements.iter_mut().zip(contexts.iter()) {
-                    let Some(ctx) = ctx else {
-                        continue; // finished element
-                    };
                     self.gate
                         .route_into(el.prompt.routing, el.iteration, layer, el.span(), gate);
                     for &slot in &gate.activated {
@@ -1185,9 +1168,6 @@ impl ServingEngine {
             if let Some(ep_cfg) = ep_cfg {
                 scratch.tokens_to_gpu.iter_mut().for_each(|t| *t = 0);
                 for el in elements.iter() {
-                    if el.done {
-                        continue;
-                    }
                     let tokens = el.span().count;
                     for &slot in &el.activated[layer as usize] {
                         let gpu = self.cache.home_gpu(ExpertId::new(layer, slot)) as usize;
@@ -1275,9 +1255,6 @@ impl ServingEngine {
             let waited_inflight = &scratch.waited_inflight;
             let missing = &scratch.missing;
             for el in elements.iter_mut() {
-                if el.done {
-                    continue;
-                }
                 for &slot in &el.activated[layer as usize] {
                     let e = ExpertId::new(layer, slot);
                     // Stats + policy bookkeeping recorded once per
@@ -1487,9 +1464,6 @@ impl ServingEngine {
                 // those experts (mirrors the hit/miss accounting above).
                 if !loaded.is_empty() {
                     for el in elements.iter_mut() {
-                        if el.done {
-                            continue;
-                        }
                         for &slot in &el.activated[layer as usize] {
                             if loaded.contains(ExpertId::new(layer, slot).dense_index(j)) {
                                 el.degraded_loads += 1;
@@ -1561,9 +1535,6 @@ impl ServingEngine {
         // Step 5: map update (asynchronous). The contexts built in step 1
         // are still current — nothing below mutated their inputs.
         for (el, ctx) in elements.iter_mut().zip(scratch.contexts.iter()) {
-            let Some(ctx) = ctx else {
-                continue; // finished element
-            };
             predictor.end_iteration(ctx, &el.realized_map);
             self.breakdown.update_async_ns += timing.update_ns;
 
@@ -1576,8 +1547,7 @@ impl ServingEngine {
                 el.decode_iterations += 1;
             }
             el.iteration += 1;
-            if el.iteration >= el.total_iterations {
-                el.done = true;
+            if el.is_done() {
                 el.finished_ns = self.clock.now();
                 let total = el.finished_ns - el.start_ns;
                 self.trace.instant(
@@ -1940,6 +1910,32 @@ mod tests {
         assert_eq!(e.active_requests(), 0);
     }
 
+    /// `prompt(id)` with its answer cut to `output_tokens`.
+    fn prompt_len(id: u64, output_tokens: u64) -> Prompt {
+        Prompt {
+            output_tokens,
+            ..prompt(id)
+        }
+    }
+
+    #[test]
+    fn serve_batch_returns_admission_order_not_finish_order() {
+        let mut e = tiny_engine(8, false);
+        // Finish order is 2, then the second 1, then the first 1: the
+        // first-admitted request finishes last, and two prompts share id 1.
+        let ms = e.serve_batch(
+            &[prompt_len(1, 6), prompt_len(2, 2), prompt_len(1, 4)],
+            &mut NoPrefetch,
+        );
+        let ids: Vec<u64> = ms.iter().map(|m| m.request_id).collect();
+        assert_eq!(ids, [1, 2, 1]);
+        let decodes: Vec<u64> = ms.iter().map(|m| m.decode_iterations).collect();
+        assert_eq!(decodes, [5, 1, 3]);
+        // All three started together, so total time is finish order:
+        // the batch really was reordered.
+        assert!(ms[1].total_ns < ms[2].total_ns && ms[2].total_ns < ms[0].total_ns);
+    }
+
     /// Records the slot of every request at its prefill iteration.
     #[derive(Default)]
     struct SlotRecorder {
@@ -1984,6 +1980,24 @@ mod tests {
             recorder.seen,
             [(24, 0), (25, 1), (26, 2), (27, 0), (28, 1), (29, 2)]
         );
+    }
+
+    #[test]
+    fn cache_trace_counters_match_cache_stats() {
+        let mut e = tiny_engine(4, false);
+        let sink = record_trace(&mut e);
+        let seeded = [ExpertId::new(0, 0), ExpertId::new(1, 1)];
+        let _ = e.warm_seed(&seeded, 0, 0);
+        let _ = e.serve_batch(&[prompt(30), prompt(31)], &mut NoPrefetch);
+        let m = sink.metrics_snapshot();
+        let s = e.cache_stats();
+        assert_eq!(s.warmup_inserts, 2);
+        assert_eq!(m.counter("cache.warmup_inserts"), s.warmup_inserts);
+        assert_eq!(m.counter("cache.insertions"), s.insertions);
+        assert_eq!(m.counter("cache.hits"), s.hits);
+        assert_eq!(m.counter("cache.misses"), s.misses);
+        assert_eq!(m.counter("cache.evictions"), s.evictions);
+        assert_eq!(m.counter("cache.rejected_inserts"), s.rejected_inserts);
     }
 
     #[test]

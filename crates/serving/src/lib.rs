@@ -28,9 +28,7 @@ pub mod online;
 pub mod placement;
 pub mod predictor;
 
-pub use engine::{
-    EngineBuilder, EngineConfig, ExpertParallelConfig, IndexMode, ServeError, ServingEngine,
-};
+pub use engine::{EngineBuilder, EngineConfig, ExpertParallelConfig, ServeError, ServingEngine};
 pub use metrics::{AggregateMetrics, Breakdown, PerGpuBreakdown, RequestMetrics};
 pub use online::{
     serve, serve_event_fcfs, FcfsOutcome, OnlineReport, OnlineResult, Scheduler, ServeOptions,

@@ -4,17 +4,17 @@
 //! drive trace-driven serving (the four legacy `serve_trace*` wrappers
 //! are gone), and `EngineBuilder` is the only sugared way to assemble an
 //! engine. This suite pins that surface: the builder must assemble the
-//! exact engine the setters do, the `IndexMode` switch must be
-//! observable only in performance, and expert parallelism must be inert
-//! unless explicitly enabled on a multi-GPU topology.
+//! exact engine the setters do, a placement policy must install the
+//! owner table a manual assignment would, and expert parallelism must
+//! be inert unless explicitly enabled on a multi-GPU topology.
 
 use fmoe::{FmoeConfig, FmoePredictor};
 use fmoe_cache::FmoePriorityPolicy;
 use fmoe_memsim::Topology;
 use fmoe_model::{presets, GateParams, GateSimulator, GpuSpec};
 use fmoe_serving::{
-    serve, EngineConfig, ExpertParallelConfig, IndexMode, PlacementPolicy, RoundRobinPlacement,
-    ServeOptions, ServingEngine,
+    serve, EngineConfig, ExpertParallelConfig, PlacementPolicy, RoundRobinPlacement, ServeOptions,
+    ServingEngine,
 };
 use fmoe_trace::TraceSink;
 use fmoe_workload::{AzureTraceSpec, DatasetSpec, TraceEvent};
@@ -97,25 +97,6 @@ fn builder_built_engine_matches_hand_assembled_engine() {
         unified, built,
         "EngineBuilder must assemble the exact engine the setters do"
     );
-}
-
-/// `IndexMode::Reference` swaps the residency-index representation
-/// without changing a single observable byte.
-#[test]
-fn index_mode_is_observable_only_in_performance() {
-    let events = trace(8);
-    let dense = fingerprint_of(engine(), &events);
-    let reference = fingerprint_of(
-        engine_with(
-            EngineConfig {
-                index_mode: IndexMode::Reference,
-                ..base_config()
-            },
-            Topology::single_gpu(8 << 30),
-        ),
-        &events,
-    );
-    assert_eq!(dense, reference, "IndexMode changed observable behaviour");
 }
 
 /// Expert parallelism on a single-GPU topology is a no-op: the config
