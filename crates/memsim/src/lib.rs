@@ -31,8 +31,7 @@ pub use clock::{Nanos, VirtualClock};
 pub use link::Link;
 pub use topology::{GpuId, Topology, TopologyBuilder, TopologyError};
 pub use transfer::{
-    FailedTransfer, OnDemandOutcome, RetryPolicy, TransferClass, TransferEngine, TransferError,
-    TransferStats,
+    FailedTransfer, OnDemandOutcome, RetryPolicy, TransferEngine, TransferError, TransferStats,
 };
 
 pub use fmoe_faults::FaultSchedule;

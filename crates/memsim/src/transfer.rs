@@ -146,15 +146,6 @@ pub struct OnDemandOutcome {
     pub retries: u32,
 }
 
-/// Class of a transfer, for statistics.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
-pub enum TransferClass {
-    /// Background prefetch (overlaps compute).
-    Prefetch,
-    /// Blocking on-demand load (expert miss).
-    OnDemand,
-}
-
 /// A completed prefetch job.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Completion {
@@ -603,34 +594,8 @@ impl TransferEngine {
     /// until the policy's cap, then completes regardless — an on-demand
     /// load cannot be abandoned, the forward pass needs the weights).
     pub fn on_demand_load(&mut self, gpu: GpuId, bytes: u64, now: Nanos) -> Nanos {
-        self.advance_to(now);
-        let done = match &self.faults {
-            None => now + self.links[gpu.index()].link.transfer_time(bytes),
-            Some(_) => {
-                let od_tag = self.next_on_demand_tag();
-                let proj = self.project_on_demand(gpu, od_tag, bytes, now);
-                self.account_on_demand_retries(&proj);
-                proj.done
-            }
-        };
-        let link = self.link_mut(gpu);
-        // The prefetch queue is frozen during [now, done): simply declare
-        // the link already synced to `done` without giving jobs progress.
-        link.synced_at = done;
-        self.stats.on_demand_loads += 1;
-        self.stats.on_demand_bytes += bytes;
-        self.stats.on_demand_blocked_ns += done - now;
-        self.trace.span(
-            done,
-            Phase::Transfer,
-            NO_REQUEST,
-            NO_LAYER,
-            gpu.0,
-            done - now,
-            bytes,
-        );
-        self.trace.count("transfer.on_demand_loads", 1);
-        done
+        self.blocking_load(gpu, bytes, now, Nanos::MAX, bytes, false)
+            .completed_at
     }
 
     /// A warm-restart seeding transfer: one bulk load of `bytes` onto
@@ -644,32 +609,8 @@ impl TransferEngine {
     /// distinguishable from steady-state miss servicing. Faults on the
     /// link (degradation windows, transient failures) apply as usual.
     pub fn warmup_load(&mut self, gpu: GpuId, bytes: u64, now: Nanos) -> Nanos {
-        self.advance_to(now);
-        let done = match &self.faults {
-            None => now + self.links[gpu.index()].link.transfer_time(bytes),
-            Some(_) => {
-                let od_tag = self.next_on_demand_tag();
-                let proj = self.project_on_demand(gpu, od_tag, bytes, now);
-                self.account_on_demand_retries(&proj);
-                proj.done
-            }
-        };
-        let link = self.link_mut(gpu);
-        link.synced_at = done;
-        self.stats.warmup_loads += 1;
-        self.stats.warmup_bytes += bytes;
-        self.stats.warmup_ns += done - now;
-        self.trace.span(
-            done,
-            Phase::Transfer,
-            NO_REQUEST,
-            NO_LAYER,
-            gpu.0,
-            done - now,
-            bytes,
-        );
-        self.trace.count("transfer.warmup_loads", 1);
-        done
+        self.blocking_load(gpu, bytes, now, Nanos::MAX, bytes, true)
+            .completed_at
     }
 
     /// Like [`Self::on_demand_load`], but with a completion deadline and
@@ -680,7 +621,8 @@ impl TransferEngine {
     /// the outcome as degraded. If even the fallback misses the deadline
     /// the load still runs to completion (the simulation must progress),
     /// with `missed_deadline` set so callers can account an SLO
-    /// violation.
+    /// violation. With `deadline = Nanos::MAX` this is exactly
+    /// [`Self::on_demand_load`].
     pub fn on_demand_load_with_deadline(
         &mut self,
         gpu: GpuId,
@@ -690,37 +632,58 @@ impl TransferEngine {
         fallback_bytes: u64,
     ) -> Result<OnDemandOutcome, TransferError> {
         self.check_gpu(gpu)?;
+        Ok(self.blocking_load(gpu, bytes, now, deadline, fallback_bytes, false))
+    }
+
+    /// The one blocking-load body: projects the load (falling back to
+    /// `fallback_bytes` when the full payload would overshoot
+    /// `deadline`), freezes the link's prefetch queue until it lands,
+    /// and books it as a warmup or an on-demand load.
+    fn blocking_load(
+        &mut self,
+        gpu: GpuId,
+        bytes: u64,
+        now: Nanos,
+        deadline: Nanos,
+        fallback_bytes: u64,
+        warmup: bool,
+    ) -> OnDemandOutcome {
         self.advance_to(now);
         // One logical load = one on-demand identity, even when both the
         // full and fallback payloads are projected: faults, retries, and
         // backoff are accounted only for the projection actually taken.
-        let od_tag = match &self.faults {
-            None => None,
-            Some(_) => Some(self.next_on_demand_tag()),
+        // Identities only seed failure decisions, so they are consumed
+        // only under a fault schedule.
+        let od_tag = if self.faults.is_some() {
+            self.next_on_demand_tag()
+        } else {
+            0
         };
-        let project = |eng: &Self, payload: u64| match od_tag {
-            None => OnDemandProjection {
-                done: now + eng.links[gpu.index()].link.transfer_time(payload),
-                retries: 0,
-                backoff_ns: 0,
-            },
-            Some(tag) => eng.project_on_demand(gpu, tag, payload, now),
-        };
-        let full = project(self, bytes);
+        let full = self.project_on_demand(gpu, od_tag, bytes, now);
         let (chosen, bytes_loaded, degraded) = if full.done > deadline && fallback_bytes < bytes {
-            (project(self, fallback_bytes), fallback_bytes, true)
+            (
+                self.project_on_demand(gpu, od_tag, fallback_bytes, now),
+                fallback_bytes,
+                true,
+            )
         } else {
             (full, bytes, false)
         };
         let done = chosen.done;
-        let retries = chosen.retries;
         let missed_deadline = done > deadline;
         self.account_on_demand_retries(&chosen);
-        let link = self.link_mut(gpu);
-        link.synced_at = done;
-        self.stats.on_demand_loads += 1;
-        self.stats.on_demand_bytes += bytes_loaded;
-        self.stats.on_demand_blocked_ns += done - now;
+        // The prefetch queue is frozen during [now, done): simply declare
+        // the link already synced to `done` without giving jobs progress.
+        self.link_mut(gpu).synced_at = done;
+        if warmup {
+            self.stats.warmup_loads += 1;
+            self.stats.warmup_bytes += bytes_loaded;
+            self.stats.warmup_ns += done - now;
+        } else {
+            self.stats.on_demand_loads += 1;
+            self.stats.on_demand_bytes += bytes_loaded;
+            self.stats.on_demand_blocked_ns += done - now;
+        }
         if degraded {
             self.stats.degraded_on_demand += 1;
         }
@@ -736,7 +699,14 @@ impl TransferEngine {
             done - now,
             bytes_loaded,
         );
-        self.trace.count("transfer.on_demand_loads", 1);
+        self.trace.count(
+            if warmup {
+                "transfer.warmup_loads"
+            } else {
+                "transfer.on_demand_loads"
+            },
+            1,
+        );
         if degraded {
             self.trace.instant(
                 done,
@@ -761,13 +731,13 @@ impl TransferEngine {
             );
             self.trace.count("transfer.missed_deadlines", 1);
         }
-        Ok(OnDemandOutcome {
+        OnDemandOutcome {
             completed_at: done,
             bytes_loaded,
             degraded,
             missed_deadline,
-            retries,
-        })
+            retries: chosen.retries,
+        }
     }
 
     /// Allocates the next on-demand identity. The high bit marks the tag
@@ -896,18 +866,6 @@ impl TransferEngine {
     #[must_use]
     pub fn queued_jobs(&self, gpu: GpuId) -> usize {
         self.links[gpu.index()].queue.len()
-    }
-
-    /// Virtual time at which the link would finish everything currently
-    /// queued, assuming no further traffic.
-    #[must_use]
-    pub fn drain_time(&self, gpu: GpuId) -> Nanos {
-        let link = &self.links[gpu.index()];
-        let mut t = link.synced_at;
-        for job in &link.queue {
-            t += job.setup_remaining + link.link.wire_time(job.bytes_remaining.ceil() as u64);
-        }
-        t
     }
 
     /// Estimated completion time of a specific queued job, accounting for
@@ -1130,15 +1088,6 @@ mod tests {
             sink.metrics_snapshot().counter("transfer.cancelled_jobs"),
             2
         );
-    }
-
-    #[test]
-    fn drain_time_accounts_queue() {
-        let mut e = engine(1);
-        assert_eq!(e.drain_time(GpuId(0)), 0);
-        e.submit_prefetch(GpuId(0), 1, 100 * MB, 0);
-        e.submit_prefetch(GpuId(0), 2, 100 * MB, 0);
-        assert_eq!(e.drain_time(GpuId(0)), 2 * link().transfer_time(100 * MB));
     }
 
     #[test]
@@ -1390,16 +1339,49 @@ mod tests {
 
     #[test]
     fn deadline_load_without_faults_matches_plain_load() {
-        let mut a = engine(1);
-        let mut b = engine(1);
-        let plain = a.on_demand_load(GpuId(0), 64 * MB, 1000);
-        let out = b
-            .on_demand_load_with_deadline(GpuId(0), 64 * MB, 1000, Nanos::MAX, 32 * MB)
-            .unwrap();
-        assert_eq!(out.completed_at, plain);
-        assert!(!out.degraded);
-        assert!(!out.missed_deadline);
-        assert_eq!(out.retries, 0);
+        // With `deadline = Nanos::MAX` the deadline variant is the plain
+        // load — same completion, stats, trace records and counters —
+        // both fault-free and under a heavy schedule whose windows and
+        // transient failures hit the loads.
+        let heavy = FaultSchedule::synthetic(7, 1.0, 2_000_000_000, 1);
+        assert!(!heavy.is_inert());
+        for schedule in [None, Some(heavy)] {
+            let sink_a = fmoe_trace::TraceSink::recording(1024);
+            let sink_b = fmoe_trace::TraceSink::recording(1024);
+            let mut a = engine(1);
+            let mut b = engine(1);
+            for (e, sink) in [(&mut a, &sink_a), (&mut b, &sink_b)] {
+                e.set_trace_sink(sink.clone());
+                if let Some(s) = &schedule {
+                    e.set_fault_schedule(s.clone());
+                }
+                e.submit_prefetch(GpuId(0), 1, 50 * MB, 0);
+            }
+            let mut now = 1000;
+            let mut slowed = false;
+            for _ in 0..16 {
+                let plain = a.on_demand_load(GpuId(0), 64 * MB, now);
+                let out = b
+                    .on_demand_load_with_deadline(GpuId(0), 64 * MB, now, Nanos::MAX, 32 * MB)
+                    .unwrap();
+                assert_eq!(out.completed_at, plain);
+                assert!(!out.degraded);
+                assert!(!out.missed_deadline);
+                slowed |= plain - now > link().transfer_time(64 * MB);
+                now = plain + 1000;
+            }
+            a.advance_to(now);
+            b.advance_to(now);
+            assert_eq!(a.drain_completions(), b.drain_completions());
+            assert_eq!(a.stats(), b.stats());
+            assert_eq!(sink_a.take_records(), sink_b.take_records());
+            assert_eq!(sink_a.metrics_snapshot(), sink_b.metrics_snapshot());
+            assert_eq!(
+                (slowed, a.stats().retries > 0),
+                (schedule.is_some(), schedule.is_some()),
+                "faults must stretch and retry some load, and only faults"
+            );
+        }
     }
 
     #[test]

@@ -24,7 +24,7 @@
 
 use crate::metrics::{Breakdown, PerGpuBreakdown, RequestMetrics};
 use crate::placement::PlacementPolicy;
-use crate::predictor::{ExpertPredictor, IterationContext, PrefetchPlan};
+use crate::predictor::{ExpertPredictor, IterationContext, PredictorTiming, PrefetchPlan};
 use fmoe_cache::{EvictionPolicy, ExpertCache, InsertOutcome};
 use fmoe_memsim::{
     all2all_layer_time, FaultSchedule, GpuId, Nanos, RetryPolicy, Topology, TransferEngine,
@@ -131,24 +131,10 @@ impl EngineConfig {
         }
     }
 
-    /// Sets the cache budget in GiB.
-    #[must_use]
-    pub fn with_cache_gb(mut self, gb: u64) -> Self {
-        self.cache_budget_bytes = gb * (1u64 << 30);
-        self
-    }
-
     /// Caps decode length.
     #[must_use]
     pub fn with_max_decode(mut self, iters: u64) -> Self {
         self.max_decode_iterations = Some(iters);
-        self
-    }
-
-    /// Sets the on-demand load deadline.
-    #[must_use]
-    pub fn with_on_demand_deadline(mut self, deadline_ns: Nanos) -> Self {
-        self.on_demand_deadline_ns = Some(deadline_ns);
         self
     }
 }
@@ -208,6 +194,33 @@ struct Element {
     embedding: Vec<f64>,
     /// Activated expert slots per layer of the current iteration.
     activated: Vec<Vec<u32>>,
+}
+
+/// Batch-wide quantities every layer of one iteration reads; constant
+/// for the iteration.
+#[derive(Debug, Clone, Copy)]
+struct BatchShape {
+    /// Tokens routed this iteration: whole prompts for prefills, one
+    /// per decoding request.
+    tokens: u64,
+    /// Longest context any element attends over this iteration.
+    context_len: u64,
+    /// Whether any element runs SLO-degraded.
+    any_degraded: bool,
+}
+
+impl BatchShape {
+    fn of(elements: &[Element]) -> Self {
+        Self {
+            tokens: elements.iter().map(|e| e.span().count).sum(),
+            context_len: elements
+                .iter()
+                .map(|e| e.position + e.span().count)
+                .max()
+                .unwrap_or(1),
+            any_degraded: elements.iter().any(|e| e.degraded),
+        }
+    }
 }
 
 /// Reusable per-iteration working memory. `run_iteration` is the
@@ -285,6 +298,13 @@ impl IterationScratch {
             self.tokens_to_gpu = vec![0; num_gpus];
             self.a2a_per_gpu = vec![0; num_gpus];
         }
+    }
+}
+
+/// Adds per-GPU times from `from` into `into`.
+fn accumulate(into: &mut [Nanos], from: &[Nanos]) {
+    for (t, &v) in into.iter_mut().zip(from) {
+        *t += v;
     }
 }
 
@@ -549,13 +569,6 @@ impl EngineBuilder {
     #[must_use]
     pub fn max_decode(mut self, iterations: u64) -> Self {
         self.config.max_decode_iterations = Some(iterations);
-        self
-    }
-
-    /// Sets the deadline for blocking on-demand loads.
-    #[must_use]
-    pub fn on_demand_deadline(mut self, deadline_ns: Nanos) -> Self {
-        self.config.on_demand_deadline_ns = Some(deadline_ns);
         self
     }
 
@@ -977,8 +990,9 @@ impl ServingEngine {
         self.drain(predictor)
     }
 
-    /// Runs one lockstep iteration over the batch. Every element is
-    /// live: [`Self::step_with`] removes requests as they finish.
+    /// Runs one lockstep iteration over the batch: the paper's Step ①–⑤
+    /// loop, one named step per stage. Every element is live:
+    /// [`Self::step_with`] removes requests as they finish.
     fn run_iteration(&mut self, elements: &mut [Element], predictor: &mut dyn ExpertPredictor) {
         debug_assert!(
             elements.iter().all(|el| !el.is_done()),
@@ -993,18 +1007,66 @@ impl ServingEngine {
         let timing = predictor.timing();
         self.breakdown.matching_synchronous = timing.synchronous;
         let num_layers = self.gate.config().num_layers;
-        let j = self.gate.config().experts_per_layer;
-        // EP knobs, snapshotted once (Copy) so the per-layer blocks
-        // below don't hold a borrow of `self.ep` across clock advances.
-        let ep_cfg = self.ep.as_ref().map(|s| s.config);
-        let a2a_bytes_per_token =
-            u64::from(self.gate.config().hidden_dim) * fmoe_model::BYTES_PER_PARAM_FP16;
         scratch.ensure_model(
-            num_layers as usize * j as usize,
+            num_layers as usize * self.gate.config().experts_per_layer as usize,
             self.topology.num_gpus as usize,
         );
 
-        // Step 1: context collection (synchronous).
+        self.collect_context(elements, &mut scratch);
+        self.set_iteration_budget(elements);
+
+        // Step 2a: iteration-start prediction (semantic search window).
+        scratch.begin_plans.clear();
+        for ctx in &scratch.contexts {
+            scratch.begin_plans.extend(predictor.begin_iteration(ctx));
+        }
+        self.issue_plans(&scratch.begin_plans, &timing);
+
+        let shape = BatchShape::of(elements);
+        for layer in 0..num_layers {
+            self.run_layer(layer, shape, elements, predictor, &timing, &mut scratch);
+        }
+
+        // LM head / embedding: critical-path compute with no trace span
+        // (the one clock advance outside `charge`).
+        let head = self.cost.embedding_time(shape.tokens);
+        self.clock.advance(head);
+        self.breakdown.compute_ns += head;
+
+        self.finish_iteration(elements, predictor, &timing, &scratch.contexts);
+        self.breakdown.iteration_total_ns += self.clock.now() - iter_start;
+        self.trace
+            .end(self.clock.now(), Phase::Iteration, NO_REQUEST, NO_LAYER);
+        // Hand the working memory back for the next iteration; the
+        // backing allocations survive the round-trip.
+        self.scratch = scratch;
+    }
+
+    /// Charges `ns` of critical-path time to `phase`: advances the
+    /// clock, books the phase's [`Breakdown`] field, and emits the
+    /// phase's span ending at the new instant. Every engine-side
+    /// critical-path charge goes through here except the LM head, which
+    /// books compute without a span.
+    fn charge(&mut self, phase: Phase, layer: u32, ns: Nanos) {
+        let field = match phase {
+            Phase::ContextCollect => &mut self.breakdown.context_collection_ns,
+            Phase::Gate | Phase::Compute => &mut self.breakdown.compute_ns,
+            Phase::All2All => &mut self.breakdown.all2all_ns,
+            Phase::PrefetchIssue => &mut self.breakdown.matching_ns,
+            // Not engine charges: the scheduler books queueing, the
+            // transfer engine its wire spans, and on-demand waits and
+            // iterations are Begin/End intervals.
+            Phase::Queue | Phase::Transfer | Phase::OnDemandWait | Phase::Iteration => return,
+        };
+        *field += ns;
+        self.clock.advance(ns);
+        self.trace
+            .span(self.clock.now(), phase, NO_REQUEST, layer, NO_GPU, ns, 0);
+    }
+
+    /// Step ①: context collection (synchronous), then the iteration
+    /// boundary — stale prefetches pruned, pins released.
+    fn collect_context(&mut self, elements: &mut [Element], scratch: &mut IterationScratch) {
         for el in elements.iter_mut() {
             el.embedding = self
                 .gate
@@ -1019,16 +1081,10 @@ impl ServingEngine {
         scratch
             .contexts
             .extend(elements.iter().map(Element::context));
-        self.clock.advance(self.config.context_collection_ns);
-        self.breakdown.context_collection_ns += self.config.context_collection_ns;
-        self.trace.span(
-            self.clock.now(),
+        self.charge(
             Phase::ContextCollect,
-            NO_REQUEST,
             NO_LAYER,
-            NO_GPU,
             self.config.context_collection_ns,
-            0,
         );
 
         // Stale-prefetch pruning: jobs still queued from the previous
@@ -1039,506 +1095,450 @@ impl ServingEngine {
         self.cache.unpin_all();
         self.cache.notify_iteration_boundary();
         self.staged.clear();
+    }
 
-        // KV-aware budgeting and memory-pressure faults both squeeze the
-        // expert cache; the effective budget is recomputed every iteration
-        // so pressure windows release their squeeze when they close.
+    /// KV-aware budgeting and memory-pressure faults both squeeze the
+    /// expert cache; the effective budget is recomputed every iteration
+    /// so pressure windows release their squeeze when they close.
+    fn set_iteration_budget(&mut self, elements: &[Element]) {
+        if !self.config.kv_aware_budget && self.faults.is_none() {
+            return;
+        }
         let pressure = self
             .faults
             .as_ref()
             .map_or(1.0, |f| f.budget_factor(self.clock.now()));
-        if self.config.kv_aware_budget || self.faults.is_some() {
-            let mut effective = self.config.cache_budget_bytes;
-            if pressure < 1.0 {
-                effective = (effective as f64 * pressure) as u64;
-            }
-            if self.config.kv_aware_budget {
-                let kv_per_token = self.gate.config().kv_bytes_per_token();
-                let live_kv: u64 = elements
-                    .iter()
-                    .map(|e| (e.position + e.span().count) * kv_per_token)
-                    .sum();
-                effective = effective.saturating_sub(live_kv);
-            }
-            if pressure < 1.0 {
-                self.trace.instant(
-                    self.clock.now(),
-                    Marker::BudgetPressure,
-                    NO_REQUEST,
-                    NO_LAYER,
-                    NO_SLOT,
-                    NO_GPU,
-                    effective,
-                );
-                self.trace.count("engine.budget_pressure_iterations", 1);
-            }
-            let _ = self.cache.set_total_budget(effective);
+        let mut effective = self.config.cache_budget_bytes;
+        if pressure < 1.0 {
+            effective = (effective as f64 * pressure) as u64;
         }
-
-        // Step 2a: iteration-start prediction (semantic search window).
-        scratch.begin_plans.clear();
-        {
-            let IterationScratch {
-                begin_plans,
-                contexts,
-                ..
-            } = &mut scratch;
-            for ctx in contexts.iter() {
-                begin_plans.extend(predictor.begin_iteration(ctx));
-            }
+        if self.config.kv_aware_budget {
+            let kv_per_token = self.gate.config().kv_bytes_per_token();
+            let live_kv: u64 = elements
+                .iter()
+                .map(|e| (e.position + e.span().count) * kv_per_token)
+                .sum();
+            effective = effective.saturating_sub(live_kv);
         }
-        if !scratch.begin_plans.is_empty() {
-            self.apply_predictor_timing(&timing);
-            let issue_at = self.prefetch_issue_time(&timing);
-            let _ = self.issue_prefetches(&scratch.begin_plans, issue_at);
-        }
-
-        let batch_tokens: u64 = elements.iter().map(|e| e.span().count).sum();
-        let any_degraded = elements.iter().any(|e| e.degraded);
-        let context_len = elements
-            .iter()
-            .map(|e| e.position + e.span().count)
-            .max()
-            .unwrap_or(1);
-
-        for layer in 0..num_layers {
-            // Drop queued prefetches whose target layer has already
-            // executed this iteration — they can no longer help.
-            if layer > 0 {
-                self.prune_stale_prefetches(Some(layer), &mut scratch.stale);
-            }
-            // Attention + gate + always-on shared experts + host dispatch.
-            let compute = self.cost.attention_time(batch_tokens, context_len)
-                + self.cost.gate_time(batch_tokens)
-                + self.cost.shared_expert_time(batch_tokens)
-                + self.config.framework_overhead_per_layer_ns;
-            self.clock.advance(compute);
-            self.breakdown.compute_ns += compute;
-            self.trace.span(
+        if pressure < 1.0 {
+            self.trace.instant(
                 self.clock.now(),
-                Phase::Gate,
+                Marker::BudgetPressure,
                 NO_REQUEST,
-                layer,
+                NO_LAYER,
+                NO_SLOT,
                 NO_GPU,
-                compute,
-                0,
+                effective,
             );
+            self.trace.count("engine.budget_pressure_iterations", 1);
+        }
+        let _ = self.cache.set_total_budget(effective);
+    }
 
-            // Gate ground truth per element; union of activated experts.
-            scratch.union.clear();
-            scratch.layer_plans.clear();
-            if any_degraded {
-                scratch.full_precision.clear();
-            }
-            {
-                let IterationScratch {
-                    union,
-                    full_precision,
-                    layer_plans,
-                    contexts,
-                    gate,
-                    ..
-                } = &mut scratch;
-                for (el, ctx) in elements.iter_mut().zip(contexts.iter()) {
-                    self.gate
-                        .route_into(el.prompt.routing, el.iteration, layer, el.span(), gate);
-                    for &slot in &gate.activated {
-                        let d = layer as usize * j as usize + slot as usize;
-                        union.insert(d);
-                        if any_degraded && !el.degraded {
-                            full_precision.insert(d);
-                        }
-                    }
-                    el.realized_map.push(gate.dist.clone());
-                    el.activated.push(gate.activated.clone());
-                    layer_plans.extend(predictor.observe_gate(ctx, layer, &gate.dist));
+    /// One transformer layer: gate, all2all dispatch, resolve, step ④,
+    /// expert compute, all2all combine, and pin release.
+    fn run_layer(
+        &mut self,
+        layer: u32,
+        shape: BatchShape,
+        elements: &mut [Element],
+        predictor: &mut dyn ExpertPredictor,
+        timing: &PredictorTiming,
+        scratch: &mut IterationScratch,
+    ) {
+        // Drop queued prefetches whose target layer has already
+        // executed this iteration — they can no longer help.
+        if layer > 0 {
+            self.prune_stale_prefetches(Some(layer), &mut scratch.stale);
+        }
+        self.gate_layer(layer, shape, elements, predictor, timing, scratch);
+        let combine_ns = self.all2all_dispatch(layer, elements, scratch);
+        // Absorb prefetches that have landed by now.
+        self.absorb_completions();
+        self.resolve_layer(layer, elements, predictor, timing, scratch);
+        if !scratch.waited_inflight.is_empty() || !scratch.missing.is_empty() {
+            self.load_missing(layer, shape, elements, timing, scratch);
+        }
+
+        // Expert FFN compute: per-GPU serial, cross-GPU parallel.
+        let expert_compute =
+            self.expert_compute_time(&scratch.union, shape.tokens, &mut scratch.compute_per_gpu);
+        self.charge(Phase::Compute, layer, expert_compute);
+        accumulate(&mut self.per_gpu.compute_ns, &scratch.compute_per_gpu);
+        // EP all2all combine: expert outputs return to each token's
+        // source GPU — the mirror of the dispatch.
+        if combine_ns > 0 {
+            self.charge(Phase::All2All, layer, combine_ns);
+        }
+        // Release this layer's pins; staged experts for *future*
+        // layers stay protected until their layer executes.
+        let j = self.gate.config().experts_per_layer;
+        for d in scratch.union.iter() {
+            self.cache.unpin(ExpertId::from_dense_index(d, j));
+            self.staged.remove(d);
+        }
+        scratch.passed.clear();
+        scratch
+            .passed
+            .extend(self.staged.iter_experts(j).filter(|e| e.layer <= layer));
+        for &e in &scratch.passed {
+            self.cache.unpin(e);
+            self.staged.remove(e.dense_index(j));
+        }
+        self.cache.notify_layer_done(layer);
+    }
+
+    /// Attention + gate + shared-expert compute, then the gate ground
+    /// truth per element (the union of activated experts) and step 2b,
+    /// the predictor's `observe_gate`.
+    fn gate_layer(
+        &mut self,
+        layer: u32,
+        shape: BatchShape,
+        elements: &mut [Element],
+        predictor: &mut dyn ExpertPredictor,
+        timing: &PredictorTiming,
+        scratch: &mut IterationScratch,
+    ) {
+        // Attention + gate + always-on shared experts + host dispatch.
+        let compute = self.cost.attention_time(shape.tokens, shape.context_len)
+            + self.cost.gate_time(shape.tokens)
+            + self.cost.shared_expert_time(shape.tokens)
+            + self.config.framework_overhead_per_layer_ns;
+        self.charge(Phase::Gate, layer, compute);
+
+        let j = self.gate.config().experts_per_layer;
+        scratch.union.clear();
+        scratch.layer_plans.clear();
+        if shape.any_degraded {
+            scratch.full_precision.clear();
+        }
+        for (el, ctx) in elements.iter_mut().zip(&scratch.contexts) {
+            self.gate.route_into(
+                el.prompt.routing,
+                el.iteration,
+                layer,
+                el.span(),
+                &mut scratch.gate,
+            );
+            for &slot in &scratch.gate.activated {
+                let d = layer as usize * j as usize + slot as usize;
+                scratch.union.insert(d);
+                if shape.any_degraded && !el.degraded {
+                    scratch.full_precision.insert(d);
                 }
             }
-            if !scratch.layer_plans.is_empty() {
-                self.apply_predictor_timing(&timing);
-                let issue_at = self.prefetch_issue_time(&timing);
-                let _ = self.issue_prefetches(&scratch.layer_plans, issue_at);
-            }
+            el.realized_map.push(scratch.gate.dist.clone());
+            el.activated.push(scratch.gate.activated.clone());
+            scratch
+                .layer_plans
+                .extend(predictor.observe_gate(ctx, layer, &scratch.gate.dist));
+        }
+        self.issue_plans(&scratch.layer_plans, timing);
+    }
 
-            // EP all2all dispatch: each token's hidden activation moves
-            // to the owner GPUs of its activated experts over the peer
-            // fabric, bottlenecked by the most-loaded owner (gate skew).
-            // The symmetric combine is charged after expert compute.
-            let mut a2a_combine_ns = 0;
-            if let Some(ep_cfg) = ep_cfg {
-                scratch.tokens_to_gpu.iter_mut().for_each(|t| *t = 0);
-                for el in elements.iter() {
-                    let tokens = el.span().count;
-                    for &slot in &el.activated[layer as usize] {
-                        let gpu = self.cache.home_gpu(ExpertId::new(layer, slot)) as usize;
-                        if let Some(t) = scratch.tokens_to_gpu.get_mut(gpu) {
-                            *t += tokens;
-                        }
-                    }
-                }
-                let total = all2all_layer_time(
-                    &self.topology,
-                    ep_cfg.backend,
-                    &scratch.tokens_to_gpu,
-                    a2a_bytes_per_token,
-                    &mut scratch.a2a_per_gpu,
-                );
-                if total > 0 {
-                    let dispatch = total / 2;
-                    a2a_combine_ns = total - dispatch;
-                    self.clock.advance(dispatch);
-                    self.breakdown.all2all_ns += dispatch;
-                    self.trace.span(
-                        self.clock.now(),
-                        Phase::All2All,
-                        NO_REQUEST,
-                        layer,
-                        NO_GPU,
-                        dispatch,
-                        0,
-                    );
-                    for (g, &busy) in scratch.a2a_per_gpu.iter().enumerate() {
-                        if let Some(t) = self.per_gpu.all2all_ns.get_mut(g) {
-                            *t += busy;
-                        }
-                    }
+    /// EP all2all dispatch: each token's hidden activation moves to the
+    /// owner GPUs of its activated experts over the peer fabric,
+    /// bottlenecked by the most-loaded owner (gate skew). Charges the
+    /// dispatch half and returns the symmetric combine half, which is
+    /// charged after expert compute. Zero when EP is off.
+    fn all2all_dispatch(
+        &mut self,
+        layer: u32,
+        elements: &[Element],
+        scratch: &mut IterationScratch,
+    ) -> Nanos {
+        let Some(backend) = self.ep.as_ref().map(|s| s.config.backend) else {
+            return 0;
+        };
+        scratch.tokens_to_gpu.fill(0);
+        for el in elements {
+            let tokens = el.span().count;
+            for &slot in &el.activated[layer as usize] {
+                let gpu = self.cache.home_gpu(ExpertId::new(layer, slot)) as usize;
+                if let Some(t) = scratch.tokens_to_gpu.get_mut(gpu) {
+                    *t += tokens;
                 }
             }
+        }
+        let bytes_per_token =
+            u64::from(self.gate.config().hidden_dim) * fmoe_model::BYTES_PER_PARAM_FP16;
+        let total = all2all_layer_time(
+            &self.topology,
+            backend,
+            &scratch.tokens_to_gpu,
+            bytes_per_token,
+            &mut scratch.a2a_per_gpu,
+        );
+        if total == 0 {
+            return 0;
+        }
+        let dispatch = total / 2;
+        self.charge(Phase::All2All, layer, dispatch);
+        accumulate(&mut self.per_gpu.all2all_ns, &scratch.a2a_per_gpu);
+        total - dispatch
+    }
 
-            // Absorb prefetches that have landed by now.
-            self.absorb_completions();
-
-            // Classify each needed expert: resident, in flight (a prefetch
-            // is mid-transfer — wait for the remainder rather than cancel
-            // and reload), or missing (full on-demand load).
-            let now = self.clock.now();
-            scratch.residency.clear();
-            scratch.waited_inflight.clear();
+    /// Classifies each needed expert — resident, in flight (a prefetch
+    /// is mid-transfer: wait for the remainder rather than cancel and
+    /// reload), or missing (full on-demand load) — records every
+    /// (element, expert) access, and pins the resident ones.
+    fn resolve_layer(
+        &mut self,
+        layer: u32,
+        elements: &mut [Element],
+        predictor: &dyn ExpertPredictor,
+        timing: &PredictorTiming,
+        scratch: &mut IterationScratch,
+    ) {
+        let j = self.gate.config().experts_per_layer;
+        let now = self.clock.now();
+        scratch.residency.clear();
+        scratch.waited_inflight.clear();
+        scratch.missing.clear();
+        for d in scratch.union.iter() {
+            let e = ExpertId::from_dense_index(d, j);
+            if self.cache.contains(e) {
+                scratch.residency.insert(d, true);
+            } else if self.in_flight.contains(d) {
+                // For blocking policies (Mixtral-Offloading) the wait
+                // is the design — the speculated expert counts as a
+                // hit; for async policies a late prefetch is a miss.
+                scratch.residency.insert(d, timing.blocking_prefetch);
+                scratch.waited_inflight.push(e);
+            } else {
+                scratch.residency.insert(d, false);
+                scratch.missing.push(e);
+            }
+        }
+        // Expert-agnostic layer streaming (DeepSpeed-Inference): the
+        // policy cannot tell which experts are needed or resident, so
+        // any miss streams the layer's *entire* expert blob from host
+        // memory — resident experts included.
+        if predictor.loads_entire_layer() && !scratch.missing.is_empty() {
             scratch.missing.clear();
-            {
-                let IterationScratch {
-                    union,
-                    residency,
-                    waited_inflight,
-                    missing,
-                    ..
-                } = &mut scratch;
-                for d in union.iter() {
-                    let e = ExpertId::from_dense_index(d, j);
-                    let resident = self.cache.contains(e);
-                    if resident {
-                        residency.insert(d, true);
-                    } else if self.in_flight.contains(d) {
-                        // For blocking policies (Mixtral-Offloading) the wait
-                        // is the design — the speculated expert counts as a
-                        // hit; for async policies a late prefetch is a miss.
-                        residency.insert(d, timing.blocking_prefetch);
-                        waited_inflight.push(e);
-                    } else {
-                        residency.insert(d, false);
-                        missing.push(e);
+            scratch
+                .missing
+                .extend((0..j).map(|slot| ExpertId::new(layer, slot)));
+        }
+        for el in elements.iter_mut() {
+            for &slot in &el.activated[layer as usize] {
+                let e = ExpertId::new(layer, slot);
+                // Stats + policy bookkeeping recorded once per
+                // (element, expert) access, against pre-load residency.
+                if scratch.residency.get(e.dense_index(j)) == Some(&true) {
+                    el.hits += 1;
+                    self.trace.count("engine.expert_hits", 1);
+                    if self.cache.is_degraded(e) {
+                        el.degraded_hits += 1;
                     }
-                }
-            }
-            let missing = &mut scratch.missing;
-            // Expert-agnostic layer streaming (DeepSpeed-Inference): the
-            // policy cannot tell which experts are needed or resident, so
-            // any miss streams the layer's *entire* expert blob from host
-            // memory — resident experts included.
-            if predictor.loads_entire_layer() && !missing.is_empty() {
-                missing.clear();
-                for slot in 0..j {
-                    missing.push(ExpertId::new(layer, slot));
-                }
-            }
-            let residency = &scratch.residency;
-            let waited_inflight = &scratch.waited_inflight;
-            let missing = &scratch.missing;
-            for el in elements.iter_mut() {
-                for &slot in &el.activated[layer as usize] {
-                    let e = ExpertId::new(layer, slot);
-                    // Stats + policy bookkeeping recorded once per
-                    // (element, expert) access, against pre-load residency.
-                    if residency.get(e.dense_index(j)).copied().unwrap_or(false) {
-                        el.hits += 1;
-                        self.trace.count("engine.expert_hits", 1);
-                        if self.cache.is_degraded(e) {
-                            el.degraded_hits += 1;
-                        }
-                    } else {
-                        el.misses += 1;
-                        self.trace.count("engine.expert_misses", 1);
-                    }
-                    self.cache.record_access(e, now);
-                }
-            }
-
-            // Pin resident activated experts before loading the rest, so
-            // insertions cannot evict what this layer is about to run.
-            for e in scratch.union.iter_experts(j) {
-                self.cache.pin(e);
-            }
-
-            // Step 4: wait for needed in-flight transfers and issue
-            // blocking on-demand loads, chained per GPU link, parallel
-            // across GPUs. Prefetch queues pause during on-demand loads.
-            if !waited_inflight.is_empty() || !missing.is_empty() {
-                let start = self.clock.now();
-                let bytes = self.cache.expert_bytes();
-                self.trace
-                    .begin(start, Phase::OnDemandWait, NO_REQUEST, layer);
-                // Per-GPU start times: on-demand loads on a link begin
-                // after the needed in-flight jobs on that link complete.
-                scratch.per_gpu_now.fill(None);
-                let per_gpu_now = &mut scratch.per_gpu_now;
-                let mut inflight_done = start;
-                // Promote every needed transfer first; estimating completion
-                // before all promotions are in would go stale as soon as a
-                // second job jumps the same link's queue.
-                for &e in waited_inflight {
-                    let gpu = self.cache.home_gpu(e);
-                    let tag = e.dense_index(j) as u64;
-                    self.trace.instant(
-                        start,
-                        Marker::InFlightWait,
-                        NO_REQUEST,
-                        e.layer,
-                        e.slot,
-                        gpu,
-                        NO_VALUE,
-                    );
-                    self.trace.count("engine.inflight_waits", 1);
-                    // The forward pass needs this transfer now: jump it
-                    // ahead of background prefetch traffic on its link.
-                    self.transfer.promote_to_front(GpuId(gpu), tag, start);
-                }
-                for &e in waited_inflight {
-                    let gpu = self.cache.home_gpu(e);
-                    let tag = e.dense_index(j) as u64;
-                    if let Some(done) = self.transfer.completion_time_of(GpuId(gpu), tag) {
-                        let entry = per_gpu_now[gpu as usize].get_or_insert(start);
-                        *entry = (*entry).max(done);
-                        inflight_done = inflight_done.max(done);
-                    }
-                }
-                // On-demand payload sizes: full precision normally, half
-                // precision when only SLO-degraded elements need the expert
-                // or when a deadline miss forces the fallback. `loaded`
-                // records what actually moved so the cache insert matches
-                // the wire.
-                scratch.loaded.clear();
-                let loaded = &mut scratch.loaded;
-                for &e in missing {
-                    let d = e.dense_index(j);
-                    let gpu = self.cache.home_gpu(e);
-                    let gpu_now = per_gpu_now[gpu as usize].unwrap_or(start);
-                    let t0 = gpu_now.max(start);
-                    let want = if any_degraded && !scratch.full_precision.contains(d) {
-                        bytes / 2
-                    } else {
-                        bytes
-                    };
-                    // Peer-to-peer tier: a copy spilled to a peer device
-                    // serves the miss over the fast peer link instead of
-                    // re-reading host memory (and without pausing the
-                    // host-side prefetch queues).
-                    if let Some(ep) = self.ep.as_mut() {
-                        if ep.config.peer_fetch && ep.take(d) {
-                            let done = t0 + self.topology.peer_link.transfer_time(want);
-                            self.trace.instant(
-                                t0,
-                                Marker::PeerFetch,
-                                NO_REQUEST,
-                                e.layer,
-                                e.slot,
-                                gpu,
-                                want,
-                            );
-                            self.trace.count("engine.peer_fetches", 1);
-                            self.breakdown.peer_fetches += 1;
-                            self.breakdown.peer_fetch_ns += done - t0;
-                            if let Some(t) = self.per_gpu.transfer_ns.get_mut(gpu as usize) {
-                                *t += done - t0;
-                            }
-                            if want < bytes && !loaded.contains(d) {
-                                loaded.insert(d, want);
-                            }
-                            per_gpu_now[gpu as usize] = Some(done);
-                            continue;
-                        }
-                    }
-                    self.trace.instant(
-                        t0,
-                        Marker::OnDemandLoad,
-                        NO_REQUEST,
-                        e.layer,
-                        e.slot,
-                        gpu,
-                        want,
-                    );
-                    self.trace.count("engine.on_demand_loads", 1);
-                    let done = match self.config.on_demand_deadline_ns {
-                        Some(deadline) => {
-                            match self.transfer.on_demand_load_with_deadline(
-                                GpuId(gpu),
-                                want,
-                                t0,
-                                t0.saturating_add(deadline),
-                                want / 2,
-                            ) {
-                                Ok(outcome) => {
-                                    if outcome.degraded {
-                                        loaded.insert(d, outcome.bytes_loaded);
-                                    }
-                                    outcome.completed_at
-                                }
-                                // `home_gpu` only yields GPUs in the
-                                // topology; if that ever breaks, degrade to
-                                // the plain path rather than panic.
-                                Err(_) => self.transfer.on_demand_load(GpuId(gpu), want, t0),
-                            }
-                        }
-                        None => self.transfer.on_demand_load(GpuId(gpu), want, t0),
-                    };
-                    if want < bytes && !loaded.contains(d) {
-                        loaded.insert(d, want);
-                    }
-                    if let Some(t) = self.per_gpu.transfer_ns.get_mut(gpu as usize) {
-                        *t += done.saturating_sub(t0);
-                    }
-                    per_gpu_now[gpu as usize] = Some(done);
-                }
-                let done = per_gpu_now
-                    .iter()
-                    .flatten()
-                    .copied()
-                    .max()
-                    .unwrap_or(start)
-                    .max(start);
-                // Breakdown: the in-flight portion of the stall is the
-                // policy's synchronous-prefetch cost when it blocks by
-                // design; everything else is on-demand waiting.
-                let inflight_stall = inflight_done.saturating_sub(start);
-                if timing.blocking_prefetch {
-                    self.breakdown.blocking_prefetch_ns += inflight_stall;
-                    self.breakdown.on_demand_wait_ns += (done - start) - inflight_stall;
                 } else {
-                    self.breakdown.on_demand_wait_ns += done - start;
+                    el.misses += 1;
+                    self.trace.count("engine.expert_misses", 1);
                 }
-                self.clock.advance_to(done);
-                self.trace.end(done, Phase::OnDemandWait, NO_REQUEST, layer);
-                // Fold arrived prefetches (including the waited ones) in.
-                self.absorb_completions();
-                let now = self.clock.now();
-                for &e in waited_inflight {
+                self.cache.record_access(e, now);
+            }
+        }
+
+        // Pin resident activated experts before loading the rest, so
+        // insertions cannot evict what this layer is about to run.
+        for e in scratch.union.iter_experts(j) {
+            self.cache.pin(e);
+        }
+    }
+
+    /// Step ④: wait for needed in-flight transfers and issue blocking
+    /// on-demand loads, chained per GPU link, parallel across GPUs.
+    /// Prefetch queues pause during on-demand loads. Each miss takes one
+    /// path: a peer fetch when a peer holds a spilled copy, otherwise a
+    /// host load under the configured deadline (`Nanos::MAX` without
+    /// one, which is exactly the plain blocking load).
+    fn load_missing(
+        &mut self,
+        layer: u32,
+        shape: BatchShape,
+        elements: &mut [Element],
+        timing: &PredictorTiming,
+        scratch: &mut IterationScratch,
+    ) {
+        let j = self.gate.config().experts_per_layer;
+        let start = self.clock.now();
+        let bytes = self.cache.expert_bytes();
+        self.trace
+            .begin(start, Phase::OnDemandWait, NO_REQUEST, layer);
+        // Per-GPU start times: on-demand loads on a link begin after the
+        // needed in-flight jobs on that link complete.
+        scratch.per_gpu_now.fill(None);
+        let mut inflight_done = start;
+        // Promote every needed transfer first; estimating completion
+        // before all promotions are in would go stale as soon as a
+        // second job jumps the same link's queue.
+        for &e in &scratch.waited_inflight {
+            let gpu = self.cache.home_gpu(e);
+            self.trace.instant(
+                start,
+                Marker::InFlightWait,
+                NO_REQUEST,
+                e.layer,
+                e.slot,
+                gpu,
+                NO_VALUE,
+            );
+            self.trace.count("engine.inflight_waits", 1);
+            // The forward pass needs this transfer now: jump it ahead
+            // of background prefetch traffic on its link.
+            self.transfer
+                .promote_to_front(GpuId(gpu), e.dense_index(j) as u64, start);
+        }
+        for &e in &scratch.waited_inflight {
+            let gpu = self.cache.home_gpu(e);
+            let tag = e.dense_index(j) as u64;
+            if let Some(done) = self.transfer.completion_time_of(GpuId(gpu), tag) {
+                let entry = scratch.per_gpu_now[gpu as usize].get_or_insert(start);
+                *entry = (*entry).max(done);
+                inflight_done = inflight_done.max(done);
+            }
+        }
+        // On-demand payload sizes: full precision normally, half
+        // precision when only SLO-degraded elements need the expert or
+        // when a deadline miss forces the fallback. `loaded` records
+        // what actually moved so the cache insert matches the wire.
+        scratch.loaded.clear();
+        for &e in &scratch.missing {
+            let d = e.dense_index(j);
+            let gpu = self.cache.home_gpu(e);
+            let t0 = scratch.per_gpu_now[gpu as usize].map_or(start, |t| t.max(start));
+            let want = if shape.any_degraded && !scratch.full_precision.contains(d) {
+                bytes / 2
+            } else {
+                bytes
+            };
+            // Peer-to-peer tier: a copy spilled to a peer device serves
+            // the miss over the fast peer link instead of re-reading
+            // host memory (and without pausing the host-side prefetch
+            // queues). The pool only fills when peer fetching is on.
+            let (done, moved) = if self.ep.as_mut().is_some_and(|ep| ep.take(d)) {
+                let done = t0 + self.topology.peer_link.transfer_time(want);
+                self.trace.instant(
+                    t0,
+                    Marker::PeerFetch,
+                    NO_REQUEST,
+                    e.layer,
+                    e.slot,
+                    gpu,
+                    want,
+                );
+                self.trace.count("engine.peer_fetches", 1);
+                self.breakdown.peer_fetches += 1;
+                self.breakdown.peer_fetch_ns += done - t0;
+                (done, want)
+            } else {
+                self.trace.instant(
+                    t0,
+                    Marker::OnDemandLoad,
+                    NO_REQUEST,
+                    e.layer,
+                    e.slot,
+                    gpu,
+                    want,
+                );
+                self.trace.count("engine.on_demand_loads", 1);
+                let deadline = self
+                    .config
+                    .on_demand_deadline_ns
+                    .map_or(Nanos::MAX, |d| t0.saturating_add(d));
+                match self.transfer.on_demand_load_with_deadline(
+                    GpuId(gpu),
+                    want,
+                    t0,
+                    deadline,
+                    want / 2,
+                ) {
+                    Ok(outcome) => (outcome.completed_at, outcome.bytes_loaded),
+                    // `home_gpu` only yields GPUs in the topology; if that
+                    // ever breaks, the load moves nothing rather than panic.
+                    Err(_) => (t0, want),
+                }
+            };
+            // Each missing expert is visited once per layer, so this
+            // never overwrites an earlier payload.
+            if moved < bytes {
+                scratch.loaded.insert(d, moved);
+            }
+            if let Some(t) = self.per_gpu.transfer_ns.get_mut(gpu as usize) {
+                *t += done.saturating_sub(t0);
+            }
+            scratch.per_gpu_now[gpu as usize] = Some(done);
+        }
+        let done = scratch
+            .per_gpu_now
+            .iter()
+            .flatten()
+            .fold(start, |a, &b| a.max(b));
+        // Breakdown: the in-flight portion of the stall is the policy's
+        // synchronous-prefetch cost when it blocks by design; everything
+        // else is on-demand waiting.
+        let inflight_stall = inflight_done.saturating_sub(start);
+        if timing.blocking_prefetch {
+            self.breakdown.blocking_prefetch_ns += inflight_stall;
+            self.breakdown.on_demand_wait_ns += (done - start) - inflight_stall;
+        } else {
+            self.breakdown.on_demand_wait_ns += done - start;
+        }
+        self.clock.advance_to(done);
+        self.trace.end(done, Phase::OnDemandWait, NO_REQUEST, layer);
+        // Fold arrived prefetches (including the waited ones) in.
+        self.absorb_completions();
+        let now = self.clock.now();
+        for &e in &scratch.waited_inflight {
+            self.cache.pin(e);
+        }
+        for &e in &scratch.missing {
+            let outcome = match scratch.loaded.get(e.dense_index(j)) {
+                Some(&sz) => self.cache.insert_sized(e, sz, now),
+                None => self.cache.insert(e, now),
+            };
+            match outcome {
+                InsertOutcome::Inserted { evicted } => {
+                    self.spill(&evicted);
                     self.cache.pin(e);
                 }
-                for &e in missing {
-                    let outcome = match loaded.get(e.dense_index(j)) {
-                        Some(&sz) => self.cache.insert_sized(e, sz, now),
-                        None => self.cache.insert(e, now),
-                    };
-                    match outcome {
-                        InsertOutcome::Inserted { evicted } => {
-                            // Under EP, evicted experts linger in spare
-                            // peer-device memory for a while — the
-                            // peer-fetch tier's spill pool.
-                            if let Some(ep) = self.ep.as_mut() {
-                                for v in &evicted {
-                                    ep.spill(v.dense_index(j));
-                                }
-                            }
-                            self.cache.pin(e);
-                        }
-                        InsertOutcome::AlreadyResident => {
-                            self.cache.pin(e);
-                        }
-                        InsertOutcome::Rejected => {
-                            // Budget cannot hold this layer's working set:
-                            // the expert streams through a staging buffer
-                            // and is not resident afterward.
-                        }
-                    }
+                InsertOutcome::AlreadyResident => {
+                    self.cache.pin(e);
                 }
-                // Attribute degraded loads to the elements that activated
-                // those experts (mirrors the hit/miss accounting above).
-                if !loaded.is_empty() {
-                    for el in elements.iter_mut() {
-                        for &slot in &el.activated[layer as usize] {
-                            if loaded.contains(ExpertId::new(layer, slot).dense_index(j)) {
-                                el.degraded_loads += 1;
-                            }
-                        }
-                    }
+                InsertOutcome::Rejected => {
+                    // Budget cannot hold this layer's working set: the
+                    // expert streams through a staging buffer and is not
+                    // resident afterward.
                 }
             }
-
-            // Expert FFN compute: per-GPU serial, cross-GPU parallel.
-            let expert_compute = self.expert_compute_time(
-                &scratch.union,
-                batch_tokens,
-                &mut scratch.compute_per_gpu,
-            );
-            self.clock.advance(expert_compute);
-            self.breakdown.compute_ns += expert_compute;
-            for (g, &c) in scratch.compute_per_gpu.iter().enumerate() {
-                if let Some(t) = self.per_gpu.compute_ns.get_mut(g) {
-                    *t += c;
-                }
-            }
-            self.trace.span(
-                self.clock.now(),
-                Phase::Compute,
-                NO_REQUEST,
-                layer,
-                NO_GPU,
-                expert_compute,
-                0,
-            );
-            // EP all2all combine: expert outputs return to each token's
-            // source GPU — the mirror of the dispatch charged above.
-            if a2a_combine_ns > 0 {
-                self.clock.advance(a2a_combine_ns);
-                self.breakdown.all2all_ns += a2a_combine_ns;
-                self.trace.span(
-                    self.clock.now(),
-                    Phase::All2All,
-                    NO_REQUEST,
-                    layer,
-                    NO_GPU,
-                    a2a_combine_ns,
-                    0,
-                );
-            }
-            // Release this layer's pins; staged experts for *future*
-            // layers stay protected until their layer executes.
-            for d in scratch.union.iter() {
-                self.cache.unpin(ExpertId::from_dense_index(d, j));
-                self.staged.remove(d);
-            }
-            scratch.passed.clear();
-            scratch
-                .passed
-                .extend(self.staged.iter_experts(j).filter(|e| e.layer <= layer));
-            for &e in &scratch.passed {
-                self.cache.unpin(e);
-                self.staged.remove(e.dense_index(j));
-            }
-            self.cache.notify_layer_done(layer);
         }
+        // Attribute degraded loads to the elements that activated those
+        // experts (mirrors the hit/miss accounting in `resolve_layer`).
+        if !scratch.loaded.is_empty() {
+            for el in elements.iter_mut() {
+                for &slot in &el.activated[layer as usize] {
+                    let d = ExpertId::new(layer, slot).dense_index(j);
+                    el.degraded_loads += u64::from(scratch.loaded.contains(d));
+                }
+            }
+        }
+    }
 
-        // LM head / embedding.
-        let head = self.cost.embedding_time(batch_tokens);
-        self.clock.advance(head);
-        self.breakdown.compute_ns += head;
-
-        // Step 5: map update (asynchronous). The contexts built in step 1
-        // are still current — nothing below mutated their inputs.
-        for (el, ctx) in elements.iter_mut().zip(scratch.contexts.iter()) {
+    /// Step ⑤: map update (asynchronous) and per-element bookkeeping.
+    /// The contexts built in step ① are still current — nothing since
+    /// mutated their inputs.
+    fn finish_iteration(
+        &mut self,
+        elements: &mut [Element],
+        predictor: &mut dyn ExpertPredictor,
+        timing: &PredictorTiming,
+        contexts: &[IterationContext],
+    ) {
+        for (el, ctx) in elements.iter_mut().zip(contexts) {
             predictor.end_iteration(ctx, &el.realized_map);
             self.breakdown.update_async_ns += timing.update_ns;
 
-            // Advance element bookkeeping.
             if el.iteration == 0 {
                 el.position = el.prompt.prompt_tokens;
                 el.ttft_ns = Some(self.clock.now() - el.start_ns);
@@ -1566,13 +1566,6 @@ impl ServingEngine {
                 }
             }
         }
-
-        self.breakdown.iteration_total_ns += self.clock.now() - iter_start;
-        self.trace
-            .end(self.clock.now(), Phase::Iteration, NO_REQUEST, NO_LAYER);
-        // Hand the working memory back for the next iteration; the
-        // backing allocations survive the round-trip.
-        self.scratch = scratch;
     }
 
     /// Expert FFN time for a layer: experts grouped by home GPU run
@@ -1604,47 +1597,25 @@ impl ServingEngine {
         per_gpu.iter().copied().max().unwrap_or(0)
     }
 
-    /// Charges synchronous predictor latency to the critical path; always
-    /// records it in the breakdown.
-    fn apply_predictor_timing(&mut self, timing: &crate::predictor::PredictorTiming) {
-        if timing.latency_ns == 0 {
+    /// Submits prefetch plans to the transfer engine. Matching latency
+    /// is always booked; synchronous policies stall compute for it (a
+    /// real interval on the critical path) and issue immediately, while
+    /// asynchronous ones match off-path and issue after the latency.
+    fn issue_plans(&mut self, plans: &[PrefetchPlan], timing: &PredictorTiming) {
+        if plans.is_empty() {
             return;
         }
-        self.breakdown.matching_ns += timing.latency_ns;
-        if timing.synchronous {
-            self.clock.advance(timing.latency_ns);
-            // Synchronous policies stall compute for the match: a real
-            // interval on the critical path. Asynchronous matching runs
-            // off-path and only shows up via the PrefetchIssued markers.
-            self.trace.span(
-                self.clock.now(),
-                Phase::PrefetchIssue,
-                NO_REQUEST,
-                NO_LAYER,
-                NO_GPU,
-                timing.latency_ns,
-                0,
-            );
-        }
-    }
-
-    /// When prefetch issuance happens: immediately for synchronous
-    /// policies (the stall already paid), after the matching latency for
-    /// asynchronous ones.
-    fn prefetch_issue_time(&self, timing: &crate::predictor::PredictorTiming) -> Nanos {
-        if timing.synchronous {
+        let at = if timing.synchronous {
+            if timing.latency_ns > 0 {
+                self.charge(Phase::PrefetchIssue, NO_LAYER, timing.latency_ns);
+            }
             self.clock.now()
         } else {
+            self.breakdown.matching_ns += timing.latency_ns;
             self.clock.now() + timing.latency_ns
-        }
-    }
-
-    /// Submits prefetch plans to the transfer engine. Returns the GPUs
-    /// whose links received new jobs.
-    fn issue_prefetches(&mut self, plans: &[PrefetchPlan], at: Nanos) -> Vec<GpuId> {
+        };
         let j = self.gate.config().experts_per_layer;
         let full_bytes = self.cache.expert_bytes();
-        let mut touched = Vec::new();
         for plan in plans {
             self.cache.update_probability(plan.expert, plan.probability);
             if plan.advisory || self.cache.contains(plan.expert) {
@@ -1679,11 +1650,19 @@ impl ServingEngine {
             );
             self.trace.count("engine.prefetches_issued", 1);
             self.in_flight.insert(tag as usize);
-            if !touched.contains(&gpu) {
-                touched.push(gpu);
+        }
+    }
+
+    /// Records evicted experts into the EP peer spill pool: under EP,
+    /// they linger in spare peer-device memory for a while (the
+    /// peer-fetch tier). No-op when EP is off.
+    fn spill(&mut self, evicted: &[ExpertId]) {
+        let j = self.gate.config().experts_per_layer;
+        if let Some(ep) = self.ep.as_mut() {
+            for v in evicted {
+                ep.spill(v.dense_index(j));
             }
         }
-        touched
     }
 
     /// Cancels queued prefetch jobs that can no longer be useful: with
@@ -1739,13 +1718,7 @@ impl ServingEngine {
             self.trace.count("engine.prefetch_arrivals", 1);
             let outcome = self.cache.insert_sized(expert, c.bytes, c.completed_at);
             if let InsertOutcome::Inserted { evicted } = &outcome {
-                if let Some(ep) = self.ep.as_mut() {
-                    // Evicted experts land in the peer spill pool (EP's
-                    // peer-fetch tier); no-op when EP is off.
-                    for v in evicted {
-                        ep.spill(v.dense_index(j));
-                    }
-                }
+                self.spill(evicted);
             }
             if matches!(
                 outcome,
