@@ -19,12 +19,12 @@ use fmoe_bench::report::{write_csv, Table};
 use fmoe_model::gate::TokenSpan;
 use fmoe_model::{presets, GateParams, GateSimulator, ModelConfig, RequestRouting};
 
-fn record(gate: &GateSimulator, routing: RequestRouting, iter: u64) -> (Vec<f64>, ExpertMap) {
+fn record(gate: &GateSimulator, routing: RequestRouting, iter: u64) -> (Vec<f64>, Vec<Vec<f64>>) {
     let span = TokenSpan::single(24 + iter);
     let rows: Vec<Vec<f64>> = (0..gate.config().num_layers)
         .map(|l| gate.iteration_distribution(routing, iter, l, span))
         .collect();
-    (gate.semantic_embedding(routing, iter), ExpertMap::new(rows))
+    (gate.semantic_embedding(routing, iter), rows)
 }
 
 fn run_model(model: &ModelConfig, table: &mut Table) {
@@ -56,8 +56,8 @@ fn run_model(model: &ModelConfig, table: &mut Table) {
                 cluster: i % 64,
                 request_seed: i,
             };
-            let (emb, map) = record(&gate, routing, i % 8);
-            store.insert(emb, map);
+            let (emb, rows) = record(&gate, routing, i % 8);
+            store.insert(emb, ExpertMap::new(rows));
             i += 1;
         }
         // Held-out fresh iterations: measure best trajectory similarity.
@@ -69,8 +69,8 @@ fn run_model(model: &ModelConfig, table: &mut Table) {
                 cluster: 1000 + q % 64,
                 request_seed: 999_000 + q,
             };
-            let (_, map) = record(&gate, routing, q % 8);
-            let m = Matcher::trajectory_match(&store, map.layers()).expect("store non-empty");
+            let (_, rows) = record(&gate, routing, q % 8);
+            let m = Matcher::trajectory_match(&store, &rows).expect("store non-empty");
             min_score = min_score.min(m.score);
             sum += m.score;
             n += 1.0;

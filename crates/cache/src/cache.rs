@@ -183,6 +183,7 @@ impl ExpertCache {
     #[must_use]
     pub fn with_placement(mut self, placement: Placement) -> Self {
         self.placement = placement;
+        self.rehome_residents();
         self
     }
 
@@ -191,8 +192,22 @@ impl ExpertCache {
     /// clamped to the GPU count; experts past the table's end fall back
     /// to the structural placement. With no table installed (the
     /// default) behavior is byte-identical to the structural placement.
+    ///
+    /// Residents move to their new homes. A GPU left over its budget
+    /// evicts on its next insert, as after a budget shrink.
     pub fn set_assignment(&mut self, owners: Vec<u32>) {
         self.assignment = Some(owners);
+        self.rehome_residents();
+    }
+
+    /// Recounts every GPU's used bytes under the residents' current
+    /// homes, after the placement changed.
+    fn rehome_residents(&mut self) {
+        let mut used = vec![0; self.per_gpu_used.len()];
+        for (_, r) in self.arena.iter_oldest_first() {
+            used[self.home_gpu(r.expert) as usize] += r.bytes;
+        }
+        self.per_gpu_used = used;
     }
 
     /// The installed explicit owner table, if any.
@@ -726,6 +741,52 @@ mod tests {
         assert_eq!(c.resident_count(), 0);
         assert_eq!(c.total_used_bytes(), 0);
         assert_eq!(c.stats().accesses(), 0);
+    }
+
+    #[test]
+    fn set_assignment_rehomes_residents() {
+        // 2 GPUs × 2 slots; round-robin homes E[0,0] and E[0,2] on GPU 0.
+        let mut c = tiny_cache(2, 2);
+        c.insert(e(0, 0), 0);
+        c.insert(e(0, 2), 1);
+        c.set_assignment(vec![1; 16]);
+        assert_eq!(c.used_bytes(0), 0);
+        assert_eq!(c.used_bytes(1), 2 * c.expert_bytes());
+        // Every further insert lands on GPU 1 and stays within its budget.
+        for (now, x) in [(2, e(0, 1)), (3, e(0, 3)), (4, e(1, 3))] {
+            assert!(matches!(c.insert(x, now), InsertOutcome::Inserted { .. }));
+            assert!(c.used_bytes(1) <= c.per_gpu_budget());
+        }
+        assert_eq!(c.resident_count(), 2);
+        assert_eq!(c.used_bytes(0), 0);
+    }
+
+    #[test]
+    fn remove_after_rehome_frees_the_new_home() {
+        let mut c = tiny_cache(2, 2);
+        c.insert(e(0, 0), 0);
+        c.insert(e(0, 2), 1);
+        c.set_assignment(vec![1; 16]);
+        assert!(c.remove(e(0, 0)));
+        assert_eq!(c.used_bytes(0), 0);
+        assert_eq!(c.used_bytes(1), c.expert_bytes());
+    }
+
+    #[test]
+    fn rehome_over_budget_evicts_on_next_insert() {
+        // Four residents, two per GPU, all re-homed onto GPU 1.
+        let mut c = tiny_cache(2, 2);
+        for s in 0..4 {
+            c.insert(e(0, s), u64::from(s));
+        }
+        c.set_assignment(vec![1; 16]);
+        assert_eq!(c.used_bytes(1), 4 * c.expert_bytes());
+        let InsertOutcome::Inserted { evicted } = c.insert(e(1, 0), 9) else {
+            panic!("an unpinned GPU must make room");
+        };
+        assert_eq!(evicted.len(), 3);
+        assert_eq!(c.used_bytes(1), c.per_gpu_budget());
+        assert_eq!(c.total_used_bytes(), c.used_bytes(1));
     }
 
     #[test]

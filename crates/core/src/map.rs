@@ -11,10 +11,12 @@
 
 use serde::{Deserialize, Serialize};
 
-/// One iteration's expert map: `L` rows of `J` probabilities.
+/// One iteration's expert map: `L` rows of `J` probabilities, held in one
+/// row-major buffer.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ExpertMap {
-    layers: Vec<Vec<f64>>,
+    flat: Vec<f64>,
+    experts_per_layer: usize,
 }
 
 impl ExpertMap {
@@ -26,57 +28,96 @@ impl ExpertMap {
     /// maps always span the full model.
     #[must_use]
     pub fn new(layers: Vec<Vec<f64>>) -> Self {
-        assert!(!layers.is_empty(), "an expert map needs at least one layer");
-        let j = layers[0].len();
-        assert!(j > 0, "layers must have at least one expert");
+        Self::from_rows(&layers)
+    }
+
+    /// Copies per-layer distributions into a map with one allocation.
+    ///
+    /// # Panics
+    ///
+    /// As [`ExpertMap::new`].
+    #[must_use]
+    pub fn from_rows(rows: &[Vec<f64>]) -> Self {
+        assert!(!rows.is_empty(), "an expert map needs at least one layer");
+        let j = rows[0].len();
         assert!(
-            layers.iter().all(|row| row.len() == j),
+            rows.iter().all(|row| row.len() == j),
             "all layers must have the same expert count"
         );
-        Self { layers }
+        let mut flat = Vec::with_capacity(rows.len() * j);
+        for row in rows {
+            flat.extend_from_slice(row);
+        }
+        Self::from_flat(flat, j)
+    }
+
+    /// Wraps an already row-major buffer of `L·J` probabilities.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `experts_per_layer` is zero, `flat` is empty, or its
+    /// length is not a multiple of `experts_per_layer`.
+    #[must_use]
+    pub fn from_flat(flat: Vec<f64>, experts_per_layer: usize) -> Self {
+        assert!(
+            experts_per_layer > 0,
+            "layers must have at least one expert"
+        );
+        assert!(!flat.is_empty(), "an expert map needs at least one layer");
+        assert!(
+            flat.len().is_multiple_of(experts_per_layer),
+            "all layers must have the same expert count"
+        );
+        Self {
+            flat,
+            experts_per_layer,
+        }
     }
 
     /// Number of layers `L`.
     #[must_use]
     pub fn num_layers(&self) -> usize {
-        self.layers.len()
+        self.flat.len() / self.experts_per_layer
     }
 
     /// Experts per layer `J`.
     #[must_use]
     pub fn experts_per_layer(&self) -> usize {
-        self.layers[0].len()
+        self.experts_per_layer
     }
 
     /// The distribution of one layer.
     #[must_use]
     pub fn layer(&self, l: usize) -> &[f64] {
-        &self.layers[l]
+        &self.flat[l * self.experts_per_layer..(l + 1) * self.experts_per_layer]
     }
 
     /// All layers in order.
-    #[must_use]
-    pub fn layers(&self) -> &[Vec<f64>] {
-        &self.layers
+    pub fn layers(&self) -> std::slice::ChunksExact<'_, f64> {
+        self.flat.chunks_exact(self.experts_per_layer)
     }
 
-    /// The map flattened row-major to a `L·J` vector — the form the
-    /// trajectory search's cosine similarity consumes.
+    /// The map's row-major `L·J` buffer — the form the trajectory
+    /// search's cosine similarity consumes.
+    #[must_use]
+    pub fn flat(&self) -> &[f64] {
+        &self.flat
+    }
+
+    /// An owned copy of [`ExpertMap::flat`].
     #[must_use]
     pub fn flatten(&self) -> Vec<f64> {
-        self.layers.iter().flatten().copied().collect()
+        self.flat.clone()
     }
 
     /// Flattens only layers `[0, prefix_layers)` — a *partial* trajectory
     /// as observed mid-iteration.
     #[must_use]
     pub fn flatten_prefix(&self, prefix_layers: usize) -> Vec<f64> {
-        self.layers
-            .iter()
-            .take(prefix_layers)
-            .flatten()
-            .copied()
-            .collect()
+        let len = prefix_layers
+            .saturating_mul(self.experts_per_layer)
+            .min(self.flat.len());
+        self.flat[..len].to_vec()
     }
 
     /// Recovers coarse-grained information: per-layer top-`k` activation
@@ -84,8 +125,7 @@ impl ExpertMap {
     /// iterations reproduces exactly what request-level trackers store.
     #[must_use]
     pub fn to_top_k_counts(&self, k: usize) -> Vec<Vec<u64>> {
-        self.layers
-            .iter()
+        self.layers()
             .map(|row| {
                 let mut idx: Vec<usize> = (0..row.len()).collect();
                 idx.sort_by(|&a, &b| row[b].total_cmp(&row[a]).then(a.cmp(&b)));
@@ -108,7 +148,7 @@ impl ExpertMap {
     /// Checks every row is a (tolerantly) normalized distribution.
     #[must_use]
     pub fn is_normalized(&self, tolerance: f64) -> bool {
-        self.layers.iter().all(|row| {
+        self.layers().all(|row| {
             let sum: f64 = row.iter().sum();
             (sum - 1.0).abs() <= tolerance && row.iter().all(|&p| p >= -tolerance)
         })

@@ -14,7 +14,7 @@
 //! prefix, which is what makes per-layer matching affordable — the same
 //! reason the paper's implementation stores maps as contiguous ndarrays.
 
-use crate::store::{add_row_dots, cosine_from_norms, ExpertMapStore};
+use crate::store::{add_row_dots, cosine_from_norms, row_dot, ExpertMapStore};
 use fmoe_stats::{argmax_cosine_slab, cosine_similarity, top_k_cosine_slab};
 
 /// Outcome of a map search.
@@ -157,9 +157,15 @@ impl Matcher {
 /// [`TrajectoryTracker::best`] to get the current best match. The store
 /// must not be mutated between `reset` and the last query of an iteration
 /// (the engine only mutates it at iteration boundaries).
+///
+/// Once every layer is observed, the dots are the full-map dot products
+/// the store's at-capacity deduplication scores with, so the map update
+/// reuses them (see `catch_up`) instead of streaming the store again.
 #[derive(Debug, Default)]
 pub struct TrajectoryTracker {
     dots: Vec<f64>,
+    /// The observed distributions, concatenated in layer order.
+    observed: Vec<f64>,
     query_norm2: f64,
     layers_observed: usize,
     /// The store's [`ExpertMapStore::generation`] at `reset`.
@@ -177,6 +183,7 @@ impl TrajectoryTracker {
     pub fn reset(&mut self, store: &ExpertMapStore) {
         self.dots.clear();
         self.dots.resize(store.len(), 0.0);
+        self.observed.clear();
         self.query_norm2 = 0.0;
         self.layers_observed = 0;
         self.generation = store.generation();
@@ -214,8 +221,46 @@ impl TrajectoryTracker {
             let j = store.experts_per_layer();
             add_row_dots(store.layer_block(l), j, distribution, &mut self.dots);
         }
+        self.observed.extend_from_slice(distribution);
         self.query_norm2 += distribution.iter().map(|p| p * p).sum::<f64>();
         self.layers_observed += 1;
+    }
+
+    /// The full-map dot product of `flat` with every entry of the store
+    /// as it is now, for the deduplication of `flat`'s insert.
+    ///
+    /// When this tracker observed exactly `flat`'s `L` layers since its
+    /// `reset`, its dots are reused: only the rows written after that
+    /// reset are re-dotted, and each row appended since gets a dot. A
+    /// re-dot is one left-to-right sum over `flat`, the term order
+    /// `observe_layer` accumulates layer after layer, so every dot is
+    /// bit-identical to a fresh pass. Otherwise the tracker resets and
+    /// observes `flat` from scratch.
+    pub(crate) fn catch_up(&mut self, store: &ExpertMapStore, flat: &[f64]) -> &[f64] {
+        let observed_flat = self.layers_observed == store.num_layers()
+            && self.observed.len() == flat.len()
+            && self
+                .observed
+                .iter()
+                .zip(flat)
+                .all(|(a, b)| a.to_bits() == b.to_bits());
+        if !observed_flat {
+            self.reset(store);
+            for row in flat.chunks_exact(store.experts_per_layer()) {
+                self.observe_layer(store, row);
+            }
+            return &self.dots;
+        }
+        self.dots.truncate(store.len());
+        for (i, &written) in store.written().iter().enumerate() {
+            if i == self.dots.len() {
+                self.dots.push(row_dot(flat, store.entry(i).flat()));
+            } else if written > self.generation {
+                self.dots[i] = row_dot(flat, store.entry(i).flat());
+            }
+        }
+        self.generation = store.generation();
+        &self.dots
     }
 
     /// The best-matching entry for the observed prefix, or `None` when

@@ -143,15 +143,12 @@ impl ExpertMapStore {
             for _ in 0..emb_len {
                 embedding.push(f64::from(read_f32(r)?));
             }
-            let mut rows = Vec::with_capacity(layers);
-            for _ in 0..layers {
-                let mut row = Vec::with_capacity(experts);
-                for _ in 0..experts {
-                    row.push(f64::from(read_f32(r)?));
-                }
-                rows.push(row);
-            }
-            store.insert(embedding, ExpertMap::new(rows));
+            // Grows as values arrive, so a corrupt header cannot force a
+            // huge allocation before the stream runs out.
+            let flat = (0..layers * experts)
+                .map(|_| read_f32(r).map(f64::from))
+                .collect::<io::Result<Vec<f64>>>()?;
+            store.insert(embedding, ExpertMap::from_flat(flat, experts));
         }
         Ok(store)
     }
@@ -263,6 +260,29 @@ mod tests {
         let loaded = ExpertMapStore::load_from_path(&path).unwrap();
         assert_eq!(loaded.len(), 4);
         std::fs::remove_file(&path).unwrap();
+    }
+
+    #[test]
+    fn wire_bytes_of_a_seeded_store_are_pinned() {
+        // Twelve seeded inserts into capacity 8 (so four dedups), saved:
+        // the FNV-1a hash of the bytes pins the persist and warm-state
+        // wire format and the dedup's victims.
+        let mut rng = fmoe_stats::SplitMix64::new(7);
+        let mut s = ExpertMapStore::new(8, 3, 4, 2);
+        for _ in 0..12 {
+            let emb: Vec<f64> = (0..5).map(|_| rng.next_f64() - 0.5).collect();
+            let rows: Vec<Vec<f64>> = (0..3)
+                .map(|_| (0..4).map(|_| rng.next_f64()).collect())
+                .collect();
+            s.insert(emb, ExpertMap::new(rows));
+        }
+        let mut buf = Vec::new();
+        s.save_to(&mut buf).unwrap();
+        let hash = buf.iter().fold(0xcbf2_9ce4_8422_2325_u64, |h, &b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+        });
+        assert_eq!(buf.len(), 36 + 8 * (4 + 5 * 4 + 12 * 4));
+        assert_eq!(hash, 0xf9b9_baf3_1e95_79a8);
     }
 
     #[test]

@@ -21,12 +21,13 @@
 
 use crate::config::FmoeConfig;
 use crate::map::ExpertMap;
-use crate::matcher::{Matcher, TrajectoryTracker};
-use crate::selection::{prefetch_priority, select_experts, select_top_n, SelectedExpert};
+use crate::matcher::{MatchResult, Matcher, TrajectoryTracker};
+use crate::selection::{prefetch_priority, rank_into, threshold_len, SelectedExpert};
 use crate::store::ExpertMapStore;
 use fmoe_model::gate::{GateScratch, TokenSpan};
 use fmoe_model::{ExpertId, GateSimulator, ModelConfig, RequestRouting};
 use fmoe_serving::{ExpertPredictor, IterationContext, PredictorTiming, PrefetchPlan};
+use std::ops::Range;
 
 /// A historical request used to pre-populate the store offline (the
 /// paper's 70% split).
@@ -56,6 +57,47 @@ fn state_mut(elements: &mut Vec<ElementState>, element: usize) -> &mut ElementSt
     &mut elements[element]
 }
 
+/// Reused buffers of [`FmoePredictor::plans`]: at steady state a call
+/// allocates only the `Vec` it returns.
+#[derive(Debug, Default)]
+struct PlanScratch {
+    /// The searched row being planned, ranked as `select_experts` ranks
+    /// it.
+    ranked: Vec<SelectedExpert>,
+    /// `(PRI, plan)` for every selected expert, in target-layer order.
+    scored: Vec<(f64, PrefetchPlan)>,
+    /// Eviction advisories for the slots left unselected.
+    advisories: Vec<PrefetchPlan>,
+}
+
+/// How many experts of a ranked searched row the configured rule
+/// selects: `select_experts`'s similarity-aware count — prefill
+/// iterations floor the threshold mass (see
+/// [`FmoeConfig::prefill_coverage_floor`]) — or `select_top_n`'s fixed
+/// one.
+fn selected_len(
+    config: &FmoeConfig,
+    ranked: &[SelectedExpert],
+    score: f64,
+    is_prefill: bool,
+) -> usize {
+    if config.use_dynamic_threshold {
+        let effective_score = if is_prefill {
+            score.min(1.0 - config.prefill_coverage_floor)
+        } else {
+            score
+        };
+        threshold_len(
+            ranked,
+            effective_score,
+            config.min_prefetch_per_layer,
+            config.max_prefetch_per_layer,
+        )
+    } else {
+        config.fixed_prefetch_count.min(ranked.len())
+    }
+}
+
 /// The fMoE offloading policy.
 #[derive(Debug)]
 pub struct FmoePredictor {
@@ -64,6 +106,7 @@ pub struct FmoePredictor {
     store: ExpertMapStore,
     /// Per-batch-slot state (see [`state_mut`]).
     elements: Vec<ElementState>,
+    plan_scratch: PlanScratch,
 }
 
 impl FmoePredictor {
@@ -82,6 +125,7 @@ impl FmoePredictor {
             config,
             store,
             elements: Vec::new(),
+            plan_scratch: PlanScratch::default(),
         }
     }
 
@@ -147,6 +191,7 @@ impl FmoePredictor {
         max_iterations_per_request: u64,
     ) {
         let layers = self.model.num_layers;
+        let j = self.model.experts_per_layer as usize;
         let mut scratch = GateScratch::default();
         for req in history {
             let iters = req.iterations.min(max_iterations_per_request).max(1);
@@ -156,57 +201,75 @@ impl FmoePredictor {
                 } else {
                     TokenSpan::single(req.prompt_tokens + iter - 1)
                 };
-                let rows: Vec<Vec<f64>> = (0..layers)
-                    .map(|l| {
-                        gate.route_into(req.routing, iter, l, span, &mut scratch);
-                        scratch.dist.clone()
-                    })
-                    .collect();
+                let mut flat = Vec::with_capacity(layers as usize * j);
+                for l in 0..layers {
+                    gate.route_into(req.routing, iter, l, span, &mut scratch);
+                    flat.extend_from_slice(&scratch.dist);
+                }
                 let embedding = gate.semantic_embedding(req.routing, iter);
-                self.store.insert(embedding, ExpertMap::new(rows));
+                self.store.insert(embedding, ExpertMap::from_flat(flat, j));
             }
         }
     }
 
-    /// Applies the configured selection rule to a searched distribution.
-    /// Prefill iterations floor the threshold mass (see
-    /// [`FmoeConfig::prefill_coverage_floor`]).
-    fn select(&self, distribution: &[f64], score: f64, is_prefill: bool) -> Vec<SelectedExpert> {
-        if self.config.use_dynamic_threshold {
-            let effective_score = if is_prefill {
-                score.min(1.0 - self.config.prefill_coverage_floor)
-            } else {
-                score
-            };
-            select_experts(
-                distribution,
-                effective_score,
-                self.config.min_prefetch_per_layer,
-                self.config.max_prefetch_per_layer,
-            )
-        } else {
-            select_top_n(distribution, self.config.fixed_prefetch_count)
-        }
-    }
-
-    /// Builds priority-ordered plans for a set of `(layer, selection)`
-    /// targets.
-    fn plans_for(
-        &self,
-        targets: &[(u32, Vec<SelectedExpert>)],
+    /// Prefetch plans from match `m`'s stored map for the target
+    /// `layers`, priority-ordered against `current_layer` (`-1` before
+    /// layer 0), followed — when `advise` — by eviction advisories for
+    /// every unselected slot.
+    ///
+    /// Per layer it selects what `select_experts` / `select_top_n` would
+    /// and builds `PRI = p / (l − l_now)` plans, then stable-sorts them
+    /// by priority when ordering is on. The buffers are reused across
+    /// calls.
+    pub(crate) fn plans(
+        &mut self,
+        m: MatchResult,
+        is_prefill: bool,
+        layers: Range<u32>,
         current_layer: i64,
+        advise: bool,
     ) -> Vec<PrefetchPlan> {
-        let mut scored: Vec<(f64, PrefetchPlan)> = Vec::new();
-        for (layer, selection) in targets {
-            for &(slot, p) in selection {
-                let plan = PrefetchPlan::fetch(ExpertId::new(*layer, slot as u32), p);
-                scored.push((prefetch_priority(p, *layer, current_layer), plan));
+        let PlanScratch {
+            ranked,
+            scored,
+            advisories,
+        } = &mut self.plan_scratch;
+        scored.clear();
+        advisories.clear();
+        let map = &self.store.entry(m.entry_index).map;
+        let neutral = 1.0 / f64::from(self.model.experts_per_layer);
+        let confidence = m.score.clamp(0.0, 1.0);
+        for t in layers {
+            let searched = map.layer(t as usize);
+            rank_into(searched, ranked);
+            let selected = &ranked[..selected_len(&self.config, ranked, m.score, is_prefill)];
+            for &(slot, p) in selected {
+                let plan = PrefetchPlan::fetch(ExpertId::new(t, slot as u32), p);
+                scored.push((prefetch_priority(p, t, current_layer), plan));
+            }
+            if !advise {
+                continue;
+            }
+            // §4.5: the searched map's probabilities also drive eviction
+            // priority for *cached* experts — advise the non-selected
+            // slots so unlikely residents become eviction candidates.
+            // The forecast is confidence-weighted: a dubious match must
+            // not confidently punish residents, so the advised value is
+            // pulled toward the neutral prior as the score drops.
+            for (slot, &p) in searched.iter().enumerate() {
+                if !selected.iter().any(|&(s, _)| s == slot) {
+                    let advised = confidence * p + (1.0 - confidence) * neutral;
+                    advisories.push(PrefetchPlan::advise(ExpertId::new(t, slot as u32), advised));
+                }
             }
         }
         if self.config.use_priority_ordering {
             scored.sort_by(|a, b| b.0.total_cmp(&a.0));
         }
-        scored.into_iter().map(|(_, plan)| plan).collect()
+        let mut plans = Vec::with_capacity(scored.len() + advisories.len());
+        plans.extend(scored.iter().map(|&(_, plan)| plan));
+        plans.extend_from_slice(advisories);
+        plans
     }
 }
 
@@ -241,16 +304,7 @@ impl ExpertPredictor for FmoePredictor {
             return Vec::new();
         };
         let d = self.config.prefetch_distance.min(self.model.num_layers);
-        let entry = self.store.entry(m.entry_index);
-        let targets: Vec<(u32, Vec<SelectedExpert>)> = (0..d)
-            .map(|l| {
-                (
-                    l,
-                    self.select(entry.map.layer(l as usize), m.score, ctx.is_prefill),
-                )
-            })
-            .collect();
-        self.plans_for(&targets, -1)
+        self.plans(m, ctx.is_prefill, 0..d, -1, false)
     }
 
     fn observe_gate(
@@ -269,39 +323,32 @@ impl ExpertPredictor for FmoePredictor {
         let Some(m) = state.tracker.best(&self.store) else {
             return Vec::new();
         };
-        let entry = self.store.entry(m.entry_index);
         let window_end = (target + self.config.prefetch_window).min(self.model.num_layers);
-        let neutral = 1.0 / f64::from(self.model.experts_per_layer);
-        let confidence = m.score.clamp(0.0, 1.0);
-        let mut targets: Vec<(u32, Vec<SelectedExpert>)> = Vec::new();
-        let mut advisories: Vec<PrefetchPlan> = Vec::new();
-        for t in target..window_end {
-            let searched = entry.map.layer(t as usize);
-            let selection = self.select(searched, m.score, ctx.is_prefill);
-            // §4.5: the searched map's probabilities also drive eviction
-            // priority for *cached* experts — advise the non-selected
-            // slots so unlikely residents become eviction candidates.
-            // The forecast is confidence-weighted: a dubious match must
-            // not confidently punish residents, so the advised value is
-            // pulled toward the neutral prior as the score drops.
-            for (slot, &p) in searched.iter().enumerate() {
-                if !selection.iter().any(|&(s, _)| s == slot) {
-                    let advised = confidence * p + (1.0 - confidence) * neutral;
-                    advisories.push(PrefetchPlan::advise(ExpertId::new(t, slot as u32), advised));
-                }
-            }
-            targets.push((t, selection));
-        }
-        let mut plans = self.plans_for(&targets, i64::from(layer));
-        plans.extend(advisories);
-        plans
+        self.plans(
+            m,
+            ctx.is_prefill,
+            target..window_end,
+            i64::from(layer),
+            true,
+        )
     }
 
     fn end_iteration(&mut self, ctx: &IterationContext, realized_map: &[Vec<f64>]) {
-        if realized_map.len() == self.model.num_layers as usize {
-            self.store
-                .insert(ctx.embedding.clone(), ExpertMap::new(realized_map.to_vec()));
+        if realized_map.len() != self.model.num_layers as usize {
+            return;
         }
+        let map = ExpertMap::from_rows(realized_map);
+        // The element's tracker observed this map layer by layer; its
+        // dots, caught up with this iteration's earlier inserts, score
+        // the deduplication.
+        let dots = if self.store.dedups_next_insert() {
+            state_mut(&mut self.elements, ctx.element)
+                .tracker
+                .catch_up(&self.store, map.flat())
+        } else {
+            &[]
+        };
+        self.store.insert_scored(ctx.embedding.clone(), map, dots);
     }
 
     fn reset(&mut self) {

@@ -3,11 +3,17 @@
 
 #![cfg(test)]
 
+use crate::config::FmoeConfig;
 use crate::map::ExpertMap;
 use crate::matcher::{MatchResult, Matcher, TrajectoryTracker};
-use crate::selection::{prefetch_priority, select_experts, select_top_n};
-use crate::store::ExpertMapStore;
+use crate::predictor::FmoePredictor;
+use crate::selection::{prefetch_priority, select_experts, select_top_n, SelectedExpert};
+use crate::store::{ExpertMapStore, ReplacementPolicy};
+use fmoe_model::gate::TokenSpan;
+use fmoe_model::{presets, ExpertId, RequestRouting};
+use fmoe_serving::{ExpertPredictor, IterationContext, PrefetchPlan};
 use proptest::prelude::*;
+use std::ops::Range;
 
 const L: usize = 4;
 const J: usize = 6;
@@ -24,6 +30,135 @@ fn row() -> impl Strategy<Value = Vec<f64>> {
 /// A random L×J expert map.
 fn map() -> impl Strategy<Value = ExpertMap> {
     prop::collection::vec(row(), L).prop_map(ExpertMap::new)
+}
+
+/// `l` normalized rows of width `j` whose weights often repeat, so exact
+/// probability ties are common.
+fn tied_rows(l: usize, j: usize) -> impl Strategy<Value = Vec<Vec<f64>>> {
+    let weight = prop_oneof![0.001f64..1.0, Just(0.25), Just(0.5)];
+    prop::collection::vec(
+        prop::collection::vec(weight, j).prop_map(|mut v| {
+            let s: f64 = v.iter().sum();
+            v.iter_mut().for_each(|x| *x /= s);
+            v
+        }),
+        l,
+    )
+}
+
+fn replacement_policy() -> impl Strategy<Value = ReplacementPolicy> {
+    prop_oneof![
+        Just(ReplacementPolicy::Redundancy),
+        Just(ReplacementPolicy::Fifo),
+        Just(ReplacementPolicy::Random),
+    ]
+}
+
+/// What happens to the store between two iterations.
+#[derive(Debug, Clone, Copy)]
+enum Boundary {
+    Keep,
+    Clear,
+    Reload,
+}
+
+fn boundary() -> impl Strategy<Value = Boundary> {
+    prop_oneof![
+        Just(Boundary::Keep),
+        Just(Boundary::Keep),
+        Just(Boundary::Clear),
+        Just(Boundary::Reload),
+    ]
+}
+
+/// The full-map trajectory dot, recomputed from the two flat maps.
+fn full_dot(a: &[f64], b: &[f64]) -> f64 {
+    a.iter().zip(b).fold(0.0, |acc, (x, y)| acc + x * y)
+}
+
+/// The at-capacity redundancy victim by full recompute: `redundancy`
+/// against every entry, the last maximum on ties (index 0 when empty).
+fn recomputed_victim(store: &ExpertMapStore, embedding: &[f64], flat: &[f64]) -> usize {
+    (0..store.len())
+        .max_by(|&a, &b| {
+            store
+                .redundancy(embedding, flat, a)
+                .total_cmp(&store.redundancy(embedding, flat, b))
+        })
+        .unwrap_or(0)
+}
+
+/// Asserts both stores hold the same entries at the same indices.
+fn assert_same_entries(a: &ExpertMapStore, b: &ExpertMapStore) {
+    assert_eq!(a.len(), b.len());
+    for (x, y) in a.entries().zip(b.entries()) {
+        assert_eq!(x.id, y.id);
+        assert_eq!(x.embedding, y.embedding);
+        assert!(x
+            .flat()
+            .iter()
+            .zip(y.flat())
+            .all(|(p, q)| p.to_bits() == q.to_bits()));
+    }
+}
+
+/// One call of the plan builder.
+#[derive(Debug, Clone)]
+struct PlanCall {
+    m: MatchResult,
+    is_prefill: bool,
+    layers: Range<u32>,
+    current_layer: i64,
+    advise: bool,
+}
+
+/// The plan pipeline `FmoePredictor::plans` replaced, kept as its spec:
+/// `select_experts` (or `select_top_n`) per target layer, the priority
+/// plans stable-sorted, then the advisories in layer and slot order.
+fn reference_plans(config: &FmoeConfig, map: &ExpertMap, call: &PlanCall) -> Vec<PrefetchPlan> {
+    let select = |row: &[f64]| -> Vec<SelectedExpert> {
+        if config.use_dynamic_threshold {
+            let score = if call.is_prefill {
+                call.m.score.min(1.0 - config.prefill_coverage_floor)
+            } else {
+                call.m.score
+            };
+            select_experts(
+                row,
+                score,
+                config.min_prefetch_per_layer,
+                config.max_prefetch_per_layer,
+            )
+        } else {
+            select_top_n(row, config.fixed_prefetch_count)
+        }
+    };
+    let neutral = 1.0 / map.experts_per_layer() as f64;
+    let confidence = call.m.score.clamp(0.0, 1.0);
+    let mut scored: Vec<(f64, PrefetchPlan)> = Vec::new();
+    let mut advisories = Vec::new();
+    for t in call.layers.clone() {
+        let searched = map.layer(t as usize);
+        let selection = select(searched);
+        for &(slot, p) in &selection {
+            let plan = PrefetchPlan::fetch(ExpertId::new(t, slot as u32), p);
+            scored.push((prefetch_priority(p, t, call.current_layer), plan));
+        }
+        if call.advise {
+            for (slot, &p) in searched.iter().enumerate() {
+                if !selection.iter().any(|&(s, _)| s == slot) {
+                    let advised = confidence * p + (1.0 - confidence) * neutral;
+                    advisories.push(PrefetchPlan::advise(ExpertId::new(t, slot as u32), advised));
+                }
+            }
+        }
+    }
+    if config.use_priority_ordering {
+        scored.sort_by(|a, b| b.0.total_cmp(&a.0));
+    }
+    let mut plans: Vec<PrefetchPlan> = scored.into_iter().map(|(_, plan)| plan).collect();
+    plans.extend(advisories);
+    plans
 }
 
 fn embedding() -> impl Strategy<Value = Vec<f64>> {
@@ -402,5 +537,213 @@ proptest! {
         let near = prefetch_priority(p1, layer, current);
         let far = prefetch_priority(p1, layer + 5, current);
         prop_assert!(near >= far);
+    }
+
+    #[test]
+    fn from_rows_slices_back_to_its_rows(rows in tied_rows(5, 3)) {
+        let map = ExpertMap::from_rows(&rows);
+        prop_assert_eq!(map.num_layers(), rows.len());
+        for (l, row) in rows.iter().enumerate() {
+            prop_assert_eq!(map.layer(l), &row[..]);
+        }
+        prop_assert!(map.layers().eq(rows.iter().map(Vec::as_slice)));
+        prop_assert_eq!(&ExpertMap::new(rows.clone()), &map);
+        prop_assert_eq!(&ExpertMap::from_flat(map.flatten(), 3), &map);
+    }
+
+    #[test]
+    fn dedup_from_tracker_dots_matches_full_recompute(
+        iterations in prop::collection::vec(
+            (prop::collection::vec((embedding(), map()), 1..=8), boundary()),
+            1..7,
+        ),
+        capacity in 1usize..10,
+        policy in replacement_policy(),
+    ) {
+        // The predictor's order: every element's tracker resets and
+        // observes its map, then the elements insert one after another,
+        // so later elements catch up with earlier elements' appends and
+        // replacements. `reference` takes the same inserts through the
+        // public `insert`, which scores from a fresh tracker.
+        let mut store = ExpertMapStore::new(capacity, L, J, 2).with_replacement(policy);
+        let mut reference = ExpertMapStore::new(capacity, L, J, 2).with_replacement(policy);
+        let mut trackers: Vec<TrajectoryTracker> = Vec::new();
+        for (batch, boundary) in iterations {
+            trackers.resize_with(batch.len(), TrajectoryTracker::new);
+            for tracker in &mut trackers {
+                tracker.reset(&store);
+            }
+            for l in 0..L {
+                for (tracker, (_, m)) in trackers.iter_mut().zip(&batch) {
+                    tracker.observe_layer(&store, m.layer(l));
+                }
+            }
+            for (tracker, (e, m)) in trackers.iter_mut().zip(batch) {
+                let flat = m.flat();
+                let dots = if store.dedups_next_insert() {
+                    tracker.catch_up(&store, flat)
+                } else {
+                    &[]
+                };
+                let victim = store.dedups_next_insert().then(|| {
+                    for (i, dot) in dots.iter().enumerate() {
+                        assert_eq!(dot.to_bits(), full_dot(flat, store.entry(i).flat()).to_bits());
+                    }
+                    for (i, score) in store.dedup_scores(&e, flat, dots).enumerate() {
+                        assert_eq!(score.to_bits(), store.redundancy(&e, flat, i).to_bits());
+                    }
+                    recomputed_victim(&store, &e, flat)
+                });
+                let idx = store.insert_scored(e.clone(), m.clone(), dots);
+                prop_assert_eq!(idx, reference.insert(e, m));
+                if let Some(victim) = victim {
+                    prop_assert_eq!(idx, victim);
+                }
+            }
+            assert_same_entries(&store, &reference);
+            match boundary {
+                Boundary::Keep => {}
+                Boundary::Clear => {
+                    store.clear();
+                    reference.clear();
+                }
+                Boundary::Reload => {
+                    let mut bytes = Vec::new();
+                    store.save_to(&mut bytes).unwrap();
+                    store = ExpertMapStore::load_from(&mut bytes.as_slice())
+                        .unwrap()
+                        .with_replacement(policy);
+                    reference = ExpertMapStore::load_from(&mut bytes.as_slice())
+                        .unwrap()
+                        .with_replacement(policy);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn predictor_map_update_matches_fresh_store_inserts(
+        iterations in prop::collection::vec(
+            (
+                prop::collection::vec((embedding(), tied_rows(8, 8)), 1..=8),
+                boundary(),
+                any::<bool>(),
+            ),
+            1..6,
+        ),
+        capacity in 1usize..10,
+        policy in replacement_policy(),
+    ) {
+        // The engine's hook order over a batch, with `reset` or
+        // `load_store_from_path` between iterations; the store must end
+        // every insert exactly as a store scored by full recompute. With
+        // `shifted`, each element observes its neighbour's rows, so the
+        // map it inserts is not the one its tracker saw.
+        let model = presets::small_test_model();
+        let mut config = FmoeConfig::for_model(&model);
+        config.store_capacity = capacity;
+        config.store_replacement = policy;
+        let mut p = FmoePredictor::new(model, config);
+        let mut reference = ExpertMapStore::new(capacity, 8, 8, p.config().prefetch_distance)
+            .with_replacement(policy);
+        // The test harness may run this property on two threads at once.
+        let path = std::env::temp_dir().join(format!(
+            "fmoe_dedup_proptest_{}_{:?}.fmoe",
+            std::process::id(),
+            std::thread::current().id()
+        ));
+        for (iteration, (batch, boundary, shifted)) in (0u64..).zip(iterations) {
+            let contexts: Vec<IterationContext> = batch
+                .iter()
+                .enumerate()
+                .map(|(element, (embedding, _))| IterationContext {
+                    element,
+                    request_id: element as u64,
+                    iteration,
+                    is_prefill: iteration == 0,
+                    span: TokenSpan::single(16),
+                    embedding: embedding.clone(),
+                    routing: RequestRouting {
+                        cluster: 0,
+                        request_seed: element as u64,
+                    },
+                })
+                .collect();
+            for ctx in &contexts {
+                let _ = p.begin_iteration(ctx);
+            }
+            for layer in 0..8u32 {
+                for (k, ctx) in contexts.iter().enumerate() {
+                    let observed = if shifted { (k + 1) % batch.len() } else { k };
+                    let _ = p.observe_gate(ctx, layer, &batch[observed].1[layer as usize]);
+                }
+            }
+            for (ctx, (embedding, rows)) in contexts.iter().zip(&batch) {
+                p.end_iteration(ctx, rows);
+                reference.insert(embedding.clone(), ExpertMap::new(rows.clone()));
+                assert_same_entries(p.store(), &reference);
+            }
+            match boundary {
+                Boundary::Keep => {}
+                Boundary::Clear => {
+                    p.reset();
+                    reference.clear();
+                }
+                Boundary::Reload => {
+                    p.save_store_to_path(&path).unwrap();
+                    p.load_store_from_path(&path).unwrap();
+                    reference = ExpertMapStore::load_from_path(&path).unwrap();
+                    assert_same_entries(p.store(), &reference);
+                }
+            }
+        }
+        let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn plan_builder_matches_select_then_plans_for(
+        rows in tied_rows(8, 8),
+        score in -1.0f64..1.0,
+        modes in (any::<bool>(), any::<bool>(), any::<bool>(), any::<bool>()),
+        counts in (0usize..=9, 0usize..=9, 0usize..=9),
+        first in 0u32..8,
+        width in 0u32..5,
+        current_layer in -1i64..8,
+    ) {
+        let (dynamic, ordering, is_prefill, advise) = modes;
+        let (min_count, max_count, fixed) = counts;
+        let model = presets::small_test_model();
+        let mut config = FmoeConfig::for_model(&model);
+        config.use_dynamic_threshold = dynamic;
+        config.use_priority_ordering = ordering;
+        config.min_prefetch_per_layer = min_count;
+        config.max_prefetch_per_layer = max_count;
+        config.fixed_prefetch_count = fixed;
+        let mut p = FmoePredictor::new(model, config);
+        let ctx = IterationContext {
+            element: 0,
+            request_id: 0,
+            iteration: 0,
+            is_prefill,
+            span: TokenSpan::single(16),
+            embedding: vec![1.0, 0.0],
+            routing: RequestRouting { cluster: 0, request_seed: 0 },
+        };
+        p.end_iteration(&ctx, &rows);
+        let call = PlanCall {
+            m: MatchResult { entry_index: 0, score },
+            is_prefill,
+            layers: first..(first + width).min(8),
+            current_layer,
+            advise,
+        };
+        let want = reference_plans(p.config(), &p.store().entry(0).map, &call);
+        let got = p.plans(call.m, call.is_prefill, call.layers.clone(), call.current_layer, call.advise);
+        prop_assert_eq!(got.len(), want.len());
+        for (g, w) in got.iter().zip(&want) {
+            prop_assert_eq!(g.expert, w.expert);
+            prop_assert_eq!(g.advisory, w.advisory);
+            prop_assert_eq!(g.probability.to_bits(), w.probability.to_bits());
+        }
     }
 }

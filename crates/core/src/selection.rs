@@ -47,38 +47,56 @@ pub fn select_experts(
     min_count: usize,
     max_count: usize,
 ) -> Vec<SelectedExpert> {
-    if distribution.is_empty() || max_count == 0 {
-        return Vec::new();
-    }
-    let delta = (1.0 - score).clamp(0.0, 1.0);
-    let mut ranked: Vec<SelectedExpert> = distribution.iter().copied().enumerate().collect();
-    ranked.sort_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
-
-    let max_count = max_count.min(ranked.len());
-    let min_count = min_count.min(max_count);
-    let mut selected = Vec::new();
-    let mut cumulative = 0.0;
-    for &(slot, p) in &ranked {
-        if selected.len() >= max_count {
-            break;
-        }
-        if cumulative >= delta && selected.len() >= min_count {
-            break;
-        }
-        selected.push((slot, p));
-        cumulative += p;
-    }
-    selected
+    let mut ranked = Vec::new();
+    rank_into(distribution, &mut ranked);
+    ranked.truncate(threshold_len(&ranked, score, min_count, max_count));
+    ranked
 }
 
 /// Fixed-size selection (the "Map (T+S)" ablation without the dynamic
 /// threshold): top `count` experts by probability.
 #[must_use]
 pub fn select_top_n(distribution: &[f64], count: usize) -> Vec<SelectedExpert> {
-    let mut ranked: Vec<SelectedExpert> = distribution.iter().copied().enumerate().collect();
-    ranked.sort_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
+    let mut ranked = Vec::new();
+    rank_into(distribution, &mut ranked);
     ranked.truncate(count);
     ranked
+}
+
+/// Ranks `distribution` into `ranked`: descending probability, ties to
+/// the lower slot. Slots are distinct, so the order is total and an
+/// unstable sort needs no scratch buffer.
+pub(crate) fn rank_into(distribution: &[f64], ranked: &mut Vec<SelectedExpert>) {
+    ranked.clear();
+    ranked.extend(distribution.iter().copied().enumerate());
+    ranked.sort_unstable_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
+}
+
+/// How many experts of a ranked row [`select_experts`] keeps: the
+/// smallest prefix whose mass reaches `δ = clip(1 − score)`, at least
+/// `min_count` and at most `max_count` long.
+pub(crate) fn threshold_len(
+    ranked: &[SelectedExpert],
+    score: f64,
+    min_count: usize,
+    max_count: usize,
+) -> usize {
+    if ranked.is_empty() || max_count == 0 {
+        return 0;
+    }
+    let delta = (1.0 - score).clamp(0.0, 1.0);
+    let max_count = max_count.min(ranked.len());
+    let min_count = min_count.min(max_count);
+    let mut len = 0;
+    let mut cumulative = 0.0;
+    for &(_, p) in ranked {
+        if len >= max_count || (cumulative >= delta && len >= min_count) {
+            break;
+        }
+        len += 1;
+        cumulative += p;
+    }
+    len
 }
 
 /// fMoE's prefetch priority `PRI = p / (l − l_now)` (§4.5). `l_now` is

@@ -16,6 +16,7 @@
 //! minimum sphere covering of the activation space).
 
 use crate::map::ExpertMap;
+use crate::matcher::TrajectoryTracker;
 use fmoe_stats::SplitMix64;
 use fmoe_stats::{cosine_similarity, slab_row_score};
 use serde::Serialize;
@@ -46,25 +47,13 @@ pub struct MapEntry {
     pub embedding: Vec<f64>,
     /// The iteration's expert map.
     pub map: ExpertMap,
-    /// Cached row-major flattening of `map`.
-    flat: Vec<f64>,
 }
 
 impl MapEntry {
-    fn new(id: u64, embedding: Vec<f64>, map: ExpertMap) -> Self {
-        let flat = map.flatten();
-        Self {
-            id,
-            embedding,
-            map,
-            flat,
-        }
-    }
-
-    /// The flattened map.
+    /// The map's row-major buffer.
     #[must_use]
     pub fn flat(&self) -> &[f64] {
-        &self.flat
+        self.map.flat()
     }
 }
 
@@ -106,6 +95,10 @@ pub struct ExpertMapStore {
     /// Bumped by every [`ExpertMapStore::insert`] and
     /// [`ExpertMapStore::clear`].
     generation: u64,
+    /// `written[i]`: the generation of the insert that last wrote entry
+    /// `i`, so a trajectory tracker can re-dot only the rows written
+    /// since its reset.
+    written: Vec<u64>,
     stats: StoreStats,
     /// Layer-major mirror of `entries` for the matcher fast path, kept in
     /// sync by [`ExpertMapStore::insert`] and [`ExpertMapStore::clear`]:
@@ -116,9 +109,6 @@ pub struct ExpertMapStore {
     /// norm of its first `l` layers, the square accumulated left to right
     /// as `cosine_similarity` does before its `sqrt`.
     prefix_norms: Vec<Vec<f64>>,
-    /// One trajectory dot product per entry, reused by every at-capacity
-    /// redundancy insert.
-    dedup_dots: Vec<f64>,
     /// Embeddings, stride `emb_stride` — only maintained while every
     /// stored embedding shares one dimension (`emb_uniform`).
     emb_slab: Vec<f64>,
@@ -161,10 +151,10 @@ impl ExpertMapStore {
             entries: Vec::new(),
             next_id: 0,
             generation: 0,
+            written: Vec::new(),
             stats: StoreStats::default(),
             layer_blocks: (0..num_layers).map(|_| Vec::new()).collect(),
             prefix_norms: (0..=num_layers).map(|_| Vec::new()).collect(),
-            dedup_dots: Vec::new(),
             emb_slab: Vec::new(),
             emb_norm2: Vec::new(),
             emb_stride: 0,
@@ -249,7 +239,7 @@ impl ExpertMapStore {
     pub fn redundancy(&self, embedding: &[f64], flat_map: &[f64], y: usize) -> f64 {
         let entry = &self.entries[y];
         let sem = cosine_similarity(embedding, &entry.embedding);
-        let traj = cosine_similarity(flat_map, &entry.flat);
+        let traj = cosine_similarity(flat_map, entry.flat());
         let (w_sem, w_traj) = self.redundancy_weights();
         w_sem * sem + w_traj * traj
     }
@@ -264,6 +254,32 @@ impl ExpertMapStore {
     ///
     /// Panics if the map's dimensions do not match the store's model.
     pub fn insert(&mut self, embedding: Vec<f64>, map: ExpertMap) -> usize {
+        let mut tracker = TrajectoryTracker::new();
+        let dots = if self.dedups_next_insert() {
+            tracker.catch_up(self, map.flat())
+        } else {
+            &[]
+        };
+        self.insert_scored(embedding, map, dots)
+    }
+
+    /// `true` when the next insert replaces the most redundant entry, so
+    /// it needs the candidate's trajectory dots against every entry.
+    pub(crate) fn dedups_next_insert(&self) -> bool {
+        self.replacement == ReplacementPolicy::Redundancy && self.entries.len() >= self.capacity
+    }
+
+    /// [`ExpertMapStore::insert`] with the candidate's full-map dot
+    /// product against every entry already computed: `dots[i]` is the
+    /// left-to-right sum over `map.flat()` against entry `i`, as
+    /// [`TrajectoryTracker::catch_up`] returns it. Only read when
+    /// [`Self::dedups_next_insert`].
+    pub(crate) fn insert_scored(
+        &mut self,
+        embedding: Vec<f64>,
+        map: ExpertMap,
+        dots: &[f64],
+    ) -> usize {
         assert_eq!(map.num_layers(), self.num_layers, "layer count mismatch");
         assert_eq!(
             map.experts_per_layer(),
@@ -273,14 +289,20 @@ impl ExpertMapStore {
         let id = self.next_id;
         self.next_id += 1;
         self.generation += 1;
-        let entry = MapEntry::new(id, embedding, map);
+        let entry = MapEntry { id, embedding, map };
         let index = if self.entries.len() < self.capacity {
             self.entries.push(entry);
             self.stats.appended += 1;
             self.entries.len() - 1
         } else {
             let victim = match self.replacement {
-                ReplacementPolicy::Redundancy => self.most_redundant(&entry.embedding, &entry.flat),
+                // The last maximum wins on `total_cmp` ties
+                // (`Iterator::max_by`'s rule).
+                ReplacementPolicy::Redundancy => self
+                    .dedup_scores(&entry.embedding, entry.flat(), dots)
+                    .enumerate()
+                    .max_by(|a, b| a.1.total_cmp(&b.1))
+                    .map_or(0, |(i, _)| i),
                 ReplacementPolicy::Fifo => (0..self.entries.len())
                     .min_by_key(|&i| self.entries[i].id)
                     .unwrap_or(0),
@@ -297,23 +319,29 @@ impl ExpertMapStore {
         index
     }
 
-    /// The deduplication victim: the entry [`ExpertMapStore::redundancy`]
-    /// scores highest against the candidate, the last one on
-    /// `total_cmp` ties (`Iterator::max_by`'s rule).
+    /// Every entry's [`ExpertMapStore::redundancy`] against the
+    /// candidate `(embedding, flat)`, in entry order, given its
+    /// trajectory `dots` (see [`Self::insert_scored`]).
     ///
-    /// One pass over the store: the trajectory dots accumulate block by
-    /// block into `dedup_dots`, the candidate's norms are computed once
-    /// and the stored ones come from `prefix_norms(L)` and the embedding
-    /// slab. Every accumulator sums the same terms in the same order as
-    /// `cosine_similarity`, so each score is bit-identical to
-    /// `redundancy`'s.
-    fn most_redundant(&mut self, embedding: &[f64], flat: &[f64]) -> usize {
-        let j = self.experts_per_layer;
-        self.dedup_dots.clear();
-        self.dedup_dots.resize(self.entries.len(), 0.0);
-        for (block, query) in self.layer_blocks.iter().zip(flat.chunks_exact(j)) {
-            add_row_dots(block, j, query, &mut self.dedup_dots);
-        }
+    /// The candidate's norms are computed once; the stored ones come from
+    /// `prefix_norms(L)` and the embedding slab. Every accumulator sums
+    /// the same terms in the same order as `cosine_similarity`, so each
+    /// score is bit-identical to `redundancy`'s.
+    pub(crate) fn dedup_scores<'a>(
+        &'a self,
+        embedding: &'a [f64],
+        flat: &[f64],
+        dots: &'a [f64],
+    ) -> impl Iterator<Item = f64> + 'a {
+        debug_assert!(
+            dots.len() == self.entries.len()
+                && self
+                    .entries
+                    .iter()
+                    .zip(dots)
+                    .all(|(e, d)| row_dot(flat, e.flat()).to_bits() == d.to_bits()),
+            "reused trajectory dots differ from a recompute"
+        );
         let mut flat_norm2 = 0.0;
         for p in flat {
             flat_norm2 += p * p;
@@ -332,21 +360,18 @@ impl ExpertMapStore {
                 (query, query_norm2, slab, norms)
             });
         let (w_sem, w_traj) = self.redundancy_weights();
-        (0..self.entries.len())
-            .map(|i| {
-                let sem = match sem_slab {
-                    Some((query, query_norm2, slab, norms)) => {
-                        let stride = query.len();
-                        let row = &slab[i * stride..(i + 1) * stride];
-                        slab_row_score(query, row, query_norm2, norms[i])
-                    }
-                    None => cosine_similarity(embedding, &self.entries[i].embedding),
-                };
-                let traj = cosine_from_norms(self.dedup_dots[i], flat_norm, stored_norms[i]);
-                (i, w_sem * sem + w_traj * traj)
-            })
-            .max_by(|a, b| a.1.total_cmp(&b.1))
-            .map_or(0, |(i, _)| i)
+        (0..self.entries.len()).map(move |i| {
+            let sem = match sem_slab {
+                Some((query, query_norm2, slab, norms)) => {
+                    let stride = query.len();
+                    let row = &slab[i * stride..(i + 1) * stride];
+                    slab_row_score(query, row, query_norm2, norms[i])
+                }
+                None => cosine_similarity(embedding, &self.entries[i].embedding),
+            };
+            let traj = cosine_from_norms(dots[i], flat_norm, stored_norms[i]);
+            w_sem * sem + w_traj * traj
+        })
     }
 
     /// `(d/L, (L−d)/L)`: the semantic and trajectory weights of `RDY`.
@@ -358,13 +383,19 @@ impl ExpertMapStore {
 
     /// Mirrors `entries[index]` into the layer blocks, prefix-norm columns
     /// and embedding slab, either appending a fresh row or overwriting a
-    /// replaced victim's row in place.
+    /// replaced victim's row in place, and stamps the row's write
+    /// generation.
     fn sync_slabs_at(&mut self, index: usize) {
         let j = self.experts_per_layer;
         let entry = &self.entries[index];
         let append = index == self.prefix_norms[0].len();
+        if append {
+            self.written.push(self.generation);
+        } else {
+            self.written[index] = self.generation;
+        }
         for (l, block) in self.layer_blocks.iter_mut().enumerate() {
-            let row = &entry.flat[l * j..(l + 1) * j];
+            let row = &entry.flat()[l * j..(l + 1) * j];
             if append {
                 block.extend_from_slice(row);
             } else {
@@ -374,7 +405,7 @@ impl ExpertMapStore {
         let mut norm2 = 0.0;
         for (l, column) in self.prefix_norms.iter_mut().enumerate() {
             if l > 0 {
-                for p in &entry.flat[(l - 1) * j..l * j] {
+                for p in &entry.flat()[(l - 1) * j..l * j] {
                     norm2 += p * p;
                 }
             }
@@ -410,8 +441,8 @@ impl ExpertMapStore {
     }
 
     /// Layer `l`'s block: `len × J` values, row `i` being entry `i`'s
-    /// layer-`l` distribution. The trajectory tracker and the
-    /// deduplication stream it instead of chasing per-entry `Vec`s.
+    /// layer-`l` distribution. The trajectory tracker streams it instead
+    /// of chasing per-entry maps.
     pub(crate) fn layer_block(&self, l: usize) -> &[f64] {
         &self.layer_blocks[l]
     }
@@ -420,6 +451,12 @@ impl ExpertMapStore {
     /// first `l` layers (the `sqrt` of the left-to-right sum of squares).
     pub(crate) fn prefix_norms(&self, l: usize) -> &[f64] {
         &self.prefix_norms[l]
+    }
+
+    /// One value per entry: the [`Self::generation`] of the insert that
+    /// last wrote it.
+    pub(crate) fn written(&self) -> &[u64] {
+        &self.written
     }
 
     /// The semantic fast path's view: `(embeddings, squared norms,
@@ -457,6 +494,7 @@ impl ExpertMapStore {
     /// Clears all entries (between experiments).
     pub fn clear(&mut self) {
         self.entries.clear();
+        self.written.clear();
         self.generation += 1;
         self.stats = StoreStats::default();
         for block in &mut self.layer_blocks {
@@ -481,6 +519,16 @@ pub(crate) fn add_row_dots(block: &[f64], width: usize, query: &[f64], dots: &mu
             *dot += a * b;
         }
     }
+}
+
+/// `a · b` summed left to right: over a full map, the same terms in the
+/// same order as [`add_row_dots`] adds them layer after layer.
+pub(crate) fn row_dot(a: &[f64], b: &[f64]) -> f64 {
+    let mut dot = 0.0;
+    for (x, y) in a.iter().zip(b) {
+        dot += x * y;
+    }
+    dot
 }
 
 /// `cosine_similarity`'s last step from a dot product and the two L2
