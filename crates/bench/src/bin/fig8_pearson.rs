@@ -73,7 +73,7 @@ fn collect(model: &ModelConfig, dataset: &DatasetSpec) -> (Vec<f64>, Vec<f64>, V
                 let mut hits = 0usize;
                 let mut total = 0usize;
                 for l in 0..DISTANCE {
-                    let sel = select_top_n(entry.map.layer(l as usize), budget);
+                    let sel = select_top_n(entry.layer(l as usize), budget);
                     for slot in gate.activated_slots(p.routing, iter, l, span) {
                         total += 1;
                         if sel.iter().any(|&(s, _)| s as u32 == slot) {
@@ -103,7 +103,7 @@ fn collect(model: &ModelConfig, dataset: &DatasetSpec) -> (Vec<f64>, Vec<f64>, V
                 }
                 if let Some(m) = tracker.best(&store) {
                     let entry = store.entry(m.entry_index);
-                    let sel = select_top_n(entry.map.layer(target as usize), budget);
+                    let sel = select_top_n(entry.layer(target as usize), budget);
                     for slot in gate.activated_slots(p.routing, iter, target, span) {
                         total += 1;
                         if sel.iter().any(|&(s, _)| s as u32 == slot) {

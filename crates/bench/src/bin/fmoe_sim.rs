@@ -141,10 +141,11 @@ fn analyze_store(flags: &HashMap<String, String>) -> Result<(), String> {
         // redundancy — low values mean the dedup kept the store spread out.
         let mut nn = Vec::with_capacity(store.len());
         for (i, e) in store.entries().enumerate() {
+            let map = e.to_map();
             let mut best = f64::NEG_INFINITY;
             for j in 0..store.len() {
                 if i != j {
-                    best = best.max(store.redundancy(&e.embedding, e.flat(), j));
+                    best = best.max(store.redundancy(e.embedding(), map.flat(), j));
                 }
             }
             nn.push(best);

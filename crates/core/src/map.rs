@@ -138,13 +138,6 @@ impl ExpertMap {
             .collect()
     }
 
-    /// In-memory footprint of this map in a deployment store, assuming
-    /// the paper's fp32 NumPy representation (4 bytes per probability).
-    #[must_use]
-    pub fn storage_bytes(&self) -> usize {
-        self.num_layers() * self.experts_per_layer() * 4
-    }
-
     /// Checks every row is a (tolerantly) normalized distribution.
     #[must_use]
     pub fn is_normalized(&self, tolerance: f64) -> bool {
@@ -202,11 +195,6 @@ mod tests {
         assert_eq!(counts[1], vec![0, 0, 1, 1]);
         // Uniform layer: ties break toward lower indices.
         assert_eq!(counts[2], vec![1, 1, 0, 0]);
-    }
-
-    #[test]
-    fn storage_bytes_matches_fp32_layout() {
-        assert_eq!(simple_map().storage_bytes(), 3 * 4 * 4);
     }
 
     #[test]

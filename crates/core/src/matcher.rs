@@ -14,7 +14,7 @@
 //! prefix, which is what makes per-layer matching affordable — the same
 //! reason the paper's implementation stores maps as contiguous ndarrays.
 
-use crate::store::{add_row_dots, cosine_from_norms, row_dot, ExpertMapStore};
+use crate::store::{add_row_dots, cosine_from_norms, ExpertMapStore};
 use fmoe_stats::{argmax_cosine_slab, cosine_similarity, top_k_cosine_slab};
 
 /// Outcome of a map search.
@@ -50,7 +50,7 @@ impl Matcher {
     }
 
     /// The reference semantic search: a per-entry [`cosine_similarity`]
-    /// scan over `Vec`-of-`Vec` storage. Kept as the slow path the slab
+    /// scan over each entry's embedding span. Kept as the slow path the slab
     /// kernel is verified against (and as the fallback for queries the
     /// slab cannot serve, e.g. ragged embedding dimensions).
     #[must_use]
@@ -60,7 +60,7 @@ impl Matcher {
     ) -> Option<MatchResult> {
         let mut best: Option<MatchResult> = None;
         for (i, entry) in store.entries().enumerate() {
-            let score = cosine_similarity(embedding, &entry.embedding);
+            let score = cosine_similarity(embedding, entry.embedding());
             if best.is_none_or(|b| score > b.score) {
                 best = Some(MatchResult {
                     entry_index: i,
@@ -101,7 +101,7 @@ impl Matcher {
             .enumerate()
             .map(|(i, entry)| MatchResult {
                 entry_index: i,
-                score: cosine_similarity(embedding, &entry.embedding),
+                score: cosine_similarity(embedding, entry.embedding()),
             })
             .collect();
         scored.sort_by(|a, b| {
@@ -133,12 +133,15 @@ impl Matcher {
         if flat.iter().map(|p| p * p).sum::<f64>() <= 0.0 {
             return None;
         }
-        let layers = observed_prefix.len();
+        let layers = observed_prefix.len().min(store.num_layers());
+        let mut prefix = Vec::new();
         let mut best: Option<MatchResult> = None;
         for (i, entry) in store.entries().enumerate() {
-            let j = entry.map.experts_per_layer();
-            let prefix = &entry.flat()[..(layers * j).min(entry.flat().len())];
-            let score = cosine_similarity(&flat, prefix);
+            prefix.clear();
+            for l in 0..layers {
+                prefix.extend_from_slice(entry.layer(l));
+            }
+            let score = cosine_similarity(&flat, &prefix);
             if best.is_none_or(|b| score > b.score) {
                 best = Some(MatchResult {
                     entry_index: i,
@@ -232,8 +235,8 @@ impl TrajectoryTracker {
     /// When this tracker observed exactly `flat`'s `L` layers since its
     /// `reset`, its dots are reused: only the rows written after that
     /// reset are re-dotted, and each row appended since gets a dot. A
-    /// re-dot is one left-to-right sum over `flat`, the term order
-    /// `observe_layer` accumulates layer after layer, so every dot is
+    /// re-dot sums over the `L` layer blocks in layer order, the terms
+    /// and order `observe_layer` accumulates, so every dot is
     /// bit-identical to a fresh pass. Otherwise the tracker resets and
     /// observes `flat` from scratch.
     pub(crate) fn catch_up(&mut self, store: &ExpertMapStore, flat: &[f64]) -> &[f64] {
@@ -254,9 +257,9 @@ impl TrajectoryTracker {
         self.dots.truncate(store.len());
         for (i, &written) in store.written().iter().enumerate() {
             if i == self.dots.len() {
-                self.dots.push(row_dot(flat, store.entry(i).flat()));
+                self.dots.push(store.entry(i).dot(flat));
             } else if written > self.generation {
-                self.dots[i] = row_dot(flat, store.entry(i).flat());
+                self.dots[i] = store.entry(i).dot(flat);
             }
         }
         self.generation = store.generation();

@@ -5,7 +5,7 @@
 //! serving sessions. This module gives it a durable form: a small,
 //! versioned, little-endian binary format holding each entry's semantic
 //! embedding and expert map at fp32 (the same precision the paper's NumPy
-//! implementation stores, and the layout `ExpertMap::storage_bytes`
+//! implementation stores, and the layout `ExpertMapStore::memory_bytes`
 //! accounts for).
 //!
 //! Layout:
@@ -43,6 +43,8 @@ use std::path::Path;
 
 const MAGIC: &[u8; 4] = b"FMOE";
 const VERSION: u32 = 1;
+/// Plausibility cap on the values one embedding or one map may declare.
+const MAX_VALUES: usize = 1 << 20;
 
 fn write_u32(w: &mut impl Write, v: u32) -> io::Result<()> {
     w.write_all(&v.to_le_bytes())
@@ -93,12 +95,14 @@ impl ExpertMapStore {
         write_u32(w, self.prefetch_distance())?;
         write_u64(w, self.len() as u64)?;
         for entry in self.entries() {
-            write_u32(w, entry.embedding.len() as u32)?;
-            for &x in &entry.embedding {
+            write_u32(w, entry.embedding().len() as u32)?;
+            for &x in entry.embedding() {
                 write_f32(w, x as f32)?;
             }
-            for &p in entry.flat() {
-                write_f32(w, p as f32)?;
+            for l in 0..self.num_layers() {
+                for &p in entry.layer(l) {
+                    write_f32(w, p as f32)?;
+                }
             }
         }
         Ok(())
@@ -127,6 +131,10 @@ impl ExpertMapStore {
         if capacity == 0 || layers == 0 || experts == 0 {
             return Err(invalid("zero dimension in store header"));
         }
+        // Checked before the store is built: `new` allocates per layer.
+        if layers.saturating_mul(experts) > MAX_VALUES {
+            return Err(invalid("implausible map dimensions"));
+        }
         let count = read_u64(r)? as usize;
         if count > capacity {
             return Err(invalid(format!(
@@ -136,7 +144,7 @@ impl ExpertMapStore {
         let mut store = ExpertMapStore::new(capacity, layers, experts, distance);
         for _ in 0..count {
             let emb_len = read_u32(r)? as usize;
-            if emb_len > 1 << 20 {
+            if emb_len > MAX_VALUES {
                 return Err(invalid("implausible embedding length"));
             }
             let mut embedding = Vec::with_capacity(emb_len);
@@ -205,10 +213,10 @@ mod tests {
         assert_eq!(loaded.capacity(), store.capacity());
         for (a, b) in store.entries().zip(loaded.entries()) {
             // fp32 quantization on disk: compare at f32 precision.
-            for (x, y) in a.embedding.iter().zip(&b.embedding) {
+            for (x, y) in a.embedding().iter().zip(b.embedding()) {
                 assert!((x - y).abs() < 1e-6, "{x} vs {y}");
             }
-            for (x, y) in a.flat().iter().zip(b.flat()) {
+            for (x, y) in a.to_map().flat().iter().zip(b.to_map().flat()) {
                 assert!((x - y).abs() < 1e-6);
             }
         }
@@ -240,6 +248,32 @@ mod tests {
         buf[4] = 99;
         let err = ExpertMapStore::load_from(&mut buf.as_slice()).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+    }
+
+    /// A header with no entries: magic, version, capacity 64, the given
+    /// map dimensions and distance 1.
+    fn header(layers: u32, experts: u32) -> Vec<u8> {
+        let mut buf = Vec::new();
+        buf.extend_from_slice(MAGIC);
+        buf.extend_from_slice(&VERSION.to_le_bytes());
+        buf.extend_from_slice(&64u64.to_le_bytes());
+        buf.extend_from_slice(&layers.to_le_bytes());
+        buf.extend_from_slice(&experts.to_le_bytes());
+        buf.extend_from_slice(&1u32.to_le_bytes());
+        buf.extend_from_slice(&0u64.to_le_bytes());
+        buf
+    }
+
+    #[test]
+    fn implausible_map_dimensions_are_rejected() {
+        let buf = header(65_536, 65_536);
+        assert_eq!(buf.len(), 36);
+        let err = ExpertMapStore::load_from(&mut buf.as_slice()).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        assert!(ExpertMapStore::load_from(&mut header(u32::MAX, 1).as_slice()).is_err());
+        // The largest plausible shape still loads.
+        let store = ExpertMapStore::load_from(&mut header(1 << 10, 1 << 10).as_slice()).unwrap();
+        assert_eq!(store.num_layers() * store.experts_per_layer(), MAX_VALUES);
     }
 
     #[test]

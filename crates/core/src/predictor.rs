@@ -236,11 +236,11 @@ impl FmoePredictor {
         } = &mut self.plan_scratch;
         scored.clear();
         advisories.clear();
-        let map = &self.store.entry(m.entry_index).map;
+        let entry = self.store.entry(m.entry_index);
         let neutral = 1.0 / f64::from(self.model.experts_per_layer);
         let confidence = m.score.clamp(0.0, 1.0);
         for t in layers {
-            let searched = map.layer(t as usize);
+            let searched = entry.layer(t as usize);
             rank_into(searched, ranked);
             let selected = &ranked[..selected_len(&self.config, ranked, m.score, is_prefill)];
             for &(slot, p) in selected {
@@ -348,7 +348,7 @@ impl ExpertPredictor for FmoePredictor {
         } else {
             &[]
         };
-        self.store.insert_scored(ctx.embedding.clone(), map, dots);
+        self.store.insert_scored(&ctx.embedding, &map, dots);
     }
 
     fn reset(&mut self) {

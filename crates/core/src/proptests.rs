@@ -62,6 +62,31 @@ enum Boundary {
     Reload,
 }
 
+/// One step of a store's life.
+#[derive(Debug, Clone)]
+enum StoreOp {
+    /// Insert the pair, keeping the first `keep` embedding values when the
+    /// run is ragged.
+    Insert(Vec<f64>, ExpertMap, usize),
+    Clear,
+    Reload,
+}
+
+fn store_op() -> impl Strategy<Value = StoreOp> {
+    let insert =
+        || (embedding(), map(), 1usize..=8).prop_map(|(e, m, keep)| StoreOp::Insert(e, m, keep));
+    prop_oneof![
+        insert(),
+        insert(),
+        insert(),
+        insert(),
+        insert(),
+        insert(),
+        Just(StoreOp::Clear),
+        Just(StoreOp::Reload),
+    ]
+}
+
 fn boundary() -> impl Strategy<Value = Boundary> {
     prop_oneof![
         Just(Boundary::Keep),
@@ -92,13 +117,13 @@ fn recomputed_victim(store: &ExpertMapStore, embedding: &[f64], flat: &[f64]) ->
 fn assert_same_entries(a: &ExpertMapStore, b: &ExpertMapStore) {
     assert_eq!(a.len(), b.len());
     for (x, y) in a.entries().zip(b.entries()) {
-        assert_eq!(x.id, y.id);
-        assert_eq!(x.embedding, y.embedding);
-        assert!(x
-            .flat()
+        assert_eq!(x.id(), y.id());
+        assert_eq!(x.embedding(), y.embedding());
+        assert!((0..L).all(|l| x
+            .layer(l)
             .iter()
-            .zip(y.flat())
-            .all(|(p, q)| p.to_bits() == q.to_bits()));
+            .zip(y.layer(l))
+            .all(|(p, q)| p.to_bits() == q.to_bits())));
     }
 }
 
@@ -182,7 +207,8 @@ fn entry_major_best(store: &ExpertMapStore, observed: &[Vec<f64>]) -> Option<Mat
     for (i, entry) in store.entries().enumerate() {
         let mut dot = 0.0;
         let mut en2 = 0.0;
-        for (query, stored) in observed.iter().zip(entry.flat().chunks_exact(J)) {
+        let map = entry.to_map();
+        for (query, stored) in observed.iter().zip(map.flat().chunks_exact(J)) {
             for (a, b) in query.iter().zip(stored) {
                 dot += a * b;
             }
@@ -380,7 +406,7 @@ proptest! {
                     let flat: Vec<f64> = prefix.iter().flatten().copied().collect();
                     fmoe_stats::cosine_similarity(
                         &flat,
-                        &store.entry(i).flat()[..layers * J],
+                        &store.entry(i).to_map().flat()[..layers * J],
                     )
                 })
                 .collect();
@@ -510,7 +536,7 @@ proptest! {
         let loaded = ExpertMapStore::load_from(&mut buf.as_slice()).unwrap();
         prop_assert_eq!(loaded.len(), store.len());
         for (a, b) in store.entries().zip(loaded.entries()) {
-            for (x, y) in a.flat().iter().zip(b.flat()) {
+            for (x, y) in a.to_map().flat().iter().zip(b.to_map().flat()) {
                 prop_assert!((x - y).abs() < 1e-6);
             }
         }
@@ -552,6 +578,71 @@ proptest! {
     }
 
     #[test]
+    fn entry_views_read_back_what_was_inserted(
+        ops in prop::collection::vec(store_op(), 1..40),
+        capacity in 1usize..8,
+        policy in replacement_policy(),
+        ragged in any::<bool>(),
+        query in map(),
+    ) {
+        // `model[i]` is what index `i` was last written with: its id,
+        // embedding and map. A reload renumbers the ids and rounds every
+        // value through the wire format's f32.
+        let mut store = ExpertMapStore::new(capacity, L, J, 2).with_replacement(policy);
+        let mut model: Vec<(u64, Vec<f64>, Vec<f64>)> = Vec::new();
+        let mut next_id = 0;
+        for op in ops {
+            match op {
+                StoreOp::Insert(mut e, m, keep) => {
+                    if ragged {
+                        e.truncate(keep);
+                    }
+                    let idx = store.insert(e.clone(), m.clone());
+                    let written = (next_id, e, m.flatten());
+                    if idx == model.len() {
+                        model.push(written);
+                    } else {
+                        model[idx] = written;
+                    }
+                    next_id += 1;
+                }
+                StoreOp::Clear => {
+                    store.clear();
+                    model.clear();
+                }
+                StoreOp::Reload => {
+                    let mut bytes = Vec::new();
+                    store.save_to(&mut bytes).unwrap();
+                    store = ExpertMapStore::load_from(&mut bytes.as_slice())
+                        .unwrap()
+                        .with_replacement(policy);
+                    let round = |v: &[f64]| v.iter().map(|&x| f64::from(x as f32)).collect();
+                    model = model
+                        .iter()
+                        .zip(0..)
+                        .map(|((_, e, flat), id)| (id, round(e), round(flat)))
+                        .collect();
+                    next_id = model.len() as u64;
+                }
+            }
+            prop_assert_eq!(store.len(), model.len());
+            prop_assert_eq!(store.entries().len(), model.len());
+            for (entry, (id, e, flat)) in store.entries().zip(&model) {
+                prop_assert_eq!(entry.id(), *id);
+                prop_assert_eq!(entry.embedding(), &e[..]);
+                for l in 0..L {
+                    prop_assert_eq!(entry.layer(l), &flat[l * J..(l + 1) * J]);
+                }
+                prop_assert_eq!(entry.to_map().flat(), &flat[..]);
+                prop_assert_eq!(
+                    entry.dot(query.flat()).to_bits(),
+                    full_dot(query.flat(), flat).to_bits()
+                );
+            }
+        }
+    }
+
+    #[test]
     fn dedup_from_tracker_dots_matches_full_recompute(
         iterations in prop::collection::vec(
             (prop::collection::vec((embedding(), map()), 1..=8), boundary()),
@@ -587,14 +678,14 @@ proptest! {
                 };
                 let victim = store.dedups_next_insert().then(|| {
                     for (i, dot) in dots.iter().enumerate() {
-                        assert_eq!(dot.to_bits(), full_dot(flat, store.entry(i).flat()).to_bits());
+                        assert_eq!(dot.to_bits(), full_dot(flat, store.entry(i).to_map().flat()).to_bits());
                     }
                     for (i, score) in store.dedup_scores(&e, flat, dots).enumerate() {
                         assert_eq!(score.to_bits(), store.redundancy(&e, flat, i).to_bits());
                     }
                     recomputed_victim(&store, &e, flat)
                 });
-                let idx = store.insert_scored(e.clone(), m.clone(), dots);
+                let idx = store.insert_scored(&e, &m, dots);
                 prop_assert_eq!(idx, reference.insert(e, m));
                 if let Some(victim) = victim {
                     prop_assert_eq!(idx, victim);
@@ -737,7 +828,7 @@ proptest! {
             current_layer,
             advise,
         };
-        let want = reference_plans(p.config(), &p.store().entry(0).map, &call);
+        let want = reference_plans(p.config(), &p.store().entry(0).to_map(), &call);
         let got = p.plans(call.m, call.is_prefill, call.layers.clone(), call.current_layer, call.advise);
         prop_assert_eq!(got.len(), want.len());
         for (g, w) in got.iter().zip(&want) {

@@ -38,22 +38,66 @@ pub enum ReplacementPolicy {
     Random,
 }
 
-/// One stored iteration.
-#[derive(Debug, Clone)]
-pub struct MapEntry {
-    /// Monotone insertion id (diagnostics).
-    pub id: u64,
-    /// The iteration's semantic embedding.
-    pub embedding: Vec<f64>,
-    /// The iteration's expert map.
-    pub map: ExpertMap,
+/// A borrowed view of one stored iteration: its id, embedding and map
+/// rows, read from the store's buffers.
+#[derive(Clone, Copy)]
+pub struct EntryView<'a> {
+    store: &'a ExpertMapStore,
+    index: usize,
 }
 
-impl MapEntry {
-    /// The map's row-major buffer.
+impl std::fmt::Debug for EntryView<'_> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("EntryView")
+            .field("index", &self.index)
+            .field("id", &self.id())
+            .finish_non_exhaustive()
+    }
+}
+
+impl<'a> EntryView<'a> {
+    /// Monotone insertion id (diagnostics).
     #[must_use]
-    pub fn flat(&self) -> &[f64] {
-        self.map.flat()
+    pub fn id(&self) -> u64 {
+        self.store.ids[self.index]
+    }
+
+    /// The iteration's semantic embedding.
+    #[must_use]
+    pub fn embedding(&self) -> &'a [f64] {
+        let offsets = &self.store.emb_offsets;
+        &self.store.emb_buf[offsets[self.index]..offsets[self.index + 1]]
+    }
+
+    /// The map's layer-`l` distribution: row `index` of layer block `l`.
+    #[must_use]
+    pub fn layer(&self, l: usize) -> &'a [f64] {
+        let j = self.store.experts_per_layer;
+        &self.store.layer_blocks[l][self.index * j..(self.index + 1) * j]
+    }
+
+    /// `flat · map`, summed left to right layer after layer: the terms
+    /// and order of a dot over the row-major map, so bit-identical to
+    /// one.
+    #[must_use]
+    pub fn dot(&self, flat: &[f64]) -> f64 {
+        let mut dot = 0.0;
+        for (l, query) in flat.chunks_exact(self.store.experts_per_layer).enumerate() {
+            for (a, b) in query.iter().zip(self.layer(l)) {
+                dot += a * b;
+            }
+        }
+        dot
+    }
+
+    /// An owned copy of the map.
+    #[must_use]
+    pub fn to_map(&self) -> ExpertMap {
+        let mut flat = Vec::with_capacity(self.store.num_layers * self.store.experts_per_layer);
+        for l in 0..self.store.num_layers {
+            flat.extend_from_slice(self.layer(l));
+        }
+        ExpertMap::from_flat(flat, self.store.experts_per_layer)
     }
 }
 
@@ -90,7 +134,8 @@ pub struct ExpertMapStore {
     prefetch_distance: u32,
     replacement: ReplacementPolicy,
     rng_state: u64,
-    entries: Vec<MapEntry>,
+    /// `ids[i]`: entry `i`'s insertion id.
+    ids: Vec<u64>,
     next_id: u64,
     /// Bumped by every [`ExpertMapStore::insert`] and
     /// [`ExpertMapStore::clear`].
@@ -100,20 +145,22 @@ pub struct ExpertMapStore {
     /// since its reset.
     written: Vec<u64>,
     stats: StoreStats,
-    /// Layer-major mirror of `entries` for the matcher fast path, kept in
-    /// sync by [`ExpertMapStore::insert`] and [`ExpertMapStore::clear`]:
-    /// `layer_blocks[l]` holds `len × J` values, row `i` being entry `i`'s
-    /// layer-`l` distribution.
+    /// The maps, layer-major and the only copy: `layer_blocks[l]` holds
+    /// `len × J` values, row `i` being entry `i`'s layer-`l`
+    /// distribution.
     layer_blocks: Vec<Vec<f64>>,
     /// `prefix_norms[l]`, `l ∈ 0..=L`, holds one value per entry: the L2
     /// norm of its first `l` layers, the square accumulated left to right
     /// as `cosine_similarity` does before its `sqrt`.
     prefix_norms: Vec<Vec<f64>>,
-    /// Embeddings, stride `emb_stride` — only maintained while every
-    /// stored embedding shares one dimension (`emb_uniform`).
-    emb_slab: Vec<f64>,
+    /// The embeddings, concatenated in entry order and the only copy:
+    /// entry `i`'s is `emb_buf[emb_offsets[i]..emb_offsets[i + 1]]`.
+    emb_buf: Vec<f64>,
+    /// `len + 1` offsets into `emb_buf`, starting at 0.
+    emb_offsets: Vec<usize>,
     /// Squared embedding norms (left-to-right accumulation, matching
-    /// `cosine_similarity`'s order bit-for-bit).
+    /// `cosine_similarity`'s order bit-for-bit) — only maintained while
+    /// every stored embedding shares one dimension (`emb_uniform`).
     emb_norm2: Vec<f64>,
     /// Embedding dimension fixed by the first insert; 0 before it.
     emb_stride: usize,
@@ -148,14 +195,15 @@ impl ExpertMapStore {
             prefetch_distance,
             replacement: ReplacementPolicy::Redundancy,
             rng_state: 0x5EED_CAFE,
-            entries: Vec::new(),
+            ids: Vec::new(),
             next_id: 0,
             generation: 0,
             written: Vec::new(),
             stats: StoreStats::default(),
             layer_blocks: (0..num_layers).map(|_| Vec::new()).collect(),
             prefix_norms: (0..=num_layers).map(|_| Vec::new()).collect(),
-            emb_slab: Vec::new(),
+            emb_buf: Vec::new(),
+            emb_offsets: vec![0],
             emb_norm2: Vec::new(),
             emb_stride: 0,
             emb_uniform: true,
@@ -173,13 +221,13 @@ impl ExpertMapStore {
     /// Number of stored entries.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.entries.len()
+        self.ids.len()
     }
 
     /// `true` when the store holds no entries.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
+        self.ids.is_empty()
     }
 
     /// The configured capacity `C`.
@@ -207,14 +255,19 @@ impl ExpertMapStore {
     }
 
     /// Read access to a stored entry.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `index >= len`.
     #[must_use]
-    pub fn entry(&self, index: usize) -> &MapEntry {
-        &self.entries[index]
+    pub fn entry(&self, index: usize) -> EntryView<'_> {
+        assert!(index < self.len(), "entry index out of range");
+        EntryView { store: self, index }
     }
 
-    /// Iterates over stored entries.
-    pub fn entries(&self) -> impl Iterator<Item = &MapEntry> {
-        self.entries.iter()
+    /// Iterates over stored entries in index order.
+    pub fn entries(&self) -> impl ExactSizeIterator<Item = EntryView<'_>> {
+        (0..self.len()).map(move |index| EntryView { store: self, index })
     }
 
     /// Counters.
@@ -237,9 +290,9 @@ impl ExpertMapStore {
     /// at-capacity deduplication's one-pass scoring is pinned against.
     #[must_use]
     pub fn redundancy(&self, embedding: &[f64], flat_map: &[f64], y: usize) -> f64 {
-        let entry = &self.entries[y];
-        let sem = cosine_similarity(embedding, &entry.embedding);
-        let traj = cosine_similarity(flat_map, entry.flat());
+        let entry = self.entry(y);
+        let sem = cosine_similarity(embedding, entry.embedding());
+        let traj = cosine_similarity(flat_map, entry.to_map().flat());
         let (w_sem, w_traj) = self.redundancy_weights();
         w_sem * sem + w_traj * traj
     }
@@ -260,13 +313,13 @@ impl ExpertMapStore {
         } else {
             &[]
         };
-        self.insert_scored(embedding, map, dots)
+        self.insert_scored(&embedding, &map, dots)
     }
 
     /// `true` when the next insert replaces the most redundant entry, so
     /// it needs the candidate's trajectory dots against every entry.
     pub(crate) fn dedups_next_insert(&self) -> bool {
-        self.replacement == ReplacementPolicy::Redundancy && self.entries.len() >= self.capacity
+        self.replacement == ReplacementPolicy::Redundancy && self.len() >= self.capacity
     }
 
     /// [`ExpertMapStore::insert`] with the candidate's full-map dot
@@ -276,8 +329,8 @@ impl ExpertMapStore {
     /// [`Self::dedups_next_insert`].
     pub(crate) fn insert_scored(
         &mut self,
-        embedding: Vec<f64>,
-        map: ExpertMap,
+        embedding: &[f64],
+        map: &ExpertMap,
         dots: &[f64],
     ) -> usize {
         assert_eq!(map.num_layers(), self.num_layers, "layer count mismatch");
@@ -289,33 +342,29 @@ impl ExpertMapStore {
         let id = self.next_id;
         self.next_id += 1;
         self.generation += 1;
-        let entry = MapEntry { id, embedding, map };
-        let index = if self.entries.len() < self.capacity {
-            self.entries.push(entry);
+        let index = if self.len() < self.capacity {
             self.stats.appended += 1;
-            self.entries.len() - 1
+            self.len()
         } else {
-            let victim = match self.replacement {
+            self.stats.replaced += 1;
+            match self.replacement {
                 // The last maximum wins on `total_cmp` ties
                 // (`Iterator::max_by`'s rule).
                 ReplacementPolicy::Redundancy => self
-                    .dedup_scores(&entry.embedding, entry.flat(), dots)
+                    .dedup_scores(embedding, map.flat(), dots)
                     .enumerate()
                     .max_by(|a, b| a.1.total_cmp(&b.1))
                     .map_or(0, |(i, _)| i),
-                ReplacementPolicy::Fifo => (0..self.entries.len())
-                    .min_by_key(|&i| self.entries[i].id)
-                    .unwrap_or(0),
+                ReplacementPolicy::Fifo => {
+                    (0..self.len()).min_by_key(|&i| self.ids[i]).unwrap_or(0)
+                }
                 ReplacementPolicy::Random => {
                     self.rng_state = SplitMix64::mix(self.rng_state.wrapping_add(id));
-                    (self.rng_state % self.entries.len() as u64) as usize
+                    (self.rng_state % self.len() as u64) as usize
                 }
-            };
-            self.entries[victim] = entry;
-            self.stats.replaced += 1;
-            victim
+            }
         };
-        self.sync_slabs_at(index);
+        self.write_at(index, id, embedding, map.flat());
         index
     }
 
@@ -334,12 +383,11 @@ impl ExpertMapStore {
         dots: &'a [f64],
     ) -> impl Iterator<Item = f64> + 'a {
         debug_assert!(
-            dots.len() == self.entries.len()
+            dots.len() == self.len()
                 && self
-                    .entries
-                    .iter()
+                    .entries()
                     .zip(dots)
-                    .all(|(e, d)| row_dot(flat, e.flat()).to_bits() == d.to_bits()),
+                    .all(|(e, d)| e.dot(flat).to_bits() == d.to_bits()),
             "reused trajectory dots differ from a recompute"
         );
         let mut flat_norm2 = 0.0;
@@ -360,14 +408,14 @@ impl ExpertMapStore {
                 (query, query_norm2, slab, norms)
             });
         let (w_sem, w_traj) = self.redundancy_weights();
-        (0..self.entries.len()).map(move |i| {
+        (0..self.len()).map(move |i| {
             let sem = match sem_slab {
                 Some((query, query_norm2, slab, norms)) => {
                     let stride = query.len();
                     let row = &slab[i * stride..(i + 1) * stride];
                     slab_row_score(query, row, query_norm2, norms[i])
                 }
-                None => cosine_similarity(embedding, &self.entries[i].embedding),
+                None => cosine_similarity(embedding, self.entry(i).embedding()),
             };
             let traj = cosine_from_norms(dots[i], flat_norm, stored_norms[i]);
             w_sem * sem + w_traj * traj
@@ -381,21 +429,20 @@ impl ExpertMapStore {
         (d / l, (l - d) / l)
     }
 
-    /// Mirrors `entries[index]` into the layer blocks, prefix-norm columns
-    /// and embedding slab, either appending a fresh row or overwriting a
-    /// replaced victim's row in place, and stamps the row's write
-    /// generation.
-    fn sync_slabs_at(&mut self, index: usize) {
+    /// Writes an entry into row `index` of every buffer: a fresh row when
+    /// `index == len`, else over the replaced victim's row in place.
+    /// Stamps the row's write generation.
+    fn write_at(&mut self, index: usize, id: u64, embedding: &[f64], flat: &[f64]) {
         let j = self.experts_per_layer;
-        let entry = &self.entries[index];
-        let append = index == self.prefix_norms[0].len();
+        let append = index == self.len();
         if append {
+            self.ids.push(id);
             self.written.push(self.generation);
         } else {
+            self.ids[index] = id;
             self.written[index] = self.generation;
         }
-        for (l, block) in self.layer_blocks.iter_mut().enumerate() {
-            let row = &entry.flat()[l * j..(l + 1) * j];
+        for (block, row) in self.layer_blocks.iter_mut().zip(flat.chunks_exact(j)) {
             if append {
                 block.extend_from_slice(row);
             } else {
@@ -405,7 +452,7 @@ impl ExpertMapStore {
         let mut norm2 = 0.0;
         for (l, column) in self.prefix_norms.iter_mut().enumerate() {
             if l > 0 {
-                for p in &entry.flat()[(l - 1) * j..l * j] {
+                for p in &flat[(l - 1) * j..l * j] {
                     norm2 += p * p;
                 }
             }
@@ -416,26 +463,38 @@ impl ExpertMapStore {
             }
         }
 
+        if append {
+            self.emb_buf.extend_from_slice(embedding);
+            self.emb_offsets.push(self.emb_buf.len());
+        } else {
+            let span = self.emb_offsets[index]..self.emb_offsets[index + 1];
+            if span.len() == embedding.len() {
+                self.emb_buf[span].copy_from_slice(embedding);
+            } else {
+                // Only ragged embeddings get here: the buffer closes up
+                // around the new length.
+                let old_len = span.len();
+                self.emb_buf.splice(span, embedding.iter().copied());
+                for offset in &mut self.emb_offsets[index + 1..] {
+                    *offset = *offset - old_len + embedding.len();
+                }
+            }
+        }
         if !self.emb_uniform {
             return;
         }
-        let emb = &self.entries[index].embedding;
         if self.emb_stride == 0 {
-            self.emb_stride = emb.len();
+            self.emb_stride = embedding.len();
         }
-        if emb.len() != self.emb_stride || self.emb_stride == 0 {
+        if embedding.len() != self.emb_stride || self.emb_stride == 0 {
             self.emb_uniform = false;
-            self.emb_slab.clear();
             self.emb_norm2.clear();
             return;
         }
-        let es = self.emb_stride;
-        let norm2: f64 = emb.iter().map(|x| x * x).sum();
-        if index * es == self.emb_slab.len() {
-            self.emb_slab.extend_from_slice(emb);
+        let norm2: f64 = embedding.iter().map(|x| x * x).sum();
+        if append {
             self.emb_norm2.push(norm2);
         } else {
-            self.emb_slab[index * es..(index + 1) * es].copy_from_slice(emb);
             self.emb_norm2[index] = norm2;
         }
     }
@@ -465,8 +524,8 @@ impl ExpertMapStore {
     /// per-entry reference path).
     #[must_use]
     pub fn embedding_slab(&self) -> Option<(&[f64], &[f64], usize)> {
-        if self.emb_uniform && !self.entries.is_empty() {
-            Some((&self.emb_slab, &self.emb_norm2, self.emb_stride))
+        if self.emb_uniform && !self.is_empty() {
+            Some((&self.emb_buf, &self.emb_norm2, self.emb_stride))
         } else {
             None
         }
@@ -477,10 +536,7 @@ impl ExpertMapStore {
     /// entry, 4 bytes each.
     #[must_use]
     pub fn memory_bytes(&self) -> u64 {
-        self.entries
-            .iter()
-            .map(|e| (e.map.storage_bytes() + e.embedding.len() * 4) as u64)
-            .sum()
+        ((self.len() * self.num_layers * self.experts_per_layer + self.emb_buf.len()) * 4) as u64
     }
 
     /// Footprint a *full* store of this configuration would occupy — the
@@ -493,7 +549,7 @@ impl ExpertMapStore {
 
     /// Clears all entries (between experiments).
     pub fn clear(&mut self) {
-        self.entries.clear();
+        self.ids.clear();
         self.written.clear();
         self.generation += 1;
         self.stats = StoreStats::default();
@@ -503,7 +559,8 @@ impl ExpertMapStore {
         for column in &mut self.prefix_norms {
             column.clear();
         }
-        self.emb_slab.clear();
+        self.emb_buf.clear();
+        self.emb_offsets.truncate(1);
         self.emb_norm2.clear();
         self.emb_stride = 0;
         self.emb_uniform = true;
@@ -519,16 +576,6 @@ pub(crate) fn add_row_dots(block: &[f64], width: usize, query: &[f64], dots: &mu
             *dot += a * b;
         }
     }
-}
-
-/// `a · b` summed left to right: over a full map, the same terms in the
-/// same order as [`add_row_dots`] adds them layer after layer.
-pub(crate) fn row_dot(a: &[f64], b: &[f64]) -> f64 {
-    let mut dot = 0.0;
-    for (x, y) in a.iter().zip(b) {
-        dot += x * y;
-    }
-    dot
 }
 
 /// `cosine_similarity`'s last step from a dot product and the two L2
@@ -585,7 +632,7 @@ mod tests {
         assert_eq!(s.len(), 2);
         assert_eq!(s.stats().replaced, 1);
         // The diverse entry survived.
-        assert!(s.entry(1).map.layer(0)[2] > 0.5);
+        assert!(s.entry(1).layer(0)[2] > 0.5);
     }
 
     #[test]
@@ -596,7 +643,7 @@ mod tests {
         for _ in 0..4 {
             s.insert(emb(0.4), map_peaked_at(2, 4, 1));
         }
-        assert_eq!(s.entry(2).id, 3);
+        assert_eq!(s.entry(2).id(), 3);
     }
 
     #[test]
@@ -618,7 +665,7 @@ mod tests {
         let generation = s.generation();
         s.insert(emb(0.1), map_peaked_at(2, 4, 1));
         assert_eq!(s.len(), 1);
-        assert_eq!(s.entry(0).id, 1);
+        assert_eq!(s.entry(0).id(), 1);
         // A replacement keeps `len` but still moves the generation.
         assert_ne!(s.generation(), generation);
     }
@@ -664,7 +711,9 @@ mod tests {
         assert_eq!(eslab, &[1.0, 2.0]);
     }
 
-    fn assert_slabs_mirror_entries(s: &ExpertMapStore) {
+    /// Asserts the norm columns and the embedding slab agree with the
+    /// entries the views read.
+    fn assert_norms_match_entries(s: &ExpertMapStore) {
         let j = s.experts_per_layer();
         for l in 0..s.num_layers() {
             assert_eq!(s.layer_block(l).len(), s.len() * j);
@@ -673,22 +722,17 @@ mod tests {
             assert_eq!(s.prefix_norms(l).len(), s.len());
         }
         for (i, e) in s.entries().enumerate() {
-            for l in 0..s.num_layers() {
-                assert_eq!(
-                    &s.layer_block(l)[i * j..(i + 1) * j],
-                    &e.flat()[l * j..(l + 1) * j]
-                );
-            }
+            let map = e.to_map();
             for l in 0..=s.num_layers() {
-                let norm2 = e.flat()[..l * j].iter().fold(0.0, |acc, p| acc + p * p);
+                let norm2 = map.flat()[..l * j].iter().fold(0.0, |acc, p| acc + p * p);
                 assert_eq!(s.prefix_norms(l)[i].to_bits(), norm2.sqrt().to_bits());
             }
         }
         if let Some((eslab, enorm, stride)) = s.embedding_slab() {
             assert_eq!(enorm.len(), s.len());
             for (i, e) in s.entries().enumerate() {
-                assert_eq!(&eslab[i * stride..(i + 1) * stride], &e.embedding[..]);
-                let want: f64 = e.embedding.iter().map(|x| x * x).sum();
+                assert_eq!(&eslab[i * stride..(i + 1) * stride], e.embedding());
+                let want: f64 = e.embedding().iter().map(|x| x * x).sum();
                 assert_eq!(enorm[i].to_bits(), want.to_bits());
             }
         }
@@ -699,7 +743,7 @@ mod tests {
         let mut s = ExpertMapStore::new(3, 2, 4, 1);
         for i in 0..3 {
             s.insert(emb(i as f64), map_peaked_at(2, 4, i));
-            assert_slabs_mirror_entries(&s);
+            assert_norms_match_entries(&s);
         }
         assert!(s.embedding_slab().is_some());
         // Replacements overwrite the victim's slab rows in place.
@@ -708,7 +752,7 @@ mod tests {
                 emb(0.2 * f64::from(i)),
                 map_peaked_at(2, 4, (i as usize) % 4),
             );
-            assert_slabs_mirror_entries(&s);
+            assert_norms_match_entries(&s);
         }
     }
 
@@ -720,10 +764,62 @@ mod tests {
         s.insert(vec![1.0, 0.0, 0.5], map_peaked_at(2, 4, 1));
         assert!(s.embedding_slab().is_none());
         // Map slabs are unaffected: map dimensions are store-enforced.
-        assert_slabs_mirror_entries(&s);
+        assert_norms_match_entries(&s);
         s.insert(vec![0.5], map_peaked_at(2, 4, 2));
         assert!(s.embedding_slab().is_none());
-        assert_slabs_mirror_entries(&s);
+        assert_norms_match_entries(&s);
+        assert_eq!(s.entry(1).embedding(), &[1.0, 0.0, 0.5]);
+        assert_eq!(s.entry(2).embedding(), &[0.5]);
+    }
+
+    /// Every `f64` the store holds, by an exhaustive destructure: a new
+    /// buffer field fails to compile here until it is counted.
+    fn held_f64s(s: &ExpertMapStore) -> usize {
+        let ExpertMapStore {
+            capacity: _,
+            num_layers: _,
+            experts_per_layer: _,
+            prefetch_distance: _,
+            replacement: _,
+            rng_state: _,
+            ids: _,
+            next_id: _,
+            generation: _,
+            written: _,
+            stats: _,
+            layer_blocks,
+            prefix_norms,
+            emb_buf,
+            emb_offsets: _,
+            emb_norm2,
+            emb_stride: _,
+            emb_uniform: _,
+        } = s;
+        layer_blocks.iter().map(Vec::len).sum::<usize>()
+            + prefix_norms.iter().map(Vec::len).sum::<usize>()
+            + emb_buf.len()
+            + emb_norm2.len()
+    }
+
+    #[test]
+    fn holds_one_copy_of_each_map_and_embedding() {
+        // L·J map values, the embedding, L + 1 prefix norms and one
+        // squared embedding norm per entry.
+        let (l, j, e) = (2, 4, 4);
+        let per_entry = l * j + e + (l + 1) + 1;
+        let mut s = ExpertMapStore::new(3, l, j, 1);
+        for i in 0..3 {
+            s.insert(emb(i as f64), map_peaked_at(l, j, i));
+            assert_eq!(held_f64s(&s), (i + 1) * per_entry);
+        }
+        for i in 0..5 {
+            s.insert(emb(0.3 * f64::from(i)), map_peaked_at(l, j, 3));
+            assert_eq!(held_f64s(&s), 3 * per_entry);
+        }
+        s.clear();
+        assert_eq!(held_f64s(&s), 0);
+        s.insert(emb(0.0), map_peaked_at(l, j, 0));
+        assert_eq!(held_f64s(&s), per_entry);
     }
 
     #[test]

@@ -114,7 +114,7 @@ fn main() {
 
     // Similarity-aware selection for target layer 3 + 3 = 6.
     let matched = store.entry(traj.entry_index);
-    let selection = select_experts(matched.map.layer(6), traj.score, 3, j);
+    let selection = select_experts(matched.layer(6), traj.score, 3, j);
     let activated = gate.activated_slots(query, 1, 6, TokenSpan::single(33));
     println!(
         "\nlayer 6: δ = {:.3} selects {} experts {:?}",
