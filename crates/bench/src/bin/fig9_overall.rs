@@ -14,10 +14,11 @@
 //! (`results/fig9_overall_trace.json`, loadable in `chrome://tracing` or
 //! Perfetto), a per-phase time breakdown
 //! (`results/fig9_overall_phases.csv`), and the run's counters
-//! (`results/fig9_overall_metrics.csv`).
+//! (`results/fig9_overall_metrics.csv`). Like every artifact of a
+//! `--quick` run, they land under `results/quick/` instead.
 
 use fmoe_bench::harness::{CellConfig, ParallelRunner, System};
-use fmoe_bench::report::{write_csv, Table};
+use fmoe_bench::report::{write_csv, write_result, Table};
 use fmoe_model::presets;
 use fmoe_workload::DatasetSpec;
 
@@ -151,7 +152,7 @@ fn main() {
 
 /// Re-runs the first evaluation cell (fMoE) with the trace recorder on
 /// and writes the Chrome-trace JSON, per-phase breakdown CSV, and
-/// metrics CSV under `results/`.
+/// metrics CSV next to the other results.
 fn emit_trace_artifacts(requests: usize, decode: u64) {
     let model = presets::evaluation_models().remove(0);
     let dataset = DatasetSpec::evaluation_datasets().remove(0);
@@ -160,15 +161,11 @@ fn emit_trace_artifacts(requests: usize, decode: u64) {
     cell.max_decode = decode;
     let traced = cell.run_offline_traced(1 << 20);
 
-    let dir = std::path::Path::new("results");
-    if let Err(e) = std::fs::create_dir_all(dir) {
-        eprintln!("cannot create results/: {e}");
-        return;
-    }
     let json = fmoe_trace::chrome_trace_json(&traced.records);
-    match std::fs::write(dir.join("fig9_overall_trace.json"), &json) {
-        Ok(()) => println!(
-            "wrote results/fig9_overall_trace.json ({} events, {} dropped)",
+    match write_result("fig9_overall_trace.json", &json) {
+        Ok(path) => println!(
+            "wrote {} ({} events, {} dropped)",
+            path.display(),
             traced.records.len(),
             traced.dropped_records
         ),
@@ -188,11 +185,8 @@ fn emit_trace_artifacts(requests: usize, decode: u64) {
     phases.print();
     let _ = write_csv(&phases, "fig9_overall_phases");
 
-    match std::fs::write(
-        dir.join("fig9_overall_metrics.csv"),
-        traced.metrics.to_csv(),
-    ) {
-        Ok(()) => println!("wrote results/fig9_overall_metrics.csv"),
+    match write_result("fig9_overall_metrics.csv", traced.metrics.to_csv()) {
+        Ok(path) => println!("wrote {}", path.display()),
         Err(e) => eprintln!("cannot write metrics CSV: {e}"),
     }
 }

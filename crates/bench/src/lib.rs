@@ -7,8 +7,9 @@
 //! * [`harness`] — experiment cells: `(model, dataset, system)` → a
 //!   configured engine + predictor pair, offline store pre-population
 //!   (the 70/30 split), and the standard offline run.
-//! * [`report`] — aligned text tables and CSV emission under
-//!   `results/`.
+//! * [`report`] — aligned text tables, and the one place that decides
+//!   where artifacts land: `results/`, or `results/quick/` for a
+//!   `--quick` run.
 //! * [`policy_sweep`] — seeded Zipf expert traces and eviction-policy
 //!   miss-ratio replays (the fig11 policy comparison).
 //! * [`perf`] — the `BENCH_perf.json` schema, hand-rolled JSON both

@@ -227,17 +227,14 @@ impl LinePlot {
         svg
     }
 
-    /// Writes the chart to `results/<name>.svg`.
+    /// Writes the chart to `<results_dir()>/<name>.svg` (see
+    /// [`crate::report::results_dir`]).
     ///
     /// # Errors
     ///
     /// Propagates directory-creation and write errors.
     pub fn write_svg(&self, name: &str) -> std::io::Result<PathBuf> {
-        let dir = std::path::Path::new("results");
-        std::fs::create_dir_all(dir)?;
-        let path = dir.join(format!("{name}.svg"));
-        std::fs::write(&path, self.render())?;
-        Ok(path)
+        crate::report::write_result(&format!("{name}.svg"), self.render())
     }
 }
 

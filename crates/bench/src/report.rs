@@ -2,7 +2,7 @@
 
 use std::fmt::Write as _;
 use std::fs;
-use std::path::Path;
+use std::path::PathBuf;
 
 /// A simple aligned text table.
 #[derive(Debug, Clone)]
@@ -96,19 +96,42 @@ impl Table {
     }
 }
 
-/// Writes a table as CSV under `results/<name>.csv` (relative to the
-/// workspace root when run via `cargo run`), creating the directory if
-/// needed.
+/// The directory every bench binary writes its artifacts into, relative
+/// to the working directory (the workspace root under `cargo run`):
+/// `results/` for a full-size run, `results/quick/` when the process was
+/// started with `--quick`. The committed `results/` are full-size runs, so
+/// a quick run writes where it can never overwrite one.
+#[must_use]
+pub fn results_dir() -> PathBuf {
+    let root = PathBuf::from("results");
+    if std::env::args().any(|a| a == "--quick") {
+        root.join("quick")
+    } else {
+        root
+    }
+}
+
+/// Writes `contents` to `<results_dir()>/<file_name>`, creating the
+/// directory if needed, and returns the path written.
 ///
 /// # Errors
 ///
 /// Returns any I/O error from directory creation or the write.
-pub fn write_csv(table: &Table, name: &str) -> std::io::Result<std::path::PathBuf> {
-    let dir = Path::new("results");
-    fs::create_dir_all(dir)?;
-    let path = dir.join(format!("{name}.csv"));
-    fs::write(&path, table.to_csv())?;
+pub fn write_result(file_name: &str, contents: impl AsRef<[u8]>) -> std::io::Result<PathBuf> {
+    let dir = results_dir();
+    fs::create_dir_all(&dir)?;
+    let path = dir.join(file_name);
+    fs::write(&path, contents)?;
     Ok(path)
+}
+
+/// Writes a table as CSV to `<results_dir()>/<name>.csv`.
+///
+/// # Errors
+///
+/// Returns any I/O error from directory creation or the write.
+pub fn write_csv(table: &Table, name: &str) -> std::io::Result<PathBuf> {
+    write_result(&format!("{name}.csv"), table.to_csv())
 }
 
 /// Formats a millisecond value compactly.

@@ -4,66 +4,37 @@
 //! recorder is part of the determinism surface (DESIGN.md §10), not an
 //! exception to it.
 
-use std::fs;
+mod common;
+
+use common::{assert_same_artifacts, run_quick};
 use std::path::Path;
-use std::process::Command;
 
-struct TraceArtifacts {
-    chrome_json: String,
-    phases_csv: Vec<u8>,
-    metrics_csv: Vec<u8>,
-}
-
-fn run_traced_bench(workdir: &Path) -> TraceArtifacts {
-    fs::create_dir_all(workdir).expect("scratch dir");
-    let out = Command::new(env!("CARGO_BIN_EXE_fig9_overall"))
-        .arg("--quick")
-        .arg("--trace")
-        .current_dir(workdir)
-        .output()
-        .expect("fig9_overall runs");
-    assert!(
-        out.status.success(),
-        "fig9_overall --quick --trace failed:\n{}",
-        String::from_utf8_lossy(&out.stderr)
-    );
-    let results = workdir.join("results");
-    TraceArtifacts {
-        chrome_json: fs::read_to_string(results.join("fig9_overall_trace.json"))
-            .expect("trace JSON written"),
-        phases_csv: fs::read(results.join("fig9_overall_phases.csv")).expect("phases CSV written"),
-        metrics_csv: fs::read(results.join("fig9_overall_metrics.csv"))
-            .expect("metrics CSV written"),
-    }
-}
+const BIN: &str = env!("CARGO_BIN_EXE_fig9_overall");
 
 #[test]
 fn quick_bench_trace_export_is_valid_json_and_cross_process_deterministic() {
     let base = Path::new(env!("CARGO_TARGET_TMPDIR")).join("chrome_trace");
-    let first = run_traced_bench(&base.join("run1"));
+    let first = run_quick(BIN, &base.join("run1"), &["--trace"]);
 
-    fmoe_trace::json::validate(&first.chrome_json)
+    let chrome_json =
+        std::str::from_utf8(&first["fig9_overall_trace.json"]).expect("trace JSON is UTF-8");
+    fmoe_trace::json::validate(chrome_json)
         .unwrap_or_else(|e| panic!("Chrome-trace export is not valid JSON: {e:?}"));
     assert!(
-        first.chrome_json.contains("\"traceEvents\""),
+        chrome_json.contains("\"traceEvents\""),
         "export must carry the Chrome-trace top-level key"
     );
     assert!(
-        !first.phases_csv.is_empty() && !first.metrics_csv.is_empty(),
+        !first["fig9_overall_phases.csv"].is_empty()
+            && !first["fig9_overall_metrics.csv"].is_empty(),
         "phase and metrics CSVs must be non-empty"
     );
 
-    let second = run_traced_bench(&base.join("run2"));
-    assert_eq!(
-        first.chrome_json, second.chrome_json,
-        "Chrome-trace JSON differs between two identical --trace runs"
-    );
-    assert_eq!(
-        first.phases_csv, second.phases_csv,
-        "phase breakdown CSV differs between two identical --trace runs"
-    );
-    assert_eq!(
-        first.metrics_csv, second.metrics_csv,
-        "metrics CSV differs between two identical --trace runs"
+    let second = run_quick(BIN, &base.join("run2"), &["--trace"]);
+    assert_same_artifacts(
+        &first,
+        &second,
+        "the trace JSON, phase breakdown and metrics CSV must not change \
+         between two identical --trace runs",
     );
 }

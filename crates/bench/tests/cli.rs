@@ -2,11 +2,28 @@
 //! binary and check its contract (exit codes, output shape, the
 //! serve → save-store → analyze-store round trip).
 
+use std::path::PathBuf;
 use std::process::Command;
+use std::sync::atomic::{AtomicUsize, Ordering};
 
+/// `<CARGO_TARGET_TMPDIR>/fmoe_sim_cli/<name>`, created.
+fn scratch(name: &str) -> PathBuf {
+    let dir = PathBuf::from(env!("CARGO_TARGET_TMPDIR"))
+        .join("fmoe_sim_cli")
+        .join(name);
+    std::fs::create_dir_all(&dir).expect("scratch dir");
+    dir
+}
+
+/// Runs `fmoe_sim` in a scratch directory of its own, so the CSVs it
+/// writes under `results/` land outside the source tree and no two calls
+/// (tests run in parallel) write the same file.
 fn fmoe_sim(args: &[&str]) -> (bool, String) {
+    static CALLS: AtomicUsize = AtomicUsize::new(0);
+    let call = CALLS.fetch_add(1, Ordering::Relaxed);
     let out = Command::new(env!("CARGO_BIN_EXE_fmoe_sim"))
         .args(args)
+        .current_dir(scratch(&format!("call{call}")))
         .output()
         .expect("binary runs");
     let text = format!(
@@ -80,9 +97,7 @@ fn unknown_names_fail_with_a_clear_error() {
 
 #[test]
 fn store_round_trip_through_the_cli() {
-    let dir = std::env::temp_dir().join("fmoe_cli_test");
-    std::fs::create_dir_all(&dir).unwrap();
-    let store_path = dir.join("cli_store.fmoe");
+    let store_path = scratch("store").join("cli_store.fmoe");
     let store_str = store_path.to_str().unwrap();
 
     let (ok, text) = fmoe_sim(&[

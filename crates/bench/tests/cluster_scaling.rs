@@ -2,74 +2,37 @@
 //!
 //! * determinism — a `--quick --jobs 1` run and a `--quick --jobs 4`
 //!   run, each in its own scratch working directory, must write
-//!   byte-identical `results/*.csv` artifacts (DESIGN.md §10/§12);
+//!   byte-identical `results/quick/` artifacts (DESIGN.md §10/§12);
 //! * the headline claim — parsing the summary CSV must show semantic
 //!   affinity beating (or tying) round-robin on fleet cache hit rate in
 //!   every multi-replica cell, at equal shed counts.
 
-use std::fs;
-use std::path::Path;
-use std::process::Command;
+mod common;
 
-fn run_quick(workdir: &Path, jobs: &str) -> Vec<(String, Vec<u8>)> {
-    fs::create_dir_all(workdir).expect("scratch dir");
-    let out = Command::new(env!("CARGO_BIN_EXE_fig12_cluster_scaling"))
-        .args(["--quick", "--jobs", jobs])
-        .current_dir(workdir)
-        .output()
-        .expect("fig12_cluster_scaling runs");
-    assert!(
-        out.status.success(),
-        "fig12_cluster_scaling --quick --jobs {jobs} failed:\n{}",
-        String::from_utf8_lossy(&out.stderr)
-    );
-    let mut csvs: Vec<(String, Vec<u8>)> = fs::read_dir(workdir.join("results"))
-        .expect("results dir written")
-        .filter_map(Result::ok)
-        .map(|e| e.path())
-        .filter(|p| p.extension().is_some_and(|x| x == "csv"))
-        .map(|p| {
-            let name = p
-                .file_name()
-                .map(|n| n.to_string_lossy().into_owned())
-                .unwrap_or_default();
-            let bytes = fs::read(&p).expect("csv readable");
-            (name, bytes)
-        })
-        .collect();
-    csvs.sort_by(|a, b| a.0.cmp(&b.0));
-    assert!(!csvs.is_empty(), "bench produced no CSV output");
-    csvs
-}
+use common::{assert_same_artifacts, run_quick};
+use std::path::Path;
+
+const BIN: &str = env!("CARGO_BIN_EXE_fig12_cluster_scaling");
 
 #[test]
 fn cluster_bench_is_deterministic_across_processes_and_jobs() {
     let base = Path::new(env!("CARGO_TARGET_TMPDIR")).join("fig12_determinism");
-    let sequential = run_quick(&base.join("jobs1"), "1");
-    let parallel = run_quick(&base.join("jobs4"), "4");
-    assert_eq!(
-        sequential.iter().map(|(n, _)| n).collect::<Vec<_>>(),
-        parallel.iter().map(|(n, _)| n).collect::<Vec<_>>(),
-        "--jobs 1 and --jobs 4 wrote different CSV file sets"
+    let sequential = run_quick(BIN, &base.join("jobs1"), &["--jobs", "1"]);
+    let parallel = run_quick(BIN, &base.join("jobs4"), &["--jobs", "4"]);
+    assert_same_artifacts(
+        &sequential,
+        &parallel,
+        "--jobs 1 and --jobs 4 differ: the cluster dispatch or CSV pipeline \
+         leaked scheduling nondeterminism",
     );
-    for ((name, a), (_, b)) in sequential.iter().zip(&parallel) {
-        assert_eq!(
-            a, b,
-            "{name} differs between --jobs 1 and --jobs 4: the cluster \
-             dispatch or CSV pipeline leaked scheduling nondeterminism"
-        );
-    }
 }
 
 #[test]
 fn affinity_beats_round_robin_on_fleet_hit_rate_in_the_quick_sweep() {
     let base = Path::new(env!("CARGO_TARGET_TMPDIR")).join("fig12_hit_rate");
-    let csvs = run_quick(&base.join("run"), "2");
-    let (_, summary) = csvs
-        .iter()
-        .find(|(name, _)| name == "fig12_cluster_scaling.csv")
-        .expect("summary CSV present");
-    let text = String::from_utf8(summary.clone()).expect("summary CSV is UTF-8");
+    let files = run_quick(BIN, &base.join("run"), &["--jobs", "2"]);
+    let text =
+        std::str::from_utf8(&files["fig12_cluster_scaling.csv"]).expect("summary CSV is UTF-8");
 
     // Columns: replicas,rate,policy,served,shed,hit_rate,...
     let mut cells: Vec<(usize, String, String, usize, f64)> = Vec::new();

@@ -7,67 +7,26 @@
 //! process, so hash-order leakage is only visible across *separate*
 //! invocations. This spawns the real `fig9_overall --quick` binary
 //! twice, each in its own scratch working directory, and diffs the
-//! `results/*.csv` artifacts byte for byte.
+//! `results/quick/` artifacts byte for byte.
 
-use std::fs;
+mod common;
+
+use common::{assert_same_artifacts, run_quick};
 use std::path::Path;
-use std::process::Command;
 
-fn run_quick_bench(workdir: &Path) -> Vec<(String, Vec<u8>)> {
-    run_quick_bench_with(workdir, &[])
-}
-
-fn run_quick_bench_with(workdir: &Path, extra_args: &[&str]) -> Vec<(String, Vec<u8>)> {
-    fs::create_dir_all(workdir).expect("scratch dir");
-    let out = Command::new(env!("CARGO_BIN_EXE_fig9_overall"))
-        .arg("--quick")
-        .args(extra_args)
-        .current_dir(workdir)
-        .output()
-        .expect("fig9_overall runs");
-    assert!(
-        out.status.success(),
-        "fig9_overall --quick failed:\n{}",
-        String::from_utf8_lossy(&out.stderr)
-    );
-    let results = workdir.join("results");
-    let mut csvs: Vec<(String, Vec<u8>)> = fs::read_dir(&results)
-        .expect("results dir written")
-        .filter_map(Result::ok)
-        .map(|e| e.path())
-        .filter(|p| p.extension().is_some_and(|x| x == "csv"))
-        .map(|p| {
-            let name = p
-                .file_name()
-                .map(|n| n.to_string_lossy().into_owned())
-                .unwrap_or_default();
-            let bytes = fs::read(&p).expect("csv readable");
-            (name, bytes)
-        })
-        .collect();
-    csvs.sort_by(|a, b| a.0.cmp(&b.0));
-    assert!(!csvs.is_empty(), "bench produced no CSV output");
-    csvs
-}
+const BIN: &str = env!("CARGO_BIN_EXE_fig9_overall");
 
 #[test]
 fn quick_bench_csvs_are_byte_identical_across_processes() {
     let base = Path::new(env!("CARGO_TARGET_TMPDIR")).join("csv_determinism");
-    let first = run_quick_bench(&base.join("run1"));
-    let second = run_quick_bench(&base.join("run2"));
-    assert_eq!(
-        first.iter().map(|(n, _)| n).collect::<Vec<_>>(),
-        second.iter().map(|(n, _)| n).collect::<Vec<_>>(),
-        "the two runs wrote different CSV file sets"
+    let first = run_quick(BIN, &base.join("run1"), &[]);
+    let second = run_quick(BIN, &base.join("run2"), &[]);
+    assert_same_artifacts(
+        &first,
+        &second,
+        "two identical --quick runs must agree; the bench pipeline leaked \
+         nondeterminism (hash order, wall clock, or unseeded randomness)",
     );
-    for ((name, a), (_, b)) in first.iter().zip(&second) {
-        assert_eq!(
-            a, b,
-            "{name} differs between two identical --quick runs: the bench \
-             pipeline leaked nondeterminism (hash order, wall clock, or \
-             unseeded randomness)"
-        );
-    }
 }
 
 #[test]
@@ -75,21 +34,14 @@ fn parallel_and_sequential_runs_emit_identical_csv_bytes() {
     // The ParallelRunner contract (DESIGN.md §12): fanning sweep cells
     // across worker threads must not change a single output byte. Run
     // the same bench sequentially and with four workers and diff every
-    // CSV artifact.
+    // artifact.
     let base = Path::new(env!("CARGO_TARGET_TMPDIR")).join("csv_jobs_determinism");
-    let sequential = run_quick_bench_with(&base.join("jobs1"), &["--jobs", "1"]);
-    let parallel = run_quick_bench_with(&base.join("jobs4"), &["--jobs", "4"]);
-    assert_eq!(
-        sequential.iter().map(|(n, _)| n).collect::<Vec<_>>(),
-        parallel.iter().map(|(n, _)| n).collect::<Vec<_>>(),
-        "--jobs 1 and --jobs 4 wrote different CSV file sets"
+    let sequential = run_quick(BIN, &base.join("jobs1"), &["--jobs", "1"]);
+    let parallel = run_quick(BIN, &base.join("jobs4"), &["--jobs", "4"]);
+    assert_same_artifacts(
+        &sequential,
+        &parallel,
+        "--jobs 1 and --jobs 4 differ; parallel execution must reassemble \
+         results in input order and leak no scheduling nondeterminism",
     );
-    for ((name, a), (_, b)) in sequential.iter().zip(&parallel) {
-        assert_eq!(
-            a, b,
-            "{name} differs between --jobs 1 and --jobs 4: parallel \
-             execution must reassemble results in input order and leak \
-             no scheduling nondeterminism into the output"
-        );
-    }
 }

@@ -3,40 +3,13 @@
 //! binary must emit byte-identical CSVs whether the sweep runs on one
 //! worker or four, in separate OS processes.
 
-use std::collections::HashMap;
-use std::fs;
-use std::path::Path;
-use std::process::Command;
+mod common;
 
-fn run_fig11(workdir: &Path, jobs: &str) -> Vec<(String, Vec<u8>)> {
-    fs::create_dir_all(workdir).expect("scratch dir");
-    let out = Command::new(env!("CARGO_BIN_EXE_fig11_cache_limits"))
-        .args(["--quick", "--jobs", jobs])
-        .current_dir(workdir)
-        .output()
-        .expect("fig11_cache_limits runs");
-    assert!(
-        out.status.success(),
-        "fig11_cache_limits --quick failed:\n{}",
-        String::from_utf8_lossy(&out.stderr)
-    );
-    let results = workdir.join("results");
-    let mut csvs: Vec<(String, Vec<u8>)> = fs::read_dir(&results)
-        .expect("results dir written")
-        .filter_map(Result::ok)
-        .map(|e| e.path())
-        .filter(|p| p.extension().is_some_and(|x| x == "csv"))
-        .map(|p| {
-            let name = p
-                .file_name()
-                .map(|n| n.to_string_lossy().into_owned())
-                .unwrap_or_default();
-            (name, fs::read(&p).expect("csv readable"))
-        })
-        .collect();
-    csvs.sort_by(|a, b| a.0.cmp(&b.0));
-    csvs
-}
+use common::{assert_same_artifacts, run_quick};
+use std::collections::HashMap;
+use std::path::Path;
+
+const BIN: &str = env!("CARGO_BIN_EXE_fig11_cache_limits");
 
 /// Parses `fig11_policy_miss.csv` into (slots → policy → miss ratio).
 fn parse_policy_miss(bytes: &[u8]) -> Vec<(u64, HashMap<String, f64>)> {
@@ -67,12 +40,8 @@ fn parse_policy_miss(bytes: &[u8]) -> Vec<(u64, HashMap<String, f64>)> {
 #[test]
 fn sieve_never_misses_more_than_fifo_on_the_zipf_trace() {
     let base = Path::new(env!("CARGO_TARGET_TMPDIR")).join("fig11_policies");
-    let csvs = run_fig11(&base.join("assert"), "2");
-    let (_, bytes) = csvs
-        .iter()
-        .find(|(name, _)| name == "fig11_policy_miss.csv")
-        .expect("policy miss table emitted");
-    let rows = parse_policy_miss(bytes);
+    let files = run_quick(BIN, &base.join("assert"), &["--jobs", "2"]);
+    let rows = parse_policy_miss(&files["fig11_policy_miss.csv"]);
     assert!(rows.len() >= 3, "at least three cache sizes swept");
     for (slots, ratios) in &rows {
         let sieve = ratios["SIEVE"];
@@ -94,14 +63,11 @@ fn sieve_never_misses_more_than_fifo_on_the_zipf_trace() {
 #[test]
 fn fig11_jobs1_and_jobs4_runs_are_byte_identical_across_processes() {
     let base = Path::new(env!("CARGO_TARGET_TMPDIR")).join("fig11_policies_jobs");
-    let sequential = run_fig11(&base.join("jobs1"), "1");
-    let parallel = run_fig11(&base.join("jobs4"), "4");
-    assert_eq!(
-        sequential.iter().map(|(n, _)| n).collect::<Vec<_>>(),
-        parallel.iter().map(|(n, _)| n).collect::<Vec<_>>(),
-        "--jobs 1 and --jobs 4 wrote different CSV file sets"
+    let sequential = run_quick(BIN, &base.join("jobs1"), &["--jobs", "1"]);
+    let parallel = run_quick(BIN, &base.join("jobs4"), &["--jobs", "4"]);
+    assert_same_artifacts(
+        &sequential,
+        &parallel,
+        "--jobs 1 and --jobs 4 differ: the sweep leaked scheduling nondeterminism",
     );
-    for ((name, a), (_, b)) in sequential.iter().zip(&parallel) {
-        assert_eq!(a, b, "{name} differs between --jobs 1 and --jobs 4");
-    }
 }

@@ -110,16 +110,6 @@ impl ExpertMap {
         self.flat.clone()
     }
 
-    /// Flattens only layers `[0, prefix_layers)` — a *partial* trajectory
-    /// as observed mid-iteration.
-    #[must_use]
-    pub fn flatten_prefix(&self, prefix_layers: usize) -> Vec<f64> {
-        let len = prefix_layers
-            .saturating_mul(self.experts_per_layer)
-            .min(self.flat.len());
-        self.flat[..len].to_vec()
-    }
-
     /// Recovers coarse-grained information: per-layer top-`k` activation
     /// counts, as an `L × J` count matrix. Aggregating these over
     /// iterations reproduces exactly what request-level trackers store.
@@ -136,15 +126,6 @@ impl ExpertMap {
                 counts
             })
             .collect()
-    }
-
-    /// Checks every row is a (tolerantly) normalized distribution.
-    #[must_use]
-    pub fn is_normalized(&self, tolerance: f64) -> bool {
-        self.layers().all(|row| {
-            let sum: f64 = row.iter().sum();
-            (sum - 1.0).abs() <= tolerance && row.iter().all(|&p| p >= -tolerance)
-        })
     }
 }
 
@@ -178,16 +159,6 @@ mod tests {
     }
 
     #[test]
-    fn prefix_flattening() {
-        let m = simple_map();
-        assert_eq!(m.flatten_prefix(1), vec![0.7, 0.2, 0.1, 0.0]);
-        assert_eq!(m.flatten_prefix(0), Vec::<f64>::new());
-        assert_eq!(m.flatten_prefix(3), m.flatten());
-        // Prefix longer than the map is clamped.
-        assert_eq!(m.flatten_prefix(99), m.flatten());
-    }
-
-    #[test]
     fn top_k_counts_recover_coarse_grained_form() {
         let m = simple_map();
         let counts = m.to_top_k_counts(2);
@@ -195,13 +166,6 @@ mod tests {
         assert_eq!(counts[1], vec![0, 0, 1, 1]);
         // Uniform layer: ties break toward lower indices.
         assert_eq!(counts[2], vec![1, 1, 0, 0]);
-    }
-
-    #[test]
-    fn normalization_check() {
-        assert!(simple_map().is_normalized(1e-9));
-        let bad = ExpertMap::new(vec![vec![0.9, 0.3]]);
-        assert!(!bad.is_normalized(1e-9));
     }
 
     #[test]

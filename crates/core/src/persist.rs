@@ -45,6 +45,11 @@ const MAGIC: &[u8; 4] = b"FMOE";
 const VERSION: u32 = 1;
 /// Plausibility cap on the values one embedding or one map may declare.
 const MAX_VALUES: usize = 1 << 20;
+/// Plausibility cap on a loaded store's capacity. It fits a 32-bit
+/// `usize`, and with maps and embeddings both within [`MAX_VALUES`] the
+/// footprint at capacity (`ExpertMapStore::memory_bytes_at_capacity`)
+/// stays below 2^55 bytes.
+const MAX_CAPACITY: u64 = u32::MAX as u64;
 
 fn write_u32(w: &mut impl Write, v: u32) -> io::Result<()> {
     w.write_all(&v.to_le_bytes())
@@ -124,13 +129,17 @@ impl ExpertMapStore {
         if version != VERSION {
             return Err(invalid(format!("unsupported store version {version}")));
         }
-        let capacity = read_u64(r)? as usize;
+        let capacity = read_u64(r)?;
         let layers = read_u32(r)? as usize;
         let experts = read_u32(r)? as usize;
         let distance = read_u32(r)?;
         if capacity == 0 || layers == 0 || experts == 0 {
             return Err(invalid("zero dimension in store header"));
         }
+        if capacity > MAX_CAPACITY {
+            return Err(invalid(format!("implausible store capacity {capacity}")));
+        }
+        let capacity = capacity as usize;
         // Checked before the store is built: `new` allocates per layer.
         if layers.saturating_mul(experts) > MAX_VALUES {
             return Err(invalid("implausible map dimensions"));
@@ -250,13 +259,13 @@ mod tests {
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
     }
 
-    /// A header with no entries: magic, version, capacity 64, the given
-    /// map dimensions and distance 1.
-    fn header(layers: u32, experts: u32) -> Vec<u8> {
+    /// A header with no entries: magic, version, the given capacity and
+    /// map dimensions, and distance 1.
+    fn header(capacity: u64, layers: u32, experts: u32) -> Vec<u8> {
         let mut buf = Vec::new();
         buf.extend_from_slice(MAGIC);
         buf.extend_from_slice(&VERSION.to_le_bytes());
-        buf.extend_from_slice(&64u64.to_le_bytes());
+        buf.extend_from_slice(&capacity.to_le_bytes());
         buf.extend_from_slice(&layers.to_le_bytes());
         buf.extend_from_slice(&experts.to_le_bytes());
         buf.extend_from_slice(&1u32.to_le_bytes());
@@ -266,14 +275,38 @@ mod tests {
 
     #[test]
     fn implausible_map_dimensions_are_rejected() {
-        let buf = header(65_536, 65_536);
+        let buf = header(64, 65_536, 65_536);
         assert_eq!(buf.len(), 36);
         let err = ExpertMapStore::load_from(&mut buf.as_slice()).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
-        assert!(ExpertMapStore::load_from(&mut header(u32::MAX, 1).as_slice()).is_err());
+        assert!(ExpertMapStore::load_from(&mut header(64, u32::MAX, 1).as_slice()).is_err());
         // The largest plausible shape still loads.
-        let store = ExpertMapStore::load_from(&mut header(1 << 10, 1 << 10).as_slice()).unwrap();
+        let store =
+            ExpertMapStore::load_from(&mut header(64, 1 << 10, 1 << 10).as_slice()).unwrap();
         assert_eq!(store.num_layers() * store.experts_per_layer(), MAX_VALUES);
+    }
+
+    #[test]
+    fn implausible_capacity_is_rejected() {
+        for capacity in [1 << 62, u64::MAX, MAX_CAPACITY + 1] {
+            let err =
+                ExpertMapStore::load_from(&mut header(capacity, 8, 8).as_slice()).unwrap_err();
+            assert_eq!(
+                err.kind(),
+                io::ErrorKind::InvalidData,
+                "capacity {capacity}"
+            );
+        }
+        // The largest plausible capacity loads, and its footprint at the
+        // largest plausible shape is computed without overflow.
+        let store =
+            ExpertMapStore::load_from(&mut header(MAX_CAPACITY, 1 << 10, 1 << 10).as_slice())
+                .unwrap();
+        assert_eq!(store.capacity() as u64, MAX_CAPACITY);
+        assert_eq!(
+            store.memory_bytes_at_capacity(MAX_VALUES),
+            MAX_CAPACITY * (2 * MAX_VALUES as u64) * 4
+        );
     }
 
     #[test]

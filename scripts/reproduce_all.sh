@@ -1,21 +1,37 @@
 #!/usr/bin/env bash
 # Regenerates every table, figure, and extension experiment of the fMoE
-# reproduction. Tables print to stdout and land in results/logs/; CSVs in
-# results/; curve figures also render results/*.svg.
+# reproduction. The bin list below is the one manifest of what produces
+# results/: every committed file there comes from one of these runs, and
+# CI runs this script at full size and fails unless
+# `git status --porcelain results/` is empty afterwards.
+#
+# Tables print to stdout and land in results/logs/; CSVs in results/;
+# curve figures also render results/*.svg. With --quick every bin runs its
+# small sweep (bins without one run as usual) and everything, logs
+# included, lands in the gitignored results/quick/ instead, so a quick
+# run never overwrites a committed full-size file.
 #
 # Usage: scripts/reproduce_all.sh [--quick]
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-QUICK_FLAG="${1:-}"
-mkdir -p results/logs
+OUT=results
+QUICK_ARGS=()
+if [[ "${1:-}" == "--quick" ]]; then
+  OUT=results/quick
+  QUICK_ARGS=(--quick)
+fi
+mkdir -p "$OUT/logs"
 
+# Each entry is a bin name followed by the arguments it always runs with.
 PAPER_BINS=(
   table1_models
   fig3_entropy
   fig4_prefetch_distance
   fig8_pearson
-  fig9_overall
+  # --trace also writes the Chrome trace (gitignored), the phase
+  # breakdown and the counters of one traced fMoE cell.
+  "fig9_overall --trace"
   fig9_confidence
   fig10_online_cdf
   fig11_cache_limits
@@ -26,6 +42,8 @@ PAPER_BINS=(
   fig16_store_memory
 )
 EXTENSION_BINS=(
+  # The router's P1-P4 statistics every experiment rests on (DESIGN.md §3).
+  validate_gate
   ablation_design_choices
   ablation_placement
   ext_tunable_budget
@@ -46,16 +64,13 @@ EXTENSION_BINS=(
   fig17_ep_all2all
 )
 
-for bin in "${PAPER_BINS[@]}" "${EXTENSION_BINS[@]}"; do
+for entry in "${PAPER_BINS[@]}" "${EXTENSION_BINS[@]}"; do
+  read -ra cmd <<< "$entry"
+  bin="${cmd[0]}"
   echo "==> $bin"
-  if [[ "$QUICK_FLAG" == "--quick" ]]; then
-    cargo run --release -p fmoe-bench --bin "$bin" -- --quick \
-      | tee "results/logs/$bin.txt"
-  else
-    cargo run --release -p fmoe-bench --bin "$bin" \
-      | tee "results/logs/$bin.txt"
-  fi
+  cargo run --release -p fmoe-bench --bin "$bin" -- "${cmd[@]:1}" "${QUICK_ARGS[@]}" \
+    | tee "$OUT/logs/$bin.txt"
   echo
 done
 
-echo "All experiments regenerated. Tables: results/logs/, CSV: results/, SVG: results/*.svg"
+echo "All experiments regenerated. Tables: $OUT/logs/, CSV: $OUT/, SVG: $OUT/*.svg"
