@@ -6,7 +6,7 @@
 mod common;
 
 use common::{assert_same_artifacts, run_quick};
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 use std::path::Path;
 
 const BIN: &str = env!("CARGO_BIN_EXE_fig11_cache_limits");
@@ -37,10 +37,9 @@ fn parse_policy_miss(bytes: &[u8]) -> Vec<(u64, HashMap<String, f64>)> {
         .collect()
 }
 
-#[test]
-fn sieve_never_misses_more_than_fifo_on_the_zipf_trace() {
-    let base = Path::new(env!("CARGO_TARGET_TMPDIR")).join("fig11_policies");
-    let files = run_quick(BIN, &base.join("assert"), &["--jobs", "2"]);
+/// SIEVE must not miss more than FIFO at any swept size, and must beat
+/// it somewhere.
+fn assert_sieve_never_misses_more_than_fifo(files: &BTreeMap<String, Vec<u8>>) {
     let rows = parse_policy_miss(&files["fig11_policy_miss.csv"]);
     assert!(rows.len() >= 3, "at least three cache sizes swept");
     for (slots, ratios) in &rows {
@@ -60,8 +59,11 @@ fn sieve_never_misses_more_than_fifo_on_the_zipf_trace() {
     );
 }
 
+/// One pair of runs serves both checks: the policy table is read from
+/// the `--jobs 1` artifacts, which the `--jobs 4` run must match byte
+/// for byte.
 #[test]
-fn fig11_jobs1_and_jobs4_runs_are_byte_identical_across_processes() {
+fn fig11_jobs1_and_jobs4_agree_and_sieve_never_misses_more_than_fifo() {
     let base = Path::new(env!("CARGO_TARGET_TMPDIR")).join("fig11_policies_jobs");
     let sequential = run_quick(BIN, &base.join("jobs1"), &["--jobs", "1"]);
     let parallel = run_quick(BIN, &base.join("jobs4"), &["--jobs", "4"]);
@@ -70,4 +72,5 @@ fn fig11_jobs1_and_jobs4_runs_are_byte_identical_across_processes() {
         &parallel,
         "--jobs 1 and --jobs 4 differ: the sweep leaked scheduling nondeterminism",
     );
+    assert_sieve_never_misses_more_than_fifo(&sequential);
 }

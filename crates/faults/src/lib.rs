@@ -26,8 +26,9 @@
 //! GPUs and replicas are `u32` indices) so `fmoe-memsim` and
 //! `fmoe-cluster` can consume it without a dependency cycle.
 //! [`FaultSchedule::none`] and [`ReplicaFaultSchedule::none`] are the
-//! identity schedules: consumers must behave byte-identically to a
-//! fault-free build when given them.
+//! identity schedules and the consumers' defaults: a fault-free run is a
+//! run under them, through the same code path as a faulty one, and no
+//! consumer holds an optional schedule.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

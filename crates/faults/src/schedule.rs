@@ -66,8 +66,9 @@ impl Default for FaultSchedule {
 }
 
 impl FaultSchedule {
-    /// The identity schedule: no faults, ever. Consumers must behave
-    /// byte-identically to a build without fault hooks when given this.
+    /// The identity schedule: no faults, ever. It is the consumers'
+    /// default, so a fault-free run is a run under this schedule,
+    /// through the same code path as any faulty one.
     #[must_use]
     pub fn none() -> Self {
         Self {
@@ -141,16 +142,6 @@ impl FaultSchedule {
     #[must_use]
     pub fn is_inert(&self) -> bool {
         self.link_windows.is_empty() && self.pressure_windows.is_empty() && self.failure_rate == 0.0
-    }
-
-    /// `true` when no window ever affects `gpu`'s link (transient
-    /// failures are decided separately).
-    #[must_use]
-    pub fn link_is_clean(&self, gpu: u32) -> bool {
-        !self
-            .link_windows
-            .iter()
-            .any(|w| w.gpu.is_none() || w.gpu == Some(gpu))
     }
 
     /// The link condition for `gpu` at instant `at`: the product of all
@@ -317,7 +308,6 @@ mod tests {
     fn none_is_inert_identity() {
         let s = FaultSchedule::none();
         assert!(s.is_inert());
-        assert!(s.link_is_clean(0));
         assert_eq!(s.link_segment(3, 12345), LinkSegment::NOMINAL);
         assert!(!s.fails_transfer(0, 42, 0));
         assert_eq!(s.budget_factor(999), 1.0);
@@ -335,8 +325,6 @@ mod tests {
         assert_eq!(s.link_segment(0, 200).factor, 1.0);
         // Other GPUs are untouched.
         assert_eq!(s.link_segment(1, 150), LinkSegment::NOMINAL);
-        assert!(s.link_is_clean(1));
-        assert!(!s.link_is_clean(0));
     }
 
     #[test]
@@ -402,7 +390,6 @@ mod tests {
             .memory_pressure(900, 900, 0.5)
             .build();
         assert!(s.is_inert());
-        assert!(s.link_is_clean(0));
         assert_eq!(s.link_segment(0, 500), LinkSegment::NOMINAL);
         assert_eq!(s.budget_factor(900), 1.0);
         assert!(s.pressure_windows().is_empty());

@@ -16,8 +16,9 @@
 //!
 //! # Failure semantics
 //!
-//! An optional [`FaultSchedule`] (see [`TransferEngine::set_fault_schedule`])
-//! makes the link fabric imperfect:
+//! Every run moves bytes under a [`FaultSchedule`] (see
+//! [`TransferEngine::set_fault_schedule`]); a non-inert one makes the
+//! link fabric imperfect:
 //!
 //! * bandwidth-degradation windows scale wire time; full stalls freeze the
 //!   link (including setup) until the window closes;
@@ -31,8 +32,10 @@
 //!   completion overshoots it, the engine falls back to a smaller degraded
 //!   payload (e.g. half precision) instead of blocking indefinitely.
 //!
-//! With no schedule installed — or [`FaultSchedule::none`] — every code
-//! path below is byte-identical to the fault-free engine.
+//! A fault-free run is the same path under [`FaultSchedule::none`], the
+//! default: one nominal bandwidth segment forever and no transient
+//! failure, so there is exactly one link body and one on-demand
+//! projection.
 
 use crate::clock::Nanos;
 use crate::link::Link;
@@ -216,49 +219,13 @@ struct LinkState {
 
 impl LinkState {
     /// Simulates the link from `synced_at` to `target`, popping completed
-    /// jobs into `completions`.
-    fn advance_to(&mut self, target: Nanos, gpu: GpuId, completions: &mut Vec<Completion>) {
-        debug_assert!(target >= self.synced_at, "link time cannot rewind");
-        let mut now = self.synced_at;
-        while now < target {
-            let Some(job) = self.queue.front_mut() else {
-                break;
-            };
-            let budget = target - now;
-            // Pay setup first.
-            if job.setup_remaining > 0 {
-                let pay = job.setup_remaining.min(budget);
-                job.setup_remaining -= pay;
-                now += pay;
-                continue;
-            }
-            // Then wire time.
-            let wire_needed = self.link.wire_time(job.bytes_remaining.ceil() as u64);
-            if wire_needed > budget {
-                job.bytes_remaining -= self.link.bytes_in(budget);
-                job.bytes_remaining = job.bytes_remaining.max(0.0);
-                now = target;
-            } else {
-                now += wire_needed;
-                if let Some(job) = self.queue.pop_front() {
-                    completions.push(Completion {
-                        tag: job.tag,
-                        gpu,
-                        completed_at: now,
-                        bytes: job.total_bytes,
-                    });
-                }
-            }
-        }
-        self.synced_at = target;
-    }
-
-    /// Fault-aware variant of [`Self::advance_to`]: integrates link
-    /// progress piecewise over the schedule's bandwidth segments, honors
-    /// retry backoff, and injects transient failures at completion
-    /// instants.
+    /// jobs into `completions`: integrates progress piecewise over the
+    /// schedule's bandwidth segments, honors retry backoff, and injects
+    /// transient failures at completion instants. Under
+    /// [`FaultSchedule::none`] there is one nominal segment and no
+    /// failure, so jobs simply pay setup then wire time in FIFO order.
     #[allow(clippy::too_many_arguments)]
-    fn advance_to_faulty(
+    fn advance_to(
         &mut self,
         target: Nanos,
         gpu: GpuId,
@@ -331,7 +298,7 @@ impl LinkState {
                     } else {
                         let backoff = retry.backoff_after(job.attempt);
                         stats.retries += 1;
-                        stats.backoff_ns += backoff;
+                        stats.backoff_ns = stats.backoff_ns.saturating_add(backoff);
                         trace.instant(
                             now,
                             Marker::TransferRetry,
@@ -345,7 +312,7 @@ impl LinkState {
                         job.attempt += 1;
                         job.setup_remaining = self.link.setup_latency;
                         job.bytes_remaining = job.total_bytes as f64;
-                        job.not_before = now + backoff;
+                        job.not_before = now.saturating_add(backoff);
                         self.queue.push_back(job);
                     }
                 } else {
@@ -375,9 +342,11 @@ fn scale_wire_time(nominal: Nanos, factor: f64) -> Nanos {
     }
 }
 
-/// Duration of an isolated (queue-frozen) transfer of `bytes` starting at
-/// `start`, integrating the schedule's bandwidth segments.
-fn faulty_transfer_duration(
+/// Completion instant of an isolated (queue-frozen) transfer of `bytes`
+/// starting at `start`, integrating the schedule's bandwidth segments.
+/// Saturates at `Nanos::MAX`: a transfer a stall holds until then never
+/// lands.
+fn transfer_done_at(
     link: &Link,
     schedule: &FaultSchedule,
     gpu: u32,
@@ -388,11 +357,13 @@ fn faulty_transfer_duration(
     let mut setup = link.setup_latency;
     let mut wire_remaining = link.wire_time(bytes) as f64;
     loop {
+        if t == Nanos::MAX {
+            return Nanos::MAX;
+        }
         let seg = schedule.link_segment(gpu, t);
         let seg_end = seg.until;
         if seg.factor < STALL_EPSILON {
-            // Stalled: jump to the end of the window (finite by
-            // construction — windows have bounded ends).
+            // Stalled: jump to the end of the window.
             t = seg_end.max(t + 1);
             continue;
         }
@@ -408,7 +379,7 @@ fn faulty_transfer_duration(
         let span_left = seg_end.saturating_sub(t);
         let wire_here = span_left as f64 * seg.factor;
         if wire_remaining <= wire_here {
-            return t + (wire_remaining / seg.factor).ceil() as Nanos;
+            return t.saturating_add((wire_remaining / seg.factor).ceil() as Nanos);
         }
         wire_remaining -= wire_here;
         t = seg_end;
@@ -436,7 +407,9 @@ pub struct TransferEngine {
     completions: Vec<Completion>,
     failures: Vec<FailedTransfer>,
     stats: TransferStats,
-    faults: Option<FaultSchedule>,
+    /// The installed fault schedule; [`FaultSchedule::none`] for a
+    /// fault-free run.
+    faults: FaultSchedule,
     retry: RetryPolicy,
     /// Sequence counter giving each on-demand load a distinct identity
     /// for deterministic failure decisions.
@@ -473,7 +446,7 @@ impl TransferEngine {
             completions: Vec::new(),
             failures: Vec::new(),
             stats: TransferStats::default(),
-            faults: None,
+            faults: FaultSchedule::none(),
             retry: RetryPolicy::default(),
             on_demand_seq: 0,
             trace: TraceSink::disabled(),
@@ -487,21 +460,19 @@ impl TransferEngine {
         self.trace = trace;
     }
 
-    /// Installs a fault schedule. An inert schedule
-    /// ([`FaultSchedule::is_inert`]) is normalized to "no schedule" so
-    /// the fault-free fast path stays byte-identical.
+    /// Installs a fault schedule, replacing the current one.
+    /// [`FaultSchedule::none`] (the default) is the fault-free run: the
+    /// same link body and on-demand projection, under one nominal
+    /// segment and no transient failures.
     pub fn set_fault_schedule(&mut self, schedule: FaultSchedule) {
-        self.faults = if schedule.is_inert() {
-            None
-        } else {
-            Some(schedule)
-        };
+        self.faults = schedule;
     }
 
-    /// The active fault schedule, if any non-inert one is installed.
+    /// The installed fault schedule ([`FaultSchedule::none`] unless one
+    /// was set).
     #[must_use]
-    pub fn fault_schedule(&self) -> Option<&FaultSchedule> {
-        self.faults.as_ref()
+    pub fn fault_schedule(&self) -> &FaultSchedule {
+        &self.faults
     }
 
     /// Overrides the retry/backoff policy for transient failures.
@@ -545,27 +516,18 @@ impl TransferEngine {
         } = self;
         for (i, link) in links.iter_mut().enumerate() {
             if now > link.synced_at {
-                match faults {
-                    Some(schedule)
-                        if !schedule.link_is_clean(i as u32) || schedule.failure_rate() > 0.0 =>
-                    {
-                        link.advance_to_faulty(
-                            now,
-                            GpuId(i as u32),
-                            completions,
-                            failures,
-                            schedule,
-                            retry,
-                            stats,
-                            trace,
-                        );
-                    }
-                    _ => link.advance_to(now, GpuId(i as u32), completions),
-                }
+                link.advance_to(
+                    now,
+                    GpuId(i as u32),
+                    completions,
+                    failures,
+                    faults,
+                    retry,
+                    stats,
+                    trace,
+                );
             }
         }
-        // Account completed prefetches.
-        // (Stats are updated on drain to keep this hot path cheap.)
     }
 
     /// Enqueues a background prefetch of `bytes` to `gpu`.
@@ -652,13 +614,7 @@ impl TransferEngine {
         // One logical load = one on-demand identity, even when both the
         // full and fallback payloads are projected: faults, retries, and
         // backoff are accounted only for the projection actually taken.
-        // Identities only seed failure decisions, so they are consumed
-        // only under a fault schedule.
-        let od_tag = if self.faults.is_some() {
-            self.next_on_demand_tag()
-        } else {
-            0
-        };
+        let od_tag = self.next_on_demand_tag();
         let full = self.project_on_demand(gpu, od_tag, bytes, now);
         let (chosen, bytes_loaded, degraded) = if full.done > deadline && fallback_bytes < bytes {
             (
@@ -675,14 +631,17 @@ impl TransferEngine {
         // The prefetch queue is frozen during [now, done): simply declare
         // the link already synced to `done` without giving jobs progress.
         self.link_mut(gpu).synced_at = done;
+        // Time totals saturate: a load an endless stall holds lands at
+        // `Nanos::MAX`, and a second one must not overflow them.
         if warmup {
             self.stats.warmup_loads += 1;
             self.stats.warmup_bytes += bytes_loaded;
-            self.stats.warmup_ns += done - now;
+            self.stats.warmup_ns = self.stats.warmup_ns.saturating_add(done - now);
         } else {
             self.stats.on_demand_loads += 1;
             self.stats.on_demand_bytes += bytes_loaded;
-            self.stats.on_demand_blocked_ns += done - now;
+            self.stats.on_demand_blocked_ns =
+                self.stats.on_demand_blocked_ns.saturating_add(done - now);
         }
         if degraded {
             self.stats.degraded_on_demand += 1;
@@ -749,7 +708,7 @@ impl TransferEngine {
     }
 
     /// Projects the completion time of an on-demand load under the
-    /// active fault schedule, absorbing transient-failure retries
+    /// installed fault schedule, absorbing transient-failure retries
     /// (bounded by the retry policy). Pure: no stats or sequence state
     /// is touched, so callers can project alternative payloads and then
     /// account only the projection they commit to.
@@ -760,26 +719,20 @@ impl TransferEngine {
         bytes: u64,
         now: Nanos,
     ) -> OnDemandProjection {
-        let Some(schedule) = &self.faults else {
-            return OnDemandProjection {
-                done: now + self.links[gpu.index()].link.transfer_time(bytes),
-                retries: 0,
-                backoff_ns: 0,
-            };
-        };
+        let schedule = &self.faults;
         let gpu_idx = gpu.index() as u32;
         let link = self.links[gpu.index()].link;
         let mut t = now;
         let mut retries = 0u32;
         let mut backoff_total: Nanos = 0;
         loop {
-            let done = faulty_transfer_duration(&link, schedule, gpu_idx, bytes, t);
+            let done = transfer_done_at(&link, schedule, gpu_idx, bytes, t);
             if retries < self.retry.max_retries && schedule.fails_transfer(gpu_idx, od_tag, retries)
             {
                 let backoff = self.retry.backoff_after(retries);
-                backoff_total += backoff;
+                backoff_total = backoff_total.saturating_add(backoff);
                 retries += 1;
-                t = done + backoff;
+                t = done.saturating_add(backoff);
             } else {
                 return OnDemandProjection {
                     done,
@@ -795,7 +748,7 @@ impl TransferEngine {
     fn account_on_demand_retries(&mut self, proj: &OnDemandProjection) {
         self.stats.faults_injected += u64::from(proj.retries);
         self.stats.retries += u64::from(proj.retries);
-        self.stats.backoff_ns += proj.backoff_ns;
+        self.stats.backoff_ns = self.stats.backoff_ns.saturating_add(proj.backoff_ns);
         if proj.retries > 0 {
             self.trace
                 .count("transfer.retries", u64::from(proj.retries));
@@ -1172,28 +1125,6 @@ mod tests {
     }
 
     #[test]
-    fn inert_schedule_is_normalized_away() {
-        let mut e = engine(1);
-        e.set_fault_schedule(FaultSchedule::none());
-        assert!(e.fault_schedule().is_none());
-    }
-
-    #[test]
-    fn inert_schedule_leaves_timings_identical() {
-        let mut plain = engine(2);
-        let mut faulty = engine(2);
-        faulty.set_fault_schedule(FaultSchedule::none());
-        for e in [&mut plain, &mut faulty] {
-            e.submit_prefetch(GpuId(0), 1, 100 * MB, 0);
-            e.submit_prefetch(GpuId(1), 2, 50 * MB, 0);
-            let od = e.on_demand_load(GpuId(0), 30 * MB, 500_000);
-            e.advance_to(od + link().transfer_time(200 * MB));
-        }
-        assert_eq!(plain.drain_completions(), faulty.drain_completions());
-        assert_eq!(plain.stats(), faulty.stats());
-    }
-
-    #[test]
     fn degraded_window_stretches_wire_time() {
         let mut e = engine(1);
         // Half bandwidth over a window wide enough to cover everything.
@@ -1323,18 +1254,26 @@ mod tests {
 
     #[test]
     fn hopeless_deadline_is_flagged_not_hung() {
-        let mut e = engine(1);
-        e.set_fault_schedule(
-            FaultSchedule::builder(5)
-                .stall_link(Some(0), 0, 10_000_000)
-                .build(),
-        );
-        let out = e
-            .on_demand_load_with_deadline(GpuId(0), 100 * MB, 0, 1_000, 50 * MB)
-            .unwrap();
-        assert!(out.missed_deadline);
-        assert!(out.completed_at >= 10_000_000);
-        assert_eq!(e.stats().missed_deadlines, 1);
+        // A stall that never ends holds the load until `Nanos::MAX`: the
+        // projection saturates there instead of spinning, and a second
+        // such load does not overflow the blocked-time total.
+        for stall_end in [10_000_000, Nanos::MAX] {
+            let mut e = engine(1);
+            e.set_fault_schedule(
+                FaultSchedule::builder(5)
+                    .stall_link(Some(0), 0, stall_end)
+                    .build(),
+            );
+            for now in [0, 1_000] {
+                let out = e
+                    .on_demand_load_with_deadline(GpuId(0), 100 * MB, now, now + 1_000, 50 * MB)
+                    .unwrap();
+                assert!(out.missed_deadline);
+                assert!(out.completed_at >= stall_end);
+            }
+            assert_eq!(e.stats().missed_deadlines, 2);
+            assert!(e.stats().on_demand_blocked_ns >= stall_end - 1_000);
+        }
     }
 
     #[test]
@@ -1345,16 +1284,14 @@ mod tests {
         // transient failures hit the loads.
         let heavy = FaultSchedule::synthetic(7, 1.0, 2_000_000_000, 1);
         assert!(!heavy.is_inert());
-        for schedule in [None, Some(heavy)] {
+        for schedule in [FaultSchedule::none(), heavy] {
             let sink_a = fmoe_trace::TraceSink::recording(1024);
             let sink_b = fmoe_trace::TraceSink::recording(1024);
             let mut a = engine(1);
             let mut b = engine(1);
             for (e, sink) in [(&mut a, &sink_a), (&mut b, &sink_b)] {
                 e.set_trace_sink(sink.clone());
-                if let Some(s) = &schedule {
-                    e.set_fault_schedule(s.clone());
-                }
+                e.set_fault_schedule(schedule.clone());
                 e.submit_prefetch(GpuId(0), 1, 50 * MB, 0);
             }
             let mut now = 1000;
@@ -1376,9 +1313,10 @@ mod tests {
             assert_eq!(a.stats(), b.stats());
             assert_eq!(sink_a.take_records(), sink_b.take_records());
             assert_eq!(sink_a.metrics_snapshot(), sink_b.metrics_snapshot());
+            let faulty = !schedule.is_inert();
             assert_eq!(
                 (slowed, a.stats().retries > 0),
-                (schedule.is_some(), schedule.is_some()),
+                (faulty, faulty),
                 "faults must stretch and retry some load, and only faults"
             );
         }
@@ -1463,7 +1401,7 @@ mod tests {
     #[test]
     fn zero_length_fault_windows_are_inert() {
         // A [t, t) window covers nothing; a schedule made only of such
-        // windows is inert and normalized away entirely.
+        // windows is inert and times every transfer like the default.
         let schedule = FaultSchedule::builder(3)
             .stall_link(Some(0), 5_000, 5_000)
             .degrade_link(Some(0), 9_000, 9_000, 0.25)
@@ -1473,7 +1411,6 @@ mod tests {
         let mut plain = engine(1);
         let mut faulty = engine(1);
         faulty.set_fault_schedule(schedule);
-        assert!(faulty.fault_schedule().is_none());
         for e in [&mut plain, &mut faulty] {
             e.submit_prefetch(GpuId(0), 1, 50 * MB, 0);
             let od = e.on_demand_load(GpuId(0), 20 * MB, 4_000);

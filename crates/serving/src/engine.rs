@@ -462,10 +462,6 @@ pub struct ServingEngine {
     staged: DenseIdSet,
     breakdown: Breakdown,
     config: EngineConfig,
-    /// Installed fault schedule (`None` when the failure model is off);
-    /// mirrors the transfer engine's copy so the iteration loop can apply
-    /// memory-pressure windows to the cache budget.
-    faults: Option<FaultSchedule>,
     /// Reusable per-iteration working memory (see [`IterationScratch`]).
     scratch: IterationScratch,
     /// Structured-event trace sink (disabled by default — every emission
@@ -493,9 +489,9 @@ pub struct EngineBuilder {
     topology: Topology,
     policy: Box<dyn EvictionPolicy>,
     config: EngineConfig,
-    trace_sink: Option<TraceSink>,
-    fault_schedule: Option<FaultSchedule>,
-    retry_policy: Option<RetryPolicy>,
+    trace_sink: TraceSink,
+    fault_schedule: FaultSchedule,
+    retry_policy: RetryPolicy,
     assignment: Option<Vec<u32>>,
 }
 
@@ -510,9 +506,9 @@ impl EngineBuilder {
             topology,
             policy: Box::new(fmoe_cache::LruPolicy::new()),
             config: EngineConfig::paper_default(),
-            trace_sink: None,
-            fault_schedule: None,
-            retry_policy: None,
+            trace_sink: TraceSink::disabled(),
+            fault_schedule: FaultSchedule::none(),
+            retry_policy: RetryPolicy::default(),
             assignment: None,
         }
     }
@@ -575,21 +571,22 @@ impl EngineBuilder {
     /// Installs a structured-event trace sink (default: disabled).
     #[must_use]
     pub fn trace_sink(mut self, sink: TraceSink) -> Self {
-        self.trace_sink = Some(sink);
+        self.trace_sink = sink;
         self
     }
 
-    /// Installs a fault schedule (default: no failure model).
+    /// Installs a fault schedule (default: [`FaultSchedule::none`]).
     #[must_use]
     pub fn fault_schedule(mut self, schedule: FaultSchedule) -> Self {
-        self.fault_schedule = Some(schedule);
+        self.fault_schedule = schedule;
         self
     }
 
-    /// Sets the transfer retry/backoff policy for transient faults.
+    /// Sets the transfer retry/backoff policy for transient faults
+    /// (default: [`RetryPolicy::default`]).
     #[must_use]
     pub fn retry_policy(mut self, retry: RetryPolicy) -> Self {
-        self.retry_policy = Some(retry);
+        self.retry_policy = retry;
         self
     }
 
@@ -600,15 +597,9 @@ impl EngineBuilder {
     pub fn build(self) -> ServingEngine {
         let mut engine =
             ServingEngine::new(self.gate, self.gpu, self.topology, self.policy, self.config);
-        if let Some(sink) = self.trace_sink {
-            engine.set_trace_sink(sink);
-        }
-        if let Some(schedule) = self.fault_schedule {
-            engine.set_fault_schedule(schedule);
-        }
-        if let Some(retry) = self.retry_policy {
-            engine.set_retry_policy(retry);
-        }
+        engine.set_trace_sink(self.trace_sink);
+        engine.set_fault_schedule(self.fault_schedule);
+        engine.set_retry_policy(self.retry_policy);
         if let Some(owners) = self.assignment {
             engine.set_expert_assignment(owners);
         }
@@ -656,7 +647,6 @@ impl ServingEngine {
             staged: DenseIdSet::with_capacity(num_experts),
             breakdown: Breakdown::default(),
             config,
-            faults: None,
             scratch: IterationScratch::default(),
             trace: TraceSink::disabled(),
             ep,
@@ -764,19 +754,20 @@ impl ServingEngine {
         self.config.cache_budget_bytes
     }
 
-    /// Installs a fault schedule: link degradations and transient
-    /// failures apply to the transfer engine, memory-pressure windows
-    /// squeeze the expert-cache budget at iteration boundaries. An inert
-    /// schedule is equivalent to not calling this at all.
+    /// Installs a fault schedule in the transfer engine, which holds the
+    /// engine's only copy: link degradations and transient failures
+    /// apply to transfers, memory-pressure windows squeeze the
+    /// expert-cache budget at iteration boundaries.
+    /// [`FaultSchedule::none`] (the default) is the fault-free run.
     pub fn set_fault_schedule(&mut self, schedule: FaultSchedule) {
         self.transfer.set_fault_schedule(schedule);
-        self.faults = self.transfer.fault_schedule().cloned();
     }
 
-    /// The installed fault schedule, if any.
+    /// The installed fault schedule ([`FaultSchedule::none`] unless one
+    /// was set).
     #[must_use]
-    pub fn fault_schedule(&self) -> Option<&FaultSchedule> {
-        self.faults.as_ref()
+    pub fn fault_schedule(&self) -> &FaultSchedule {
+        self.transfer.fault_schedule()
     }
 
     /// Retunes the transfer engine's retry/backoff policy for transient
@@ -816,13 +807,10 @@ impl ServingEngine {
             // Spilled peer copies died with the replica's device memory.
             ep.clear();
         }
-        let retry = self.transfer.retry_policy();
         let mut transfer = TransferEngine::new(&self.topology);
         transfer.set_trace_sink(self.trace.clone());
-        if let Some(faults) = &self.faults {
-            transfer.set_fault_schedule(faults.clone());
-        }
-        transfer.set_retry_policy(retry);
+        transfer.set_fault_schedule(self.transfer.fault_schedule().clone());
+        transfer.set_retry_policy(self.transfer.retry_policy());
         self.transfer = transfer;
         self.clock = VirtualClock::new();
         self.clock.advance_to(at);
@@ -1101,13 +1089,11 @@ impl ServingEngine {
     /// expert cache; the effective budget is recomputed every iteration
     /// so pressure windows release their squeeze when they close.
     fn set_iteration_budget(&mut self, elements: &[Element]) {
-        if !self.config.kv_aware_budget && self.faults.is_none() {
+        let faults = self.transfer.fault_schedule();
+        if !self.config.kv_aware_budget && faults.is_inert() {
             return;
         }
-        let pressure = self
-            .faults
-            .as_ref()
-            .map_or(1.0, |f| f.budget_factor(self.clock.now()));
+        let pressure = faults.budget_factor(self.clock.now());
         let mut effective = self.config.cache_budget_bytes;
         if pressure < 1.0 {
             effective = (effective as f64 * pressure) as u64;
@@ -2061,7 +2047,6 @@ mod tests {
         let mut plain = tiny_engine(8, false);
         let mut faulted = tiny_engine(8, false);
         faulted.set_fault_schedule(FaultSchedule::none());
-        assert!(faulted.fault_schedule().is_none(), "inert normalizes away");
         let a = plain.serve_request(prompt(30), &mut NoPrefetch);
         let b = faulted.serve_request(prompt(30), &mut NoPrefetch);
         assert_eq!(a, b);

@@ -74,11 +74,9 @@ fn serve_with_slo_and_inert_faults_is_byte_identical() {
         max_queueing_ns: 2_000_000,
         action: SloAction::Degrade,
     };
-    let run = |faults: Option<FaultSchedule>| {
+    let run = |faults: FaultSchedule| {
         let mut eng = engine();
-        if let Some(schedule) = faults {
-            eng.set_fault_schedule(schedule);
-        }
+        eng.set_fault_schedule(faults);
         let mut pred = predictor();
         let report = serve(
             &mut eng,
@@ -89,15 +87,15 @@ fn serve_with_slo_and_inert_faults_is_byte_identical() {
         .expect("fcfs serving is infallible");
         format!("{report:?}")
     };
-    let plain = run(None);
-    let repeat = run(None);
+    let plain = run(FaultSchedule::none());
+    let repeat = run(FaultSchedule::none());
     assert_eq!(plain, repeat, "SLO serving must be run-to-run identical");
 
     // An inert schedule (zero intensity) is the documented identity:
     // installing it must not perturb a single byte of the output.
     let inert = FaultSchedule::synthetic(7, 0.0, 1_000_000_000, 2);
     assert!(inert.is_inert());
-    let faulted = run(Some(inert));
+    let faulted = run(inert);
     assert_eq!(
         plain, faulted,
         "an inert fault schedule must leave the run byte-identical"
