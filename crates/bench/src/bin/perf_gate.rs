@@ -1,84 +1,73 @@
-//! Perf regression gate: compares a fresh `BENCH_perf.json` (written by
-//! `perf_smoke`) against the committed `BENCH_baseline.json` and exits
-//! nonzero on regression (DESIGN.md §16).
+//! Perf regression gate: judges several `perf_smoke` runs of the head
+//! against several of its parent, made on the same machine (DESIGN.md
+//! §16). `scripts/perf_ab.sh` makes the runs and calls this binary.
 //!
-//! Gate contract:
+//! Gate contract ([`fmoe_bench::perf::gate`]):
 //!
-//! * `sweep_speedup` below 1.0 fails whenever a parallel sweep actually
-//!   ran (a `null` speedup — single effective worker — is skipped).
-//! * The matcher fast path falling behind its reference scan fails.
-//! * Per-scenario throughput regressions beyond the tolerance
-//!   (default 15%) fail — but only when the baseline and current runs
-//!   share a parallelism + mode fingerprint; absolute wall-clock numbers
-//!   from different machines or workload sizes are skipped, visibly.
+//! * A scenario fails when its head median `iters_per_s` is more than
+//!   15% below the parent median and below the parent's lower quartile.
+//! * A parent scenario missing from the head fails.
+//! * The matcher fast path falling behind its reference scan (head
+//!   medians) fails.
 //!
-//! The full delta table is printed on every run (CI shows it on
-//! failure).
+//! Exit status: 0 pass, 1 fail, 2 when the inputs cannot be compared
+//! (unreadable file, an empty side, runs with different `--jobs`). The
+//! delta table is printed on every verdict.
 //!
 //! ```sh
 //! cargo run --release -p fmoe-bench --bin perf_gate -- \
-//!     [--baseline BENCH_baseline.json] [--current BENCH_perf.json] \
-//!     [--tolerance 0.15]
+//!     --parent parent-*.json --head head-*.json
 //! ```
 
 use fmoe_bench::perf::{self, PerfReport};
-
-fn flag_value(args: &[String], name: &str) -> Option<String> {
-    let eq = format!("{name}=");
-    let mut take_next = false;
-    for arg in args {
-        if take_next {
-            return Some(arg.clone());
-        }
-        if arg == name {
-            take_next = true;
-        } else if let Some(v) = arg.strip_prefix(&eq) {
-            return Some(v.to_string());
-        }
-    }
-    None
-}
 
 fn load(path: &str) -> Result<PerfReport, String> {
     let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
     PerfReport::from_json(&text).map_err(|e| format!("{path}: {e}"))
 }
 
+/// Splits `--parent a.json b.json … --head c.json …` into the two sides.
+fn sides(args: &[String]) -> Result<(Vec<PerfReport>, Vec<PerfReport>), String> {
+    let (mut parent, mut head) = (Vec::new(), Vec::new());
+    let mut side = None;
+    for arg in args {
+        match arg.as_str() {
+            "--parent" => side = Some(&mut parent),
+            "--head" => side = Some(&mut head),
+            path => side
+                .as_mut()
+                .ok_or_else(|| format!("`{path}` is neither after --parent nor after --head"))?
+                .push(load(path)?),
+        }
+    }
+    Ok((parent, head))
+}
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let baseline_path =
-        flag_value(&args, "--baseline").unwrap_or_else(|| "BENCH_baseline.json".to_string());
-    let current_path =
-        flag_value(&args, "--current").unwrap_or_else(|| "BENCH_perf.json".to_string());
-    let tolerance = flag_value(&args, "--tolerance")
-        .and_then(|v| v.parse::<f64>().ok())
-        .unwrap_or(perf::DEFAULT_TOLERANCE);
-
-    let baseline = match load(&baseline_path) {
-        Ok(r) => r,
+    let outcome = sides(&args).and_then(|(parent, head)| {
+        println!(
+            "perf_gate: {} head runs vs {} parent runs (reference = parent median)",
+            head.len(),
+            parent.len()
+        );
+        perf::gate(&parent, &head).map_err(|e| e.to_string())
+    });
+    let outcome = match outcome {
+        Ok(outcome) => outcome,
         Err(e) => {
             eprintln!("perf_gate: {e}");
             std::process::exit(2);
         }
     };
-    let current = match load(&current_path) {
-        Ok(r) => r,
-        Err(e) => {
-            eprintln!("perf_gate: {e}");
-            std::process::exit(2);
-        }
-    };
-
-    let outcome = perf::gate(&baseline, &current, tolerance);
-    println!(
-        "perf_gate: {current_path} vs {baseline_path} (tolerance {:.0}%)",
-        tolerance * 100.0
-    );
     print!("{}", outcome.delta_table());
     if outcome.passed() {
         println!("perf_gate: PASS");
     } else {
-        println!("perf_gate: FAIL — throughput regressed beyond tolerance (see table)");
+        println!(
+            "perf_gate: FAIL — a scenario regressed beyond {:.0}% and the parent's scatter (see table)",
+            perf::TOLERANCE * 100.0
+        );
         std::process::exit(1);
     }
 }

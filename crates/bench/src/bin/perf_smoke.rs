@@ -1,17 +1,18 @@
 //! Perf smoke benchmark: wall-clock timings of fixed workloads, written
-//! to `BENCH_perf.json` so CI can gate against the committed
-//! `BENCH_baseline.json` (DESIGN.md §16).
+//! to `BENCH_perf.json` in the working directory. `scripts/perf_ab.sh`
+//! runs it for the head and its parent in alternating rounds, and
+//! `perf_gate` compares the two sets of runs (DESIGN.md §16).
 //!
 //! Scenarios:
 //!
 //! * `sweep_offline_jobs1` / `sweep_offline_jobsN` — the same fixed
 //!   (model, dataset, system) cell sweep run through [`ParallelRunner`]
-//!   sequentially and at `--jobs N` (default: available parallelism).
-//!   The ratio is reported as `sweep_speedup`. The parallel leg only
+//!   sequentially and at `--jobs N` (default: available parallelism);
+//!   the ratio is printed as the sweep speedup. The parallel leg only
 //!   runs when the machine can actually run one: with a single effective
-//!   worker (requested jobs clamped to one core) the speedup is
-//!   reported as `null` and the gate skips it — time-slicing N threads
-//!   on one core would only measure scheduler overhead.
+//!   worker (requested jobs clamped to one core) it is left out, since
+//!   time-slicing N threads on one core would only measure scheduler
+//!   overhead.
 //! * `matcher_semantic_fast` / `matcher_semantic_reference` — the
 //!   structure-of-arrays slab kernel vs the per-entry reference scan
 //!   over an Expert Map Store.
@@ -24,20 +25,19 @@
 //! * `predictor_observe` / `predictor_end` — the fMoE predictor on a full
 //!   1000-entry Mixtral-8x7B store: one `begin_iteration` plus the 32
 //!   `observe_gate` calls of an iteration, and one at-capacity
-//!   `end_iteration` (the redundancy-scored deduplication). Both run in
-//!   every mode at full store size: smaller stores never fill.
+//!   `end_iteration` (the redundancy-scored deduplication). Both use a
+//!   full-size store: smaller stores never fill.
 //!
-//! `--quick` shrinks every scenario to CI size (seconds, not minutes);
-//! the JSON records the mode plus the machine's available parallelism,
-//! and `perf_gate` only makes absolute wall-clock comparisons between
-//! runs whose mode + parallelism fingerprints match.
+//! Every timed loop lasts about 100 ms or more on a 2-vCPU VM, and a
+//! whole run about two seconds, so a gate can afford many rounds per
+//! side.
 //!
 //! Wall-clock use is deliberate and confined to this binary: fmoe-lint's
 //! FM002 allows `Instant` only in bench *binaries*, never in harness or
 //! simulation code, so timings can never leak into simulated results.
 //!
 //! ```sh
-//! cargo run --release -p fmoe-bench --bin perf_smoke [--quick] [--jobs N]
+//! cargo run --release -p fmoe-bench --bin perf_smoke [--jobs N]
 //! ```
 
 use fmoe::map::ExpertMap;
@@ -46,7 +46,7 @@ use fmoe::predictor::HistoryRequest;
 use fmoe::store::ExpertMapStore;
 use fmoe::{FmoeConfig, FmoePredictor};
 use fmoe_bench::harness::{CellConfig, ParallelRunner, System};
-use fmoe_bench::perf::{self, PerfRecord, PerfReport, RunMode};
+use fmoe_bench::perf::{PerfRecord, PerfReport};
 use fmoe_model::gate::{GateScratch, TokenSpan};
 use fmoe_model::{presets, GateParams, GateSimulator, RequestRouting};
 use fmoe_serving::{ExpertPredictor, IterationContext};
@@ -68,40 +68,27 @@ fn time_iters<F: FnMut()>(iters: u64, mut f: F) -> (f64, f64) {
     (wall_ms, iters_per_s)
 }
 
-/// The fixed offline sweep every run times: quick-sized fig9 cells.
-fn sweep_points(mode: RunMode) -> Vec<(fmoe_model::ModelConfig, DatasetSpec, System)> {
-    let models = presets::evaluation_models();
-    let datasets = DatasetSpec::evaluation_datasets();
-    let (models, datasets): (&[_], &[_]) = match mode {
-        // Quick: one (model, dataset) pair — enough cells (one per
-        // system) to exercise the runner without minute-scale CI cost.
-        RunMode::Quick => (&models[..1], &datasets[..1]),
-        RunMode::Full => (&models[..], &datasets[..]),
-    };
-    let mut points = Vec::new();
-    for model in models {
-        for dataset in datasets {
-            for system in System::paper_lineup() {
-                points.push((model.clone(), dataset.clone(), system));
-            }
-        }
-    }
-    points
+/// The fixed offline sweep every run times: one small fig9 cell per
+/// system on the first (model, dataset) pair — enough cells to exercise
+/// the runner at a cost of about a second.
+fn sweep_points() -> Vec<(fmoe_model::ModelConfig, DatasetSpec, System)> {
+    let model = &presets::evaluation_models()[0];
+    let dataset = &DatasetSpec::evaluation_datasets()[0];
+    System::paper_lineup()
+        .into_iter()
+        .map(|system| (model.clone(), dataset.clone(), system))
+        .collect()
 }
 
-fn time_sweep(jobs: usize, mode: RunMode) -> PerfRecord {
-    let points = sweep_points(mode);
+fn time_sweep(jobs: usize) -> PerfRecord {
+    let points = sweep_points();
     let runner = ParallelRunner::new(jobs);
     let n = points.len() as u64;
-    let (test_requests, max_decode) = match mode {
-        RunMode::Quick => (2, 6),
-        RunMode::Full => (4, 12),
-    };
     let (wall_ms, _) = time_iters(1, || {
         let outcomes = runner.run(&points, |_, (model, dataset, system)| {
             let mut cell = CellConfig::new(model.clone(), dataset.clone(), *system);
-            cell.test_requests = test_requests;
-            cell.max_decode = max_decode;
+            cell.test_requests = 2;
+            cell.max_decode = 6;
             cell.run_offline()
         });
         black_box(outcomes.len());
@@ -144,12 +131,12 @@ fn build_store(capacity: usize) -> (GateSimulator, ExpertMapStore) {
     (gate, store)
 }
 
-fn matcher_records(mode: RunMode) -> Vec<PerfRecord> {
-    let (store_size, iters, traj_iters) = match mode {
-        RunMode::Quick => (300, 400u64, 50u64),
-        RunMode::Full => (1000, 2000, 200),
-    };
-    let (gate, store) = build_store(store_size);
+fn matcher_records() -> Vec<PerfRecord> {
+    // Each loop lasts about 100 ms or more, like every other scenario:
+    // short loops swing by ±40% from run to run, more than the gate's
+    // tolerance.
+    let (iters, traj_iters) = (8_000, 8_000);
+    let (gate, store) = build_store(300);
     let query = gate.semantic_embedding(
         RequestRouting {
             cluster: 3,
@@ -206,11 +193,8 @@ fn matcher_records(mode: RunMode) -> Vec<PerfRecord> {
 
 /// The router kernel alone: `route_into` with one reused scratch, walking
 /// requests × layers so every call routes fresh coordinates.
-fn router_records(mode: RunMode) -> Vec<PerfRecord> {
-    let (prefill_calls, decode_calls) = match mode {
-        RunMode::Quick => (2_000, 40_000),
-        RunMode::Full => (20_000, 400_000),
-    };
+fn router_records() -> Vec<PerfRecord> {
+    let (prefill_calls, decode_calls) = (2_000, 100_000);
     let gate = GateSimulator::with_defaults(presets::mixtral_8x7b());
     let layers = u64::from(gate.config().num_layers);
     let coords = |call: u64| {
@@ -257,13 +241,10 @@ fn router_records(mode: RunMode) -> Vec<PerfRecord> {
 /// `predictor_observe` is one `begin_iteration` plus an `observe_gate` per
 /// layer, `predictor_end` one at-capacity `end_iteration`. Both cycle
 /// through a fixed set of decode iterations routed outside the timers.
-fn predictor_records(mode: RunMode) -> Vec<PerfRecord> {
+fn predictor_records() -> Vec<PerfRecord> {
     const CAPACITY: usize = 1000;
     const QUERIES: u64 = 16;
-    let (observe_iters, end_iters) = match mode {
-        RunMode::Quick => (200, 200),
-        RunMode::Full => (2_000, 2_000),
-    };
+    const ITERS: u64 = 500;
     let model = presets::mixtral_8x7b();
     let gate = GateSimulator::with_defaults(model.clone());
     let config = FmoeConfig::for_model(&model).with_capacity(&model, CAPACITY);
@@ -312,7 +293,7 @@ fn predictor_records(mode: RunMode) -> Vec<PerfRecord> {
         .collect();
 
     let mut call = 0usize;
-    let (observe_ms, observe_ips) = time_iters(observe_iters, || {
+    let (observe_ms, observe_ips) = time_iters(ITERS, || {
         let (ctx, rows) = &queries[call % queries.len()];
         black_box(predictor.begin_iteration(ctx));
         for (l, row) in (0u32..).zip(rows) {
@@ -321,7 +302,7 @@ fn predictor_records(mode: RunMode) -> Vec<PerfRecord> {
         call += 1;
     });
     let mut call = 0usize;
-    let (end_ms, end_ips) = time_iters(end_iters, || {
+    let (end_ms, end_ips) = time_iters(ITERS, || {
         let (ctx, rows) = &queries[call % queries.len()];
         predictor.end_iteration(ctx, black_box(rows));
         call += 1;
@@ -344,48 +325,25 @@ fn predictor_records(mode: RunMode) -> Vec<PerfRecord> {
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mode = if args.iter().any(|a| a == "--quick") {
-        RunMode::Quick
-    } else {
-        RunMode::Full
-    };
-    let jobs = fmoe_bench::harness::jobs_from_args(args.iter().cloned());
-    let parallelism = ParallelRunner::available_parallelism();
-    let effective = jobs.min(parallelism);
+    let jobs = fmoe_bench::harness::jobs_from_args(std::env::args().skip(1));
+    let effective = jobs.min(ParallelRunner::available_parallelism());
 
-    let seq = time_sweep(1, mode);
-    let mut records = Vec::new();
+    let seq = time_sweep(1);
+    let mut speedup = None;
+    let mut records = vec![seq];
     // A parallel leg needs at least two effective workers; on a
-    // single-core machine the "speedup" would only measure time-slicing
-    // overhead, so it is skipped and reported as null.
-    let sweep_speedup = if effective > 1 {
-        let par = time_sweep(effective, mode);
-        let s = perf::speedup(seq.wall_ms, par.wall_ms);
-        records.push(seq);
+    // single-core machine it would only measure time-slicing overhead.
+    if effective > 1 {
+        let par = time_sweep(effective);
+        speedup = Some(records[0].wall_ms / par.wall_ms);
         records.push(par);
-        s
-    } else {
-        records.push(seq);
-        None
-    };
+    }
+    records.extend(matcher_records());
+    records.extend(router_records());
+    records.extend(predictor_records());
+    let report = PerfReport { jobs, records };
 
-    records.extend(matcher_records(mode));
-    records.extend(router_records(mode));
-    records.extend(predictor_records(mode));
-
-    let report = PerfReport {
-        jobs,
-        parallelism,
-        mode,
-        sweep_speedup,
-        records,
-    };
-
-    println!(
-        "perf_smoke (mode = {}, jobs = {jobs}, parallelism = {parallelism})",
-        mode.as_str()
-    );
+    println!("perf_smoke (jobs = {jobs}, effective = {effective})");
     println!(
         "{:<32} {:>12} {:>14} {:>6}",
         "scenario", "wall_ms", "iters/s", "jobs"
@@ -396,26 +354,11 @@ fn main() {
             r.scenario, r.wall_ms, r.iters_per_s, r.jobs
         );
     }
-    let speedup = sweep_speedup.map_or_else(|| "n/a".to_string(), |s| format!("{s:.2}x"));
+    let speedup = speedup.map_or_else(|| "n/a".to_string(), |s| format!("{s:.2}x"));
     println!("sweep speedup (jobs1 / jobsN): {speedup}");
 
     match std::fs::write("BENCH_perf.json", report.to_json()) {
         Ok(()) => println!("wrote BENCH_perf.json"),
         Err(e) => eprintln!("cannot write BENCH_perf.json: {e}"),
-    }
-
-    // Informational baseline comparison (the enforcing step is the
-    // `perf_gate` binary): print the delta table when a committed
-    // baseline is available.
-    match std::fs::read_to_string("BENCH_baseline.json") {
-        Ok(text) => match PerfReport::from_json(&text) {
-            Ok(baseline) => {
-                let outcome = perf::gate(&baseline, &report, perf::DEFAULT_TOLERANCE);
-                println!("\nvs BENCH_baseline.json:");
-                print!("{}", outcome.delta_table());
-            }
-            Err(e) => eprintln!("BENCH_baseline.json unreadable: {e}"),
-        },
-        Err(_) => println!("no BENCH_baseline.json here; skipping comparison"),
     }
 }

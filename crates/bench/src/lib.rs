@@ -13,7 +13,8 @@
 //! * [`policy_sweep`] — seeded Zipf expert traces and eviction-policy
 //!   miss-ratio replays (the fig11 policy comparison).
 //! * [`perf`] — the `BENCH_perf.json` schema, hand-rolled JSON both
-//!   ways, and the baseline regression gate used by `perf_gate`.
+//!   ways, and the head-against-parent gate `perf_gate` applies to the
+//!   runs `scripts/perf_ab.sh` makes.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

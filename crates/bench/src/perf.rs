@@ -1,32 +1,34 @@
-//! Perf-baseline schema and regression gate (DESIGN.md §16).
+//! Perf-report schema and the A/B regression gate (DESIGN.md §16).
 //!
-//! `perf_smoke` writes a [`PerfReport`] to `BENCH_perf.json`; the
-//! committed `BENCH_baseline.json` is the same schema frozen at a known
-//! good commit. `perf_gate` (and `perf_smoke` itself, informationally)
-//! compare the two with [`gate`]:
+//! `perf_smoke` writes one [`PerfReport`] per run to `BENCH_perf.json`.
+//! `scripts/perf_ab.sh` runs it for the parent commit and for the head
+//! on the same machine, in alternating rounds, and `perf_gate` judges the
+//! two sets of runs with [`gate`]:
 //!
-//! * **Portable invariants** hold on any machine: `sweep_speedup` must
-//!   not drop below 1.0 whenever a parallel sweep actually ran, and the
-//!   structure-of-arrays matcher fast path must not be slower than its
-//!   reference scan.
-//! * **Absolute wall-clock comparisons** (requests/sec, matcher
-//!   queries/sec, …) are only meaningful between runs on comparable
-//!   hardware, so they apply the 15% tolerance **only when the
-//!   parallelism + mode fingerprint matches** and are skipped (visibly,
-//!   never silently) otherwise. A baseline scenario missing from the
-//!   current run fails whatever the fingerprint.
+//! * **Head against parent, per scenario.** A scenario fails when its
+//!   head median `iters_per_s` is more than [`TOLERANCE`] below the
+//!   parent median *and* below the parent's lower quartile, so a
+//!   slowdown must be both large and outside the parent's own scatter.
+//!   A parent scenario missing from the head fails.
+//! * **Matcher fast path ≥ reference scan**, on the head medians (within
+//!   [`TOLERANCE`]).
 //!
-//! Speedups whose numerator or denominator wall time rounds to zero are
-//! `None` — serialized as JSON `null` — and skip their gate check
-//! rather than reporting a bogus `0.0` or `inf`.
+//! Runs made with different `--jobs` cannot be compared: [`gate`]
+//! returns a [`GateError`] for them instead of a verdict.
 //!
 //! The JSON is hand-rolled both ways (the workspace deliberately has no
 //! JSON dependency); [`PerfReport::from_json`] is a tiny recursive-
-//! descent parser over exactly the value grammar the schema uses. No
-//! wall clocks here: timing stays in the bench *binaries* (FM002).
+//! descent parser over exactly the value grammar the schema uses, and
+//! ignores fields it does not know. No wall clocks here: timing stays
+//! in the bench *binaries* (FM002).
 
-/// Default regression tolerance: 15% (the CI gate contract).
-pub const DEFAULT_TOLERANCE: f64 = 0.15;
+use fmoe_stats::EmpiricalCdf;
+use std::fmt;
+
+/// The largest fractional slowdown of a scenario's median, head against
+/// parent, that passes whatever the scatter (also the matcher
+/// invariant's slack).
+pub const TOLERANCE: f64 = 0.15;
 
 /// One timed scenario.
 #[derive(Debug, Clone, PartialEq)]
@@ -41,66 +43,13 @@ pub struct PerfRecord {
     pub jobs: usize,
 }
 
-/// Workload size of a `perf_smoke` run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum RunMode {
-    /// CI-sized: seconds, not minutes.
-    Quick,
-    /// The original full-size workload.
-    Full,
-}
-
-impl RunMode {
-    /// Serialized form.
-    #[must_use]
-    pub fn as_str(self) -> &'static str {
-        match self {
-            RunMode::Quick => "quick",
-            RunMode::Full => "full",
-        }
-    }
-
-    fn parse(s: &str) -> Option<Self> {
-        match s {
-            "quick" => Some(RunMode::Quick),
-            "full" => Some(RunMode::Full),
-            _ => None,
-        }
-    }
-}
-
-/// Everything one `perf_smoke` run measured, plus the hardware
-/// fingerprint that decides which baseline comparisons are meaningful.
+/// Everything one `perf_smoke` run measured.
 #[derive(Debug, Clone, PartialEq)]
 pub struct PerfReport {
     /// `--jobs` as requested on the command line.
     pub jobs: usize,
-    /// The machine's available parallelism at run time. Absolute
-    /// wall-clock comparisons across runs are only made when this (and
-    /// [`Self::mode`]) match.
-    pub parallelism: usize,
-    /// Workload size.
-    pub mode: RunMode,
-    /// jobs1 / jobsN sweep wall-time ratio. `None` when no parallel run
-    /// happened (one effective worker) or a wall time rounded to zero.
-    pub sweep_speedup: Option<f64>,
     /// Per-scenario timings.
     pub records: Vec<PerfRecord>,
-}
-
-/// Wall-time ratio `baseline_ms / candidate_ms`, or `None` when either
-/// side rounds to zero — a sub-millisecond measurement carries no
-/// information, and `0.0` / `inf` would poison downstream gates.
-#[must_use]
-pub fn speedup(baseline_ms: f64, candidate_ms: f64) -> Option<f64> {
-    (baseline_ms > 0.0 && candidate_ms > 0.0).then(|| baseline_ms / candidate_ms)
-}
-
-fn json_f64_opt(v: Option<f64>) -> String {
-    match v {
-        Some(x) => format!("{x:.3}"),
-        None => "null".to_string(),
-    }
 }
 
 impl PerfReport {
@@ -110,19 +59,12 @@ impl PerfReport {
         self.records.iter().find(|r| r.scenario == scenario)
     }
 
-    /// Serializes to the `BENCH_perf.json` schema. Speedups that could
-    /// not be measured are emitted as `null`, never `0.0`.
+    /// Serializes to the `BENCH_perf.json` schema.
     #[must_use]
     pub fn to_json(&self) -> String {
         let mut out = String::from("{\n");
         out.push_str("  \"bench\": \"perf_smoke\",\n");
         out.push_str(&format!("  \"jobs\": {},\n", self.jobs));
-        out.push_str(&format!("  \"parallelism\": {},\n", self.parallelism));
-        out.push_str(&format!("  \"mode\": \"{}\",\n", self.mode.as_str()));
-        out.push_str(&format!(
-            "  \"sweep_speedup\": {},\n",
-            json_f64_opt(self.sweep_speedup)
-        ));
         out.push_str("  \"records\": [\n");
         for (i, r) in self.records.iter().enumerate() {
             out.push_str(&format!(
@@ -140,29 +82,14 @@ impl PerfReport {
 
     /// Parses the `BENCH_perf.json` schema. Strict enough to reject a
     /// truncated or foreign file with a message, lenient about field
-    /// order and whitespace.
+    /// order, whitespace and fields it does not read (reports from
+    /// older commits carry a few more).
     pub fn from_json(s: &str) -> Result<Self, String> {
         let value = parse_json(s)?;
         let obj = value.as_obj().ok_or("top level is not an object")?;
-        let num_field = |name: &str| -> Result<f64, String> {
-            obj_get(obj, name)
-                .and_then(JsonValue::as_f64)
-                .ok_or_else(|| format!("missing numeric field `{name}`"))
-        };
-        let opt_field = |name: &str| -> Result<Option<f64>, String> {
-            match obj_get(obj, name) {
-                Some(JsonValue::Null) => Ok(None),
-                Some(v) => v
-                    .as_f64()
-                    .map(Some)
-                    .ok_or_else(|| format!("field `{name}` is neither a number nor null")),
-                None => Err(format!("missing field `{name}`")),
-            }
-        };
-        let mode_str = obj_get(obj, "mode")
-            .and_then(JsonValue::as_str)
-            .ok_or("missing string field `mode`")?;
-        let mode = RunMode::parse(mode_str).ok_or_else(|| format!("unknown mode `{mode_str}`"))?;
+        let jobs = obj_get(obj, "jobs")
+            .and_then(JsonValue::as_f64)
+            .ok_or("missing numeric field `jobs`")?;
         let records_val = obj_get(obj, "records")
             .and_then(JsonValue::as_arr)
             .ok_or("missing array field `records`")?;
@@ -185,10 +112,7 @@ impl PerfReport {
             });
         }
         Ok(PerfReport {
-            jobs: num_field("jobs")? as usize,
-            parallelism: num_field("parallelism")? as usize,
-            mode,
-            sweep_speedup: opt_field("sweep_speedup")?,
+            jobs: jobs as usize,
             records,
         })
     }
@@ -415,29 +339,47 @@ impl Parser<'_> {
 // ---------------------------------------------------------------------
 // Gate logic.
 
-/// Verdict of one gate check.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum CheckStatus {
-    /// Within tolerance / invariant holds.
-    Pass,
-    /// Regression beyond tolerance / invariant broken.
-    Fail,
-    /// Not comparable on this pair of runs (reason in `detail`).
-    Skip,
+/// Why two sets of runs cannot be compared.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum GateError {
+    /// One side (`"parent"` or `"head"`) has no runs.
+    NoRuns(&'static str),
+    /// Not every run used the same `--jobs`.
+    JobsMismatch {
+        /// The first parent run's `--jobs`.
+        expected: usize,
+        /// The `--jobs` of the first run that differs.
+        found: usize,
+    },
 }
+
+impl fmt::Display for GateError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            GateError::NoRuns(side) => write!(f, "no {side} runs to compare"),
+            GateError::JobsMismatch { expected, found } => write!(
+                f,
+                "runs used different --jobs ({expected} and {found}); rerun both sides with one value"
+            ),
+        }
+    }
+}
+
+impl std::error::Error for GateError {}
 
 /// One line of the gate's delta table.
 #[derive(Debug, Clone)]
 pub struct GateCheck {
     /// What was compared.
     pub name: String,
-    /// Baseline value, when one applies.
-    pub baseline: Option<f64>,
-    /// Current value, when one was measured.
-    pub current: Option<f64>,
-    /// Verdict.
-    pub status: CheckStatus,
-    /// Human-readable explanation (why skipped / how far off).
+    /// The parent median, or the head's reference-scan median for the
+    /// matcher invariant.
+    pub reference: Option<f64>,
+    /// The head median (the fast path's, for the matcher invariant).
+    pub measured: Option<f64>,
+    /// Whether the check holds.
+    pub passed: bool,
+    /// How far off, or what is missing.
     pub detail: String,
 }
 
@@ -449,36 +391,31 @@ pub struct GateOutcome {
 }
 
 impl GateOutcome {
-    /// Whether no check failed (skips do not fail the gate).
+    /// Whether every check holds.
     #[must_use]
     pub fn passed(&self) -> bool {
-        self.checks.iter().all(|c| c.status != CheckStatus::Fail)
+        self.checks.iter().all(|c| c.passed)
     }
 
-    /// An aligned, human-readable delta table (printed by the CI step on
-    /// failure, and by `perf_smoke` informationally).
+    /// An aligned, human-readable delta table (`perf_gate` prints it on
+    /// every run).
     #[must_use]
     pub fn delta_table(&self) -> String {
         let fmt_opt = |v: Option<f64>| match v {
-            Some(x) => format!("{x:>12.3}"),
+            Some(x) => format!("{x:>12.1}"),
             None => format!("{:>12}", "-"),
         };
         let mut out = format!(
-            "{:<34} {:>12} {:>12} {:>8}  {}\n",
-            "check", "baseline", "current", "status", "detail"
+            "{:<40} {:>12} {:>12} {:>6}  {}\n",
+            "check", "reference", "measured", "status", "detail"
         );
         for c in &self.checks {
-            let status = match c.status {
-                CheckStatus::Pass => "pass",
-                CheckStatus::Fail => "FAIL",
-                CheckStatus::Skip => "skip",
-            };
             out.push_str(&format!(
-                "{:<34} {} {} {:>8}  {}\n",
+                "{:<40} {} {} {:>6}  {}\n",
                 c.name,
-                fmt_opt(c.baseline),
-                fmt_opt(c.current),
-                status,
+                fmt_opt(c.reference),
+                fmt_opt(c.measured),
+                if c.passed { "pass" } else { "FAIL" },
                 c.detail
             ));
         }
@@ -486,189 +423,153 @@ impl GateOutcome {
     }
 }
 
-/// Compares `current` against `baseline` (see module docs for the
-/// portable-vs-absolute split). `tolerance` is the allowed fractional
-/// regression, e.g. `0.15`.
-#[must_use]
-pub fn gate(baseline: &PerfReport, current: &PerfReport, tolerance: f64) -> GateOutcome {
-    let mut checks = Vec::new();
+/// Every run's `iters_per_s` for `scenario`.
+fn samples(runs: &[PerfReport], scenario: &str) -> EmpiricalCdf {
+    EmpiricalCdf::new(
+        runs.iter()
+            .filter_map(|r| r.record(scenario))
+            .map(|r| r.iters_per_s)
+            .collect(),
+    )
+}
 
-    // Portable invariant: whenever a parallel sweep ran, it must beat
-    // sequential. A `null` speedup means no parallel run was possible
-    // (one effective worker) — skipped, not failed.
-    checks.push(match current.sweep_speedup {
-        Some(s) if s < 1.0 => GateCheck {
-            name: "sweep_speedup >= 1.0".to_string(),
-            baseline: None,
-            current: Some(s),
-            status: CheckStatus::Fail,
-            detail: format!("parallel sweep slower than sequential ({s:.3}x)"),
-        },
-        Some(s) => GateCheck {
-            name: "sweep_speedup >= 1.0".to_string(),
-            baseline: None,
-            current: Some(s),
-            status: CheckStatus::Pass,
-            detail: String::new(),
-        },
-        None => GateCheck {
-            name: "sweep_speedup >= 1.0".to_string(),
-            baseline: None,
-            current: None,
-            status: CheckStatus::Skip,
-            detail: format!(
-                "no parallel sweep ran (parallelism={})",
-                current.parallelism
-            ),
-        },
-    });
-
-    // Portable invariant: the matcher fast path must not be slower than
-    // its reference scan (tolerance absorbs timer noise).
-    checks.push(
-        match (
-            current.record("matcher_semantic_fast"),
-            current.record("matcher_semantic_reference"),
-        ) {
-            (Some(fast), Some(reference))
-                if fast.iters_per_s > 0.0 && reference.iters_per_s > 0.0 =>
-            {
-                let floor = reference.iters_per_s * (1.0 - tolerance);
-                let failed = fast.iters_per_s < floor;
-                GateCheck {
-                    name: "matcher fast >= reference".to_string(),
-                    baseline: Some(reference.iters_per_s),
-                    current: Some(fast.iters_per_s),
-                    status: if failed {
-                        CheckStatus::Fail
-                    } else {
-                        CheckStatus::Pass
-                    },
-                    detail: if failed {
-                        "fast-path matcher slower than the reference scan".to_string()
-                    } else {
-                        String::new()
-                    },
-                }
-            }
-            _ => GateCheck {
-                name: "matcher fast >= reference".to_string(),
-                baseline: None,
-                current: None,
-                status: CheckStatus::Skip,
-                detail: "matcher scenarios missing or unmeasurable".to_string(),
-            },
-        },
-    );
-
-    // Absolute comparisons: per-scenario throughput vs the baseline,
-    // only on matching hardware/workload fingerprints. A scenario the
-    // current run lacks fails on any fingerprint, so a deleted or renamed
-    // scenario cannot hide behind a machine change.
-    let comparable = baseline.parallelism == current.parallelism && baseline.mode == current.mode;
-    for base in &baseline.records {
-        let name = format!("{} iters/s", base.scenario);
-        let check = match current.record(&base.scenario) {
-            None => GateCheck {
-                name,
-                baseline: Some(base.iters_per_s),
-                current: None,
-                status: CheckStatus::Fail,
-                detail: "scenario missing from current run".to_string(),
-            },
-            Some(cur) if !comparable => GateCheck {
-                name,
-                baseline: Some(base.iters_per_s),
-                current: Some(cur.iters_per_s),
-                status: CheckStatus::Skip,
-                detail: format!(
-                    "fingerprint differs (baseline parallelism={} mode={}, current parallelism={} mode={})",
-                    baseline.parallelism,
-                    baseline.mode.as_str(),
-                    current.parallelism,
-                    current.mode.as_str()
-                ),
-            },
-            Some(cur) if base.iters_per_s > 0.0 && cur.iters_per_s > 0.0 => {
-                let floor = base.iters_per_s * (1.0 - tolerance);
-                let failed = cur.iters_per_s < floor;
-                let delta = (cur.iters_per_s - base.iters_per_s) / base.iters_per_s * 100.0;
-                GateCheck {
-                    name,
-                    baseline: Some(base.iters_per_s),
-                    current: Some(cur.iters_per_s),
-                    status: if failed {
-                        CheckStatus::Fail
-                    } else {
-                        CheckStatus::Pass
-                    },
-                    detail: format!("{delta:+.1}%"),
-                }
-            }
-            Some(cur) => GateCheck {
-                name,
-                baseline: Some(base.iters_per_s),
-                current: Some(cur.iters_per_s),
-                status: CheckStatus::Skip,
-                detail: "wall time rounded to zero; not comparable".to_string(),
-            },
-        };
-        checks.push(check);
+/// Compares the `head` runs against the `parent` runs of the same
+/// machine (see the module docs for the rule).
+///
+/// # Errors
+///
+/// [`GateError`] when a side has no runs or the runs disagree on
+/// `--jobs`.
+pub fn gate(parent: &[PerfReport], head: &[PerfReport]) -> Result<GateOutcome, GateError> {
+    let first = parent.first().ok_or(GateError::NoRuns("parent"))?;
+    if head.is_empty() {
+        return Err(GateError::NoRuns("head"));
+    }
+    if let Some(r) = parent.iter().chain(head).find(|r| r.jobs != first.jobs) {
+        return Err(GateError::JobsMismatch {
+            expected: first.jobs,
+            found: r.jobs,
+        });
     }
 
-    GateOutcome { checks }
+    let mut scenarios: Vec<&str> = Vec::new();
+    for r in parent.iter().flat_map(|run| &run.records) {
+        if !scenarios.contains(&r.scenario.as_str()) {
+            scenarios.push(&r.scenario);
+        }
+    }
+    let mut checks = Vec::with_capacity(scenarios.len() + 1);
+    for scenario in scenarios {
+        let base = samples(parent, scenario);
+        let (reference, measured) = (base.median(), samples(head, scenario).median());
+        let (passed, detail) = match (reference, base.quantile(0.25), measured) {
+            (Some(p_med), Some(p_q1), Some(h_med)) => {
+                let ratio = h_med / p_med;
+                (
+                    ratio >= 1.0 - TOLERANCE || h_med >= p_q1,
+                    format!("{:+.1}% (parent q1 {p_q1:.1})", (ratio - 1.0) * 100.0),
+                )
+            }
+            (_, _, None) => (false, "scenario missing from head".to_string()),
+            _ => (false, "no finite parent timing".to_string()),
+        };
+        checks.push(GateCheck {
+            name: format!("{scenario} iters/s"),
+            reference,
+            measured,
+            passed,
+            detail,
+        });
+    }
+
+    let fast = samples(head, "matcher_semantic_fast").median();
+    let reference = samples(head, "matcher_semantic_reference").median();
+    let (passed, detail) = match (fast, reference) {
+        (Some(f), Some(r)) => (f >= r * (1.0 - TOLERANCE), format!("{:.2}x", f / r)),
+        _ => (false, "matcher scenarios missing from head".to_string()),
+    };
+    checks.push(GateCheck {
+        name: "matcher fast >= reference (head)".to_string(),
+        reference,
+        measured: fast,
+        passed,
+        detail,
+    });
+    Ok(GateOutcome { checks })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn report() -> PerfReport {
+    /// Per-round scatter around a scenario's median, as a factor: the
+    /// 10-round spread of a quick run on a 2-vCPU VM is about this wide.
+    const SCATTER: [f64; 10] = [0.80, 1.12, 0.95, 1.04, 0.88, 1.20, 1.00, 0.92, 1.08, 1.00];
+
+    fn run(factor: f64) -> PerfReport {
+        let record = |scenario: &str, iters_per_s: f64| PerfRecord {
+            scenario: scenario.to_string(),
+            wall_ms: 100.0,
+            iters_per_s: iters_per_s * factor,
+            jobs: 1,
+        };
         PerfReport {
-            jobs: 4,
-            parallelism: 1,
-            mode: RunMode::Quick,
-            sweep_speedup: None,
+            jobs: 2,
             records: vec![
-                PerfRecord {
-                    scenario: "sweep_offline_jobs1".to_string(),
-                    wall_ms: 1234.5,
-                    iters_per_s: 12.15,
-                    jobs: 1,
-                },
-                PerfRecord {
-                    scenario: "matcher_semantic_fast".to_string(),
-                    wall_ms: 10.0,
-                    iters_per_s: 20000.0,
-                    jobs: 1,
-                },
-                PerfRecord {
-                    scenario: "matcher_semantic_reference".to_string(),
-                    wall_ms: 20.0,
-                    iters_per_s: 10000.0,
-                    jobs: 1,
-                },
+                record("sweep_offline_jobs1", 4.5),
+                record("matcher_semantic_fast", 20000.0),
+                record("matcher_semantic_reference", 10000.0),
+                record("router_prefill", 12000.0),
             ],
         }
     }
 
-    #[test]
-    fn to_json_emits_null_for_unmeasurable_speedups() {
-        // Satellite: a denominator that rounds to zero must yield `null`
-        // in the JSON — never `0.000` (which the gate would read as a
-        // catastrophic regression).
-        let json = report().to_json();
-        assert!(json.contains("\"sweep_speedup\": null"), "{json}");
-        assert!(!json.contains("\"sweep_speedup\": 0.000"), "{json}");
-        assert!(json.contains("\"parallelism\": 1"), "{json}");
-        assert!(json.contains("\"mode\": \"quick\""), "{json}");
+    /// One run per factor.
+    fn runs(factors: [f64; 10]) -> Vec<PerfReport> {
+        factors.iter().map(|&f| run(f)).collect()
+    }
+
+    /// `SCATTER` mirrored around 1: other values, the same median.
+    fn mirrored() -> [f64; 10] {
+        SCATTER.map(|s| 2.0 - s)
+    }
+
+    fn scale_scenario(runs: &mut [PerfReport], scenario: &str, factor: f64) {
+        for r in runs.iter_mut().flat_map(|run| &mut run.records) {
+            if r.scenario == scenario {
+                r.iters_per_s *= factor;
+            }
+        }
+    }
+
+    fn failed(outcome: &GateOutcome) -> Vec<&str> {
+        outcome
+            .checks
+            .iter()
+            .filter(|c| !c.passed)
+            .map(|c| c.name.as_str())
+            .collect()
     }
 
     #[test]
-    fn json_round_trips() {
-        let original = report();
-        let parsed = PerfReport::from_json(&original.to_json());
-        assert_eq!(parsed, Ok(original));
+    fn json_round_trips_the_slim_schema() {
+        let original = run(1.0);
+        let json = original.to_json();
+        for retired in ["parallelism", "mode", "sweep_speedup"] {
+            assert!(!json.contains(retired), "{json}");
+        }
+        assert_eq!(PerfReport::from_json(&json), Ok(original));
+    }
+
+    #[test]
+    fn from_json_reads_reports_with_retired_fields() {
+        // Parents from before the A/B gate still write these fields.
+        let old = "{\"bench\": \"perf_smoke\", \"jobs\": 2, \"parallelism\": 2, \
+                   \"mode\": \"quick\", \"sweep_speedup\": null, \"records\": [\
+                   {\"scenario\": \"router_decode\", \"wall_ms\": 1.5, \"iters_per_s\": 2.0, \"jobs\": 1}]}";
+        let report = PerfReport::from_json(old).expect("old schema parses");
+        assert_eq!(report.jobs, 2);
+        assert_eq!(report.records[0].scenario, "router_decode");
     }
 
     #[test]
@@ -677,134 +578,105 @@ mod tests {
         assert!(PerfReport::from_json("{\"jobs\": }").is_err());
         assert!(PerfReport::from_json("[1, 2, 3]").is_err());
         assert!(PerfReport::from_json("{\"jobs\": 1}").is_err());
-        let trailing = format!("{} extra", report().to_json());
+        let trailing = format!("{} extra", run(1.0).to_json());
         assert!(PerfReport::from_json(&trailing).is_err());
     }
 
     #[test]
-    fn speedup_is_none_when_either_side_rounds_to_zero() {
-        assert_eq!(speedup(0.0, 10.0), None);
-        assert_eq!(speedup(10.0, 0.0), None);
-        assert_eq!(speedup(0.0, 0.0), None);
-        let s = speedup(20.0, 10.0);
-        assert!(s.is_some_and(|v| (v - 2.0).abs() < 1e-12));
-    }
-
-    #[test]
-    fn gate_passes_identical_runs() {
-        let r = report();
-        let outcome = gate(&r, &r, DEFAULT_TOLERANCE);
+    fn gate_passes_identical_sets() {
+        let set = runs(SCATTER);
+        let outcome = gate(&set, &set).expect("comparable");
         assert!(outcome.passed(), "{}", outcome.delta_table());
-        // The unmeasurable sweep_speedup is skipped, not failed.
-        assert!(outcome
-            .checks
-            .iter()
-            .any(|c| c.name.starts_with("sweep_speedup") && c.status == CheckStatus::Skip));
     }
 
     #[test]
-    fn gate_fails_on_throughput_regression_beyond_tolerance() {
-        let base = report();
-        let mut cur = report();
-        if let Some(r) = cur
-            .records
-            .iter_mut()
-            .find(|r| r.scenario == "sweep_offline_jobs1")
-        {
-            r.iters_per_s = base.records[0].iters_per_s * 0.80; // -20% < -15%
-        }
-        let outcome = gate(&base, &cur, DEFAULT_TOLERANCE);
-        assert!(!outcome.passed(), "{}", outcome.delta_table());
-        // Within tolerance passes.
-        let mut ok = report();
-        if let Some(r) = ok
-            .records
-            .iter_mut()
-            .find(|r| r.scenario == "sweep_offline_jobs1")
-        {
-            r.iters_per_s = base.records[0].iters_per_s * 0.90; // -10% > -15%
-        }
-        assert!(gate(&base, &ok, DEFAULT_TOLERANCE).passed());
-    }
-
-    #[test]
-    fn gate_fails_on_sub_unity_sweep_speedup() {
-        let base = report();
-        let mut cur = report();
-        cur.sweep_speedup = Some(0.876);
-        let outcome = gate(&base, &cur, DEFAULT_TOLERANCE);
-        assert!(!outcome.passed());
-        assert!(outcome
-            .checks
-            .iter()
-            .any(|c| c.name.starts_with("sweep_speedup") && c.status == CheckStatus::Fail));
-    }
-
-    #[test]
-    fn gate_skips_absolute_comparisons_across_fingerprints() {
-        let base = report();
-        let mut cur = report();
-        cur.parallelism = 4; // different machine
-        if let Some(r) = cur
-            .records
-            .iter_mut()
-            .find(|r| r.scenario == "sweep_offline_jobs1")
-        {
-            r.iters_per_s = 0.1; // would be a huge "regression"
-        }
-        let outcome = gate(&base, &cur, DEFAULT_TOLERANCE);
+    fn gate_passes_parent_sized_scatter_around_the_same_median() {
+        let outcome = gate(&runs(SCATTER), &runs(mirrored())).expect("comparable");
         assert!(outcome.passed(), "{}", outcome.delta_table());
-        assert!(outcome
-            .checks
-            .iter()
-            .any(|c| c.status == CheckStatus::Skip && c.detail.contains("fingerprint")));
     }
 
     #[test]
-    fn gate_fails_on_missing_scenario_across_fingerprints() {
-        let base = report();
-        let mut cur = report();
-        cur.parallelism = 4; // different machine
-        cur.records.retain(|r| r.scenario != "sweep_offline_jobs1");
-        let outcome = gate(&base, &cur, DEFAULT_TOLERANCE);
-        assert!(!outcome.passed(), "{}", outcome.delta_table());
-        assert!(outcome
-            .checks
-            .iter()
-            .any(|c| c.name.starts_with("sweep_offline_jobs1")
-                && c.status == CheckStatus::Fail
-                && c.detail.contains("missing")));
+    fn gate_fails_a_scenario_at_half_speed() {
+        let parent = runs(SCATTER);
+        let mut head = runs(mirrored());
+        scale_scenario(&mut head, "router_prefill", 0.5);
+        let outcome = gate(&parent, &head).expect("comparable");
+        assert_eq!(
+            failed(&outcome),
+            ["router_prefill iters/s"],
+            "{}",
+            outcome.delta_table()
+        );
+    }
+
+    #[test]
+    fn gate_needs_a_large_drop_outside_the_parent_scatter() {
+        // A 20% drop in the median fails when it leaves the parent's
+        // lower quartile behind…
+        let parent = runs(SCATTER);
+        let mut head = runs(SCATTER);
+        scale_scenario(&mut head, "sweep_offline_jobs1", 0.8);
+        assert_eq!(
+            failed(&gate(&parent, &head).expect("comparable")),
+            ["sweep_offline_jobs1 iters/s"]
+        );
+        // …passes when the parent itself scattered that low…
+        let mut wide = runs(SCATTER);
+        for run in wide.iter_mut().take(3) {
+            run.records[0].iters_per_s *= 0.5;
+        }
+        assert!(gate(&wide, &head).expect("comparable").passed());
+        // …and a drop within the tolerance passes whatever the scatter.
+        let mut near = runs(SCATTER);
+        scale_scenario(&mut near, "sweep_offline_jobs1", 0.9);
+        assert!(gate(&parent, &near).expect("comparable").passed());
+    }
+
+    #[test]
+    fn gate_fails_on_a_parent_scenario_missing_from_head() {
+        let parent = runs(SCATTER);
+        let mut head = runs(SCATTER);
+        for run in &mut head {
+            run.records.retain(|r| r.scenario != "router_prefill");
+        }
+        let outcome = gate(&parent, &head).expect("comparable");
+        assert_eq!(failed(&outcome), ["router_prefill iters/s"]);
+        assert!(outcome.checks.iter().any(|c| c.detail.contains("missing")));
     }
 
     #[test]
     fn gate_fails_when_matcher_fast_path_loses_to_reference() {
-        let base = report();
-        let mut cur = report();
-        if let Some(r) = cur
-            .records
-            .iter_mut()
-            .find(|r| r.scenario == "matcher_semantic_fast")
-        {
-            r.iters_per_s = 5000.0; // reference does 10000
-        }
-        // Same fingerprint would also fail the absolute check; isolate
-        // the portable invariant by changing the fingerprint.
-        cur.parallelism = 8;
-        let outcome = gate(&base, &cur, DEFAULT_TOLERANCE);
-        assert!(!outcome.passed());
-        assert!(outcome
-            .checks
-            .iter()
-            .any(|c| c.name.contains("matcher fast") && c.status == CheckStatus::Fail));
+        let mut set = runs(SCATTER);
+        scale_scenario(&mut set, "matcher_semantic_fast", 0.25);
+        let outcome = gate(&set, &set).expect("comparable");
+        assert_eq!(failed(&outcome), ["matcher fast >= reference (head)"]);
+    }
+
+    #[test]
+    fn gate_rejects_mismatched_jobs_and_empty_sides() {
+        let parent = runs(SCATTER);
+        let mut head = runs(SCATTER);
+        head[3].jobs = 4;
+        assert_eq!(
+            gate(&parent, &head).err(),
+            Some(GateError::JobsMismatch {
+                expected: 2,
+                found: 4
+            })
+        );
+        assert_eq!(gate(&[], &parent).err(), Some(GateError::NoRuns("parent")));
+        assert_eq!(gate(&parent, &[]).err(), Some(GateError::NoRuns("head")));
     }
 
     #[test]
     fn delta_table_is_aligned_and_complete() {
-        let r = report();
-        let outcome = gate(&r, &r, DEFAULT_TOLERANCE);
+        let set = runs(SCATTER);
+        let outcome = gate(&set, &set).expect("comparable");
         let table = outcome.delta_table();
+        // Four scenarios plus the matcher invariant, under one header.
+        assert_eq!(outcome.checks.len(), 5);
         assert_eq!(table.lines().count(), outcome.checks.len() + 1);
-        assert!(table.contains("baseline"));
+        assert!(table.contains("reference"));
         assert!(table.contains("status"));
     }
 }
