@@ -22,10 +22,14 @@
 //!   call per iteration over a fixed set of Mixtral-8x7B coordinates, on
 //!   a 512-token prefill span (subsampled to the 128-token cap) and on
 //!   single-token decode spans.
-//! * `predictor_observe` / `predictor_end` — the fMoE predictor on a full
-//!   1000-entry Mixtral-8x7B store: one `begin_iteration` plus the 32
-//!   `observe_gate` calls of an iteration, and one at-capacity
-//!   `end_iteration` (the redundancy-scored deduplication). Both use a
+//! * `predictor_observe` / `predictor_end` / `predictor_iteration` — the
+//!   fMoE predictor on a full 1000-entry Mixtral-8x7B store: one
+//!   `begin_iteration` plus the 32 `observe_gate` calls of an iteration;
+//!   one at-capacity `end_iteration` (the redundancy-scored
+//!   deduplication) with no search before it, so it scores from scratch;
+//!   and the whole iteration the engine runs per batch element, `begin`,
+//!   the 32 `observe_gate` calls and `end` with one context, where the
+//!   deduplication reuses the iteration's search dots. All use a
 //!   full-size store: smaller stores never fill.
 //!
 //! Every timed loop lasts about 100 ms or more on a 2-vCPU VM, and a
@@ -239,8 +243,10 @@ fn router_records() -> Vec<PerfRecord> {
 
 /// The fMoE predictor's per-iteration work against a full store:
 /// `predictor_observe` is one `begin_iteration` plus an `observe_gate` per
-/// layer, `predictor_end` one at-capacity `end_iteration`. Both cycle
-/// through a fixed set of decode iterations routed outside the timers.
+/// layer, `predictor_end` one at-capacity `end_iteration`, and
+/// `predictor_iteration` the two together, as the engine drives them. All
+/// cycle through a fixed set of decode iterations routed outside the
+/// timers.
 fn predictor_records() -> Vec<PerfRecord> {
     const CAPACITY: usize = 1000;
     const QUERIES: u64 = 16;
@@ -307,6 +313,16 @@ fn predictor_records() -> Vec<PerfRecord> {
         predictor.end_iteration(ctx, black_box(rows));
         call += 1;
     });
+    let mut call = 0usize;
+    let (iteration_ms, iteration_ips) = time_iters(ITERS, || {
+        let (ctx, rows) = &queries[call % queries.len()];
+        black_box(predictor.begin_iteration(ctx));
+        for (l, row) in (0u32..).zip(rows) {
+            black_box(predictor.observe_gate(ctx, l, black_box(row)));
+        }
+        predictor.end_iteration(ctx, black_box(rows));
+        call += 1;
+    });
     assert_eq!(predictor.store_len(), CAPACITY);
     vec![
         PerfRecord {
@@ -319,6 +335,12 @@ fn predictor_records() -> Vec<PerfRecord> {
             scenario: "predictor_end".to_string(),
             wall_ms: end_ms,
             iters_per_s: end_ips,
+            jobs: 1,
+        },
+        PerfRecord {
+            scenario: "predictor_iteration".to_string(),
+            wall_ms: iteration_ms,
+            iters_per_s: iteration_ips,
             jobs: 1,
         },
     ]

@@ -14,8 +14,10 @@
 //! prefix, which is what makes per-layer matching affordable — the same
 //! reason the paper's implementation stores maps as contiguous ndarrays.
 
-use crate::store::{add_row_dots, cosine_from_norms, ExpertMapStore};
-use fmoe_stats::{argmax_cosine_slab, cosine_similarity, top_k_cosine_slab};
+use crate::store::ExpertMapStore;
+use fmoe_stats::{
+    add_row_dots, argmax_cosine_slab, cosine_from_norms, cosine_similarity, top_k_cosine_slab,
+};
 
 /// Outcome of a map search.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -34,19 +36,13 @@ impl Matcher {
     /// Semantic search: the stored entry whose embedding best matches
     /// `embedding`. `None` on an empty store.
     ///
-    /// Uses the store's contiguous embedding slab (one streamed kernel
-    /// with precomputed norms) whenever it is available and the query
-    /// covers the slab stride; otherwise it falls back to
+    /// A one-shot `SemanticScan::search`: the slab kernel whenever the
+    /// store's embedding slab can serve the query, else
     /// [`Matcher::semantic_match_reference`]. Both paths score
     /// bit-identically — locked by a proptest.
     #[must_use]
     pub fn semantic_match(store: &ExpertMapStore, embedding: &[f64]) -> Option<MatchResult> {
-        if let Some((slab, norms, stride)) = store.embedding_slab() {
-            if let Some((entry_index, score)) = argmax_cosine_slab(embedding, slab, stride, norms) {
-                return Some(MatchResult { entry_index, score });
-            }
-        }
-        Self::semantic_match_reference(store, embedding)
+        SemanticScan::new().search(store, embedding)
     }
 
     /// The reference semantic search: a per-entry [`cosine_similarity`]
@@ -150,6 +146,115 @@ impl Matcher {
             }
         }
         best
+    }
+}
+
+/// Per-request semantic search state: the searched embedding's dot with
+/// every stored embedding, kept for the iteration's map update.
+///
+/// [`SemanticScan::search`] streams the embedding slab once at iteration
+/// start. When the iteration's insert deduplicates, [`SemanticScan::catch_up`]
+/// brings those dots up to date instead of streaming the slab again — the
+/// semantic counterpart of [`TrajectoryTracker::catch_up`].
+#[derive(Debug, Default)]
+pub(crate) struct SemanticScan {
+    /// `dots[i]`: the query's first `stride` values dotted with entry
+    /// `i`'s embedding, as [`add_row_dots`] sums it.
+    dots: Vec<f64>,
+    /// The embedding the dots belong to.
+    query: Vec<f64>,
+    /// The slab stride the dots were summed over; 0 when no slab served
+    /// the last search, so nothing is kept.
+    stride: usize,
+    /// The store's [`ExpertMapStore::generation`] the dots are current
+    /// for.
+    generation: u64,
+}
+
+impl SemanticScan {
+    /// A scan with nothing kept.
+    #[must_use]
+    pub(crate) fn new() -> Self {
+        Self::default()
+    }
+
+    /// Semantic search (Eq. 4): the stored entry whose embedding best
+    /// matches `embedding`, `None` on an empty store. Keeps the slab
+    /// scan's dots; a query the slab cannot serve (ragged embeddings, a
+    /// query shorter than the stride) takes
+    /// [`Matcher::semantic_match_reference`] and keeps nothing.
+    pub(crate) fn search(
+        &mut self,
+        store: &ExpertMapStore,
+        embedding: &[f64],
+    ) -> Option<MatchResult> {
+        self.query.clear();
+        self.query.extend_from_slice(embedding);
+        self.generation = store.generation();
+        self.stride = 0;
+        if let Some((slab, norms, stride)) = store.embedding_slab() {
+            if let Some((entry_index, score)) =
+                argmax_cosine_slab(embedding, slab, stride, norms, &mut self.dots)
+            {
+                self.stride = stride;
+                return Some(MatchResult { entry_index, score });
+            }
+        }
+        Matcher::semantic_match_reference(store, embedding)
+    }
+
+    /// The semantic dot of `embedding` with every entry of the store as
+    /// it is now, for the deduplication of `embedding`'s insert; empty
+    /// when the embedding slab cannot serve `embedding` (the
+    /// deduplication then scores with `cosine_similarity`).
+    ///
+    /// When the last [`SemanticScan::search`] scanned a bit-equal
+    /// `embedding` over the same stride, its dots are reused: only the
+    /// rows written after that search are re-dotted, and each row
+    /// appended since gets a dot. A re-dot runs the same kernel over the
+    /// one row, which sums that row's terms in the same order as a full
+    /// pass, so every dot is bit-identical to a fresh scan. Otherwise the
+    /// whole slab is scanned afresh.
+    pub(crate) fn catch_up(&mut self, store: &ExpertMapStore, embedding: &[f64]) -> &[f64] {
+        let Some((slab, _, stride)) = store
+            .embedding_slab()
+            .filter(|&(_, _, stride)| embedding.len() >= stride)
+        else {
+            self.stride = 0;
+            self.dots.clear();
+            return &self.dots;
+        };
+        let query = &embedding[..stride];
+        let searched = self.stride == stride
+            && self.query.len() == embedding.len()
+            && self
+                .query
+                .iter()
+                .zip(embedding)
+                .all(|(a, b)| a.to_bits() == b.to_bits());
+        if searched {
+            self.dots.truncate(store.len());
+            for (i, &written) in store.written().iter().enumerate() {
+                if i == self.dots.len() {
+                    self.dots.push(0.0);
+                } else if written > self.generation {
+                    self.dots[i] = 0.0;
+                } else {
+                    continue;
+                }
+                let row = &slab[i * stride..(i + 1) * stride];
+                add_row_dots(row, stride, query, &mut self.dots[i..=i]);
+            }
+        } else {
+            self.query.clear();
+            self.query.extend_from_slice(embedding);
+            self.stride = stride;
+            self.dots.clear();
+            self.dots.resize(store.len(), 0.0);
+            add_row_dots(slab, stride, query, &mut self.dots);
+        }
+        self.generation = store.generation();
+        &self.dots
     }
 }
 
@@ -280,17 +385,39 @@ impl TrajectoryTracker {
         }
         let qn = self.query_norm2.sqrt();
         let layers = self.layers_observed.min(store.num_layers());
-        let mut best: Option<MatchResult> = None;
-        for (i, (&dot, &en)) in self.dots.iter().zip(store.prefix_norms(layers)).enumerate() {
-            let score = cosine_from_norms(dot, qn, en);
-            if best.is_none_or(|b| score > b.score) {
-                best = Some(MatchResult {
-                    entry_index: i,
-                    score,
-                });
+        let norms = store.prefix_norms(layers);
+        // Entry 0 seeds the scan and a strict `>` keeps the first
+        // maximum, as a one-entry scan does. Four scores go per pass, so
+        // their divisions overlap; a tile none of whose scores beats the
+        // best so far is passed over whole, since entry by entry it would
+        // not have moved the best either.
+        let score = |i: usize| cosine_from_norms(self.dots[i], qn, norms[i]);
+        let mut best = MatchResult {
+            entry_index: 0,
+            score: score(0),
+        };
+        fn visit(best: &mut MatchResult, entry_index: usize, score: f64) {
+            if score > best.score {
+                *best = MatchResult { entry_index, score };
             }
         }
-        best
+        let tiles = self.dots.chunks_exact(4).zip(norms.chunks_exact(4));
+        for (tile, (dots, norms)) in tiles.enumerate() {
+            let scores: [f64; 4] =
+                std::array::from_fn(|k| cosine_from_norms(dots[k], qn, norms[k]));
+            if scores
+                .iter()
+                .fold(false, |beats, &s| beats | (s > best.score))
+            {
+                for (k, s) in scores.into_iter().enumerate() {
+                    visit(&mut best, 4 * tile + k, s);
+                }
+            }
+        }
+        for i in self.dots.len() - self.dots.len() % 4..self.dots.len() {
+            visit(&mut best, i, score(i));
+        }
+        Some(best)
     }
 }
 

@@ -21,7 +21,7 @@
 
 use crate::config::FmoeConfig;
 use crate::map::ExpertMap;
-use crate::matcher::{MatchResult, Matcher, TrajectoryTracker};
+use crate::matcher::{MatchResult, Matcher, SemanticScan, TrajectoryTracker};
 use crate::selection::{prefetch_priority, rank_into, threshold_len, SelectedExpert};
 use crate::store::ExpertMapStore;
 use fmoe_model::gate::{GateScratch, TokenSpan};
@@ -43,6 +43,7 @@ pub struct HistoryRequest {
 
 #[derive(Debug, Default)]
 struct ElementState {
+    semantic: SemanticScan,
     tracker: TrajectoryTracker,
 }
 
@@ -297,10 +298,10 @@ impl ExpertPredictor for FmoePredictor {
         let state = state_mut(&mut self.elements, ctx.element);
         state.tracker.reset(&self.store);
 
-        if !self.config.use_semantic_search || self.store.is_empty() {
+        if !self.config.use_semantic_search {
             return Vec::new();
         }
-        let Some(m) = Matcher::semantic_match(&self.store, &ctx.embedding) else {
+        let Some(m) = state.semantic.search(&self.store, &ctx.embedding) else {
             return Vec::new();
         };
         let d = self.config.prefetch_distance.min(self.model.num_layers);
@@ -338,17 +339,20 @@ impl ExpertPredictor for FmoePredictor {
             return;
         }
         let map = ExpertMap::from_rows(realized_map);
-        // The element's tracker observed this map layer by layer; its
-        // dots, caught up with this iteration's earlier inserts, score
-        // the deduplication.
-        let dots = if self.store.dedups_next_insert() {
-            state_mut(&mut self.elements, ctx.element)
-                .tracker
-                .catch_up(&self.store, map.flat())
+        // The element's tracker observed this map layer by layer and its
+        // semantic scan searched this embedding; their dots, caught up
+        // with this iteration's earlier inserts, score the deduplication.
+        let (traj_dots, sem_dots): (&[f64], &[f64]) = if self.store.dedups_next_insert() {
+            let state = state_mut(&mut self.elements, ctx.element);
+            (
+                state.tracker.catch_up(&self.store, map.flat()),
+                state.semantic.catch_up(&self.store, &ctx.embedding),
+            )
         } else {
-            &[]
+            (&[], &[])
         };
-        self.store.insert_scored(&ctx.embedding, &map, dots);
+        self.store
+            .insert_scored(&ctx.embedding, &map, traj_dots, sem_dots);
     }
 
     fn reset(&mut self) {

@@ -5,7 +5,7 @@
 
 use crate::config::FmoeConfig;
 use crate::map::ExpertMap;
-use crate::matcher::{MatchResult, Matcher, TrajectoryTracker};
+use crate::matcher::{MatchResult, Matcher, SemanticScan, TrajectoryTracker};
 use crate::predictor::FmoePredictor;
 use crate::selection::{prefetch_priority, select_experts, select_top_n, SelectedExpert};
 use crate::store::{ExpertMapStore, ReplacementPolicy};
@@ -447,6 +447,121 @@ proptest! {
     }
 
     #[test]
+    fn chunked_best_matches_the_one_entry_scan_with_ties_and_zero_norms(
+        pool in prop::collection::vec(tied_rows(L, J), 1..4),
+        picks in prop::collection::vec((0usize..4, 0usize..=L), 1..=13),
+        query in tied_rows(L, J),
+        zero_query_layers in 0usize..=L,
+    ) {
+        // Entries drawn from a small pool tie exactly, and every count of
+        // entries mod 4 occurs; an entry whose first `z` layers are zero
+        // has zero prefix norms up to layer `z`, as does the query.
+        let mut store = ExpertMapStore::new(16, L, J, 2);
+        for &(k, z) in &picks {
+            let mut rows = pool[k % pool.len()].clone();
+            rows[..z].iter_mut().for_each(|row| row.fill(0.0));
+            store.insert(vec![1.0, 0.0], ExpertMap::new(rows));
+        }
+        let mut query = query;
+        query[..zero_query_layers].iter_mut().for_each(|row| row.fill(0.0));
+        let mut tracker = TrajectoryTracker::new();
+        tracker.reset(&store);
+        let mut observed = Vec::new();
+        for row in query {
+            tracker.observe_layer(&store, &row);
+            observed.push(row);
+            let chunked = tracker.best(&store).map(|m| (m.entry_index, m.score.to_bits()));
+            let scan = entry_major_best(&store, &observed).map(|m| (m.entry_index, m.score.to_bits()));
+            prop_assert_eq!(chunked, scan);
+        }
+    }
+
+    #[test]
+    fn reused_semantic_dots_pick_the_fresh_dedup_victim(
+        prefill in prop::collection::vec((embedding(), map()), 1..8),
+        batch in prop::collection::vec((embedding(), map(), any::<bool>()), 2..=4),
+        below_capacity in any::<bool>(),
+    ) {
+        // Every element searches before any inserts; then the elements
+        // insert one after another, so a later element's reused dots must
+        // catch up with the entries appended (`below_capacity`: the first
+        // insert appends) and replaced since its search. A flagged
+        // element carries a stored embedding, so scores tie.
+        let capacity = prefill.len() + usize::from(below_capacity);
+        let mut store = ExpertMapStore::new(capacity, L, J, 2);
+        for (e, m) in &prefill {
+            store.insert(e.clone(), m.clone());
+        }
+        let batch: Vec<(Vec<f64>, ExpertMap)> = batch
+            .into_iter()
+            .enumerate()
+            .map(|(k, (e, m, copy))| (if copy { prefill[k % prefill.len()].0.clone() } else { e }, m))
+            .collect();
+        let mut states: Vec<(TrajectoryTracker, SemanticScan)> = Vec::new();
+        for (e, _) in &batch {
+            let (mut tracker, mut scan) = (TrajectoryTracker::new(), SemanticScan::new());
+            tracker.reset(&store);
+            let _ = scan.search(&store, e);
+            states.push((tracker, scan));
+        }
+        for l in 0..L {
+            for ((tracker, _), (_, m)) in states.iter_mut().zip(&batch) {
+                tracker.observe_layer(&store, m.layer(l));
+            }
+        }
+        for ((tracker, scan), (e, m)) in states.iter_mut().zip(&batch) {
+            if !store.dedups_next_insert() {
+                store.insert_scored(e, m, &[], &[]);
+                continue;
+            }
+            let traj = tracker.catch_up(&store, m.flat()).to_vec();
+            let reused = scan.catch_up(&store, e).to_vec();
+            let mut fresh_scan = SemanticScan::new();
+            let fresh = fresh_scan.catch_up(&store, e);
+            prop_assert_eq!(reused.len(), fresh.len());
+            for (r, f) in reused.iter().zip(fresh) {
+                prop_assert_eq!(r.to_bits(), f.to_bits());
+            }
+            let victim = |sem: &[f64]| {
+                store
+                    .dedup_scores(e, m.flat(), &traj, sem)
+                    .enumerate()
+                    .max_by(|a, b| a.1.total_cmp(&b.1))
+                    .map(|(i, _)| i)
+            };
+            let want = victim(fresh);
+            prop_assert_eq!(victim(&reused), want);
+            prop_assert_eq!(Some(store.insert_scored(e, m, &traj, &reused)), want);
+        }
+    }
+
+    #[test]
+    fn semantic_catch_up_scores_a_changed_embedding_fresh(
+        entries in prop::collection::vec((embedding(), map()), 1..10),
+        searched in embedding(),
+        other in embedding(),
+        nudged in 0usize..8,
+    ) {
+        // An `end` whose embedding is not bit-equal to the searched one,
+        // even by one ulp, must not reuse the search's dots.
+        let mut store = ExpertMapStore::new(16, L, J, 2);
+        for (e, m) in &entries {
+            store.insert(e.clone(), m.clone());
+        }
+        let mut ulp_off = searched.clone();
+        ulp_off[nudged] = f64::from_bits(ulp_off[nudged].to_bits() + 1);
+        for end in [other, ulp_off] {
+            let mut scan = SemanticScan::new();
+            let _ = scan.search(&store, &searched);
+            let dots = scan.catch_up(&store, &end);
+            prop_assert_eq!(dots.len(), store.len());
+            for (dot, entry) in dots.iter().zip(store.entries()) {
+                prop_assert_eq!(dot.to_bits(), full_dot(&end, entry.embedding()).to_bits());
+            }
+        }
+    }
+
+    #[test]
     fn incremental_tracker_equals_one_shot(
         entries in prop::collection::vec((embedding(), map()), 1..8),
         query in map(),
@@ -658,34 +773,38 @@ proptest! {
         // public `insert`, which scores from a fresh tracker.
         let mut store = ExpertMapStore::new(capacity, L, J, 2).with_replacement(policy);
         let mut reference = ExpertMapStore::new(capacity, L, J, 2).with_replacement(policy);
-        let mut trackers: Vec<TrajectoryTracker> = Vec::new();
+        let mut trackers: Vec<(TrajectoryTracker, SemanticScan)> = Vec::new();
         for (batch, boundary) in iterations {
-            trackers.resize_with(batch.len(), TrajectoryTracker::new);
-            for tracker in &mut trackers {
+            trackers.resize_with(batch.len(), Default::default);
+            for ((tracker, scan), (e, _)) in trackers.iter_mut().zip(&batch) {
                 tracker.reset(&store);
+                let _ = scan.search(&store, e);
             }
             for l in 0..L {
-                for (tracker, (_, m)) in trackers.iter_mut().zip(&batch) {
+                for ((tracker, _), (_, m)) in trackers.iter_mut().zip(&batch) {
                     tracker.observe_layer(&store, m.layer(l));
                 }
             }
-            for (tracker, (e, m)) in trackers.iter_mut().zip(batch) {
+            for ((tracker, scan), (e, m)) in trackers.iter_mut().zip(batch) {
                 let flat = m.flat();
-                let dots = if store.dedups_next_insert() {
-                    tracker.catch_up(&store, flat)
+                let (dots, sem_dots): (&[f64], &[f64]) = if store.dedups_next_insert() {
+                    (tracker.catch_up(&store, flat), scan.catch_up(&store, &e))
                 } else {
-                    &[]
+                    (&[], &[])
                 };
                 let victim = store.dedups_next_insert().then(|| {
                     for (i, dot) in dots.iter().enumerate() {
                         assert_eq!(dot.to_bits(), full_dot(flat, store.entry(i).to_map().flat()).to_bits());
                     }
-                    for (i, score) in store.dedup_scores(&e, flat, dots).enumerate() {
+                    for (i, dot) in sem_dots.iter().enumerate() {
+                        assert_eq!(dot.to_bits(), full_dot(&e, store.entry(i).embedding()).to_bits());
+                    }
+                    for (i, score) in store.dedup_scores(&e, flat, dots, sem_dots).enumerate() {
                         assert_eq!(score.to_bits(), store.redundancy(&e, flat, i).to_bits());
                     }
                     recomputed_victim(&store, &e, flat)
                 });
-                let idx = store.insert_scored(&e, &m, dots);
+                let idx = store.insert_scored(&e, &m, dots, sem_dots);
                 prop_assert_eq!(idx, reference.insert(e, m));
                 if let Some(victim) = victim {
                     prop_assert_eq!(idx, victim);
@@ -719,6 +838,7 @@ proptest! {
                 prop::collection::vec((embedding(), tied_rows(8, 8)), 1..=8),
                 boundary(),
                 any::<bool>(),
+                any::<bool>(),
             ),
             1..6,
         ),
@@ -729,7 +849,9 @@ proptest! {
         // `load_store_from_path` between iterations; the store must end
         // every insert exactly as a store scored by full recompute. With
         // `shifted`, each element observes its neighbour's rows, so the
-        // map it inserts is not the one its tracker saw.
+        // map it inserts is not the one its tracker saw. Without `hooks`,
+        // the elements only end their iteration, as perf_smoke's
+        // `predictor_end` does: nothing was searched or observed.
         let model = presets::small_test_model();
         let mut config = FmoeConfig::for_model(&model);
         config.store_capacity = capacity;
@@ -743,7 +865,7 @@ proptest! {
             std::process::id(),
             std::thread::current().id()
         ));
-        for (iteration, (batch, boundary, shifted)) in (0u64..).zip(iterations) {
+        for (iteration, (batch, boundary, shifted, hooks)) in (0u64..).zip(iterations) {
             let contexts: Vec<IterationContext> = batch
                 .iter()
                 .enumerate()
@@ -760,10 +882,10 @@ proptest! {
                     },
                 })
                 .collect();
-            for ctx in &contexts {
+            for ctx in contexts.iter().filter(|_| hooks) {
                 let _ = p.begin_iteration(ctx);
             }
-            for layer in 0..8u32 {
+            for layer in (0..8u32).filter(|_| hooks) {
                 for (k, ctx) in contexts.iter().enumerate() {
                     let observed = if shifted { (k + 1) % batch.len() } else { k };
                     let _ = p.observe_gate(ctx, layer, &batch[observed].1[layer as usize]);

@@ -16,9 +16,9 @@
 //! minimum sphere covering of the activation space).
 
 use crate::map::ExpertMap;
-use crate::matcher::TrajectoryTracker;
+use crate::matcher::{SemanticScan, TrajectoryTracker};
 use fmoe_stats::SplitMix64;
-use fmoe_stats::{cosine_similarity, slab_row_score};
+use fmoe_stats::{cosine_from_norms, cosine_similarity};
 use serde::Serialize;
 
 /// How the store chooses which entry an incoming iteration replaces once
@@ -307,31 +307,37 @@ impl ExpertMapStore {
     ///
     /// Panics if the map's dimensions do not match the store's model.
     pub fn insert(&mut self, embedding: Vec<f64>, map: ExpertMap) -> usize {
-        let mut tracker = TrajectoryTracker::new();
-        let dots = if self.dedups_next_insert() {
-            tracker.catch_up(self, map.flat())
+        let (mut tracker, mut scan) = (TrajectoryTracker::new(), SemanticScan::new());
+        let (traj_dots, sem_dots): (&[f64], &[f64]) = if self.dedups_next_insert() {
+            (
+                tracker.catch_up(self, map.flat()),
+                scan.catch_up(self, &embedding),
+            )
         } else {
-            &[]
+            (&[], &[])
         };
-        self.insert_scored(&embedding, &map, dots)
+        self.insert_scored(&embedding, &map, traj_dots, sem_dots)
     }
 
     /// `true` when the next insert replaces the most redundant entry, so
-    /// it needs the candidate's trajectory dots against every entry.
+    /// it needs the candidate's trajectory and semantic dots against
+    /// every entry.
     pub(crate) fn dedups_next_insert(&self) -> bool {
         self.replacement == ReplacementPolicy::Redundancy && self.len() >= self.capacity
     }
 
-    /// [`ExpertMapStore::insert`] with the candidate's full-map dot
-    /// product against every entry already computed: `dots[i]` is the
+    /// [`ExpertMapStore::insert`] with the candidate's dot products
+    /// against every entry already computed: `traj_dots[i]` is the
     /// left-to-right sum over `map.flat()` against entry `i`, as
-    /// [`TrajectoryTracker::catch_up`] returns it. Only read when
-    /// [`Self::dedups_next_insert`].
+    /// [`TrajectoryTracker::catch_up`] returns it, and `sem_dots` the
+    /// embedding's dots as [`SemanticScan::catch_up`] returns them. Only
+    /// read when [`Self::dedups_next_insert`].
     pub(crate) fn insert_scored(
         &mut self,
         embedding: &[f64],
         map: &ExpertMap,
-        dots: &[f64],
+        traj_dots: &[f64],
+        sem_dots: &[f64],
     ) -> usize {
         assert_eq!(map.num_layers(), self.num_layers, "layer count mismatch");
         assert_eq!(
@@ -351,7 +357,7 @@ impl ExpertMapStore {
                 // The last maximum wins on `total_cmp` ties
                 // (`Iterator::max_by`'s rule).
                 ReplacementPolicy::Redundancy => self
-                    .dedup_scores(embedding, map.flat(), dots)
+                    .dedup_scores(embedding, map.flat(), traj_dots, sem_dots)
                     .enumerate()
                     .max_by(|a, b| a.1.total_cmp(&b.1))
                     .map_or(0, |(i, _)| i),
@@ -370,7 +376,7 @@ impl ExpertMapStore {
 
     /// Every entry's [`ExpertMapStore::redundancy`] against the
     /// candidate `(embedding, flat)`, in entry order, given its
-    /// trajectory `dots` (see [`Self::insert_scored`]).
+    /// trajectory and semantic dots (see [`Self::insert_scored`]).
     ///
     /// The candidate's norms are computed once; the stored ones come from
     /// `prefix_norms(L)` and the embedding slab. Every accumulator sums
@@ -380,15 +386,35 @@ impl ExpertMapStore {
         &'a self,
         embedding: &'a [f64],
         flat: &[f64],
-        dots: &'a [f64],
+        traj_dots: &'a [f64],
+        sem_dots: &'a [f64],
     ) -> impl Iterator<Item = f64> + 'a {
         debug_assert!(
-            dots.len() == self.len()
+            traj_dots.len() == self.len()
                 && self
                     .entries()
-                    .zip(dots)
+                    .zip(traj_dots)
                     .all(|(e, d)| e.dot(flat).to_bits() == d.to_bits()),
             "reused trajectory dots differ from a recompute"
+        );
+        // The embedding slab serves the semantic half when every stored
+        // embedding shares its stride and the candidate covers it (the
+        // same condition as `argmax_cosine_slab`).
+        let sem_slab = self
+            .embedding_slab()
+            .filter(|&(_, _, stride)| embedding.len() >= stride);
+        debug_assert!(
+            sem_slab.is_none_or(|(slab, _, stride)| {
+                sem_dots.len() == self.len()
+                    && slab.chunks_exact(stride).zip(sem_dots).all(|(row, d)| {
+                        let fresh = row
+                            .iter()
+                            .zip(embedding)
+                            .fold(0.0, |acc, (x, q)| acc + q * x);
+                        fresh.to_bits() == d.to_bits()
+                    })
+            }),
+            "reused semantic dots differ from a fresh slab dot"
         );
         let mut flat_norm2 = 0.0;
         for p in flat {
@@ -396,28 +422,19 @@ impl ExpertMapStore {
         }
         let flat_norm = flat_norm2.sqrt();
         let stored_norms = &self.prefix_norms[self.num_layers];
-        // The embedding slab serves the semantic half when every stored
-        // embedding shares its stride and the candidate covers it (the
-        // same condition as `argmax_cosine_slab`).
-        let sem_slab = self
-            .embedding_slab()
-            .filter(|&(_, _, stride)| embedding.len() >= stride)
-            .map(|(slab, norms, stride)| {
-                let query = &embedding[..stride];
-                let query_norm2: f64 = query.iter().map(|x| x * x).sum();
-                (query, query_norm2, slab, norms)
-            });
+        let sem_norms = sem_slab.map(|(_, norms, stride)| {
+            let query_norm2: f64 = embedding[..stride].iter().map(|x| x * x).sum();
+            (query_norm2.sqrt(), norms)
+        });
         let (w_sem, w_traj) = self.redundancy_weights();
         (0..self.len()).map(move |i| {
-            let sem = match sem_slab {
-                Some((query, query_norm2, slab, norms)) => {
-                    let stride = query.len();
-                    let row = &slab[i * stride..(i + 1) * stride];
-                    slab_row_score(query, row, query_norm2, norms[i])
+            let sem = match sem_norms {
+                Some((query_norm, norms)) => {
+                    cosine_from_norms(sem_dots[i], query_norm, norms[i].sqrt())
                 }
                 None => cosine_similarity(embedding, self.entry(i).embedding()),
             };
-            let traj = cosine_from_norms(dots[i], flat_norm, stored_norms[i]);
+            let traj = cosine_from_norms(traj_dots[i], flat_norm, stored_norms[i]);
             w_sem * sem + w_traj * traj
         })
     }
@@ -564,27 +581,6 @@ impl ExpertMapStore {
         self.emb_norm2.clear();
         self.emb_stride = 0;
         self.emb_uniform = true;
-    }
-}
-
-/// Adds `query · row_i` to `dots[i]` for every `width`-wide row of a
-/// row-major block, each sum running left to right as
-/// `cosine_similarity`'s does.
-pub(crate) fn add_row_dots(block: &[f64], width: usize, query: &[f64], dots: &mut [f64]) {
-    for (dot, row) in dots.iter_mut().zip(block.chunks_exact(width)) {
-        for (a, b) in query.iter().zip(row) {
-            *dot += a * b;
-        }
-    }
-}
-
-/// `cosine_similarity`'s last step from a dot product and the two L2
-/// norms: `0.0` when either norm is zero, else the clamped quotient.
-pub(crate) fn cosine_from_norms(dot: f64, query_norm: f64, entry_norm: f64) -> f64 {
-    if query_norm <= 0.0 || entry_norm <= 0.0 {
-        0.0
-    } else {
-        (dot / (query_norm * entry_norm)).clamp(-1.0, 1.0)
     }
 }
 

@@ -56,38 +56,117 @@ pub fn argmax_cosine(query: &[f64], candidates: &[Vec<f64>]) -> Option<(usize, f
     best
 }
 
+/// Adds `query · row_i` to `dots[i]` for the first `dots.len()` rows of a
+/// row-major `block` of `width`-wide rows: the one dot kernel of every
+/// slab scan (the semantic search, the trajectory search and the store's
+/// deduplication).
+///
+/// Four consecutive rows go per pass, each with its own accumulator
+/// started at its `dots[i]`. Every accumulator adds its row's products
+/// left to right, the terms and the order of a one-row loop, so each sum
+/// is bit-identical to that loop's; the four chains only run side by side
+/// instead of one after another. Rows past the end of `block`, and query
+/// terms past `width`, are not read.
+pub fn add_row_dots(block: &[f64], width: usize, query: &[f64], dots: &mut [f64]) {
+    if width == 0 {
+        return;
+    }
+    let rows = dots.len().min(block.len() / width);
+    let (dots, block) = (&mut dots[..rows], &block[..rows * width]);
+    let query = &query[..query.len().min(width)];
+    let mut tiles = dots.chunks_exact_mut(4);
+    for (acc, tile) in (&mut tiles).zip(block.chunks_exact(4 * width)) {
+        let (r0, rest) = tile.split_at(width);
+        let (r1, rest) = rest.split_at(width);
+        let (r2, r3) = rest.split_at(width);
+        let [mut a0, mut a1, mut a2, mut a3] = [acc[0], acc[1], acc[2], acc[3]];
+        for ((((&q, &x0), &x1), &x2), &x3) in query.iter().zip(r0).zip(r1).zip(r2).zip(r3) {
+            a0 += q * x0;
+            a1 += q * x1;
+            a2 += q * x2;
+            a3 += q * x3;
+        }
+        acc.copy_from_slice(&[a0, a1, a2, a3]);
+    }
+    let tail = &block[(rows - rows % 4) * width..];
+    for (acc, row) in tiles
+        .into_remainder()
+        .iter_mut()
+        .zip(tail.chunks_exact(width))
+    {
+        for (&q, &x) in query.iter().zip(row) {
+            *acc += q * x;
+        }
+    }
+}
+
+/// `cosine_similarity`'s last step from a dot product and the two L2
+/// norms: `0.0` when either norm is zero, else the clamped quotient.
+///
+/// The quotient is taken either way and then discarded for a zero norm,
+/// so a loop over rows compiles to branch-free (and vectorizable)
+/// divisions; floating-point division never traps.
+#[inline]
+#[must_use]
+pub fn cosine_from_norms(dot: f64, query_norm: f64, row_norm: f64) -> f64 {
+    let score = (dot / (query_norm * row_norm)).clamp(-1.0, 1.0);
+    if query_norm <= 0.0 || row_norm <= 0.0 {
+        0.0
+    } else {
+        score
+    }
+}
+
+/// The shared front of the slab searches: checks the layout contract,
+/// fills `dots` with `query · row_i` for every row and returns the L2
+/// norm of the query's first `stride` values, or `None` when the slab
+/// cannot serve `query` (then `dots` is left empty).
+fn slab_dots(
+    query: &[f64],
+    slab: &[f64],
+    stride: usize,
+    row_norm2: &[f64],
+    dots: &mut Vec<f64>,
+) -> Option<f64> {
+    dots.clear();
+    if row_norm2.is_empty() || stride == 0 || query.len() < stride {
+        return None;
+    }
+    debug_assert_eq!(slab.len(), stride * row_norm2.len());
+    let q = &query[..stride];
+    dots.resize(row_norm2.len(), 0.0);
+    add_row_dots(slab, stride, q, dots);
+    Some(q.iter().map(|x| x * x).sum::<f64>().sqrt())
+}
+
 /// Cosine of `query` against every row of a contiguous row-major slab
 /// with precomputed squared row norms, returning the argmax.
 ///
 /// `slab` holds `row_norm2.len()` rows of `stride` elements each;
 /// `row_norm2[i]` must equal the left-to-right sum of squares of row `i`.
-/// Scores are **bit-identical** to calling [`cosine_similarity`] per row:
-/// each accumulator (dot, query norm, row norm) sums the same terms in the
-/// same index order, so the split loops produce the same bits as the
-/// interleaved reference loop.
+/// On return `dots[i]` holds `query · row_i` as [`add_row_dots`] sums it,
+/// so a caller can keep the scan's dots (the store's deduplication reuses
+/// them). Scores are **bit-identical** to calling [`cosine_similarity`]
+/// per row: each accumulator (dot, query norm, row norm) sums the same
+/// terms in the same index order as the interleaved reference loop.
 ///
 /// Ties keep the lower index (strict `>` comparison), matching
-/// [`argmax_cosine`]. Returns `None` when the slab is empty or when
-/// `query.len() < stride` — a shorter query compares only a prefix of each
-/// row, which the precomputed full-row norms cannot serve; callers fall
-/// back to the reference path in that case.
+/// [`argmax_cosine`]. Returns `None`, with `dots` empty, when the slab is
+/// empty or when `query.len() < stride` — a shorter query compares only a
+/// prefix of each row, which the precomputed full-row norms cannot serve;
+/// callers fall back to the reference path in that case.
 #[must_use]
 pub fn argmax_cosine_slab(
     query: &[f64],
     slab: &[f64],
     stride: usize,
     row_norm2: &[f64],
+    dots: &mut Vec<f64>,
 ) -> Option<(usize, f64)> {
-    if row_norm2.is_empty() || stride == 0 || query.len() < stride {
-        return None;
-    }
-    debug_assert_eq!(slab.len(), stride * row_norm2.len());
-    let q = &query[..stride];
-    let na: f64 = q.iter().map(|x| x * x).sum();
+    let na = slab_dots(query, slab, stride, row_norm2, dots)?;
     let mut best: Option<(usize, f64)> = None;
-    for (i, &nb) in row_norm2.iter().enumerate() {
-        let row = &slab[i * stride..(i + 1) * stride];
-        let score = slab_row_score(q, row, na, nb);
+    for (i, (&dot, &nb)) in dots.iter().zip(row_norm2).enumerate() {
+        let score = cosine_from_norms(dot, na, nb.sqrt());
         match best {
             Some((_, bs)) if bs >= score => {}
             _ => best = Some((i, score)),
@@ -115,18 +194,19 @@ pub fn top_k_cosine_slab(
     use std::cmp::Reverse;
     use std::collections::BinaryHeap;
 
-    if k == 0 || row_norm2.is_empty() || stride == 0 || query.len() < stride {
+    if k == 0 {
         return Vec::new();
     }
-    debug_assert_eq!(slab.len(), stride * row_norm2.len());
-    let q = &query[..stride];
-    let na: f64 = q.iter().map(|x| x * x).sum();
+    let mut dots = Vec::new();
+    let Some(na) = slab_dots(query, slab, stride, row_norm2, &mut dots) else {
+        return Vec::new();
+    };
     // Min-heap of the k best seen so far; `ScoredRow`'s ordering makes the
     // heap minimum the lowest score (largest index on score ties), so a
     // tie with the current worst keeps the earlier row.
     let mut heap: BinaryHeap<Reverse<ScoredRow>> = BinaryHeap::with_capacity(k + 1);
-    for (i, &nb) in row_norm2.iter().enumerate() {
-        let score = slab_row_score(q, &slab[i * stride..(i + 1) * stride], na, nb);
+    for (i, (&dot, &nb)) in dots.iter().zip(row_norm2).enumerate() {
+        let score = cosine_from_norms(dot, na, nb.sqrt());
         let cand = ScoredRow { score, index: i };
         if heap.len() < k {
             heap.push(Reverse(cand));
@@ -140,24 +220,6 @@ pub fn top_k_cosine_slab(
     let mut out: Vec<ScoredRow> = heap.into_iter().map(|Reverse(s)| s).collect();
     out.sort_unstable_by(|a, b| b.cmp(a));
     out.into_iter().map(|s| (s.index, s.score)).collect()
-}
-
-/// One slab row's cosine score given the precomputed squared norms —
-/// the exact expression [`cosine_similarity`] evaluates, so the result is
-/// bit-identical to `cosine_similarity(q, row)` when `q.len() ==
-/// row.len()`, `na` and `nb` being the left-to-right sums of squares of
-/// `q` and `row`.
-#[inline]
-#[must_use]
-pub fn slab_row_score(q: &[f64], row: &[f64], na: f64, nb: f64) -> f64 {
-    let mut dot = 0.0;
-    for (a, b) in q.iter().zip(row) {
-        dot += a * b;
-    }
-    if na <= 0.0 || nb <= 0.0 {
-        return 0.0;
-    }
-    (dot / (na.sqrt() * nb.sqrt())).clamp(-1.0, 1.0)
 }
 
 /// Total order for heap selection: by score, then *descending* index, so
@@ -258,7 +320,7 @@ mod tests {
         let (rows, slab, norms) = slab_fixture();
         let q = [1.0, 0.1, -0.3];
         let (ri, rs) = argmax_cosine(&q, &rows).unwrap();
-        let (si, ss) = argmax_cosine_slab(&q, &slab, 3, &norms).unwrap();
+        let (si, ss) = argmax_cosine_slab(&q, &slab, 3, &norms, &mut Vec::new()).unwrap();
         assert_eq!(ri, si);
         assert_eq!(rs.to_bits(), ss.to_bits());
     }
@@ -266,9 +328,9 @@ mod tests {
     #[test]
     fn slab_argmax_rejects_short_queries_and_empty_slabs() {
         let (_, slab, norms) = slab_fixture();
-        assert!(argmax_cosine_slab(&[1.0, 0.1], &slab, 3, &norms).is_none());
-        assert!(argmax_cosine_slab(&[1.0, 0.1, 0.0], &[], 3, &[]).is_none());
-        assert!(argmax_cosine_slab(&[], &[], 0, &norms).is_none());
+        assert!(argmax_cosine_slab(&[1.0, 0.1], &slab, 3, &norms, &mut Vec::new()).is_none());
+        assert!(argmax_cosine_slab(&[1.0, 0.1, 0.0], &[], 3, &[], &mut Vec::new()).is_none());
+        assert!(argmax_cosine_slab(&[], &[], 0, &norms, &mut Vec::new()).is_none());
     }
 
     #[test]

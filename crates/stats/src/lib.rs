@@ -45,7 +45,8 @@ pub mod summary;
 
 pub use cdf::EmpiricalCdf;
 pub use cosine::{
-    argmax_cosine_slab, cosine_similarity, pairwise_cosine, slab_row_score, top_k_cosine_slab,
+    add_row_dots, argmax_cosine_slab, cosine_from_norms, cosine_similarity, pairwise_cosine,
+    top_k_cosine_slab,
 };
 pub use entropy::{normalized_shannon_entropy, shannon_entropy, shannon_entropy_of_counts};
 pub use histogram::Histogram;

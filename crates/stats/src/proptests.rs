@@ -3,12 +3,33 @@
 #![cfg(test)]
 
 use crate::cdf::EmpiricalCdf;
-use crate::cosine::cosine_similarity;
+use crate::cosine::{add_row_dots, argmax_cosine_slab, cosine_similarity, top_k_cosine_slab};
 use crate::entropy::{normalized_shannon_entropy, shannon_entropy, shannon_entropy_of_counts};
 use crate::pearson::pearson_correlation;
 use crate::rng::{gumbel_noise, hash_fold, hash_to_unit, normal_noise, SplitMix64, HASH_INIT};
 use crate::summary::Summary;
 use proptest::prelude::*;
+
+/// The row widths the 4-row kernels are pinned at: Mixtral's and
+/// Phi-3.5-MoE's expert counts, the embedding dimension's order and an
+/// odd width that no tile divides.
+const KERNEL_WIDTHS: [usize; 4] = [4, 8, 16, 60];
+
+/// Slab values where zeros and exact repeats are common, so zero norms
+/// and tied scores show up.
+fn slab_value() -> impl Strategy<Value = f64> {
+    prop_oneof![-1.0f64..1.0, -1.0f64..1.0, Just(0.0), Just(0.5)]
+}
+
+/// The one-row loop the 4-row kernel replaced: each row's dot summed
+/// left to right onto its starting value.
+fn one_row_dots(block: &[f64], width: usize, query: &[f64], dots: &mut [f64]) {
+    for (dot, row) in dots.iter_mut().zip(block.chunks_exact(width)) {
+        for (a, b) in query.iter().zip(row) {
+            *dot += a * b;
+        }
+    }
+}
 
 /// The coordinate hash as first written: a fresh fold per call and a
 /// heap-allocated tuple for the normal's second uniform. The prefix-fold
@@ -219,5 +240,81 @@ proptest! {
             hash_fold(hash_fold(HASH_INIT, head), tail),
             hash_fold(HASH_INIT, &coords)
         );
+    }
+
+    #[test]
+    fn row_dot_kernel_is_bit_identical_to_one_row_loop(
+        values in prop::collection::vec(slab_value(), 60 * 13),
+        query in prop::collection::vec(slab_value(), 61),
+        start in prop::collection::vec(-1.0f64..1.0, 13),
+    ) {
+        // Every residue of the row count mod 4, a partial `dots` that
+        // stops short of the block, and a query longer than the rows.
+        for width in KERNEL_WIDTHS {
+            for rows in 0..=9 {
+                let block = &values[..rows * width];
+                for (q, n) in [(&query[..width], rows), (&query[..], rows), (&query[..width], rows / 2)] {
+                    let mut want = start[..n].to_vec();
+                    one_row_dots(block, width, q, &mut want);
+                    let mut got = start[..n].to_vec();
+                    add_row_dots(block, width, q, &mut got);
+                    for (g, w) in got.iter().zip(&want) {
+                        prop_assert_eq!(g.to_bits(), w.to_bits(), "width {} rows {}", width, rows);
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn slab_searches_are_bit_identical_to_per_row_cosine(
+        values in prop::collection::vec(slab_value(), 60 * 13),
+        query in prop::collection::vec(slab_value(), 60),
+        copies in prop::collection::vec(0usize..13, 0..4),
+    ) {
+        for width in KERNEL_WIDTHS {
+            for rows in 1..=13 {
+                let mut slab = values[..rows * width].to_vec();
+                // Duplicate rows tie exactly; the tie rules must hold.
+                for (k, &from) in copies.iter().enumerate() {
+                    let (src, dst) = (from % rows, (from + k + 1) % rows);
+                    let row = slab[src * width..(src + 1) * width].to_vec();
+                    slab[dst * width..(dst + 1) * width].copy_from_slice(&row);
+                }
+                // And a zero row has a zero norm, so it scores 0.
+                if let Some(&zero) = copies.first() {
+                    slab[zero % rows * width..(zero % rows + 1) * width].fill(0.0);
+                }
+                let norms: Vec<f64> = slab
+                    .chunks_exact(width)
+                    .map(|r| r.iter().map(|x| x * x).sum())
+                    .collect();
+                let zero_query = vec![0.0; width];
+                for q in [&query[..width], &zero_query[..]] {
+                let reference: Vec<f64> = slab.chunks_exact(width).map(|r| cosine_similarity(q, r)).collect();
+                let mut dots = Vec::new();
+                let (best, score) = argmax_cosine_slab(q, &slab, width, &norms, &mut dots).unwrap();
+                prop_assert_eq!(dots.len(), rows);
+                let want = reference
+                    .iter()
+                    .enumerate()
+                    .fold(None, |b: Option<(usize, f64)>, (i, &s)| match b {
+                        Some((_, bs)) if bs >= s => b,
+                        _ => Some((i, s)),
+                    })
+                    .unwrap();
+                prop_assert_eq!(best, want.0);
+                prop_assert_eq!(score.to_bits(), want.1.to_bits());
+                let mut order: Vec<usize> = (0..rows).collect();
+                order.sort_by(|&a, &b| reference[b].total_cmp(&reference[a]).then(a.cmp(&b)));
+                let top = top_k_cosine_slab(q, &slab, width, &norms, 3);
+                prop_assert_eq!(top.len(), rows.min(3));
+                for (&(i, s), &w) in top.iter().zip(&order) {
+                    prop_assert_eq!(i, w);
+                    prop_assert_eq!(s.to_bits(), reference[w].to_bits());
+                }
+                }
+            }
+        }
     }
 }

@@ -126,6 +126,31 @@ proptest! {
         }
     }
 
+    /// The clamp counter is exact: it counts the records actually pushed
+    /// (an unmatched `End` pushes nothing) whose timestamp was below the
+    /// previous record's, and `take` closing open spans adds none.
+    #[test]
+    fn clamp_counter_counts_every_out_of_order_push(
+        ops in prop::collection::vec(op_strategy(), 1..200),
+        capacity in 0usize..64,
+    ) {
+        let mut rec = RingRecorder::with_capacity(capacity);
+        let mut expected = 0u64;
+        for op in &ops {
+            let at = match *op {
+                Op::Begin(at, ..) | Op::End(at, ..) | Op::Span(at, ..) | Op::Instant(at, ..) => at,
+            };
+            let (pushes, last_ns) = (rec.len() as u64 + rec.dropped(), rec.last_ns());
+            apply(&mut rec, std::slice::from_ref(op));
+            if rec.len() as u64 + rec.dropped() > pushes && at < last_ns {
+                expected += 1;
+            }
+        }
+        prop_assert_eq!(rec.clamped(), expected);
+        let _ = rec.take();
+        prop_assert_eq!(rec.clamped(), expected);
+    }
+
     /// Overflow evicts oldest-first and the drop counter is exact:
     /// pushing N instants through capacity C drops exactly N-C and keeps
     /// the most recent C, in order.

@@ -3,9 +3,10 @@
 //! Three invariants, all locked by proptests in this crate:
 //!
 //! 1. **Monotone time** — each stored record's timestamp is clamped to be
-//!    `>=` the previous record's. Producers emit in causal order already;
-//!    the clamp turns any violation into a visible flat spot instead of a
-//!    time-travelling trace that Chrome renders as garbage.
+//!    `>=` the previous record's. The clamp turns a record stamped earlier
+//!    than its predecessor into a visible flat spot instead of a
+//!    time-travelling trace that Chrome renders as garbage, and counts it
+//!    ([`RingRecorder::clamped`]), so such a record is never silent.
 //! 2. **Balanced spans** — `end` without a matching `begin` records
 //!    nothing, and [`RingRecorder::take`] closes any still-open span at
 //!    the final timestamp, so a drained trace always has begin/end
@@ -24,6 +25,7 @@ pub struct RingRecorder {
     capacity: usize,
     last_ns: Nanos,
     dropped: u64,
+    clamped: u64,
     /// Open `Begin` spans awaiting their `End`, newest last.
     open: Vec<(Phase, u64, u32, Nanos)>,
 }
@@ -39,6 +41,7 @@ impl RingRecorder {
             capacity,
             last_ns: 0,
             dropped: 0,
+            clamped: 0,
             open: Vec::new(),
         }
     }
@@ -62,6 +65,14 @@ impl RingRecorder {
         self.dropped
     }
 
+    /// Records whose timestamp was earlier than the previous record's
+    /// and was moved forward to it, since construction. Never reset — a
+    /// nonzero value means some producer emitted out of causal order.
+    #[must_use]
+    pub fn clamped(&self) -> u64 {
+        self.clamped
+    }
+
     /// Timestamp of the most recently recorded event.
     #[must_use]
     pub fn last_ns(&self) -> Nanos {
@@ -69,6 +80,9 @@ impl RingRecorder {
     }
 
     fn push(&mut self, at_ns: Nanos, event: TraceEvent) {
+        if at_ns < self.last_ns {
+            self.clamped += 1;
+        }
         let at_ns = at_ns.max(self.last_ns);
         self.last_ns = at_ns;
         if self.capacity == 0 {
@@ -219,6 +233,7 @@ mod tests {
         let recs = r.take();
         assert_eq!(recs[0].at_ns, 100);
         assert_eq!(recs[1].at_ns, 100, "out-of-order timestamp clamps forward");
+        assert_eq!(r.clamped(), 1, "and the clamp is counted");
     }
 
     #[test]

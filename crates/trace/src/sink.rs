@@ -165,6 +165,16 @@ impl TraceSink {
             None => 0,
         }
     }
+
+    /// Records whose out-of-order timestamp was clamped forward so far
+    /// (see [`RingRecorder::clamped`]). Zero on a disabled sink.
+    #[must_use]
+    pub fn clamped_records(&self) -> u64 {
+        match &self.inner {
+            Some(state) => lock(state).recorder.clamped(),
+            None => 0,
+        }
+    }
 }
 
 #[cfg(test)]
@@ -183,6 +193,7 @@ mod tests {
         assert!(sink.take_records().is_empty());
         assert!(sink.metrics_snapshot().is_empty());
         assert_eq!(sink.dropped_records(), 0);
+        assert_eq!(sink.clamped_records(), 0);
     }
 
     #[test]
