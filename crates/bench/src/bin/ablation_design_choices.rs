@@ -15,6 +15,7 @@ use fmoe::map::ExpertMap;
 use fmoe::matcher::Matcher;
 use fmoe::store::{ExpertMapStore, ReplacementPolicy};
 use fmoe::FmoeConfig;
+use fmoe_bench::cli::Cli;
 use fmoe_bench::harness::{CellConfig, System};
 use fmoe_bench::report::{write_csv, Table};
 use fmoe_model::gate::TokenSpan;
@@ -56,7 +57,7 @@ fn run_with(configure: impl Fn(FmoeConfig) -> FmoeConfig) -> AggregateMetrics {
     AggregateMetrics::from_requests(&metrics)
 }
 
-fn replacement_ablation() {
+fn replacement_ablation(cli: &Cli) {
     // Overfill a small store from a broad population, then measure the
     // semantic match quality fresh queries achieve.
     let model = presets::small_test_model();
@@ -90,10 +91,8 @@ fn replacement_ablation() {
                 let rows: Vec<Vec<f64>> = (0..model.num_layers)
                     .map(|l| gate.iteration_distribution(p.routing, iter, l, span))
                     .collect();
-                store.insert(
-                    gate.semantic_embedding(p.routing, iter),
-                    ExpertMap::new(rows),
-                );
+                let emb = gate.semantic_embedding(p.routing, iter);
+                store.insert(emb, ExpertMap::new(rows)).unwrap();
             }
         }
         let mut sum = 0.0;
@@ -102,6 +101,7 @@ fn replacement_ablation() {
             for iter in 0..p.iterations().min(3) {
                 if let Some(m) =
                     Matcher::semantic_match(&store, &gate.semantic_embedding(p.routing, iter))
+                        .unwrap()
                 {
                     sum += m.score;
                     n += 1.0;
@@ -115,12 +115,12 @@ fn replacement_ablation() {
         ]);
     }
     table.print();
-    let _ = write_csv(&table, "ablation_store_replacement");
+    let _ = write_csv(cli, &table, "ablation_store_replacement");
     println!("expected: redundancy-scored dedup preserves diversity, so fresh");
     println!("queries find better matches than FIFO/random replacement.\n");
 }
 
-fn ordering_and_placement_ablation() {
+fn ordering_and_placement_ablation(cli: &Cli) {
     let mut table = Table::new(
         "Ablation: prefetch ordering and matcher placement (Mixtral-8x7B)",
         &["variant", "TTFT (ms)", "TPOT (ms)", "hit rate"],
@@ -167,7 +167,7 @@ fn ordering_and_placement_ablation() {
         ]);
     }
     table.print();
-    let _ = write_csv(&table, "ablation_ordering_placement");
+    let _ = write_csv(cli, &table, "ablation_ordering_placement");
     println!("expected: FIFO ordering delays near-layer experts (lower hit rate);");
     println!("a synchronous matcher pushes its latency onto every layer boundary");
     println!("(worse TTFT/TPOT even when the extra stall raises the hit rate);");
@@ -175,6 +175,7 @@ fn ordering_and_placement_ablation() {
 }
 
 fn main() {
-    replacement_ablation();
-    ordering_and_placement_ablation();
+    let cli = Cli::parse(&[]);
+    replacement_ablation(&cli);
+    ordering_and_placement_ablation(&cli);
 }

@@ -12,6 +12,7 @@
 //! cargo run --release -p fmoe-bench --bin ablation_placement
 //! ```
 
+use fmoe_bench::cli::Cli;
 use fmoe_bench::harness::{CellConfig, System};
 use fmoe_bench::report::{write_csv, Table};
 use fmoe_cache::Placement;
@@ -51,6 +52,7 @@ fn run(system: System, placement: Placement) -> AggregateMetrics {
 }
 
 fn main() {
+    let cli = Cli::parse(&[]);
     let mut table = Table::new(
         "Ablation: expert-parallel placement (Mixtral-8x7B, 6 GPUs)",
         &["system", "placement", "TTFT (ms)", "TPOT (ms)", "hit rate"],
@@ -71,7 +73,7 @@ fn main() {
         }
     }
     table.print();
-    let _ = write_csv(&table, "ablation_placement");
+    let _ = write_csv(&cli, &table, "ablation_placement");
     println!("expected: layer-contiguous placement serializes each layer's");
     println!("transfers on one link, inflating TTFT/TPOT for every system —");
     println!("the mechanism behind the paper's round-robin choice (§5).");

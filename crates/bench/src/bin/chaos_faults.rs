@@ -29,6 +29,7 @@
 //! `fig13_cluster_chaos`, where whole replicas crash, drain, and restart
 //! (cold or donor-warmed) behind health-aware routing; see DESIGN.md §14.
 
+use fmoe_bench::cli::{Cli, JOBS};
 use fmoe_bench::harness::{CellConfig, ParallelRunner, System};
 use fmoe_bench::report::{write_csv, Table};
 use fmoe_memsim::clock::SECOND;
@@ -83,8 +84,9 @@ struct ChaosOutcome {
 }
 
 fn main() {
-    let quick = std::env::args().any(|a| a == "--quick");
-    let runner = ParallelRunner::from_args();
+    let cli = Cli::parse(&[JOBS]);
+    let quick = cli.quick;
+    let runner = ParallelRunner::from_cli(&cli);
     let num_requests = if quick { 10 } else { 32 };
     let intensities: &[f64] = if quick {
         &[0.0, 0.6]
@@ -224,8 +226,8 @@ fn main() {
     }
 
     table.print();
-    let _ = write_csv(&table, "chaos_goodput");
-    let _ = write_csv(&cdf_points, "chaos_latency_cdf");
+    let _ = write_csv(&cli, &table, "chaos_goodput");
+    let _ = write_csv(&cli, &cdf_points, "chaos_latency_cdf");
     println!("expected shape: as intensity rises, 'none' p99 balloons while the");
     println!("mitigations keep it bounded — shedding trades goodput for latency,");
     println!("degrade/deadline trade precision for it. (The SLO policies also");

@@ -11,6 +11,7 @@
 //! cargo run --release -p fmoe-bench --bin ext_continuous_batching
 //! ```
 
+use fmoe_bench::cli::Cli;
 use fmoe_bench::harness::{CellConfig, System};
 use fmoe_bench::report::{write_csv, Table};
 use fmoe_model::presets;
@@ -19,6 +20,7 @@ use fmoe_stats::EmpiricalCdf;
 use fmoe_workload::{AzureTraceSpec, DatasetSpec};
 
 fn main() {
+    let cli = Cli::parse(&[]);
     let model = presets::phi35_moe();
     let mut spec = AzureTraceSpec::paper_online_serving(DatasetSpec::lmsys_chat());
     spec.num_requests = 32;
@@ -77,7 +79,7 @@ fn main() {
     }
 
     table.print();
-    let _ = write_csv(&table, "ext_continuous_batching");
+    let _ = write_csv(&cli, &table, "ext_continuous_batching");
     println!("expected: continuous batching shrinks queueing-dominated tail");
     println!("latency and makespan as slots grow; per-request TTFT rises a");
     println!("little (shared iterations are heavier) — the classic trade.");

@@ -11,6 +11,7 @@
 //! cargo run --release -p fmoe-bench --bin ext_conversations
 //! ```
 
+use fmoe_bench::cli::Cli;
 use fmoe_bench::harness::{CellConfig, System};
 use fmoe_bench::report::{write_csv, Table};
 use fmoe_model::presets;
@@ -37,6 +38,7 @@ fn per_turn_hit_rates(system: System) -> Vec<f64> {
 }
 
 fn main() {
+    let cli = Cli::parse(&[]);
     let mut table = Table::new(
         "Extension: expert hit rate by conversation turn (cold store, Mixtral-8x7B)",
         &["system", "turn 1", "turn 2", "turn 3", "turn 4"],
@@ -48,7 +50,7 @@ fn main() {
         table.row(row);
     }
     table.print();
-    let _ = write_csv(&table, "ext_conversations");
+    let _ = write_csv(&cli, &table, "ext_conversations");
     println!("expected: fMoE's hit rate jumps after turn 1 — the dialogue's own");
     println!("history becomes its best predictor via semantic search — while");
     println!("coarse trackers improve far less from the same observations.");

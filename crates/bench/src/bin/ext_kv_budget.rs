@@ -14,6 +14,7 @@
 //! cargo run --release -p fmoe-bench --bin ext_kv_budget
 //! ```
 
+use fmoe_bench::cli::Cli;
 use fmoe_bench::harness::{CellConfig, System};
 use fmoe_bench::report::{write_csv, Table};
 use fmoe_model::presets;
@@ -57,6 +58,7 @@ fn run(kv_aware: bool, long_contexts: bool) -> (AggregateMetrics, f64) {
 }
 
 fn main() {
+    let cli = Cli::parse(&[]);
     let mut table = Table::new(
         "Extension: KV-aware expert budgets (Mixtral-8x7B conversations)",
         &["contexts", "budgeting", "TPOT (ms)", "hit rate", "peak KV"],
@@ -84,7 +86,7 @@ fn main() {
         }
     }
     table.print();
-    let _ = write_csv(&table, "ext_kv_budget");
+    let _ = write_csv(&cli, &table, "ext_kv_budget");
     println!("expected: for chat-length contexts the KV deduction is noise; for");
     println!("long contexts the KV-aware budget costs some hit rate and TPOT —");
     println!("the honest price of not over-committing GPU memory, which the");

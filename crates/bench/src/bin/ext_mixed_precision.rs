@@ -16,12 +16,14 @@
 //! cargo run --release -p fmoe-bench --bin ext_mixed_precision
 //! ```
 
+use fmoe_bench::cli::Cli;
 use fmoe_bench::harness::{CellConfig, System};
 use fmoe_bench::report::{write_csv, Table};
 use fmoe_model::presets;
 use fmoe_workload::DatasetSpec;
 
 fn main() {
+    let cli = Cli::parse(&[]);
     let mut table = Table::new(
         "Extension: mixed-precision staging threshold sweep (Mixtral-8x7B, 25% budget)",
         &[
@@ -76,7 +78,7 @@ fn main() {
         ]);
     }
     table.print();
-    let _ = write_csv(&table, "ext_mixed_precision");
+    let _ = write_csv(&cli, &table, "ext_mixed_precision");
     println!("expected: raising the threshold trades quality (more accesses hit");
     println!("quantized experts) for latency and effective cache capacity — the");
     println!("lossless row is the paper's fMoE; the sweep charts Fig. 2's lossy axis.");

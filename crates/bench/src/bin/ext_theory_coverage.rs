@@ -15,6 +15,7 @@
 use fmoe::map::ExpertMap;
 use fmoe::matcher::Matcher;
 use fmoe::store::ExpertMapStore;
+use fmoe_bench::cli::Cli;
 use fmoe_bench::report::{write_csv, Table};
 use fmoe_model::gate::TokenSpan;
 use fmoe_model::{presets, GateParams, GateSimulator, ModelConfig, RequestRouting};
@@ -57,7 +58,7 @@ fn run_model(model: &ModelConfig, table: &mut Table) {
                 request_seed: i,
             };
             let (emb, rows) = record(&gate, routing, i % 8);
-            store.insert(emb, ExpertMap::new(rows));
+            store.insert(emb, ExpertMap::new(rows)).unwrap();
             i += 1;
         }
         // Held-out fresh iterations: measure best trajectory similarity.
@@ -94,6 +95,7 @@ fn run_model(model: &ModelConfig, table: &mut Table) {
 }
 
 fn main() {
+    let cli = Cli::parse(&[]);
     let mut table = Table::new(
         "Extension: empirical check of the paper's sphere-covering bounds (section 4.4)",
         &[
@@ -109,7 +111,7 @@ fn main() {
     run_model(&presets::small_test_model(), &mut table);
     run_model(&presets::mixtral_8x7b(), &mut table);
     table.print();
-    let _ = write_csv(&table, "ext_theory_coverage");
+    let _ = write_csv(&cli, &table, "ext_theory_coverage");
     println!("measured: the 75% floor clears at the paper's 2*L*J scale for both");
     println!("models. The 98% asymptote is NOT reached in our substrate: the");
     println!("router's irreducible per-iteration noise caps the best achievable");

@@ -16,6 +16,7 @@
 //! cargo run --release -p fmoe-bench --bin ext_tunable_budget
 //! ```
 
+use fmoe_bench::cli::Cli;
 use fmoe_bench::harness::{CellConfig, System};
 use fmoe_bench::report::{write_csv, Table};
 use fmoe_model::presets;
@@ -52,6 +53,7 @@ fn run(system: System, oscillate: bool) -> AggregateMetrics {
 }
 
 fn main() {
+    let cli = Cli::parse(&[]);
     let mut table = Table::new(
         "Extension: serving under an oscillating expert-cache budget (Phi-3.5-MoE)",
         &["system", "budget", "TPOT (ms)", "hit rate"],
@@ -73,7 +75,7 @@ fn main() {
         }
     }
     table.print();
-    let _ = write_csv(&table, "ext_tunable_budget");
+    let _ = write_csv(&cli, &table, "ext_tunable_budget");
     println!("expected: oscillation costs every system, but fMoE's searched-map");
     println!("eviction priorities pick better victims under pressure, so it");
     println!("degrades least and stays the fastest system in both regimes.");

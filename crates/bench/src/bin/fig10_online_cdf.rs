@@ -12,6 +12,7 @@
 //! `--jobs N` fans the independent (model, system) cells across worker
 //! threads; output bytes are identical to a sequential run.
 
+use fmoe_bench::cli::{Cli, JOBS};
 use fmoe_bench::harness::{CellConfig, ParallelRunner, System};
 use fmoe_bench::plot::{LinePlot, Series};
 use fmoe_bench::report::{write_csv, Table};
@@ -21,8 +22,9 @@ use fmoe_stats::EmpiricalCdf;
 use fmoe_workload::{AzureTraceSpec, DatasetSpec};
 
 fn main() {
-    let quick = std::env::args().any(|a| a == "--quick");
-    let runner = ParallelRunner::from_args();
+    let cli = Cli::parse(&[JOBS]);
+    let quick = cli.quick;
+    let runner = ParallelRunner::from_cli(&cli);
     let num_requests = if quick { 24 } else { 64 };
 
     let mut table = Table::new(
@@ -106,14 +108,17 @@ fn main() {
             }
             plot.series(Series::new(system.name(), series_points));
         }
-        let _ = plot.write_svg(&format!(
-            "fig10_{}",
-            model.name.to_ascii_lowercase().replace(['.', ' '], "_")
-        ));
+        let _ = plot.write_svg(
+            &cli,
+            &format!(
+                "fig10_{}",
+                model.name.to_ascii_lowercase().replace(['.', ' '], "_")
+            ),
+        );
     }
     table.print();
-    let _ = write_csv(&table, "fig10_online_percentiles");
-    let _ = write_csv(&cdf_points, "fig10_online_cdf");
+    let _ = write_csv(&cli, &table, "fig10_online_percentiles");
+    let _ = write_csv(&cli, &cdf_points, "fig10_online_cdf");
     println!("expected shape (paper Fig. 10): fMoE's CDF sits left of every");
     println!("baseline — lower latency at every percentile, even from a cold");
     println!("(empty-store) start.");

@@ -10,6 +10,7 @@
 //! `--jobs N` fans the independent (model, system, budget) cells across
 //! worker threads; output bytes are identical to a sequential run.
 
+use fmoe_bench::cli::{Cli, JOBS};
 use fmoe_bench::harness::{CellConfig, ParallelRunner, System};
 use fmoe_bench::plot::{LinePlot, Series};
 use fmoe_bench::policy_sweep::{replay_miss_ratio, zipf_expert_trace};
@@ -32,7 +33,8 @@ const POLICIES: [PolicyKind; 4] = [
 ];
 
 /// The eviction-policy miss-ratio table over one shared Zipf trace.
-fn policy_miss_table(runner: &ParallelRunner, quick: bool) {
+fn policy_miss_table(cli: &Cli, runner: &ParallelRunner) {
+    let quick = cli.quick;
     let model = presets::small_test_model();
     let accesses = if quick { 6_000 } else { 24_000 };
     let trace = zipf_expert_trace(&model, accesses, 1.0, 0xf30e);
@@ -60,12 +62,13 @@ fn policy_miss_table(runner: &ParallelRunner, quick: bool) {
         table.row(row);
     }
     table.print();
-    let _ = write_csv(&table, "fig11_policy_miss");
+    let _ = write_csv(cli, &table, "fig11_policy_miss");
 }
 
 fn main() {
-    let quick = std::env::args().any(|a| a == "--quick");
-    let runner = ParallelRunner::from_args();
+    let cli = Cli::parse(&[JOBS]);
+    let quick = cli.quick;
+    let runner = ParallelRunner::from_cli(&cli);
     let mut table = Table::new(
         "Figure 11: TPOT (ms) under varying expert cache limits",
         &[
@@ -114,14 +117,17 @@ fn main() {
             plot.series(Series::new(system.name(), points));
             table.row(row);
         }
-        let _ = plot.write_svg(&format!(
-            "fig11_{}",
-            model.name.to_ascii_lowercase().replace(['.', ' '], "_")
-        ));
+        let _ = plot.write_svg(
+            &cli,
+            &format!(
+                "fig11_{}",
+                model.name.to_ascii_lowercase().replace(['.', ' '], "_")
+            ),
+        );
     }
     table.print();
-    let _ = write_csv(&table, "fig11_cache_limits");
-    policy_miss_table(&runner, quick);
+    let _ = write_csv(&cli, &table, "fig11_cache_limits");
+    policy_miss_table(&cli, &runner);
     println!("expected shape (paper Fig. 11): every system improves with more");
     println!("cache; fMoE stays lowest across the sweep, with the largest gaps");
     println!("at small budgets; curves converge as the budget approaches the");

@@ -16,6 +16,7 @@ use fmoe::predictor::HistoryRequest;
 use fmoe::{FmoeConfig, FmoePredictor};
 use fmoe_baselines::moe_infinity::EamHistoryRequest;
 use fmoe_baselines::{MixtralOffloadingPredictor, MoeInfinityPredictor};
+use fmoe_bench::cli::{Cli, Flag};
 use fmoe_bench::harness::{coverage_probe, CellConfig, System};
 use fmoe_bench::report::{write_csv, Table};
 use fmoe_cache::{EvictionPolicy, FmoePriorityPolicy, LfuPolicy, LruPolicy};
@@ -49,7 +50,7 @@ fn fmoe_variant(
     p
 }
 
-fn tracking_ablation() {
+fn tracking_ablation(cli: &Cli) {
     let mut table = Table::new(
         "Figure 12a: expert pattern tracking approaches (prediction coverage / mean experts planned per layer)",
         &["model", "Speculate", "Hit count", "Map (T)", "Map (T+S)", "Map (T+S+d)"],
@@ -96,13 +97,13 @@ fn tracking_ablation() {
         ]);
     }
     table.print();
-    let _ = write_csv(&table, "fig12a_tracking");
+    let _ = write_csv(cli, &table, "fig12a_tracking");
     println!("expected shape (paper Fig. 12a): coverage increases as features");
     println!("restore — hit count worst, speculation effective (residual");
     println!("connections), Map (T) < Map (T+S) < Map (T+S+d).\n");
 }
 
-fn caching_ablation() {
+fn caching_ablation(cli: &Cli) {
     let mut table = Table::new(
         "Figure 12b: caching policies under fMoE prefetching (end-to-end hit rate)",
         &[
@@ -174,19 +175,20 @@ fn caching_ablation() {
         table.row(row);
     }
     table.print();
-    let _ = write_csv(&table, "fig12b_caching");
+    let _ = write_csv(cli, &table, "fig12b_caching");
     println!("expected shape (paper Fig. 12b): LRU worst (layer-sequential");
     println!("usage defeats recency), LFU better, fMoE's p*freq priority best.");
 }
 
+const TRACKING: Flag = Flag::switch("--tracking", "run only the tracking ablation (Fig. 12a)");
+const CACHING: Flag = Flag::switch("--caching", "run only the caching ablation (Fig. 12b)");
+
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let tracking_only = args.iter().any(|a| a == "--tracking");
-    let caching_only = args.iter().any(|a| a == "--caching");
-    if !caching_only {
-        tracking_ablation();
+    let cli = Cli::parse(&[TRACKING, CACHING]);
+    if !cli.has(CACHING) {
+        tracking_ablation(&cli);
     }
-    if !tracking_only {
-        caching_ablation();
+    if !cli.has(TRACKING) {
+        caching_ablation(&cli);
     }
 }

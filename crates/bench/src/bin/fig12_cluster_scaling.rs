@@ -31,6 +31,7 @@
 
 use fmoe::predictor::HistoryRequest;
 use fmoe::{FmoeConfig, FmoePredictor};
+use fmoe_bench::cli::{Cli, JOBS};
 use fmoe_bench::harness::ParallelRunner;
 use fmoe_bench::report::{write_csv, Table};
 use fmoe_cluster::{AffinityConfig, Cluster, RoutingPolicy};
@@ -153,8 +154,9 @@ fn policies() -> [RoutingPolicy; 3] {
 }
 
 fn main() {
-    let quick = std::env::args().any(|a| a == "--quick");
-    let runner = ParallelRunner::from_args();
+    let cli = Cli::parse(&[JOBS]);
+    let quick = cli.quick;
+    let runner = ParallelRunner::from_cli(&cli);
     let requests: u64 = if quick { 32 } else { 96 };
     let replica_counts: &[usize] = if quick { &[1, 4] } else { &[1, 2, 4, 8] };
     let rate_scales: &[f64] = if quick { &[1.0, 4.0] } else { &[1.0, 2.0, 4.0] };
@@ -253,8 +255,8 @@ fn main() {
         }
     }
 
-    let path = write_csv(&table, "fig12_cluster_scaling").expect("write CSV");
+    let path = write_csv(&cli, &table, "fig12_cluster_scaling").expect("write CSV");
     println!("\nwrote {}", path.display());
-    let path = write_csv(&cdf_table, "fig12_cluster_cdf").expect("write CSV");
+    let path = write_csv(&cli, &cdf_table, "fig12_cluster_cdf").expect("write CSV");
     println!("wrote {}", path.display());
 }

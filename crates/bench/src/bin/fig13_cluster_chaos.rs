@@ -33,6 +33,7 @@
 
 use fmoe::predictor::HistoryRequest;
 use fmoe::{FmoeConfig, FmoePredictor};
+use fmoe_bench::cli::{Cli, JOBS};
 use fmoe_bench::harness::ParallelRunner;
 use fmoe_bench::report::{write_csv, Table};
 use fmoe_cluster::{AffinityConfig, Cluster, FailoverConfig, RoutingPolicy, WarmupMode};
@@ -272,8 +273,9 @@ fn policies() -> [RoutingPolicy; 3] {
 }
 
 fn main() {
-    let quick = std::env::args().any(|a| a == "--quick");
-    let runner = ParallelRunner::from_args();
+    let cli = Cli::parse(&[JOBS]);
+    let quick = cli.quick;
+    let runner = ParallelRunner::from_cli(&cli);
     let requests: u64 = if quick { 48 } else { 96 };
     let intensities: &[f64] = if quick {
         &[0.5, 1.0]
@@ -374,8 +376,8 @@ fn main() {
         }
     }
 
-    let path = write_csv(&table, "fig13_cluster_chaos").expect("write CSV");
+    let path = write_csv(&cli, &table, "fig13_cluster_chaos").expect("write CSV");
     println!("\nwrote {}", path.display());
-    let path = write_csv(&cdf_table, "fig13_cluster_chaos_cdf").expect("write CSV");
+    let path = write_csv(&cli, &cdf_table, "fig13_cluster_chaos_cdf").expect("write CSV");
     println!("wrote {}", path.display());
 }

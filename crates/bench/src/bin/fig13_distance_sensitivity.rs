@@ -8,6 +8,7 @@
 //! cargo run --release -p fmoe-bench --bin fig13_distance_sensitivity
 //! ```
 
+use fmoe_bench::cli::Cli;
 use fmoe_bench::harness::{CellConfig, System};
 use fmoe_bench::plot::{LinePlot, Series};
 use fmoe_bench::report::{write_csv, Table};
@@ -17,6 +18,7 @@ use fmoe_workload::DatasetSpec;
 const DISTANCES: [u32; 6] = [1, 2, 3, 4, 6, 8];
 
 fn main() {
+    let cli = Cli::parse(&[]);
     let mut ttft = Table::new(
         "Figure 13: fMoE TTFT (ms) vs prefetch distance",
         &["model", "d=1", "d=2", "d=3", "d=4", "d=6", "d=8"],
@@ -49,11 +51,11 @@ fn main() {
         ttft.row(ttft_row);
         tpot.row(tpot_row);
     }
-    let _ = plot.write_svg("fig13_tpot");
+    let _ = plot.write_svg(&cli, "fig13_tpot");
     ttft.print();
     tpot.print();
-    let _ = write_csv(&ttft, "fig13_ttft");
-    let _ = write_csv(&tpot, "fig13_tpot");
+    let _ = write_csv(&cli, &ttft, "fig13_ttft");
+    let _ = write_csv(&cli, &tpot, "fig13_tpot");
     println!("expected shape (paper Fig. 13): a shallow U — small d cannot");
     println!("hide matching + transfer latency, large d mispredicts more; the");
     println!("paper (and our default) settles at d = 3.");

@@ -13,6 +13,7 @@
 use fmoe::map::ExpertMap;
 use fmoe::matcher::{Matcher, TrajectoryTracker};
 use fmoe::store::ExpertMapStore;
+use fmoe_bench::cli::{Cli, Flag};
 use fmoe_bench::harness::{CellConfig, System};
 use fmoe_bench::report::{write_csv, Table};
 use fmoe_model::gate::TokenSpan;
@@ -21,7 +22,7 @@ use fmoe_workload::{split, DatasetSpec};
 
 const CAPACITIES: [usize; 7] = [32, 64, 128, 256, 512, 1024, 2048];
 
-fn capacity_sweep() {
+fn capacity_sweep(cli: &Cli) {
     let mut table = Table::new(
         "Figure 14a: mean similarity scores vs Expert Map Store capacity",
         &[
@@ -55,10 +56,8 @@ fn capacity_sweep() {
                     let rows: Vec<Vec<f64>> = (0..model.num_layers)
                         .map(|l| gate.iteration_distribution(p.routing, iter, l, span))
                         .collect();
-                    store.insert(
-                        gate.semantic_embedding(p.routing, iter),
-                        ExpertMap::new(rows),
-                    );
+                    let emb = gate.semantic_embedding(p.routing, iter);
+                    store.insert(emb, ExpertMap::new(rows)).unwrap();
                     if store.stats().appended as usize >= cap * 3 {
                         break 'fill;
                     }
@@ -77,6 +76,7 @@ fn capacity_sweep() {
                     };
                     if let Some(m) =
                         Matcher::semantic_match(&store, &gate.semantic_embedding(p.routing, iter))
+                            .unwrap()
                     {
                         sem_sum += m.score;
                     }
@@ -99,12 +99,12 @@ fn capacity_sweep() {
         table.row(traj_row);
     }
     table.print();
-    let _ = write_csv(&table, "fig14a_capacity");
+    let _ = write_csv(cli, &table, "fig14a_capacity");
     println!("expected shape (paper Fig. 14a): both scores rise steeply at");
     println!("small capacities and flatten near 1K maps — the paper's default.\n");
 }
 
-fn batch_sweep() {
+fn batch_sweep(cli: &Cli) {
     let mut table = Table::new(
         "Figure 14b: TTFT / TPOT (ms) vs inference batch size (Mixtral-8x7B)",
         &["system", "B=1", "B=2", "B=3", "B=4"],
@@ -131,19 +131,20 @@ fn batch_sweep() {
         table.row(tpot_row);
     }
     table.print();
-    let _ = write_csv(&table, "fig14b_batch");
+    let _ = write_csv(cli, &table, "fig14b_batch");
     println!("expected shape (paper Fig. 14b): latencies grow with batch size");
     println!("(unions of activated experts widen); fMoE stays lowest in most cells.");
 }
 
+const CAPACITY: Flag = Flag::switch("--capacity", "run only the store-capacity sweep (Fig. 14a)");
+const BATCH: Flag = Flag::switch("--batch", "run only the batch-size sweep (Fig. 14b)");
+
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let cap_only = args.iter().any(|a| a == "--capacity");
-    let batch_only = args.iter().any(|a| a == "--batch");
-    if !batch_only {
-        capacity_sweep();
+    let cli = Cli::parse(&[CAPACITY, BATCH]);
+    if !cli.has(BATCH) {
+        capacity_sweep(&cli);
     }
-    if !cap_only {
-        batch_sweep();
+    if !cli.has(CAPACITY) {
+        batch_sweep(&cli);
     }
 }

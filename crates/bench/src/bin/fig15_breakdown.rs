@@ -9,12 +9,14 @@
 //! cargo run --release -p fmoe-bench --bin fig15_breakdown
 //! ```
 
+use fmoe_bench::cli::Cli;
 use fmoe_bench::harness::{CellConfig, System};
 use fmoe_bench::report::{write_csv, Table};
 use fmoe_model::presets;
 use fmoe_workload::DatasetSpec;
 
 fn main() {
+    let cli = Cli::parse(&[]);
     let mut table = Table::new(
         "Figure 15: per-iteration latency breakdown of fMoE (ms)",
         &[
@@ -60,7 +62,7 @@ fn main() {
         ]);
     }
     table.print();
-    let _ = write_csv(&table, "fig15_breakdown");
+    let _ = write_csv(&cli, &table, "fig15_breakdown");
     println!("columns marked * are asynchronous — matching, prefetch wire time");
     println!("and store updates overlap compute and do not extend the critical");
     println!("path. expected (paper §6.7): the synchronous overhead column stays");

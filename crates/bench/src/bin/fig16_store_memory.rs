@@ -10,12 +10,14 @@
 //! ```
 
 use fmoe::store::ExpertMapStore;
+use fmoe_bench::cli::Cli;
 use fmoe_bench::report::{write_csv, Table};
 use fmoe_model::{presets, GateParams};
 
 const CAPACITIES: [usize; 6] = [1_000, 2_000, 4_000, 8_000, 16_000, 32_000];
 
 fn main() {
+    let cli = Cli::parse(&[]);
     let mut table = Table::new(
         "Figure 16: Expert Map Store memory footprint (MB) vs capacity",
         &["model", "1K", "2K", "4K", "8K", "16K", "32K"],
@@ -38,7 +40,7 @@ fn main() {
         table.row(row);
     }
     table.print();
-    let _ = write_csv(&table, "fig16_store_memory");
+    let _ = write_csv(&cli, &table, "fig16_store_memory");
     println!("expected shape (paper Fig. 16): linear growth; Qwen1.5-MoE");
     println!("largest (widest maps); everything under 200 MB at 32K capacity.");
 }

@@ -31,6 +31,7 @@
 //! bytes are identical to a sequential run.
 
 use fmoe::{FmoeConfig, FmoePredictor};
+use fmoe_bench::cli::{Cli, JOBS};
 use fmoe_bench::harness::ParallelRunner;
 use fmoe_bench::report::{write_csv, Table};
 use fmoe_memsim::{All2AllBackend, Topology};
@@ -223,8 +224,9 @@ fn run_cell(cell: &Cell, events: &[TraceEvent], counts: &[u64]) -> CellOutcome {
 }
 
 fn main() {
-    let quick = std::env::args().any(|a| a == "--quick");
-    let runner = ParallelRunner::from_args();
+    let cli = Cli::parse(&[JOBS]);
+    let quick = cli.quick;
+    let runner = ParallelRunner::from_cli(&cli);
     let requests: u64 = if quick { 10 } else { 24 };
     let widths: &[u32] = if quick { &[2] } else { &[2, 4] };
     let placements: &[PlacementKind] = if quick {
@@ -378,8 +380,8 @@ fn main() {
     }
     summary.print();
 
-    let path = write_csv(&table, "fig17_ep_all2all").expect("write CSV");
+    let path = write_csv(&cli, &table, "fig17_ep_all2all").expect("write CSV");
     println!("\nwrote {}", path.display());
-    let path = write_csv(&summary, "fig17_ep_summary").expect("write CSV");
+    let path = write_csv(&cli, &summary, "fig17_ep_summary").expect("write CSV");
     println!("wrote {}", path.display());
 }

@@ -11,6 +11,7 @@
 //! cargo run --release -p fmoe-bench --bin fig3_entropy [--heatmap]
 //! ```
 
+use fmoe_bench::cli::{Cli, Flag};
 use fmoe_bench::report::{write_csv, Table};
 use fmoe_model::gate::TokenSpan;
 use fmoe_model::{presets, GateParams, GateSimulator, ModelConfig};
@@ -134,9 +135,11 @@ fn heatmap(model: &ModelConfig) {
     println!("  (fine rows are sparse and structured; the aggregate washes out)\n");
 }
 
+const HEATMAP: Flag = Flag::switch("--heatmap", "also print a fine vs coarse map heatmap");
+
 fn main() {
-    let want_heatmap = std::env::args().any(|a| a == "--heatmap");
-    if want_heatmap {
+    let cli = Cli::parse(&[HEATMAP]);
+    if cli.has(HEATMAP) {
         heatmap(&presets::mixtral_8x7b());
     }
 
@@ -157,7 +160,7 @@ fn main() {
         }
     }
     t3b.print();
-    let _ = write_csv(&t3b, "fig3b_entropy");
+    let _ = write_csv(&cli, &t3b, "fig3b_entropy");
 
     let mut t3c = Table::new(
         "Figure 3c: entropy of patterns aggregated through iterations (bits)",
@@ -181,7 +184,7 @@ fn main() {
         }
     }
     t3c.print();
-    let _ = write_csv(&t3c, "fig3c_entropy_iterations");
+    let _ = write_csv(&cli, &t3c, "fig3c_entropy_iterations");
 
     println!("expected shape (paper Fig. 3): coarse >> fine everywhere; the");
     println!("aggregated entropy grows monotonically with the iteration window.");

@@ -16,6 +16,7 @@ use fmoe::predictor::HistoryRequest;
 use fmoe::{FmoeConfig, FmoePredictor};
 use fmoe_baselines::moe_infinity::EamHistoryRequest;
 use fmoe_baselines::MoeInfinityPredictor;
+use fmoe_bench::cli::Cli;
 use fmoe_bench::harness::coverage_probe;
 use fmoe_bench::plot::{LinePlot, Series};
 use fmoe_bench::report::{write_csv, Table};
@@ -65,6 +66,7 @@ fn probe(model: &ModelConfig, distance: u32, fine: bool) -> f64 {
 }
 
 fn main() {
+    let cli = Cli::parse(&[]);
     let mut table = Table::new(
         "Figure 4: hit rate (prediction coverage) vs prefetch distance",
         &["model", "design", "d=1", "d=2", "d=3", "d=4", "d=6", "d=8"],
@@ -91,13 +93,16 @@ fn main() {
             plot.series(Series::new(design, points));
             table.row(row);
         }
-        let _ = plot.write_svg(&format!(
-            "fig4_{}",
-            model.name.to_ascii_lowercase().replace(['.', ' '], "_")
-        ));
+        let _ = plot.write_svg(
+            &cli,
+            &format!(
+                "fig4_{}",
+                model.name.to_ascii_lowercase().replace(['.', ' '], "_")
+            ),
+        );
     }
     table.print();
-    let _ = write_csv(&table, "fig4_prefetch_distance");
+    let _ = write_csv(&cli, &table, "fig4_prefetch_distance");
     println!("expected shape (paper Fig. 4): fine-grained well above coarse at");
     println!("every distance, degrading gracefully as d grows; coarse stays low.");
 }

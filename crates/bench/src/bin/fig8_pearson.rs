@@ -15,6 +15,7 @@ use fmoe::map::ExpertMap;
 use fmoe::matcher::{Matcher, TrajectoryTracker};
 use fmoe::selection::select_top_n;
 use fmoe::store::ExpertMapStore;
+use fmoe_bench::cli::Cli;
 use fmoe_bench::report::{write_csv, Table};
 use fmoe_model::gate::TokenSpan;
 use fmoe_model::{presets, GateParams, GateSimulator, ModelConfig};
@@ -49,10 +50,8 @@ fn collect(model: &ModelConfig, dataset: &DatasetSpec) -> (Vec<f64>, Vec<f64>, V
             let rows: Vec<Vec<f64>> = (0..model.num_layers)
                 .map(|l| gate.iteration_distribution(p.routing, iter, l, span))
                 .collect();
-            store.insert(
-                gate.semantic_embedding(p.routing, iter),
-                ExpertMap::new(rows),
-            );
+            let emb = gate.semantic_embedding(p.routing, iter);
+            store.insert(emb, ExpertMap::new(rows)).unwrap();
         }
     }
 
@@ -67,7 +66,7 @@ fn collect(model: &ModelConfig, dataset: &DatasetSpec) -> (Vec<f64>, Vec<f64>, V
             // Semantic: match by embedding, score coverage over the first
             // d layers of the matched map.
             if let Some(m) =
-                Matcher::semantic_match(&store, &gate.semantic_embedding(p.routing, iter))
+                Matcher::semantic_match(&store, &gate.semantic_embedding(p.routing, iter)).unwrap()
             {
                 let entry = store.entry(m.entry_index);
                 let mut hits = 0usize;
@@ -124,6 +123,7 @@ fn collect(model: &ModelConfig, dataset: &DatasetSpec) -> (Vec<f64>, Vec<f64>, V
 }
 
 fn main() {
+    let cli = Cli::parse(&[]);
     let mut table = Table::new(
         "Figure 8: Pearson correlation between similarity score and hit rate",
         &["model", "dataset", "semantic r", "trajectory r", "samples"],
@@ -143,7 +143,7 @@ fn main() {
         }
     }
     table.print();
-    let _ = write_csv(&table, "fig8_pearson");
+    let _ = write_csv(&cli, &table, "fig8_pearson");
     println!("expected shape (paper Fig. 8): clearly positive coefficients for");
     println!("both search modes across all models and datasets — high scores");
     println!("justify trusting the matched map (the basis for the dynamic δ).");

@@ -8,20 +8,18 @@
 //! cargo run --release -p fmoe-bench --bin fig9_confidence [--seeds N]
 //! ```
 
+use fmoe_bench::cli::{Cli, Flag};
 use fmoe_bench::harness::{CellConfig, System};
 use fmoe_bench::report::{write_csv, Table};
 use fmoe_model::presets;
 use fmoe_stats::Summary;
 use fmoe_workload::DatasetSpec;
 
+const SEEDS: Flag = Flag::value("--seeds", "router seeds to average over (default 5)");
+
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let seeds: u64 = args
-        .iter()
-        .position(|a| a == "--seeds")
-        .and_then(|i| args.get(i + 1))
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(5);
+    let cli = Cli::parse(&[SEEDS]);
+    let seeds = cli.value(SEEDS).unwrap_or(5) as u64;
 
     let mut table = Table::new(
         &format!("Figure 9 with confidence: mean +/- std over {seeds} router seeds (Mixtral-8x7B, LMSYS)"),
@@ -63,7 +61,7 @@ fn main() {
         ]);
     }
     table.print();
-    let _ = write_csv(&table, "fig9_confidence");
+    let _ = write_csv(&cli, &table, "fig9_confidence");
 
     // Separation check: fMoE's worst seed vs the best baseline's mean.
     let fmoe_worst = fmoe_tpots.iter().copied().fold(f64::NEG_INFINITY, f64::max);

@@ -17,15 +17,16 @@
 //! (`results/fig9_overall_metrics.csv`). Like every artifact of a
 //! `--quick` run, they land under `results/quick/` instead.
 
+use fmoe_bench::cli::{Cli, JOBS, TRACE};
 use fmoe_bench::harness::{CellConfig, ParallelRunner, System};
 use fmoe_bench::report::{write_csv, write_result, Table};
 use fmoe_model::presets;
 use fmoe_workload::DatasetSpec;
 
 fn main() {
-    let quick = std::env::args().any(|a| a == "--quick");
-    let trace = std::env::args().any(|a| a == "--trace");
-    let runner = ParallelRunner::from_args();
+    let cli = Cli::parse(&[JOBS, TRACE]);
+    let quick = cli.quick;
+    let runner = ParallelRunner::from_cli(&cli);
     let (requests, decode) = if quick { (6, 16) } else { (14, 24) };
 
     let mut table = Table::new(
@@ -84,7 +85,7 @@ fn main() {
         s.3 += 1;
     }
     table.print();
-    let _ = write_csv(&table, "fig9_overall");
+    let _ = write_csv(&cli, &table, "fig9_overall");
 
     // §6.2 headline summary: fMoE's average reductions/improvements.
     let avg: Vec<(f64, f64, f64)> = sums
@@ -140,20 +141,20 @@ fn main() {
         "-".into(),
     ]);
     summary.print();
-    let _ = write_csv(&summary, "fig9_summary");
+    let _ = write_csv(&cli, &summary, "fig9_summary");
 
     println!("paper (§6.2): TTFT -44/-35/-33/-30%, TPOT -70/-61/-55/-48%,");
     println!("hit +147/+11/+34/+63% vs DeepSpeed/Mixtral-Off./ProMoE/MoE-Inf.");
 
-    if trace {
-        emit_trace_artifacts(requests, decode);
+    if cli.has(TRACE) {
+        emit_trace_artifacts(&cli, requests, decode);
     }
 }
 
 /// Re-runs the first evaluation cell (fMoE) with the trace recorder on
 /// and writes the Chrome-trace JSON, per-phase breakdown CSV, and
 /// metrics CSV next to the other results.
-fn emit_trace_artifacts(requests: usize, decode: u64) {
+fn emit_trace_artifacts(cli: &Cli, requests: usize, decode: u64) {
     let model = presets::evaluation_models().remove(0);
     let dataset = DatasetSpec::evaluation_datasets().remove(0);
     let mut cell = CellConfig::new(model, dataset, System::Fmoe);
@@ -162,7 +163,7 @@ fn emit_trace_artifacts(requests: usize, decode: u64) {
     let traced = cell.run_offline_traced(1 << 20);
 
     let json = fmoe_trace::chrome_trace_json(&traced.records);
-    match write_result("fig9_overall_trace.json", &json) {
+    match write_result(cli, "fig9_overall_trace.json", &json) {
         Ok(path) => println!(
             "wrote {} ({} events, {} dropped)",
             path.display(),
@@ -183,9 +184,9 @@ fn emit_trace_artifacts(requests: usize, decode: u64) {
         ]);
     }
     phases.print();
-    let _ = write_csv(&phases, "fig9_overall_phases");
+    let _ = write_csv(cli, &phases, "fig9_overall_phases");
 
-    match write_result("fig9_overall_metrics.csv", traced.metrics.to_csv()) {
+    match write_result(cli, "fig9_overall_metrics.csv", traced.metrics.to_csv()) {
         Ok(path) => println!("wrote {}", path.display()),
         Err(e) => eprintln!("cannot write metrics CSV: {e}"),
     }

@@ -15,6 +15,7 @@
 //!
 //! Everything prints as a table and writes CSV under `results/`.
 
+use fmoe_bench::cli::Cli;
 use fmoe_bench::harness::{CellConfig, System};
 use fmoe_bench::report::{write_csv, Table};
 use fmoe_model::{presets, ModelConfig};
@@ -299,7 +300,7 @@ fn serve(flags: &HashMap<String, String>) -> Result<(), String> {
         ]);
     }
     table.print();
-    let _ = write_csv(&table, "fmoe_sim_serve");
+    let _ = write_csv(&Cli::default(), &table, "fmoe_sim_serve");
     Ok(())
 }
 
@@ -337,7 +338,7 @@ fn sweep(flags: &HashMap<String, String>) -> Result<(), String> {
         ]);
     }
     table.print();
-    let _ = write_csv(&table, "fmoe_sim_sweep");
+    let _ = write_csv(&Cli::default(), &table, "fmoe_sim_sweep");
     Ok(())
 }
 

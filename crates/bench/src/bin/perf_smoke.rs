@@ -41,14 +41,19 @@
 //! simulation code, so timings can never leak into simulated results.
 //!
 //! ```sh
-//! cargo run --release -p fmoe-bench --bin perf_smoke [--jobs N]
+//! cargo run --release -p fmoe-bench --bin perf_smoke [--jobs N] [--quick]
 //! ```
+//!
+//! `--quick` changes nothing here: every scenario already runs at its CI
+//! size. It is accepted because `scripts/perf_ab.sh` passes it, so that
+//! parents built when it still chose the CI sizes run those.
 
 use fmoe::map::ExpertMap;
 use fmoe::matcher::{Matcher, TrajectoryTracker};
 use fmoe::predictor::HistoryRequest;
 use fmoe::store::ExpertMapStore;
 use fmoe::{FmoeConfig, FmoePredictor};
+use fmoe_bench::cli::{Cli, JOBS};
 use fmoe_bench::harness::{CellConfig, ParallelRunner, System};
 use fmoe_bench::perf::{PerfRecord, PerfReport};
 use fmoe_model::gate::{GateScratch, TokenSpan};
@@ -129,7 +134,8 @@ fn build_store(capacity: usize) -> (GateSimulator, ExpertMapStore) {
         let rows: Vec<Vec<f64>> = (0..model.num_layers)
             .map(|l| gate.iteration_distribution(routing, iter, l, span))
             .collect();
-        store.insert(gate.semantic_embedding(routing, iter), ExpertMap::new(rows));
+        let emb = gate.semantic_embedding(routing, iter);
+        store.insert(emb, ExpertMap::new(rows)).unwrap();
         i += 1;
     }
     (gate, store)
@@ -149,7 +155,7 @@ fn matcher_records() -> Vec<PerfRecord> {
         2,
     );
     let (fast_ms, fast_ips) = time_iters(iters, || {
-        black_box(Matcher::semantic_match(&store, black_box(&query)));
+        let _ = black_box(Matcher::semantic_match(&store, black_box(&query)));
     });
     let (ref_ms, ref_ips) = time_iters(iters, || {
         black_box(Matcher::semantic_match_reference(&store, black_box(&query)));
@@ -347,7 +353,8 @@ fn predictor_records() -> Vec<PerfRecord> {
 }
 
 fn main() {
-    let jobs = fmoe_bench::harness::jobs_from_args(std::env::args().skip(1));
+    let cli = Cli::parse(&[JOBS]);
+    let jobs = cli.jobs();
     let effective = jobs.min(ParallelRunner::available_parallelism());
 
     let seq = time_sweep(1);

@@ -4,10 +4,12 @@
 //! cargo run --release -p fmoe-bench --bin table1_models
 //! ```
 
+use fmoe_bench::cli::Cli;
 use fmoe_bench::report::{write_csv, Table};
 use fmoe_model::presets;
 
 fn main() {
+    let cli = Cli::parse(&[]);
     let mut table = Table::new(
         "Table 1: Characteristics of three MoE models in evaluation",
         &[
@@ -34,7 +36,7 @@ fn main() {
         ]);
     }
     table.print();
-    match write_csv(&table, "table1_models") {
+    match write_csv(&cli, &table, "table1_models") {
         Ok(path) => println!("csv: {}", path.display()),
         Err(e) => eprintln!("csv write failed: {e}"),
     }

@@ -10,6 +10,7 @@
 //! cargo run --release -p fmoe-bench --bin validate_gate
 //! ```
 
+use fmoe_bench::cli::Cli;
 use fmoe_bench::report::{write_csv, Table};
 use fmoe_model::gate::{GateScratch, TokenSpan};
 use fmoe_model::{presets, GateParams, GateSimulator, ModelConfig, RequestRouting};
@@ -120,6 +121,7 @@ fn measure(model: &ModelConfig) -> GateReport {
 }
 
 fn main() {
+    let cli = Cli::parse(&[]);
     let mut table = Table::new(
         "Gate calibration: measured P1-P4 vs required bands",
         &["model", "property", "measured", "band", "ok"],
@@ -177,7 +179,7 @@ fn main() {
         }
     }
     table.print();
-    let _ = write_csv(&table, "validate_gate");
+    let _ = write_csv(&cli, &table, "validate_gate");
     if all_ok {
         println!("all properties within band: the router is calibrated.");
     } else {

@@ -1,5 +1,6 @@
 //! Shared experiment harness.
 
+use crate::cli::Cli;
 use fmoe::predictor::HistoryRequest;
 use fmoe::{FmoeConfig, FmoePredictor};
 use fmoe_baselines::moe_infinity::EamHistoryRequest;
@@ -467,11 +468,11 @@ impl ParallelRunner {
             .unwrap_or(1)
     }
 
-    /// A runner configured from the process arguments: `--jobs N` or
-    /// `--jobs=N`, defaulting to the machine's available parallelism.
+    /// A runner of the parsed command line's `--jobs N`, defaulting to
+    /// the machine's available parallelism.
     #[must_use]
-    pub fn from_args() -> Self {
-        Self::new(jobs_from_args(std::env::args().skip(1)))
+    pub fn from_cli(cli: &Cli) -> Self {
+        Self::new(cli.jobs())
     }
 
     /// The worker count this runner fans out to (post-clamp for runners
@@ -540,32 +541,6 @@ impl ParallelRunner {
         );
         out
     }
-}
-
-/// Parses a `--jobs N` / `--jobs=N` flag out of an argument stream;
-/// defaults to [`std::thread::available_parallelism`] when absent or
-/// malformed.
-#[must_use]
-pub fn jobs_from_args<It: Iterator<Item = String>>(args: It) -> usize {
-    let default = ParallelRunner::available_parallelism;
-    let mut expect_value = false;
-    for arg in args {
-        if expect_value {
-            return arg
-                .parse()
-                .map(|n: usize| n.max(1))
-                .unwrap_or_else(|_| default());
-        }
-        if arg == "--jobs" {
-            expect_value = true;
-        } else if let Some(v) = arg.strip_prefix("--jobs=") {
-            return v
-                .parse()
-                .map(|n: usize| n.max(1))
-                .unwrap_or_else(|_| default());
-        }
-    }
-    default()
 }
 
 #[cfg(test)]
@@ -708,17 +683,5 @@ mod tests {
             assert!(i != 3, "sweep point 3 exploded");
             i
         });
-    }
-
-    #[test]
-    fn jobs_flag_parsing() {
-        let parse = |args: &[&str]| jobs_from_args(args.iter().map(|s| (*s).to_string()));
-        assert_eq!(parse(&["--jobs", "3"]), 3);
-        assert_eq!(parse(&["--quick", "--jobs=6", "--trace"]), 6);
-        // Zero clamps to one; malformed values fall back to the default,
-        // which is at least one.
-        assert_eq!(parse(&["--jobs", "0"]), 1);
-        assert!(parse(&["--jobs", "many"]) >= 1);
-        assert!(parse(&["--quick"]) >= 1);
     }
 }

@@ -6,6 +6,7 @@
 //! polyline per series, legend, tick labels — enough to eyeball a
 //! crossover.
 
+use crate::cli::Cli;
 use std::fmt::Write as _;
 use std::path::PathBuf;
 
@@ -227,14 +228,14 @@ impl LinePlot {
         svg
     }
 
-    /// Writes the chart to `<results_dir()>/<name>.svg` (see
+    /// Writes the chart to `<results_dir(cli)>/<name>.svg` (see
     /// [`crate::report::results_dir`]).
     ///
     /// # Errors
     ///
     /// Propagates directory-creation and write errors.
-    pub fn write_svg(&self, name: &str) -> std::io::Result<PathBuf> {
-        crate::report::write_result(&format!("{name}.svg"), self.render())
+    pub fn write_svg(&self, cli: &Cli, name: &str) -> std::io::Result<PathBuf> {
+        crate::report::write_result(cli, &format!("{name}.svg"), self.render())
     }
 }
 
@@ -318,7 +319,7 @@ mod tests {
     #[test]
     fn writes_file() {
         let p = sample();
-        let path = p.write_svg("unit_test_plot").unwrap();
+        let path = p.write_svg(&Cli::default(), "unit_test_plot").unwrap();
         assert!(path.exists());
         std::fs::remove_file(path).unwrap();
     }

@@ -1,5 +1,6 @@
 //! Text tables and CSV emission for the experiment binaries.
 
+use crate::cli::Cli;
 use std::fmt::Write as _;
 use std::fs;
 use std::path::PathBuf;
@@ -98,40 +99,44 @@ impl Table {
 
 /// The directory every bench binary writes its artifacts into, relative
 /// to the working directory (the workspace root under `cargo run`):
-/// `results/` for a full-size run, `results/quick/` when the process was
-/// started with `--quick`. The committed `results/` are full-size runs, so
-/// a quick run writes where it can never overwrite one.
+/// `results/` for a full-size run, `results/quick/` for a `--quick` one.
+/// The committed `results/` are full-size runs, so a quick run writes
+/// where it can never overwrite one.
 #[must_use]
-pub fn results_dir() -> PathBuf {
+pub fn results_dir(cli: &Cli) -> PathBuf {
     let root = PathBuf::from("results");
-    if std::env::args().any(|a| a == "--quick") {
+    if cli.quick {
         root.join("quick")
     } else {
         root
     }
 }
 
-/// Writes `contents` to `<results_dir()>/<file_name>`, creating the
+/// Writes `contents` to `<results_dir(cli)>/<file_name>`, creating the
 /// directory if needed, and returns the path written.
 ///
 /// # Errors
 ///
 /// Returns any I/O error from directory creation or the write.
-pub fn write_result(file_name: &str, contents: impl AsRef<[u8]>) -> std::io::Result<PathBuf> {
-    let dir = results_dir();
+pub fn write_result(
+    cli: &Cli,
+    file_name: &str,
+    contents: impl AsRef<[u8]>,
+) -> std::io::Result<PathBuf> {
+    let dir = results_dir(cli);
     fs::create_dir_all(&dir)?;
     let path = dir.join(file_name);
     fs::write(&path, contents)?;
     Ok(path)
 }
 
-/// Writes a table as CSV to `<results_dir()>/<name>.csv`.
+/// Writes a table as CSV to `<results_dir(cli)>/<name>.csv`.
 ///
 /// # Errors
 ///
 /// Returns any I/O error from directory creation or the write.
-pub fn write_csv(table: &Table, name: &str) -> std::io::Result<PathBuf> {
-    write_result(&format!("{name}.csv"), table.to_csv())
+pub fn write_csv(cli: &Cli, table: &Table, name: &str) -> std::io::Result<PathBuf> {
+    write_result(cli, &format!("{name}.csv"), table.to_csv())
 }
 
 /// Formats a millisecond value compactly.

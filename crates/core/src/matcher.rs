@@ -14,7 +14,7 @@
 //! prefix, which is what makes per-layer matching affordable — the same
 //! reason the paper's implementation stores maps as contiguous ndarrays.
 
-use crate::store::ExpertMapStore;
+use crate::store::{ExpertMapStore, StoreError};
 use fmoe_stats::{
     add_row_dots, argmax_cosine_slab, cosine_from_norms, cosine_similarity, top_k_cosine_slab,
 };
@@ -34,21 +34,26 @@ pub struct Matcher;
 
 impl Matcher {
     /// Semantic search: the stored entry whose embedding best matches
-    /// `embedding`. `None` on an empty store.
+    /// `embedding`; `Ok(None)` on an empty store.
     ///
-    /// A one-shot `SemanticScan::search`: the slab kernel whenever the
-    /// store's embedding slab can serve the query, else
-    /// [`Matcher::semantic_match_reference`]. Both paths score
-    /// bit-identically — locked by a proptest.
-    #[must_use]
-    pub fn semantic_match(store: &ExpertMapStore, embedding: &[f64]) -> Option<MatchResult> {
+    /// A one-shot `SemanticScan::search` over the embedding slab, scoring
+    /// bit-identically to [`Matcher::semantic_match_reference`] — locked
+    /// by a proptest.
+    ///
+    /// # Errors
+    ///
+    /// [`StoreError`] when `embedding` is empty or not of the store's
+    /// embedding dimension.
+    pub fn semantic_match(
+        store: &ExpertMapStore,
+        embedding: &[f64],
+    ) -> Result<Option<MatchResult>, StoreError> {
         SemanticScan::new().search(store, embedding)
     }
 
     /// The reference semantic search: a per-entry [`cosine_similarity`]
-    /// scan over each entry's embedding span. Kept as the slow path the slab
-    /// kernel is verified against (and as the fallback for queries the
-    /// slab cannot serve, e.g. ragged embedding dimensions).
+    /// scan over each entry's embedding. The specification the slab kernel
+    /// is verified against; no serving path calls it.
     #[must_use]
     pub fn semantic_match_reference(
         store: &ExpertMapStore,
@@ -69,44 +74,22 @@ impl Matcher {
 
     /// The `k` best semantic matches, ordered by descending score with
     /// ties broken toward the lower entry index. Heap-selected over the
-    /// embedding slab in `O(C·log k)`; falls back to
-    /// [`Matcher::semantic_top_k_reference`] when the slab is
-    /// unavailable.
-    #[must_use]
-    pub fn semantic_top_k(store: &ExpertMapStore, embedding: &[f64], k: usize) -> Vec<MatchResult> {
-        if let Some((slab, norms, stride)) = store.embedding_slab() {
-            if embedding.len() >= stride {
-                return top_k_cosine_slab(embedding, slab, stride, norms, k)
-                    .into_iter()
-                    .map(|(entry_index, score)| MatchResult { entry_index, score })
-                    .collect();
-            }
-        }
-        Self::semantic_top_k_reference(store, embedding, k)
-    }
-
-    /// Reference top-k: score every entry, full sort, truncate.
-    #[must_use]
-    pub fn semantic_top_k_reference(
+    /// embedding slab in `O(C·log k)`.
+    ///
+    /// # Errors
+    ///
+    /// As [`Matcher::semantic_match`].
+    pub fn semantic_top_k(
         store: &ExpertMapStore,
         embedding: &[f64],
         k: usize,
-    ) -> Vec<MatchResult> {
-        let mut scored: Vec<MatchResult> = store
-            .entries()
-            .enumerate()
-            .map(|(i, entry)| MatchResult {
-                entry_index: i,
-                score: cosine_similarity(embedding, entry.embedding()),
-            })
-            .collect();
-        scored.sort_by(|a, b| {
-            b.score
-                .total_cmp(&a.score)
-                .then(a.entry_index.cmp(&b.entry_index))
-        });
-        scored.truncate(k);
-        scored
+    ) -> Result<Vec<MatchResult>, StoreError> {
+        store.check_embedding(embedding)?;
+        let (slab, norms, stride) = store.embedding_slab();
+        Ok(top_k_cosine_slab(embedding, slab, stride, norms, k)
+            .into_iter()
+            .map(|(entry_index, score)| MatchResult { entry_index, score })
+            .collect())
     }
 
     /// One-shot trajectory search over an explicit prefix (used by tests
@@ -158,14 +141,11 @@ impl Matcher {
 /// semantic counterpart of [`TrajectoryTracker::catch_up`].
 #[derive(Debug, Default)]
 pub(crate) struct SemanticScan {
-    /// `dots[i]`: the query's first `stride` values dotted with entry
-    /// `i`'s embedding, as [`add_row_dots`] sums it.
+    /// `dots[i]`: the query dotted with entry `i`'s embedding, as
+    /// [`add_row_dots`] sums it.
     dots: Vec<f64>,
     /// The embedding the dots belong to.
     query: Vec<f64>,
-    /// The slab stride the dots were summed over; 0 when no slab served
-    /// the last search, so nothing is kept.
-    stride: usize,
     /// The store's [`ExpertMapStore::generation`] the dots are current
     /// for.
     generation: u64,
@@ -179,54 +159,42 @@ impl SemanticScan {
     }
 
     /// Semantic search (Eq. 4): the stored entry whose embedding best
-    /// matches `embedding`, `None` on an empty store. Keeps the slab
-    /// scan's dots; a query the slab cannot serve (ragged embeddings, a
-    /// query shorter than the stride) takes
-    /// [`Matcher::semantic_match_reference`] and keeps nothing.
+    /// matches `embedding`, `Ok(None)` on an empty store. Keeps the slab
+    /// scan's dots.
+    ///
+    /// # Errors
+    ///
+    /// As [`Matcher::semantic_match`]; nothing is scanned or kept then.
     pub(crate) fn search(
         &mut self,
         store: &ExpertMapStore,
         embedding: &[f64],
-    ) -> Option<MatchResult> {
+    ) -> Result<Option<MatchResult>, StoreError> {
+        store.check_embedding(embedding)?;
         self.query.clear();
         self.query.extend_from_slice(embedding);
         self.generation = store.generation();
-        self.stride = 0;
-        if let Some((slab, norms, stride)) = store.embedding_slab() {
-            if let Some((entry_index, score)) =
-                argmax_cosine_slab(embedding, slab, stride, norms, &mut self.dots)
-            {
-                self.stride = stride;
-                return Some(MatchResult { entry_index, score });
-            }
-        }
-        Matcher::semantic_match_reference(store, embedding)
+        let (slab, norms, stride) = store.embedding_slab();
+        Ok(
+            argmax_cosine_slab(embedding, slab, stride, norms, &mut self.dots)
+                .map(|(entry_index, score)| MatchResult { entry_index, score }),
+        )
     }
 
     /// The semantic dot of `embedding` with every entry of the store as
-    /// it is now, for the deduplication of `embedding`'s insert; empty
-    /// when the embedding slab cannot serve `embedding` (the
-    /// deduplication then scores with `cosine_similarity`).
+    /// it is now, for the deduplication of `embedding`'s insert.
     ///
     /// When the last [`SemanticScan::search`] scanned a bit-equal
-    /// `embedding` over the same stride, its dots are reused: only the
-    /// rows written after that search are re-dotted, and each row
-    /// appended since gets a dot. A re-dot runs the same kernel over the
-    /// one row, which sums that row's terms in the same order as a full
-    /// pass, so every dot is bit-identical to a fresh scan. Otherwise the
-    /// whole slab is scanned afresh.
+    /// `embedding`, its dots are reused: only the rows written after that
+    /// search are re-dotted, and each row appended since gets a dot. A
+    /// re-dot runs the same kernel over the one row, which sums that row's
+    /// terms in the same order as a full pass, so every dot is
+    /// bit-identical to a fresh scan. Otherwise the whole slab is scanned
+    /// afresh. An `embedding` the store refuses gets dots that mean
+    /// nothing, which its refused insert never reads.
     pub(crate) fn catch_up(&mut self, store: &ExpertMapStore, embedding: &[f64]) -> &[f64] {
-        let Some((slab, _, stride)) = store
-            .embedding_slab()
-            .filter(|&(_, _, stride)| embedding.len() >= stride)
-        else {
-            self.stride = 0;
-            self.dots.clear();
-            return &self.dots;
-        };
-        let query = &embedding[..stride];
-        let searched = self.stride == stride
-            && self.query.len() == embedding.len()
+        let (slab, _, stride) = store.embedding_slab();
+        let searched = self.query.len() == embedding.len()
             && self
                 .query
                 .iter()
@@ -243,15 +211,14 @@ impl SemanticScan {
                     continue;
                 }
                 let row = &slab[i * stride..(i + 1) * stride];
-                add_row_dots(row, stride, query, &mut self.dots[i..=i]);
+                add_row_dots(row, stride, embedding, &mut self.dots[i..=i]);
             }
         } else {
             self.query.clear();
             self.query.extend_from_slice(embedding);
-            self.stride = stride;
             self.dots.clear();
             self.dots.resize(store.len(), 0.0);
-            add_row_dots(slab, stride, query, &mut self.dots);
+            add_row_dots(slab, stride, embedding, &mut self.dots);
         }
         self.generation = store.generation();
         &self.dots
@@ -425,6 +392,7 @@ impl TrajectoryTracker {
 mod tests {
     use super::*;
     use crate::map::ExpertMap;
+    use crate::proptests::semantic_top_k_reference;
 
     fn peaked(l_count: usize, j: usize, peaks: &[usize]) -> ExpertMap {
         ExpertMap::new(
@@ -443,7 +411,7 @@ mod tests {
         let j = entries[0].1.experts_per_layer();
         let mut s = ExpertMapStore::new(entries.len().max(1), l, j, 1);
         for (e, m) in entries {
-            s.insert(e, m);
+            s.insert(e, m).unwrap();
         }
         s
     }
@@ -454,7 +422,7 @@ mod tests {
             (vec![1.0, 0.0], peaked(2, 4, &[0])),
             (vec![0.0, 1.0], peaked(2, 4, &[1])),
         ]);
-        let m = Matcher::semantic_match(&s, &[0.1, 0.99]).unwrap();
+        let m = Matcher::semantic_match(&s, &[0.1, 0.99]).unwrap().unwrap();
         assert_eq!(m.entry_index, 1);
         assert!(m.score > 0.95);
     }
@@ -462,7 +430,7 @@ mod tests {
     #[test]
     fn semantic_match_on_empty_store_is_none() {
         let s = ExpertMapStore::new(4, 2, 4, 1);
-        assert!(Matcher::semantic_match(&s, &[1.0, 0.0]).is_none());
+        assert_eq!(Matcher::semantic_match(&s, &[1.0, 0.0]), Ok(None));
     }
 
     #[test]
@@ -509,18 +477,37 @@ mod tests {
             (vec![0.0, 1.0], peaked(2, 4, &[1])),
             (vec![0.7, 0.7], peaked(2, 4, &[2])),
         ]);
-        assert!(s.embedding_slab().is_some(), "slab path must be active");
         for q in [[0.1, 0.99], [1.0, 0.0], [-0.3, 0.2], [0.0, 0.0]] {
-            let fast = Matcher::semantic_match(&s, &q).unwrap();
+            let fast = Matcher::semantic_match(&s, &q).unwrap().unwrap();
             let slow = Matcher::semantic_match_reference(&s, &q).unwrap();
             assert_eq!(fast.entry_index, slow.entry_index);
             assert_eq!(fast.score.to_bits(), slow.score.to_bits());
         }
-        // Short query: slab cannot serve it; fallback still answers.
-        let fast = Matcher::semantic_match(&s, &[1.0]).unwrap();
-        let slow = Matcher::semantic_match_reference(&s, &[1.0]).unwrap();
-        assert_eq!(fast.entry_index, slow.entry_index);
-        assert_eq!(fast.score.to_bits(), slow.score.to_bits());
+    }
+
+    #[test]
+    fn a_query_of_another_width_is_a_typed_error() {
+        let s = store_with(vec![
+            (vec![1.0, 0.0], peaked(2, 4, &[0])),
+            (vec![0.0, 1.0], peaked(2, 4, &[1])),
+        ]);
+        for q in [&[1.0][..], &[1.0, 0.0, 0.0][..]] {
+            let err = StoreError::EmbeddingDim {
+                expected: 2,
+                got: q.len(),
+            };
+            assert_eq!(Matcher::semantic_match(&s, q), Err(err));
+            assert_eq!(Matcher::semantic_top_k(&s, q, 2), Err(err));
+        }
+        assert_eq!(
+            Matcher::semantic_match(&s, &[]),
+            Err(StoreError::EmptyEmbedding)
+        );
+        // An empty store has no dimension yet: any nonempty query finds
+        // nothing.
+        let empty = ExpertMapStore::new(4, 2, 4, 1);
+        assert_eq!(Matcher::semantic_match(&empty, &[1.0, 0.0, 0.0]), Ok(None));
+        assert_eq!(Matcher::semantic_top_k(&empty, &[1.0], 3), Ok(Vec::new()));
     }
 
     #[test]
@@ -532,8 +519,8 @@ mod tests {
             (vec![1.0, 0.0], peaked(2, 4, &[3])), // exact tie with entry 0
         ]);
         for k in 0..=5 {
-            let fast = Matcher::semantic_top_k(&s, &[1.0, 0.05], k);
-            let slow = Matcher::semantic_top_k_reference(&s, &[1.0, 0.05], k);
+            let fast = Matcher::semantic_top_k(&s, &[1.0, 0.05], k).unwrap();
+            let slow = semantic_top_k_reference(&s, &[1.0, 0.05], k);
             assert_eq!(fast.len(), slow.len(), "k={k}");
             for (f, r) in fast.iter().zip(&slow) {
                 assert_eq!(f.entry_index, r.entry_index, "k={k}");
@@ -541,7 +528,7 @@ mod tests {
             }
         }
         // The exact tie keeps the lower index first.
-        let top = Matcher::semantic_top_k(&s, &[1.0, 0.0], 2);
+        let top = Matcher::semantic_top_k(&s, &[1.0, 0.0], 2).unwrap();
         assert_eq!(top[0].entry_index, 0);
         assert_eq!(top[1].entry_index, 3);
     }
@@ -588,9 +575,9 @@ mod tests {
         // Mutating the store between reset and observe must be caught.
         let mut bigger = ExpertMapStore::new(8, 2, 4, 1);
         std::mem::swap(&mut s, &mut bigger);
-        s.insert(vec![0.0, 1.0], peaked(2, 4, &[1]));
-        s.insert(vec![0.5, 0.5], peaked(2, 4, &[2]));
-        s.insert(vec![0.5, -0.5], peaked(2, 4, &[3]));
+        s.insert(vec![0.0, 1.0], peaked(2, 4, &[1])).unwrap();
+        s.insert(vec![0.5, 0.5], peaked(2, 4, &[2])).unwrap();
+        s.insert(vec![0.5, -0.5], peaked(2, 4, &[3])).unwrap();
         t.observe_layer(&s, &[0.25, 0.25, 0.25, 0.25]);
     }
 
@@ -605,7 +592,7 @@ mod tests {
         ]);
         let mut t = TrajectoryTracker::new();
         t.reset(&s);
-        s.insert(vec![0.5, 0.5], peaked(2, 4, &[2]));
+        s.insert(vec![0.5, 0.5], peaked(2, 4, &[2])).unwrap();
         assert_eq!(s.len(), 2);
         t.observe_layer(&s, &[0.25, 0.25, 0.25, 0.25]);
     }

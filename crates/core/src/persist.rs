@@ -22,14 +22,16 @@
 //!
 //! All multi-byte values are little-endian. Loading validates the magic,
 //! version and dimensions and fails with `InvalidData` on any mismatch —
-//! a truncated or corrupted store must never load partially.
+//! a truncated or corrupted store must never load partially. Every
+//! `embedding_len` must be the same nonzero value: a store holds
+//! embeddings of one dimension.
 //!
 //! ```
 //! use fmoe::map::ExpertMap;
 //! use fmoe::store::ExpertMapStore;
 //!
 //! let mut store = ExpertMapStore::new(16, 2, 2, 1);
-//! store.insert(vec![1.0, 0.0], ExpertMap::new(vec![vec![0.9, 0.1], vec![0.2, 0.8]]));
+//! store.insert(vec![1.0, 0.0], ExpertMap::new(vec![vec![0.9, 0.1], vec![0.2, 0.8]])).unwrap();
 //! let mut bytes = Vec::new();
 //! store.save_to(&mut bytes).unwrap();
 //! let loaded = ExpertMapStore::load_from(&mut bytes.as_slice()).unwrap();
@@ -117,8 +119,9 @@ impl ExpertMapStore {
     ///
     /// # Errors
     ///
-    /// `InvalidData` on a bad magic/version, inconsistent dimensions, or a
-    /// truncated stream; other I/O errors are propagated.
+    /// `InvalidData` on a bad magic/version, inconsistent dimensions
+    /// (embeddings of differing or zero length included), or a truncated
+    /// stream; other I/O errors are propagated.
     pub fn load_from(r: &mut impl Read) -> io::Result<Self> {
         let mut magic = [0u8; 4];
         r.read_exact(&mut magic)?;
@@ -165,7 +168,9 @@ impl ExpertMapStore {
             let flat = (0..layers * experts)
                 .map(|_| read_f32(r).map(f64::from))
                 .collect::<io::Result<Vec<f64>>>()?;
-            store.insert(embedding, ExpertMap::from_flat(flat, experts));
+            store
+                .insert(embedding, ExpertMap::from_flat(flat, experts))
+                .map_err(|e| invalid(e.to_string()))?;
         }
         Ok(store)
     }
@@ -207,7 +212,7 @@ mod tests {
                     row
                 })
                 .collect();
-            s.insert(emb, ExpertMap::new(rows));
+            s.insert(emb, ExpertMap::new(rows)).unwrap();
         }
         s
     }
@@ -309,6 +314,32 @@ mod tests {
         );
     }
 
+    /// `lens.len()` entries of a 2 × 2 store, entry `k` with an
+    /// embedding of `lens[k]` values.
+    fn stream_with_embedding_lens(lens: &[u32]) -> Vec<u8> {
+        let mut buf = header(8, 2, 2);
+        buf[28..36].copy_from_slice(&(lens.len() as u64).to_le_bytes());
+        for &len in lens {
+            buf.extend_from_slice(&len.to_le_bytes());
+            for k in 0..len + 4 {
+                buf.extend_from_slice(&(0.25 * (k + 1) as f32).to_le_bytes());
+            }
+        }
+        buf
+    }
+
+    #[test]
+    fn embeddings_of_differing_or_zero_length_are_rejected() {
+        let store =
+            ExpertMapStore::load_from(&mut stream_with_embedding_lens(&[3, 3]).as_slice()).unwrap();
+        assert_eq!(store.embedding_dim(), Some(3));
+        for lens in [&[3, 2][..], &[2, 3, 3], &[0], &[3, 0]] {
+            let err = ExpertMapStore::load_from(&mut stream_with_embedding_lens(lens).as_slice())
+                .unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{lens:?}");
+        }
+    }
+
     #[test]
     fn truncated_stream_is_rejected() {
         let mut buf = Vec::new();
@@ -341,7 +372,7 @@ mod tests {
             let rows: Vec<Vec<f64>> = (0..3)
                 .map(|_| (0..4).map(|_| rng.next_f64()).collect())
                 .collect();
-            s.insert(emb, ExpertMap::new(rows));
+            s.insert(emb, ExpertMap::new(rows)).unwrap();
         }
         let mut buf = Vec::new();
         s.save_to(&mut buf).unwrap();
@@ -360,8 +391,8 @@ mod tests {
         store.save_to(&mut buf).unwrap();
         let loaded = ExpertMapStore::load_from(&mut buf.as_slice()).unwrap();
         let query = vec![0.5, 0.9, 0.25];
-        let a = Matcher::semantic_match(&store, &query).unwrap();
-        let b = Matcher::semantic_match(&loaded, &query).unwrap();
+        let a = Matcher::semantic_match(&store, &query).unwrap().unwrap();
+        let b = Matcher::semantic_match(&loaded, &query).unwrap().unwrap();
         assert_eq!(a.entry_index, b.entry_index);
         assert!((a.score - b.score).abs() < 1e-6);
     }

@@ -25,7 +25,7 @@ use crate::matcher::{MatchResult, Matcher, SemanticScan, TrajectoryTracker};
 use crate::selection::{prefetch_priority, rank_into, threshold_len, SelectedExpert};
 use crate::store::ExpertMapStore;
 use fmoe_model::gate::{GateScratch, TokenSpan};
-use fmoe_model::{ExpertId, GateSimulator, ModelConfig, RequestRouting};
+use fmoe_model::{ExpertId, GateParams, GateSimulator, ModelConfig, RequestRouting};
 use fmoe_serving::{ExpertPredictor, IterationContext, PredictorTiming, PrefetchPlan};
 use std::ops::Range;
 
@@ -162,19 +162,29 @@ impl FmoePredictor {
     ///
     /// # Errors
     ///
-    /// Propagates I/O errors; `InvalidData` when the file's dimensions do
-    /// not match this predictor's model.
+    /// Propagates I/O errors; `InvalidData`, keeping the current store,
+    /// when the file's maps or embeddings do not match this predictor's
+    /// model.
     pub fn load_store_from_path(
         &mut self,
         path: impl AsRef<std::path::Path>,
     ) -> std::io::Result<()> {
-        let store = ExpertMapStore::load_from_path(path)?;
-        if store.num_layers() != self.model.num_layers as usize
-            || store.experts_per_layer() != self.model.experts_per_layer as usize
-        {
+        self.adopt(ExpertMapStore::load_from_path(path)?)
+    }
+
+    /// Replaces the store with `store` when it holds this model's `L × J`
+    /// maps and embeddings of its width (or none yet); else
+    /// `InvalidData`, and nothing changes. The width is the simulated
+    /// router's, `GateParams::for_model`'s `embedding_dim`.
+    fn adopt(&mut self, store: ExpertMapStore) -> std::io::Result<()> {
+        let width = GateParams::for_model(&self.model).embedding_dim as usize;
+        let fits = store.num_layers() == self.model.num_layers as usize
+            && store.experts_per_layer() == self.model.experts_per_layer as usize
+            && store.embedding_dim().is_none_or(|d| d == width);
+        if !fits {
             return Err(std::io::Error::new(
                 std::io::ErrorKind::InvalidData,
-                "stored maps do not match this predictor's model dimensions",
+                "stored maps or embeddings do not match this predictor's dimensions",
             ));
         }
         self.store = store;
@@ -184,7 +194,8 @@ impl FmoePredictor {
 
     /// Pre-populates the store by replaying historical requests through
     /// the router — the paper's offline setup, where 70% of each dataset's
-    /// context data is stored before evaluation (§6.1).
+    /// context data is stored before evaluation (§6.1). An iteration whose
+    /// embedding the store refuses is not recorded.
     pub fn populate_from_history(
         &mut self,
         gate: &GateSimulator,
@@ -208,7 +219,7 @@ impl FmoePredictor {
                     flat.extend_from_slice(&scratch.dist);
                 }
                 let embedding = gate.semantic_embedding(req.routing, iter);
-                self.store.insert(embedding, ExpertMap::from_flat(flat, j));
+                let _ = self.store.insert(embedding, ExpertMap::from_flat(flat, j));
             }
         }
     }
@@ -301,7 +312,8 @@ impl ExpertPredictor for FmoePredictor {
         if !self.config.use_semantic_search {
             return Vec::new();
         }
-        let Some(m) = state.semantic.search(&self.store, &ctx.embedding) else {
+        // An embedding the store refuses plans nothing.
+        let Ok(Some(m)) = state.semantic.search(&self.store, &ctx.embedding) else {
             return Vec::new();
         };
         let d = self.config.prefetch_distance.min(self.model.num_layers);
@@ -351,7 +363,9 @@ impl ExpertPredictor for FmoePredictor {
         } else {
             (&[], &[])
         };
-        self.store
+        // A map or embedding of another shape is refused and not recorded.
+        let _ = self
+            .store
             .insert_scored(&ctx.embedding, &map, traj_dots, sem_dots);
     }
 
@@ -362,12 +376,12 @@ impl ExpertPredictor for FmoePredictor {
 
     fn semantic_affinity(&self, embedding: &[f64]) -> Option<f64> {
         // Mean cosine score of the store's best AFFINITY_TOP_K matches —
-        // through the same `top_k_cosine_slab` fast path the matcher
-        // uses, so the signal costs one slab scan. A single best match
-        // would be noisy (one lucky map dominates); averaging a few asks
-        // "has this replica seen a *population* of similar prompts".
+        // through the same slab kernel as the semantic search, so the
+        // signal costs one slab scan. A single best match would be noisy
+        // (one lucky map dominates); averaging a few asks "has this
+        // replica seen a *population* of similar prompts".
         const AFFINITY_TOP_K: usize = 4;
-        let matches = Matcher::semantic_top_k(&self.store, embedding, AFFINITY_TOP_K);
+        let matches = Matcher::semantic_top_k(&self.store, embedding, AFFINITY_TOP_K).ok()?;
         if matches.is_empty() {
             return None;
         }
@@ -389,24 +403,16 @@ impl ExpertPredictor for FmoePredictor {
 
     fn restore_warm_state(&mut self, snapshot: &[u8]) -> bool {
         let mut r = snapshot;
-        match ExpertMapStore::load_from(&mut r) {
-            Ok(store)
-                if store.num_layers() == self.model.num_layers as usize
-                    && store.experts_per_layer() == self.model.experts_per_layer as usize =>
-            {
-                self.store = store;
-                self.elements.clear();
-                true
-            }
-            _ => false,
-        }
+        ExpertMapStore::load_from(&mut r)
+            .and_then(|store| self.adopt(store))
+            .is_ok()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fmoe_model::{presets, GateParams};
+    use fmoe_model::presets;
 
     fn gate() -> GateSimulator {
         let cfg = presets::small_test_model();
@@ -645,6 +651,93 @@ mod tests {
         let before = p.store_len();
         assert!(!p.restore_warm_state(b"not a store snapshot"));
         assert_eq!(p.store_len(), before);
+    }
+
+    /// A populated store of the small model's `L × J` whose embeddings
+    /// are one value wider than the predictor's.
+    fn foreign_width_store() -> ExpertMapStore {
+        let cfg = presets::small_test_model();
+        let (l, j) = (cfg.num_layers as usize, cfg.experts_per_layer as usize);
+        let width = GateParams::for_model(&cfg).embedding_dim as usize + 1;
+        let mut store = ExpertMapStore::new(16, l, j, 3);
+        let map = ExpertMap::from_flat(vec![1.0 / j as f64; l * j], j);
+        store.insert(vec![0.5; width], map).unwrap();
+        store
+    }
+
+    #[test]
+    fn load_store_from_path_rejects_another_embedding_width_and_keeps_state() {
+        let g = gate();
+        let mut p = predictor();
+        p.populate_from_history(&g, &history(6, 4), 6);
+        let before = p.store_len();
+        let path = std::env::temp_dir().join(format!(
+            "fmoe_foreign_width_{}_{:?}.fmoe",
+            std::process::id(),
+            std::thread::current().id()
+        ));
+        foreign_width_store().save_to_path(&path).unwrap();
+        let loaded = p.load_store_from_path(&path);
+        std::fs::remove_file(&path).unwrap();
+        assert_eq!(loaded.unwrap_err().kind(), std::io::ErrorKind::InvalidData);
+        assert_eq!(p.store_len(), before);
+        assert_eq!(p.store().embedding_dim(), Some(64));
+    }
+
+    #[test]
+    fn restore_warm_state_rejects_another_embedding_width_and_keeps_state() {
+        let g = gate();
+        let mut p = predictor();
+        p.populate_from_history(&g, &history(6, 4), 6);
+        let before = p.store_len();
+        let mut snapshot = Vec::new();
+        foreign_width_store().save_to(&mut snapshot).unwrap();
+        assert!(!p.restore_warm_state(&snapshot));
+        assert_eq!(p.store_len(), before);
+        assert_eq!(p.store().embedding_dim(), Some(64));
+        // A query of the foreign width is refused, not searched.
+        let foreign = vec![0.5; 65];
+        assert!(p.semantic_affinity(&foreign).is_none());
+        let routing = RequestRouting {
+            cluster: 6,
+            request_seed: 4242,
+        };
+        assert!(p
+            .semantic_affinity(&g.semantic_embedding(routing, 0))
+            .is_some());
+    }
+
+    #[test]
+    fn end_iteration_refuses_a_map_of_another_shape() {
+        // Element 0 observes rows wider than the store's, element 1's
+        // insert then replaces an entry at capacity, so element 0's dedup
+        // re-dots that entry against the wide rows before the refusal.
+        let g = gate();
+        let cfg = presets::small_test_model();
+        let config = FmoeConfig::for_model(&cfg).with_capacity(&cfg, 4);
+        let mut p = FmoePredictor::new(cfg.clone(), config);
+        p.populate_from_history(&g, &history(8, 2), 2);
+        assert_eq!(p.store_len(), 4);
+        let routing = RequestRouting {
+            cluster: 8,
+            request_seed: 3,
+        };
+        let wide_ctx = ctx_for(&g, routing, 1);
+        let mut ctx = ctx_for(&g, routing, 2);
+        ctx.element = 1;
+        let wide = vec![vec![0.1; cfg.experts_per_layer as usize + 2]; cfg.num_layers as usize];
+        let rows: Vec<Vec<f64>> = (0..cfg.num_layers)
+            .map(|l| g.iteration_distribution(routing, 2, l, ctx.span))
+            .collect();
+        let _ = p.begin_iteration(&wide_ctx);
+        for (l, row) in (0..).zip(&wide) {
+            let _ = p.observe_gate(&wide_ctx, l, row);
+        }
+        p.end_iteration(&ctx, &rows);
+        let before: Vec<u64> = p.store().entries().map(|e| e.id()).collect();
+        p.end_iteration(&wide_ctx, &wide);
+        let after: Vec<u64> = p.store().entries().map(|e| e.id()).collect();
+        assert_eq!(after, before);
     }
 
     #[test]

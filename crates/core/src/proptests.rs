@@ -8,7 +8,7 @@ use crate::map::ExpertMap;
 use crate::matcher::{MatchResult, Matcher, SemanticScan, TrajectoryTracker};
 use crate::predictor::FmoePredictor;
 use crate::selection::{prefetch_priority, select_experts, select_top_n, SelectedExpert};
-use crate::store::{ExpertMapStore, ReplacementPolicy};
+use crate::store::{ExpertMapStore, ReplacementPolicy, StoreError, StoreStats};
 use fmoe_model::gate::TokenSpan;
 use fmoe_model::{presets, ExpertId, RequestRouting};
 use fmoe_serving::{ExpertPredictor, IterationContext, PrefetchPlan};
@@ -113,6 +113,44 @@ fn recomputed_victim(store: &ExpertMapStore, embedding: &[f64], flat: &[f64]) ->
         .unwrap_or(0)
 }
 
+/// Everything a caller can observe of a store: each entry's id,
+/// embedding and map, the generation and the counters.
+type Contents = (Vec<(u64, Vec<f64>, Vec<f64>)>, u64, StoreStats);
+
+fn contents(store: &ExpertMapStore) -> Contents {
+    let entries = store
+        .entries()
+        .map(|e| (e.id(), e.embedding().to_vec(), e.to_map().flatten()))
+        .collect();
+    (entries, store.generation(), store.stats())
+}
+
+/// The reference top-k semantic search, the oracle of
+/// `Matcher::semantic_top_k`: score every entry with
+/// `cosine_similarity`, full sort (descending score, then ascending
+/// index), truncate.
+pub(crate) fn semantic_top_k_reference(
+    store: &ExpertMapStore,
+    embedding: &[f64],
+    k: usize,
+) -> Vec<MatchResult> {
+    let mut scored: Vec<MatchResult> = store
+        .entries()
+        .enumerate()
+        .map(|(i, entry)| MatchResult {
+            entry_index: i,
+            score: fmoe_stats::cosine_similarity(embedding, entry.embedding()),
+        })
+        .collect();
+    scored.sort_by(|a, b| {
+        b.score
+            .total_cmp(&a.score)
+            .then(a.entry_index.cmp(&b.entry_index))
+    });
+    scored.truncate(k);
+    scored
+}
+
 /// Asserts both stores hold the same entries at the same indices.
 fn assert_same_entries(a: &ExpertMapStore, b: &ExpertMapStore) {
     assert_eq!(a.len(), b.len());
@@ -186,6 +224,12 @@ fn reference_plans(config: &FmoeConfig, map: &ExpertMap, call: &PlanCall) -> Vec
     plans
 }
 
+/// An embedding of the small test model's width, which its predictor's
+/// loaders require.
+fn model_embedding() -> impl Strategy<Value = Vec<f64>> {
+    prop::collection::vec(-1.0f64..1.0, 64)
+}
+
 fn embedding() -> impl Strategy<Value = Vec<f64>> {
     prop::collection::vec(-1.0f64..1.0, 8)
         .prop_filter("nonzero", |v| v.iter().any(|x| x.abs() > 1e-3))
@@ -255,7 +299,7 @@ proptest! {
     ) {
         let mut store = ExpertMapStore::new(capacity, L, J, 2);
         for (e, m) in entries {
-            let idx = store.insert(e, m);
+            let idx = store.insert(e, m).unwrap();
             prop_assert!(idx < capacity);
             prop_assert!(store.len() <= capacity);
         }
@@ -270,12 +314,12 @@ proptest! {
         // copy of base must replace base (the most redundant entry), as
         // long as the two entries are not themselves near-identical.
         let mut store = ExpertMapStore::new(2, L, J, 2);
-        store.insert(base.0.clone(), base.1.clone());
-        store.insert(other.0.clone(), other.1.clone());
+        store.insert(base.0.clone(), base.1.clone()).unwrap();
+        store.insert(other.0.clone(), other.1.clone()).unwrap();
         let r_base = store.redundancy(&base.0, &base.1.flatten(), 0);
         let r_other = store.redundancy(&base.0, &base.1.flatten(), 1);
         prop_assume!(r_base > r_other + 1e-9);
-        let idx = store.insert(base.0.clone(), base.1.clone());
+        let idx = store.insert(base.0.clone(), base.1.clone()).unwrap();
         prop_assert_eq!(idx, 0);
     }
 
@@ -287,14 +331,22 @@ proptest! {
         capacity in 1usize..8,
     ) {
         // Picks from a small pool give exact duplicates (ties go to the
-        // last index); `ragged` truncates every other pool embedding, so
-        // the semantic half takes the `cosine_similarity` fallback.
+        // last index); `ragged` truncates every other pool embedding, and
+        // the store refuses every embedding whose length is not the one
+        // its first insert fixed, leaving its contents as they were.
         let mut store = ExpertMapStore::new(capacity, L, J, 2);
         for pick in picks {
             let k = pick % pool.len();
             let (mut e, m) = pool[k].clone();
             if ragged && k % 2 == 1 {
                 e.truncate(5);
+            }
+            if let Some(expected) = store.embedding_dim().filter(|&d| d != e.len()) {
+                let before = contents(&store);
+                let got = e.len();
+                prop_assert_eq!(store.insert(e, m), Err(StoreError::EmbeddingDim { expected, got }));
+                prop_assert_eq!(contents(&store), before);
+                continue;
             }
             let spec = (store.len() == capacity).then(|| {
                 let flat = m.flatten();
@@ -306,7 +358,7 @@ proptest! {
                     })
                     .unwrap()
             });
-            let idx = store.insert(e, m);
+            let idx = store.insert(e, m).unwrap();
             if let Some(victim) = spec {
                 prop_assert_eq!(idx, victim);
             }
@@ -319,7 +371,7 @@ proptest! {
         b in (embedding(), map()),
     ) {
         let mut store = ExpertMapStore::new(2, L, J, 2);
-        store.insert(b.0.clone(), b.1.clone());
+        store.insert(b.0.clone(), b.1.clone()).unwrap();
         let r = store.redundancy(&a.0, &a.1.flatten(), 0);
         prop_assert!((-1.0 - 1e-9..=1.0 + 1e-9).contains(&r), "{}", r);
     }
@@ -331,10 +383,10 @@ proptest! {
     ) {
         let mut store = ExpertMapStore::new(16, L, J, 2);
         for (e, m) in &entries {
-            store.insert(e.clone(), m.clone());
+            store.insert(e.clone(), m.clone()).unwrap();
         }
         let target = pick % entries.len();
-        let m = Matcher::semantic_match(&store, &entries[target].0).unwrap();
+        let m = Matcher::semantic_match(&store, &entries[target].0).unwrap().unwrap();
         // The exact embedding scores 1.0; the winner must score at least
         // as high (ties possible with colinear embeddings).
         prop_assert!(m.score >= 1.0 - 1e-9);
@@ -347,10 +399,9 @@ proptest! {
     ) {
         let mut store = ExpertMapStore::new(16, L, J, 2);
         for (e, m) in &entries {
-            store.insert(e.clone(), m.clone());
+            store.insert(e.clone(), m.clone()).unwrap();
         }
-        prop_assert!(store.embedding_slab().is_some());
-        let fast = Matcher::semantic_match(&store, &query).unwrap();
+        let fast = Matcher::semantic_match(&store, &query).unwrap().unwrap();
         let slow = Matcher::semantic_match_reference(&store, &query).unwrap();
         prop_assert_eq!(fast.entry_index, slow.entry_index);
         prop_assert_eq!(fast.score.to_bits(), slow.score.to_bits());
@@ -364,10 +415,10 @@ proptest! {
     ) {
         let mut store = ExpertMapStore::new(16, L, J, 2);
         for (e, m) in &entries {
-            store.insert(e.clone(), m.clone());
+            store.insert(e.clone(), m.clone()).unwrap();
         }
-        let fast = Matcher::semantic_top_k(&store, &query, k);
-        let slow = Matcher::semantic_top_k_reference(&store, &query, k);
+        let fast = Matcher::semantic_top_k(&store, &query, k).unwrap();
+        let slow = semantic_top_k_reference(&store, &query, k);
         prop_assert_eq!(fast.len(), slow.len());
         for (f, r) in fast.iter().zip(&slow) {
             prop_assert_eq!(f.entry_index, r.entry_index);
@@ -387,7 +438,7 @@ proptest! {
         // the same entry and score for every partial trajectory length.
         let mut store = ExpertMapStore::new(16, L, J, 2);
         for (e, m) in &entries {
-            store.insert(e.clone(), m.clone());
+            store.insert(e.clone(), m.clone()).unwrap();
         }
         let mut tracker = TrajectoryTracker::new();
         tracker.reset(&store);
@@ -428,7 +479,7 @@ proptest! {
         // duplicates; the prefix runs one layer past the model depth.
         let mut store = ExpertMapStore::new(16, L, J, 2);
         for (e, m) in &entries {
-            store.insert(e.clone(), m.clone());
+            store.insert(e.clone(), m.clone()).unwrap();
         }
         for query in [query, entries[copy % entries.len()].1.clone()] {
             let mut tracker = TrajectoryTracker::new();
@@ -460,7 +511,7 @@ proptest! {
         for &(k, z) in &picks {
             let mut rows = pool[k % pool.len()].clone();
             rows[..z].iter_mut().for_each(|row| row.fill(0.0));
-            store.insert(vec![1.0, 0.0], ExpertMap::new(rows));
+            store.insert(vec![1.0, 0.0], ExpertMap::new(rows)).unwrap();
         }
         let mut query = query;
         query[..zero_query_layers].iter_mut().for_each(|row| row.fill(0.0));
@@ -490,7 +541,7 @@ proptest! {
         let capacity = prefill.len() + usize::from(below_capacity);
         let mut store = ExpertMapStore::new(capacity, L, J, 2);
         for (e, m) in &prefill {
-            store.insert(e.clone(), m.clone());
+            store.insert(e.clone(), m.clone()).unwrap();
         }
         let batch: Vec<(Vec<f64>, ExpertMap)> = batch
             .into_iter()
@@ -511,7 +562,7 @@ proptest! {
         }
         for ((tracker, scan), (e, m)) in states.iter_mut().zip(&batch) {
             if !store.dedups_next_insert() {
-                store.insert_scored(e, m, &[], &[]);
+                store.insert_scored(e, m, &[], &[]).unwrap();
                 continue;
             }
             let traj = tracker.catch_up(&store, m.flat()).to_vec();
@@ -531,7 +582,7 @@ proptest! {
             };
             let want = victim(fresh);
             prop_assert_eq!(victim(&reused), want);
-            prop_assert_eq!(Some(store.insert_scored(e, m, &traj, &reused)), want);
+            prop_assert_eq!(store.insert_scored(e, m, &traj, &reused).ok(), want);
         }
     }
 
@@ -546,7 +597,7 @@ proptest! {
         // even by one ulp, must not reuse the search's dots.
         let mut store = ExpertMapStore::new(16, L, J, 2);
         for (e, m) in &entries {
-            store.insert(e.clone(), m.clone());
+            store.insert(e.clone(), m.clone()).unwrap();
         }
         let mut ulp_off = searched.clone();
         ulp_off[nudged] = f64::from_bits(ulp_off[nudged].to_bits() + 1);
@@ -568,7 +619,7 @@ proptest! {
     ) {
         let mut store = ExpertMapStore::new(16, L, J, 2);
         for (e, m) in &entries {
-            store.insert(e.clone(), m.clone());
+            store.insert(e.clone(), m.clone()).unwrap();
         }
         let mut tracker = TrajectoryTracker::new();
         tracker.reset(&store);
@@ -644,7 +695,7 @@ proptest! {
     ) {
         let mut store = ExpertMapStore::new(capacity.max(12), L, J, 2);
         for (e, m) in entries {
-            store.insert(e, m);
+            store.insert(e, m).unwrap();
         }
         let mut buf = Vec::new();
         store.save_to(&mut buf).unwrap();
@@ -712,14 +763,30 @@ proptest! {
                     if ragged {
                         e.truncate(keep);
                     }
-                    let idx = store.insert(e.clone(), m.clone());
-                    let written = (next_id, e, m.flatten());
-                    if idx == model.len() {
-                        model.push(written);
-                    } else {
-                        model[idx] = written;
+                    // The first entry's length is the store's dimension;
+                    // an embedding of another is refused and changes
+                    // nothing, the generation included.
+                    match model.first().map(|(_, first, _)| first.len()) {
+                        Some(expected) if expected != e.len() => {
+                            let generation = store.generation();
+                            let got = e.len();
+                            prop_assert_eq!(
+                                store.insert(e, m),
+                                Err(StoreError::EmbeddingDim { expected, got })
+                            );
+                            prop_assert_eq!(store.generation(), generation);
+                        }
+                        _ => {
+                            let idx = store.insert(e.clone(), m.clone()).unwrap();
+                            let written = (next_id, e, m.flatten());
+                            if idx == model.len() {
+                                model.push(written);
+                            } else {
+                                model[idx] = written;
+                            }
+                            next_id += 1;
+                        }
                     }
-                    next_id += 1;
                 }
                 StoreOp::Clear => {
                     store.clear();
@@ -804,8 +871,8 @@ proptest! {
                     }
                     recomputed_victim(&store, &e, flat)
                 });
-                let idx = store.insert_scored(&e, &m, dots, sem_dots);
-                prop_assert_eq!(idx, reference.insert(e, m));
+                let idx = store.insert_scored(&e, &m, dots, sem_dots).unwrap();
+                prop_assert_eq!(idx, reference.insert(e, m).unwrap());
                 if let Some(victim) = victim {
                     prop_assert_eq!(idx, victim);
                 }
@@ -835,7 +902,7 @@ proptest! {
     fn predictor_map_update_matches_fresh_store_inserts(
         iterations in prop::collection::vec(
             (
-                prop::collection::vec((embedding(), tied_rows(8, 8)), 1..=8),
+                prop::collection::vec((model_embedding(), tied_rows(8, 8)), 1..=8),
                 boundary(),
                 any::<bool>(),
                 any::<bool>(),
@@ -893,7 +960,7 @@ proptest! {
             }
             for (ctx, (embedding, rows)) in contexts.iter().zip(&batch) {
                 p.end_iteration(ctx, rows);
-                reference.insert(embedding.clone(), ExpertMap::new(rows.clone()));
+                reference.insert(embedding.clone(), ExpertMap::new(rows.clone())).unwrap();
                 assert_same_entries(p.store(), &reference);
             }
             match boundary {

@@ -21,6 +21,37 @@ use fmoe_stats::SplitMix64;
 use fmoe_stats::{cosine_from_norms, cosine_similarity};
 use serde::Serialize;
 
+/// Why the store refused an embedding or a map: a store holds `L × J`
+/// maps, fixed when it is built, and embeddings of one dimension, fixed
+/// by its first insert.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum StoreError {
+    /// A zero-length embedding: it has no direction to match on.
+    EmptyEmbedding,
+    /// An embedding of `got` values; the stored ones have `expected`.
+    EmbeddingDim {
+        /// The store's embedding dimension.
+        expected: usize,
+        /// The refused embedding's length.
+        got: usize,
+    },
+    /// A map of `got` `(L, J)`; the store's are `expected`.
+    MapShape {
+        /// The store's `(L, J)`.
+        expected: (usize, usize),
+        /// The refused map's `(L, J)`.
+        got: (usize, usize),
+    },
+}
+
+impl std::fmt::Display for StoreError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "not the Expert Map Store's shape: {self:?}")
+    }
+}
+
+impl std::error::Error for StoreError {}
+
 /// How the store chooses which entry an incoming iteration replaces once
 /// the capacity is reached.
 ///
@@ -62,11 +93,11 @@ impl<'a> EntryView<'a> {
         self.store.ids[self.index]
     }
 
-    /// The iteration's semantic embedding.
+    /// The iteration's semantic embedding: a row of the embedding slab.
     #[must_use]
     pub fn embedding(&self) -> &'a [f64] {
-        let offsets = &self.store.emb_offsets;
-        &self.store.emb_buf[offsets[self.index]..offsets[self.index + 1]]
+        let d = self.store.emb_stride;
+        &self.store.emb_buf[self.index * d..(self.index + 1) * d]
     }
 
     /// The map's layer-`l` distribution: row `index` of layer block `l`.
@@ -78,11 +109,12 @@ impl<'a> EntryView<'a> {
 
     /// `flat · map`, summed left to right layer after layer: the terms
     /// and order of a dot over the row-major map, so bit-identical to
-    /// one.
+    /// one. Values of `flat` past the map's `L × J` are not read.
     #[must_use]
     pub fn dot(&self, flat: &[f64]) -> f64 {
         let mut dot = 0.0;
-        for (l, query) in flat.chunks_exact(self.store.experts_per_layer).enumerate() {
+        let layers = flat.chunks_exact(self.store.experts_per_layer);
+        for (l, query) in layers.take(self.store.num_layers).enumerate() {
             for (a, b) in query.iter().zip(self.layer(l)) {
                 dot += a * b;
             }
@@ -118,13 +150,14 @@ pub struct StoreStats {
 /// use fmoe::store::ExpertMapStore;
 ///
 /// let mut store = ExpertMapStore::new(100, 2, 4, 1);
-/// store.insert(
-///     vec![1.0, 0.0],
-///     ExpertMap::new(vec![vec![0.7, 0.1, 0.1, 0.1], vec![0.1, 0.7, 0.1, 0.1]]),
-/// );
-/// let m = Matcher::semantic_match(&store, &[0.9, 0.1]).unwrap();
+/// let map = ExpertMap::new(vec![vec![0.7, 0.1, 0.1, 0.1], vec![0.1, 0.7, 0.1, 0.1]]);
+/// store.insert(vec![1.0, 0.0], map.clone()).unwrap();
+/// let m = Matcher::semantic_match(&store, &[0.9, 0.1]).unwrap().unwrap();
 /// assert_eq!(m.entry_index, 0);
 /// assert!(m.score > 0.95);
+/// // The first insert fixed the embedding dimension at 2.
+/// assert!(store.insert(vec![1.0, 0.0, 0.0], map).is_err());
+/// assert!(Matcher::semantic_match(&store, &[1.0]).is_err());
 /// ```
 #[derive(Debug)]
 pub struct ExpertMapStore {
@@ -153,21 +186,14 @@ pub struct ExpertMapStore {
     /// norm of its first `l` layers, the square accumulated left to right
     /// as `cosine_similarity` does before its `sqrt`.
     prefix_norms: Vec<Vec<f64>>,
-    /// The embeddings, concatenated in entry order and the only copy:
-    /// entry `i`'s is `emb_buf[emb_offsets[i]..emb_offsets[i + 1]]`.
+    /// The embeddings, `emb_stride` values each, in entry order and the
+    /// only copy: entry `i`'s is row `i`.
     emb_buf: Vec<f64>,
-    /// `len + 1` offsets into `emb_buf`, starting at 0.
-    emb_offsets: Vec<usize>,
     /// Squared embedding norms (left-to-right accumulation, matching
-    /// `cosine_similarity`'s order bit-for-bit) — only maintained while
-    /// every stored embedding shares one dimension (`emb_uniform`).
+    /// `cosine_similarity`'s order bit-for-bit).
     emb_norm2: Vec<f64>,
-    /// Embedding dimension fixed by the first insert; 0 before it.
+    /// The embedding dimension, fixed by the first insert; 0 when empty.
     emb_stride: usize,
-    /// Cleared the first time an embedding with a different dimension
-    /// arrives; the semantic matcher then falls back to the reference
-    /// per-entry path.
-    emb_uniform: bool,
 }
 
 impl ExpertMapStore {
@@ -203,10 +229,8 @@ impl ExpertMapStore {
             layer_blocks: (0..num_layers).map(|_| Vec::new()).collect(),
             prefix_norms: (0..=num_layers).map(|_| Vec::new()).collect(),
             emb_buf: Vec::new(),
-            emb_offsets: vec![0],
             emb_norm2: Vec::new(),
             emb_stride: 0,
-            emb_uniform: true,
         }
     }
 
@@ -252,6 +276,25 @@ impl ExpertMapStore {
     #[must_use]
     pub fn prefetch_distance(&self) -> u32 {
         self.prefetch_distance
+    }
+
+    /// The dimension of every stored embedding, fixed by the first insert
+    /// since the store was built or cleared; `None` while it is empty.
+    #[must_use]
+    pub fn embedding_dim(&self) -> Option<usize> {
+        (self.emb_stride > 0).then_some(self.emb_stride)
+    }
+
+    /// `Ok` when `embedding` is not empty and has the stored embeddings'
+    /// dimension (any, while the store is empty): inserts and queries.
+    pub(crate) fn check_embedding(&self, embedding: &[f64]) -> Result<(), StoreError> {
+        match (self.emb_stride, embedding.len()) {
+            (_, 0) => Err(StoreError::EmptyEmbedding),
+            (expected, got) if expected > 0 && got != expected => {
+                Err(StoreError::EmbeddingDim { expected, got })
+            }
+            _ => Ok(()),
+        }
     }
 
     /// Read access to a stored entry.
@@ -303,10 +346,11 @@ impl ExpertMapStore {
     ///
     /// Returns the index the entry now occupies.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics if the map's dimensions do not match the store's model.
-    pub fn insert(&mut self, embedding: Vec<f64>, map: ExpertMap) -> usize {
+    /// [`StoreError`] when the map is not `L × J` or the embedding does
+    /// not fit ([`Self::embedding_dim`]); the store is then unchanged.
+    pub fn insert(&mut self, embedding: Vec<f64>, map: ExpertMap) -> Result<usize, StoreError> {
         let (mut tracker, mut scan) = (TrajectoryTracker::new(), SemanticScan::new());
         let (traj_dots, sem_dots): (&[f64], &[f64]) = if self.dedups_next_insert() {
             (
@@ -332,19 +376,20 @@ impl ExpertMapStore {
     /// [`TrajectoryTracker::catch_up`] returns it, and `sem_dots` the
     /// embedding's dots as [`SemanticScan::catch_up`] returns them. Only
     /// read when [`Self::dedups_next_insert`].
+    /// Fails as [`Self::insert`] does, before anything is written.
     pub(crate) fn insert_scored(
         &mut self,
         embedding: &[f64],
         map: &ExpertMap,
         traj_dots: &[f64],
         sem_dots: &[f64],
-    ) -> usize {
-        assert_eq!(map.num_layers(), self.num_layers, "layer count mismatch");
-        assert_eq!(
-            map.experts_per_layer(),
-            self.experts_per_layer,
-            "expert count mismatch"
-        );
+    ) -> Result<usize, StoreError> {
+        let expected = (self.num_layers, self.experts_per_layer);
+        let got = (map.num_layers(), map.experts_per_layer());
+        if got != expected {
+            return Err(StoreError::MapShape { expected, got });
+        }
+        self.check_embedding(embedding)?;
         let id = self.next_id;
         self.next_id += 1;
         self.generation += 1;
@@ -371,7 +416,7 @@ impl ExpertMapStore {
             }
         };
         self.write_at(index, id, embedding, map.flat());
-        index
+        Ok(index)
     }
 
     /// Every entry's [`ExpertMapStore::redundancy`] against the
@@ -397,23 +442,16 @@ impl ExpertMapStore {
                     .all(|(e, d)| e.dot(flat).to_bits() == d.to_bits()),
             "reused trajectory dots differ from a recompute"
         );
-        // The embedding slab serves the semantic half when every stored
-        // embedding shares its stride and the candidate covers it (the
-        // same condition as `argmax_cosine_slab`).
-        let sem_slab = self
-            .embedding_slab()
-            .filter(|&(_, _, stride)| embedding.len() >= stride);
+        let (slab, sem_norms, stride) = self.embedding_slab();
         debug_assert!(
-            sem_slab.is_none_or(|(slab, _, stride)| {
-                sem_dots.len() == self.len()
-                    && slab.chunks_exact(stride).zip(sem_dots).all(|(row, d)| {
-                        let fresh = row
-                            .iter()
-                            .zip(embedding)
-                            .fold(0.0, |acc, (x, q)| acc + q * x);
-                        fresh.to_bits() == d.to_bits()
-                    })
-            }),
+            sem_dots.len() == self.len()
+                && slab.chunks_exact(stride).zip(sem_dots).all(|(row, d)| {
+                    let fresh = row
+                        .iter()
+                        .zip(embedding)
+                        .fold(0.0, |acc, (x, q)| acc + q * x);
+                    fresh.to_bits() == d.to_bits()
+                }),
             "reused semantic dots differ from a fresh slab dot"
         );
         let mut flat_norm2 = 0.0;
@@ -422,18 +460,11 @@ impl ExpertMapStore {
         }
         let flat_norm = flat_norm2.sqrt();
         let stored_norms = &self.prefix_norms[self.num_layers];
-        let sem_norms = sem_slab.map(|(_, norms, stride)| {
-            let query_norm2: f64 = embedding[..stride].iter().map(|x| x * x).sum();
-            (query_norm2.sqrt(), norms)
-        });
+        let query_norm2: f64 = embedding.iter().map(|x| x * x).sum();
+        let query_norm = query_norm2.sqrt();
         let (w_sem, w_traj) = self.redundancy_weights();
         (0..self.len()).map(move |i| {
-            let sem = match sem_norms {
-                Some((query_norm, norms)) => {
-                    cosine_from_norms(sem_dots[i], query_norm, norms[i].sqrt())
-                }
-                None => cosine_similarity(embedding, self.entry(i).embedding()),
-            };
+            let sem = cosine_from_norms(sem_dots[i], query_norm, sem_norms[i].sqrt());
             let traj = cosine_from_norms(traj_dots[i], flat_norm, stored_norms[i]);
             w_sem * sem + w_traj * traj
         })
@@ -480,38 +511,14 @@ impl ExpertMapStore {
             }
         }
 
-        if append {
-            self.emb_buf.extend_from_slice(embedding);
-            self.emb_offsets.push(self.emb_buf.len());
-        } else {
-            let span = self.emb_offsets[index]..self.emb_offsets[index + 1];
-            if span.len() == embedding.len() {
-                self.emb_buf[span].copy_from_slice(embedding);
-            } else {
-                // Only ragged embeddings get here: the buffer closes up
-                // around the new length.
-                let old_len = span.len();
-                self.emb_buf.splice(span, embedding.iter().copied());
-                for offset in &mut self.emb_offsets[index + 1..] {
-                    *offset = *offset - old_len + embedding.len();
-                }
-            }
-        }
-        if !self.emb_uniform {
-            return;
-        }
-        if self.emb_stride == 0 {
-            self.emb_stride = embedding.len();
-        }
-        if embedding.len() != self.emb_stride || self.emb_stride == 0 {
-            self.emb_uniform = false;
-            self.emb_norm2.clear();
-            return;
-        }
+        let d = embedding.len();
+        self.emb_stride = d;
         let norm2: f64 = embedding.iter().map(|x| x * x).sum();
         if append {
+            self.emb_buf.extend_from_slice(embedding);
             self.emb_norm2.push(norm2);
         } else {
+            self.emb_buf[index * d..(index + 1) * d].copy_from_slice(embedding);
             self.emb_norm2[index] = norm2;
         }
     }
@@ -535,17 +542,12 @@ impl ExpertMapStore {
         &self.written
     }
 
-    /// The semantic fast path's view: `(embeddings, squared norms,
-    /// stride)` — or `None` while the store is empty or after embeddings
-    /// of differing dimensions were inserted (the caller then uses the
-    /// per-entry reference path).
+    /// The semantic search's view: `(embeddings, squared norms, stride)`,
+    /// the embeddings row-major with one row per entry. Empty, with stride
+    /// 0, while the store is empty.
     #[must_use]
-    pub fn embedding_slab(&self) -> Option<(&[f64], &[f64], usize)> {
-        if self.emb_uniform && !self.is_empty() {
-            Some((&self.emb_buf, &self.emb_norm2, self.emb_stride))
-        } else {
-            None
-        }
+    pub fn embedding_slab(&self) -> (&[f64], &[f64], usize) {
+        (&self.emb_buf, &self.emb_norm2, self.emb_stride)
     }
 
     /// Deployment memory footprint in bytes, assuming the paper's fp32
@@ -577,10 +579,8 @@ impl ExpertMapStore {
             column.clear();
         }
         self.emb_buf.clear();
-        self.emb_offsets.truncate(1);
         self.emb_norm2.clear();
         self.emb_stride = 0;
-        self.emb_uniform = true;
     }
 }
 
@@ -608,7 +608,7 @@ mod tests {
     fn appends_below_capacity() {
         let mut s = ExpertMapStore::new(4, 2, 4, 1);
         for i in 0..3 {
-            let idx = s.insert(emb(i as f64), map_peaked_at(2, 4, i));
+            let idx = s.insert(emb(i as f64), map_peaked_at(2, 4, i)).unwrap();
             assert_eq!(idx, i);
         }
         assert_eq!(s.len(), 3);
@@ -619,11 +619,11 @@ mod tests {
     #[test]
     fn at_capacity_replaces_most_redundant() {
         let mut s = ExpertMapStore::new(2, 2, 4, 1);
-        s.insert(emb(0.0), map_peaked_at(2, 4, 0));
-        s.insert(emb(1.5), map_peaked_at(2, 4, 2));
+        s.insert(emb(0.0), map_peaked_at(2, 4, 0)).unwrap();
+        s.insert(emb(1.5), map_peaked_at(2, 4, 2)).unwrap();
         // New entry nearly identical to the first: it must replace index
         // 0, not the diverse index 1.
-        let idx = s.insert(emb(0.05), map_peaked_at(2, 4, 0));
+        let idx = s.insert(emb(0.05), map_peaked_at(2, 4, 0)).unwrap();
         assert_eq!(idx, 0);
         assert_eq!(s.len(), 2);
         assert_eq!(s.stats().replaced, 1);
@@ -637,7 +637,7 @@ mod tests {
         // fourth copy; `max_by` keeps the last maximum.
         let mut s = ExpertMapStore::new(3, 2, 4, 1);
         for _ in 0..4 {
-            s.insert(emb(0.4), map_peaked_at(2, 4, 1));
+            s.insert(emb(0.4), map_peaked_at(2, 4, 1)).unwrap();
         }
         assert_eq!(s.entry(2).id(), 3);
     }
@@ -645,7 +645,7 @@ mod tests {
     #[test]
     fn redundancy_weights_follow_distance() {
         let mut s = ExpertMapStore::new(4, 4, 4, 1);
-        s.insert(emb(0.0), map_peaked_at(4, 4, 0));
+        s.insert(emb(0.0), map_peaked_at(4, 4, 0)).unwrap();
         let same_map = map_peaked_at(4, 4, 0).flatten();
         let anti_emb: Vec<f64> = emb(0.0).iter().map(|x| -x).collect();
         // d=1, L=4: RDY = 0.25·sem + 0.75·traj. With sem = −1, traj = 1:
@@ -657,9 +657,9 @@ mod tests {
     #[test]
     fn ids_keep_increasing_across_replacement() {
         let mut s = ExpertMapStore::new(1, 2, 4, 1);
-        s.insert(emb(0.0), map_peaked_at(2, 4, 0));
+        s.insert(emb(0.0), map_peaked_at(2, 4, 0)).unwrap();
         let generation = s.generation();
-        s.insert(emb(0.1), map_peaked_at(2, 4, 1));
+        s.insert(emb(0.1), map_peaked_at(2, 4, 1)).unwrap();
         assert_eq!(s.len(), 1);
         assert_eq!(s.entry(0).id(), 1);
         // A replacement keeps `len` but still moves the generation.
@@ -672,7 +672,8 @@ mod tests {
         s.insert(
             emb(0.0),
             ExpertMap::new(vec![vec![1.0, 0.0, 0.0, 0.0], vec![0.0, 1.0, 0.0, 0.0]]),
-        );
+        )
+        .unwrap();
         assert_eq!(s.prefix_norms(0), &[0.0]);
         assert!((s.prefix_norms(1)[0] - 1.0).abs() < 1e-12);
         assert!((s.prefix_norms(2)[0] - 2f64.sqrt()).abs() < 1e-12);
@@ -682,7 +683,7 @@ mod tests {
     fn memory_accounting() {
         let mut s = ExpertMapStore::new(10, 2, 4, 1);
         assert_eq!(s.memory_bytes(), 0);
-        s.insert(emb(0.0), map_peaked_at(2, 4, 0));
+        s.insert(emb(0.0), map_peaked_at(2, 4, 0)).unwrap();
         // 2·4 probabilities + 4 embedding dims, 4 bytes each.
         assert_eq!(s.memory_bytes(), (8 + 4) * 4);
         assert_eq!(s.memory_bytes_at_capacity(4), 10 * (8 + 4) * 4);
@@ -691,7 +692,7 @@ mod tests {
     #[test]
     fn clear_resets() {
         let mut s = ExpertMapStore::new(2, 2, 4, 1);
-        s.insert(emb(0.0), map_peaked_at(2, 4, 0));
+        s.insert(emb(0.0), map_peaked_at(2, 4, 0)).unwrap();
         let generation = s.generation();
         s.clear();
         assert!(s.is_empty());
@@ -699,10 +700,12 @@ mod tests {
         assert_eq!(s.stats(), StoreStats::default());
         assert!((0..2).all(|l| s.layer_block(l).is_empty()));
         assert!((0..=2).all(|l| s.prefix_norms(l).is_empty()));
-        assert!(s.embedding_slab().is_none());
-        // The slabs rebuild after a clear, including the embedding stride.
-        s.insert(vec![1.0, 2.0], map_peaked_at(2, 4, 1));
-        let (eslab, _, stride) = s.embedding_slab().unwrap();
+        assert_eq!(s.embedding_dim(), None);
+        assert_eq!(s.embedding_slab(), (&[][..], &[][..], 0));
+        // The slabs rebuild after a clear, and the first insert fixes a new
+        // embedding dimension.
+        s.insert(vec![1.0, 2.0], map_peaked_at(2, 4, 1)).unwrap();
+        let (eslab, _, stride) = s.embedding_slab();
         assert_eq!(stride, 2);
         assert_eq!(eslab, &[1.0, 2.0]);
     }
@@ -724,13 +727,13 @@ mod tests {
                 assert_eq!(s.prefix_norms(l)[i].to_bits(), norm2.sqrt().to_bits());
             }
         }
-        if let Some((eslab, enorm, stride)) = s.embedding_slab() {
-            assert_eq!(enorm.len(), s.len());
-            for (i, e) in s.entries().enumerate() {
-                assert_eq!(&eslab[i * stride..(i + 1) * stride], e.embedding());
-                let want: f64 = e.embedding().iter().map(|x| x * x).sum();
-                assert_eq!(enorm[i].to_bits(), want.to_bits());
-            }
+        let (eslab, enorm, stride) = s.embedding_slab();
+        assert_eq!(eslab.len(), s.len() * stride);
+        assert_eq!(enorm.len(), s.len());
+        for (i, e) in s.entries().enumerate() {
+            assert_eq!(&eslab[i * stride..(i + 1) * stride], e.embedding());
+            let want: f64 = e.embedding().iter().map(|x| x * x).sum();
+            assert_eq!(enorm[i].to_bits(), want.to_bits());
         }
     }
 
@@ -738,36 +741,75 @@ mod tests {
     fn slabs_track_appends_and_replacements() {
         let mut s = ExpertMapStore::new(3, 2, 4, 1);
         for i in 0..3 {
-            s.insert(emb(i as f64), map_peaked_at(2, 4, i));
+            s.insert(emb(i as f64), map_peaked_at(2, 4, i)).unwrap();
             assert_norms_match_entries(&s);
         }
-        assert!(s.embedding_slab().is_some());
+        assert_eq!(s.embedding_dim(), Some(4));
         // Replacements overwrite the victim's slab rows in place.
         for i in 0..4 {
             s.insert(
                 emb(0.2 * f64::from(i)),
                 map_peaked_at(2, 4, (i as usize) % 4),
-            );
+            )
+            .unwrap();
             assert_norms_match_entries(&s);
         }
     }
 
-    #[test]
-    fn ragged_embeddings_disable_the_embedding_slab_only() {
-        let mut s = ExpertMapStore::new(4, 2, 4, 1);
-        s.insert(vec![1.0, 0.0], map_peaked_at(2, 4, 0));
-        assert!(s.embedding_slab().is_some());
-        s.insert(vec![1.0, 0.0, 0.5], map_peaked_at(2, 4, 1));
-        assert!(s.embedding_slab().is_none());
-        // Map slabs are unaffected: map dimensions are store-enforced.
-        assert_norms_match_entries(&s);
-        s.insert(vec![0.5], map_peaked_at(2, 4, 2));
-        assert!(s.embedding_slab().is_none());
-        assert_norms_match_entries(&s);
-        assert_eq!(s.entry(1).embedding(), &[1.0, 0.0, 0.5]);
-        assert_eq!(s.entry(2).embedding(), &[0.5]);
+    /// Each entry's id, embedding and map, the generation and the
+    /// counters.
+    type Snapshot = (Vec<(u64, Vec<f64>, Vec<f64>)>, u64, StoreStats);
+
+    /// Everything a caller can observe of the store, to show that a
+    /// refused insert changed none of it.
+    fn snapshot(s: &ExpertMapStore) -> Snapshot {
+        let entries = s
+            .entries()
+            .map(|e| (e.id(), e.embedding().to_vec(), e.to_map().flatten()))
+            .collect();
+        (entries, s.generation(), s.stats())
     }
 
+    #[test]
+    fn ragged_embeddings_are_refused_and_leave_the_store_unchanged() {
+        let mut s = ExpertMapStore::new(2, 2, 4, 1);
+        s.insert(vec![1.0, 0.0], map_peaked_at(2, 4, 0)).unwrap();
+        assert_eq!(s.embedding_dim(), Some(2));
+        // Below capacity (an append) and at capacity (a replacement).
+        for fill in [false, true] {
+            if fill {
+                s.insert(vec![0.0, 1.0], map_peaked_at(2, 4, 1)).unwrap();
+            }
+            let before = snapshot(&s);
+            assert_eq!(
+                s.insert(vec![1.0, 0.0, 0.5], map_peaked_at(2, 4, 1)),
+                Err(StoreError::EmbeddingDim {
+                    expected: 2,
+                    got: 3
+                })
+            );
+            assert_eq!(
+                s.insert(vec![0.5], map_peaked_at(2, 4, 2)),
+                Err(StoreError::EmbeddingDim {
+                    expected: 2,
+                    got: 1
+                })
+            );
+            assert_eq!(
+                s.insert(Vec::new(), map_peaked_at(2, 4, 2)),
+                Err(StoreError::EmptyEmbedding)
+            );
+            assert_eq!(snapshot(&s), before);
+            assert_norms_match_entries(&s);
+        }
+        // An empty store takes no zero-length embedding either.
+        s.clear();
+        assert_eq!(
+            s.insert(Vec::new(), map_peaked_at(2, 4, 0)),
+            Err(StoreError::EmptyEmbedding)
+        );
+        assert_eq!(s.embedding_dim(), None);
+    }
     /// Every `f64` the store holds, by an exhaustive destructure: a new
     /// buffer field fails to compile here until it is counted.
     fn held_f64s(s: &ExpertMapStore) -> usize {
@@ -786,10 +828,8 @@ mod tests {
             layer_blocks,
             prefix_norms,
             emb_buf,
-            emb_offsets: _,
             emb_norm2,
             emb_stride: _,
-            emb_uniform: _,
         } = s;
         layer_blocks.iter().map(Vec::len).sum::<usize>()
             + prefix_norms.iter().map(Vec::len).sum::<usize>()
@@ -805,16 +845,17 @@ mod tests {
         let per_entry = l * j + e + (l + 1) + 1;
         let mut s = ExpertMapStore::new(3, l, j, 1);
         for i in 0..3 {
-            s.insert(emb(i as f64), map_peaked_at(l, j, i));
+            s.insert(emb(i as f64), map_peaked_at(l, j, i)).unwrap();
             assert_eq!(held_f64s(&s), (i + 1) * per_entry);
         }
         for i in 0..5 {
-            s.insert(emb(0.3 * f64::from(i)), map_peaked_at(l, j, 3));
+            s.insert(emb(0.3 * f64::from(i)), map_peaked_at(l, j, 3))
+                .unwrap();
             assert_eq!(held_f64s(&s), 3 * per_entry);
         }
         s.clear();
         assert_eq!(held_f64s(&s), 0);
-        s.insert(emb(0.0), map_peaked_at(l, j, 0));
+        s.insert(emb(0.0), map_peaked_at(l, j, 0)).unwrap();
         assert_eq!(held_f64s(&s), per_entry);
     }
 
@@ -825,11 +866,14 @@ mod tests {
         // inserts can pick different victims.
         let mut s = ExpertMapStore::new(4, 2, 4, 1).with_replacement(ReplacementPolicy::Random);
         for i in 0..4 {
-            s.insert(emb(i as f64), map_peaked_at(2, 4, i));
+            s.insert(emb(i as f64), map_peaked_at(2, 4, i)).unwrap();
         }
         let mut victims = Vec::new();
         for i in 0..8 {
-            victims.push(s.insert(emb(0.3 * f64::from(i)), map_peaked_at(2, 4, 0)));
+            victims.push(
+                s.insert(emb(0.3 * f64::from(i)), map_peaked_at(2, 4, 0))
+                    .unwrap(),
+            );
         }
         assert_eq!(s.stats().replaced, 8);
         let distinct: std::collections::BTreeSet<usize> = victims.iter().copied().collect();
@@ -843,7 +887,7 @@ mod tests {
     fn full_store_memory_matches_at_capacity_projection() {
         let mut s = ExpertMapStore::new(3, 2, 4, 1);
         for i in 0..3 {
-            s.insert(emb(i as f64), map_peaked_at(2, 4, i));
+            s.insert(emb(i as f64), map_peaked_at(2, 4, i)).unwrap();
         }
         assert_eq!(s.len(), s.capacity());
         // Embeddings from `emb()` are 4-dimensional.
@@ -851,10 +895,26 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "layer count mismatch")]
-    fn dimension_mismatch_panics() {
+    fn map_shape_mismatch_is_a_typed_error() {
         let mut s = ExpertMapStore::new(2, 3, 4, 1);
-        s.insert(emb(0.0), map_peaked_at(2, 4, 0));
+        assert_eq!(
+            s.insert(emb(0.0), map_peaked_at(2, 4, 0)),
+            Err(StoreError::MapShape {
+                expected: (3, 4),
+                got: (2, 4)
+            })
+        );
+        assert_eq!(
+            s.insert(emb(0.0), map_peaked_at(3, 5, 0)),
+            Err(StoreError::MapShape {
+                expected: (3, 4),
+                got: (3, 5)
+            })
+        );
+        // Nothing was written, not even the embedding dimension.
+        assert!(s.is_empty());
+        assert_eq!(s.embedding_dim(), None);
+        assert_eq!(s.generation(), 0);
     }
 
     #[test]

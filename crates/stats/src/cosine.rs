@@ -118,9 +118,9 @@ pub fn cosine_from_norms(dot: f64, query_norm: f64, row_norm: f64) -> f64 {
 }
 
 /// The shared front of the slab searches: checks the layout contract,
-/// fills `dots` with `query · row_i` for every row and returns the L2
-/// norm of the query's first `stride` values, or `None` when the slab
-/// cannot serve `query` (then `dots` is left empty).
+/// fills `dots` with `query · row_i` for every row and returns the
+/// query's L2 norm, or `None` when the slab cannot serve `query` (then
+/// `dots` is left empty).
 fn slab_dots(
     query: &[f64],
     slab: &[f64],
@@ -129,14 +129,13 @@ fn slab_dots(
     dots: &mut Vec<f64>,
 ) -> Option<f64> {
     dots.clear();
-    if row_norm2.is_empty() || stride == 0 || query.len() < stride {
+    if row_norm2.is_empty() || stride == 0 || query.len() != stride {
         return None;
     }
     debug_assert_eq!(slab.len(), stride * row_norm2.len());
-    let q = &query[..stride];
     dots.resize(row_norm2.len(), 0.0);
-    add_row_dots(slab, stride, q, dots);
-    Some(q.iter().map(|x| x * x).sum::<f64>().sqrt())
+    add_row_dots(slab, stride, query, dots);
+    Some(query.iter().map(|x| x * x).sum::<f64>().sqrt())
 }
 
 /// Cosine of `query` against every row of a contiguous row-major slab
@@ -152,9 +151,10 @@ fn slab_dots(
 ///
 /// Ties keep the lower index (strict `>` comparison), matching
 /// [`argmax_cosine`]. Returns `None`, with `dots` empty, when the slab is
-/// empty or when `query.len() < stride` — a shorter query compares only a
-/// prefix of each row, which the precomputed full-row norms cannot serve;
-/// callers fall back to the reference path in that case.
+/// empty or when `query.len() != stride`: the precomputed norms are
+/// full-row norms, so a query of another length has no cosine against
+/// them. Callers check the length first; the Expert Map Store reports a
+/// mismatch as a typed error.
 #[must_use]
 pub fn argmax_cosine_slab(
     query: &[f64],
@@ -326,9 +326,14 @@ mod tests {
     }
 
     #[test]
-    fn slab_argmax_rejects_short_queries_and_empty_slabs() {
+    fn slab_searches_reject_queries_of_another_length_and_empty_slabs() {
         let (_, slab, norms) = slab_fixture();
-        assert!(argmax_cosine_slab(&[1.0, 0.1], &slab, 3, &norms, &mut Vec::new()).is_none());
+        for q in [&[1.0, 0.1][..], &[1.0, 0.1, -0.3, 0.2][..]] {
+            let mut dots = vec![9.0];
+            assert!(argmax_cosine_slab(q, &slab, 3, &norms, &mut dots).is_none());
+            assert!(dots.is_empty());
+            assert!(top_k_cosine_slab(q, &slab, 3, &norms, 2).is_empty());
+        }
         assert!(argmax_cosine_slab(&[1.0, 0.1, 0.0], &[], 3, &[], &mut Vec::new()).is_none());
         assert!(argmax_cosine_slab(&[], &[], 0, &norms, &mut Vec::new()).is_none());
     }

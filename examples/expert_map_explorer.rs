@@ -67,7 +67,8 @@ fn main() {
             request_seed: 2000 + r,
         };
         for i in 0..4 {
-            store.insert(gate.semantic_embedding(hist, i), record_map(&gate, hist, i));
+            let emb = gate.semantic_embedding(hist, i);
+            store.insert(emb, record_map(&gate, hist, i)).unwrap();
         }
     }
     // Plus unrelated clutter from other clusters.
@@ -76,10 +77,8 @@ fn main() {
             cluster: 40 + r,
             request_seed: 3000 + r,
         };
-        store.insert(
-            gate.semantic_embedding(other, 0),
-            record_map(&gate, other, 0),
-        );
+        let emb = gate.semantic_embedding(other, 0);
+        store.insert(emb, record_map(&gate, other, 0)).unwrap();
     }
     println!(
         "store: {} maps ({} KB at fp32)",
@@ -93,7 +92,9 @@ fn main() {
         request_seed: 9999,
     };
     let emb = gate.semantic_embedding(query, 1);
-    let sem = Matcher::semantic_match(&store, &emb).expect("store not empty");
+    let sem = Matcher::semantic_match(&store, &emb)
+        .unwrap()
+        .expect("store not empty");
     println!(
         "\nsemantic search: best entry #{} with score {:.3}",
         sem.entry_index, sem.score

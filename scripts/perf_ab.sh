@@ -44,7 +44,7 @@ rm -f "$out"/parent-*.json "$out"/head-*.json "$out"/delta.txt
 # run SIDE BINARY ROUND. Both sides run at perf_smoke's default --jobs,
 # the machine's available parallelism. `--quick` selects the CI sizes in
 # parents from before those became perf_smoke's only sizes; later
-# binaries ignore it.
+# binaries accept it and change nothing.
 run() {
   local dir
   dir=$(mktemp -d -p "$work")
