@@ -16,22 +16,10 @@
 //! signal for *this* iteration — the mechanism behind its low hit rate in
 //! Fig. 9 and the "Hit count" ablation curve in Fig. 12a.
 
-use fmoe_model::gate::{GateScratch, TokenSpan};
-use fmoe_model::{ExpertId, GateSimulator, ModelConfig, RequestRouting};
+use fmoe_model::{ExpertId, GateSimulator, HistoryRequest, HistoryRouter, ModelConfig};
 use fmoe_serving::{ExpertPredictor, IterationContext, PredictorTiming, PrefetchPlan};
 use fmoe_stats::cosine_similarity;
 use std::collections::BTreeMap;
-
-/// A request to replay into the EAM collection offline (the 70% split).
-#[derive(Debug, Clone, Copy)]
-pub struct EamHistoryRequest {
-    /// Routing identity of the historical prompt.
-    pub routing: RequestRouting,
-    /// Prompt length in tokens.
-    pub prompt_tokens: u64,
-    /// Iterations to aggregate.
-    pub iterations: u64,
-}
 
 /// The request-level EAM baseline.
 #[derive(Debug)]
@@ -145,30 +133,25 @@ impl MoeInfinityPredictor {
 
     /// Pre-populates the EAM collection by replaying historical requests
     /// through the router — the paper prepares MoE-Infinity's matrix
-    /// collection before evaluation "for a fair comparison" (§6.1).
+    /// collection before evaluation "for a fair comparison" (§6.1). The
+    /// requests are routed on every core ([`HistoryRouter`]) and
+    /// aggregated here in history order.
     pub fn populate_from_history(
         &mut self,
         gate: &GateSimulator,
-        history: &[EamHistoryRequest],
+        history: &[HistoryRequest],
         max_iterations_per_request: u64,
     ) {
-        let mut scratch = GateScratch::default();
-        for req in history {
+        let j = self.experts_per_layer as usize;
+        HistoryRouter::new(gate, max_iterations_per_request).for_each(history, |routed| {
             let mut matrix = vec![0.0; self.lj()];
-            let iters = req.iterations.min(max_iterations_per_request).max(1);
-            for iter in 0..iters {
-                let span = if iter == 0 {
-                    TokenSpan::prefill(req.prompt_tokens)
-                } else {
-                    TokenSpan::single(req.prompt_tokens + iter - 1)
-                };
-                for layer in 0..self.num_layers {
-                    gate.route_into(req.routing, iter, layer, span, &mut scratch);
-                    self.record(&mut matrix, layer, &scratch.dist);
+            for map in &routed.maps {
+                for (layer, row) in (0..self.num_layers).zip(map.chunks_exact(j)) {
+                    self.record(&mut matrix, layer, row);
                 }
             }
             self.commit_matrix(matrix);
-        }
+        });
     }
 }
 
@@ -261,16 +244,17 @@ impl ExpertPredictor for MoeInfinityPredictor {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fmoe_model::{presets, GateParams};
+    use fmoe_model::gate::{GateScratch, TokenSpan};
+    use fmoe_model::{presets, GateParams, RequestRouting};
 
     fn gate() -> GateSimulator {
         let cfg = presets::small_test_model();
         GateSimulator::new(cfg.clone(), GateParams::for_model(&cfg))
     }
 
-    fn history(cluster: u64, n: u64) -> Vec<EamHistoryRequest> {
+    fn history(cluster: u64, n: u64) -> Vec<HistoryRequest> {
         (0..n)
-            .map(|i| EamHistoryRequest {
+            .map(|i| HistoryRequest {
                 routing: RequestRouting {
                     cluster,
                     request_seed: 500 + i,
@@ -303,6 +287,69 @@ mod tests {
         p.populate_from_history(&g, &history(1, 5), 4);
         assert_eq!(p.collection_len(), 5);
         assert!(p.popularity.iter().sum::<f64>() > 0.0);
+    }
+
+    /// The fill as one sequential loop on the calling thread: route each
+    /// iteration's layers into the request's matrix, then commit it.
+    fn populate_sequentially(
+        p: &mut MoeInfinityPredictor,
+        gate: &GateSimulator,
+        history: &[HistoryRequest],
+        max_iterations_per_request: u64,
+    ) {
+        let mut scratch = GateScratch::default();
+        for req in history {
+            let mut matrix = vec![0.0; p.lj()];
+            let iters = req.iterations.min(max_iterations_per_request).max(1);
+            for iter in 0..iters {
+                let span = if iter == 0 {
+                    TokenSpan::prefill(req.prompt_tokens)
+                } else {
+                    TokenSpan::single(req.prompt_tokens + iter - 1)
+                };
+                for layer in 0..p.num_layers {
+                    gate.route_into(req.routing, iter, layer, span, &mut scratch);
+                    p.record(&mut matrix, layer, &scratch.dist);
+                }
+            }
+            p.commit_matrix(matrix);
+        }
+    }
+
+    #[test]
+    fn populated_collection_equals_the_sequential_fill() {
+        let g = gate();
+        let cap = u64::from(g.params().prefill_token_cap);
+        // Prompts below and past the prefill cap, iterations of 0 and
+        // above the per-request cap, and more requests than the
+        // collection holds, so its FIFO cap runs.
+        let history: Vec<HistoryRequest> = (0..30u64)
+            .map(|i| HistoryRequest {
+                routing: RequestRouting {
+                    cluster: i % 4,
+                    request_seed: 700 + i,
+                },
+                prompt_tokens: [2, 33, cap + 5][(i % 3) as usize],
+                iterations: [0, 3, 9][(i % 3) as usize],
+            })
+            .collect();
+        let mut parallel = MoeInfinityPredictor::new(g.config());
+        let mut oracle = MoeInfinityPredictor::new(g.config());
+        parallel.collection_capacity = 12;
+        oracle.collection_capacity = 12;
+        parallel.populate_from_history(&g, &history, 5);
+        populate_sequentially(&mut oracle, &g, &history, 5);
+        assert_eq!(parallel.collection_len(), 12);
+        let bits = |rows: &[Vec<f64>]| -> Vec<Vec<u64>> {
+            rows.iter()
+                .map(|r| r.iter().map(|x| x.to_bits()).collect())
+                .collect()
+        };
+        assert_eq!(bits(&parallel.collection), bits(&oracle.collection));
+        assert_eq!(
+            bits(std::slice::from_ref(&parallel.popularity)),
+            bits(std::slice::from_ref(&oracle.popularity))
+        );
     }
 
     #[test]

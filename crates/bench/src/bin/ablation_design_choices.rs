@@ -36,14 +36,8 @@ fn run_with(configure: impl Fn(FmoeConfig) -> FmoeConfig) -> AggregateMetrics {
     let (history, test) = cell.split();
     let config = configure(FmoeConfig::for_model(&model));
     let mut predictor = fmoe::FmoePredictor::new(model, config);
-    let hist: Vec<fmoe::predictor::HistoryRequest> = history
-        .iter()
-        .map(|p| fmoe::predictor::HistoryRequest {
-            routing: p.routing,
-            prompt_tokens: p.prompt_tokens,
-            iterations: p.iterations().min(cell.max_history_iterations),
-        })
-        .collect();
+    let hist: Vec<fmoe_model::HistoryRequest> =
+        history.iter().map(|p| p.history_request()).collect();
     predictor.populate_from_history(&gate, &hist, cell.max_history_iterations);
     let mut engine = cell.engine(gate);
     for p in history.iter().take(cell.warmup_requests) {

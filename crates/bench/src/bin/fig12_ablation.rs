@@ -12,15 +12,13 @@
 //! cargo run --release -p fmoe-bench --bin fig12_ablation
 //! ```
 
-use fmoe::predictor::HistoryRequest;
 use fmoe::{FmoeConfig, FmoePredictor};
-use fmoe_baselines::moe_infinity::EamHistoryRequest;
 use fmoe_baselines::{MixtralOffloadingPredictor, MoeInfinityPredictor};
 use fmoe_bench::cli::{Cli, Flag};
 use fmoe_bench::harness::{coverage_probe, CellConfig, System};
 use fmoe_bench::report::{write_csv, Table};
 use fmoe_cache::{EvictionPolicy, FmoePriorityPolicy, LfuPolicy, LruPolicy};
-use fmoe_model::{presets, GateParams, GateSimulator, ModelConfig};
+use fmoe_model::{presets, GateParams, GateSimulator, HistoryRequest, ModelConfig};
 use fmoe_serving::ExpertPredictor;
 use fmoe_workload::{split, DatasetSpec, Prompt};
 
@@ -38,14 +36,7 @@ fn fmoe_variant(
     config.use_semantic_search = semantic;
     config.use_dynamic_threshold = dynamic;
     let mut p = FmoePredictor::new(model.clone(), config);
-    let hist: Vec<HistoryRequest> = history
-        .iter()
-        .map(|pr| HistoryRequest {
-            routing: pr.routing,
-            prompt_tokens: pr.prompt_tokens,
-            iterations: pr.iterations().min(6),
-        })
-        .collect();
+    let hist: Vec<HistoryRequest> = history.iter().map(|pr| pr.history_request()).collect();
     p.populate_from_history(gate, &hist, 6);
     p
 }
@@ -74,14 +65,7 @@ fn tracking_ablation(cli: &Cli) {
         let mut hit_count = MoeInfinityPredictor::new(&model)
             .with_distance(DISTANCE)
             .with_window(1);
-        let hist: Vec<EamHistoryRequest> = history
-            .iter()
-            .map(|pr| EamHistoryRequest {
-                routing: pr.routing,
-                prompt_tokens: pr.prompt_tokens,
-                iterations: pr.iterations().min(6),
-            })
-            .collect();
+        let hist: Vec<HistoryRequest> = history.iter().map(|pr| pr.history_request()).collect();
         hit_count.populate_from_history(&gate, &hist, 6);
         let mut map_t = fmoe_variant(&model, &gate, &history, false, false);
         let mut map_ts = fmoe_variant(&model, &gate, &history, true, false);

@@ -29,14 +29,15 @@
 //! `--jobs N` fans the independent (replicas, rate, policy) cells across
 //! worker threads; output bytes are identical to a sequential run.
 
-use fmoe::predictor::HistoryRequest;
 use fmoe::{FmoeConfig, FmoePredictor};
 use fmoe_bench::cli::{Cli, JOBS};
 use fmoe_bench::harness::ParallelRunner;
 use fmoe_bench::report::{write_csv, Table};
 use fmoe_cluster::{AffinityConfig, Cluster, RoutingPolicy};
 use fmoe_memsim::Topology;
-use fmoe_model::{presets, GateParams, GateSimulator, GpuSpec, ModelConfig, RequestRouting};
+use fmoe_model::{
+    presets, GateParams, GateSimulator, GpuSpec, HistoryRequest, ModelConfig, RequestRouting,
+};
 use fmoe_serving::{EngineBuilder, EngineConfig};
 use fmoe_workload::{AzureTraceSpec, DatasetSpec, TraceEvent};
 

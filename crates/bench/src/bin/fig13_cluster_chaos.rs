@@ -31,7 +31,6 @@
 //! (fault injection inside one engine's transfer fabric) is
 //! `chaos_faults`.
 
-use fmoe::predictor::HistoryRequest;
 use fmoe::{FmoeConfig, FmoePredictor};
 use fmoe_bench::cli::{Cli, JOBS};
 use fmoe_bench::harness::ParallelRunner;
@@ -39,7 +38,9 @@ use fmoe_bench::report::{write_csv, Table};
 use fmoe_cluster::{AffinityConfig, Cluster, FailoverConfig, RoutingPolicy, WarmupMode};
 use fmoe_faults::ReplicaFaultSchedule;
 use fmoe_memsim::Topology;
-use fmoe_model::{presets, GateParams, GateSimulator, GpuSpec, ModelConfig, RequestRouting};
+use fmoe_model::{
+    presets, GateParams, GateSimulator, GpuSpec, HistoryRequest, ModelConfig, RequestRouting,
+};
 use fmoe_serving::{EngineBuilder, EngineConfig};
 use fmoe_workload::{AzureTraceSpec, DatasetSpec, TraceEvent};
 

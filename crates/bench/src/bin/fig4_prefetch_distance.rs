@@ -12,15 +12,13 @@
 //! cargo run --release -p fmoe-bench --bin fig4_prefetch_distance
 //! ```
 
-use fmoe::predictor::HistoryRequest;
 use fmoe::{FmoeConfig, FmoePredictor};
-use fmoe_baselines::moe_infinity::EamHistoryRequest;
 use fmoe_baselines::MoeInfinityPredictor;
 use fmoe_bench::cli::Cli;
 use fmoe_bench::harness::coverage_probe;
 use fmoe_bench::plot::{LinePlot, Series};
 use fmoe_bench::report::{write_csv, Table};
-use fmoe_model::{presets, GateParams, GateSimulator, ModelConfig};
+use fmoe_model::{presets, GateParams, GateSimulator, HistoryRequest, ModelConfig};
 use fmoe_workload::{split, DatasetSpec};
 
 const DISTANCES: [u32; 6] = [1, 2, 3, 4, 6, 8];
@@ -38,28 +36,14 @@ fn probe(model: &ModelConfig, distance: u32, fine: bool) -> f64 {
         // Equal budget: fixed top-(K+1) selection for both designs.
         config.use_dynamic_threshold = false;
         let mut p = FmoePredictor::new(model.clone(), config);
-        let hist: Vec<HistoryRequest> = history
-            .iter()
-            .map(|pr| HistoryRequest {
-                routing: pr.routing,
-                prompt_tokens: pr.prompt_tokens,
-                iterations: pr.iterations().min(6),
-            })
-            .collect();
+        let hist: Vec<HistoryRequest> = history.iter().map(|pr| pr.history_request()).collect();
         p.populate_from_history(&gate, &hist, 6);
         coverage_probe(&gate, &mut p, &test, 12).coverage
     } else {
         let mut p = MoeInfinityPredictor::new(model)
             .with_distance(distance)
             .with_window(1);
-        let hist: Vec<EamHistoryRequest> = history
-            .iter()
-            .map(|pr| EamHistoryRequest {
-                routing: pr.routing,
-                prompt_tokens: pr.prompt_tokens,
-                iterations: pr.iterations().min(6),
-            })
-            .collect();
+        let hist: Vec<HistoryRequest> = history.iter().map(|pr| pr.history_request()).collect();
         p.populate_from_history(&gate, &hist, 6);
         coverage_probe(&gate, &mut p, &test, 12).coverage
     }

@@ -15,34 +15,115 @@
 //!
 //! Everything prints as a table and writes CSV under `results/`.
 
-use fmoe_bench::cli::Cli;
+use fmoe_bench::cli::{refuse, Cli, Command, Flag};
 use fmoe_bench::harness::{CellConfig, System};
 use fmoe_bench::report::{write_csv, Table};
 use fmoe_model::{presets, ModelConfig};
 use fmoe_serving::online::{serve as serve_online, ServeOptions};
 use fmoe_trace::{events_text, TraceSink};
 use fmoe_workload::{AzureTraceSpec, DatasetSpec};
-use std::collections::HashMap;
 use std::process::ExitCode;
 
-fn parse_flags(args: &[String]) -> HashMap<String, String> {
-    let mut flags = HashMap::new();
-    let mut i = 0;
-    while i < args.len() {
-        if let Some(name) = args[i].strip_prefix("--") {
-            if i + 1 < args.len() && !args[i + 1].starts_with("--") {
-                flags.insert(name.to_string(), args[i + 1].clone());
-                i += 2;
-            } else {
-                flags.insert(name.to_string(), "true".to_string());
-                i += 1;
-            }
-        } else {
-            i += 1;
-        }
-    }
-    flags
-}
+const MODEL: Flag = Flag::text("--model", "NAME", "model (default mixtral; see `list`)");
+const DATASET: Flag = Flag::text("--dataset", "NAME", "dataset (default lmsys)");
+const SYSTEM: Flag = Flag::text("--system", "NAME", "offloading system (default fmoe)");
+const CACHE_GB: Flag = Flag::value("--cache-gb", "GPU expert cache budget in GiB");
+const REQUESTS: Flag = Flag::value("--requests", "test requests to serve (default 10)");
+const DECODE: Flag = Flag::text(
+    "--decode",
+    "N",
+    "decode iterations per request (default 24)",
+);
+const BATCH: Flag = Flag::value("--batch", "requests per batch (default 1)");
+const DISTANCE: Flag = Flag::value("--distance", "prefetch distance in layers (default 3)");
+const SEED: Flag = Flag::text("--seed", "N", "router seed");
+const LOW_PRECISION: Flag = Flag::text(
+    "--low-precision",
+    "X",
+    "serve experts below this gate probability at low precision",
+);
+const SAVE_STORE: Flag = Flag::text(
+    "--save-store",
+    "PATH",
+    "with --system fmoe: save the Expert Map Store after serving",
+);
+const ONLINE: Flag = Flag::switch("--online", "serve an arrival trace instead of one by one");
+const TRACE_FILE: Flag = Flag::text(
+    "--trace-file",
+    "PATH",
+    "with --online: the arrival trace CSV (default: a generated Azure-style trace)",
+);
+const SLOTS: Flag = Flag::value("--slots", "with --online: continuous batching with N slots");
+const PARAM: Flag = Flag::text("--param", "NAME", "the swept parameter (see `list`)");
+const VALUES: Flag = Flag::text("--values", "LIST", "comma-separated values of --param");
+const FILE: Flag = Flag::text("--file", "PATH", "a store saved with --save-store");
+
+const COMMANDS: &[Command] = &[
+    Command {
+        name: "list",
+        help: "print the models, datasets, systems and sweep parameters",
+        flags: &[],
+    },
+    Command {
+        name: "serve",
+        help: "serve one cell and print its latency and hit rate",
+        flags: &[
+            MODEL,
+            DATASET,
+            SYSTEM,
+            CACHE_GB,
+            REQUESTS,
+            DECODE,
+            BATCH,
+            DISTANCE,
+            SEED,
+            LOW_PRECISION,
+            SAVE_STORE,
+            ONLINE,
+            TRACE_FILE,
+            SLOTS,
+        ],
+    },
+    Command {
+        name: "sweep",
+        help: "serve one cell per value of a parameter",
+        flags: &[
+            PARAM,
+            VALUES,
+            MODEL,
+            DATASET,
+            SYSTEM,
+            CACHE_GB,
+            REQUESTS,
+            DECODE,
+            BATCH,
+            DISTANCE,
+            SEED,
+            LOW_PRECISION,
+        ],
+    },
+    Command {
+        name: "timeline",
+        help: "print the event timeline of one request",
+        flags: &[
+            MODEL,
+            DATASET,
+            SYSTEM,
+            CACHE_GB,
+            REQUESTS,
+            DECODE,
+            BATCH,
+            DISTANCE,
+            SEED,
+            LOW_PRECISION,
+        ],
+    },
+    Command {
+        name: "analyze-store",
+        help: "summarize a saved Expert Map Store",
+        flags: &[FILE],
+    },
+];
 
 fn model_by_name(name: &str) -> Option<ModelConfig> {
     match name.to_ascii_lowercase().as_str() {
@@ -78,8 +159,7 @@ fn system_by_name(name: &str) -> Option<System> {
     }
 }
 
-fn timeline(flags: &HashMap<String, String>) -> Result<(), String> {
-    let cell = build_cell(flags)?;
+fn timeline(cell: &CellConfig) -> Result<(), String> {
     let gate = cell.gate();
     let (history, test) = cell.split();
     let mut predictor = cell.predictor(&gate, &history);
@@ -114,11 +194,8 @@ TTFT {:.1} ms, TPOT {:.1} ms, hit rate {:.1}%",
     Ok(())
 }
 
-fn analyze_store(flags: &HashMap<String, String>) -> Result<(), String> {
+fn analyze_store(path: &str) -> Result<(), String> {
     use fmoe::store::ExpertMapStore;
-    let path = flags
-        .get("file")
-        .ok_or("--file <path> required (a store saved with save_store_to_path)")?;
     let store =
         ExpertMapStore::load_from_path(path).map_err(|e| format!("cannot load {path}: {e}"))?;
     println!("Expert Map Store: {path}");
@@ -174,39 +251,133 @@ fn list() {
     println!("sweep params: cache-gb  distance  batch  requests");
 }
 
-fn build_cell(flags: &HashMap<String, String>) -> Result<CellConfig, String> {
-    let model = model_by_name(flags.get("model").map_or("mixtral", String::as_str))
-        .ok_or("unknown --model (try `fmoe_sim list`)")?;
-    let dataset = dataset_by_name(flags.get("dataset").map_or("lmsys", String::as_str))
-        .ok_or("unknown --dataset")?;
-    let system = system_by_name(flags.get("system").map_or("fmoe", String::as_str))
-        .ok_or("unknown --system")?;
+/// The value of the text flag `flag` parsed as a `T`, if given.
+fn parsed<T: std::str::FromStr>(cli: &Cli, flag: Flag) -> Result<Option<T>, String> {
+    cli.text(flag)
+        .map(|v| v.parse().map_err(|_| format!("bad {}: {v}", flag.name)))
+        .transpose()
+}
+
+fn build_cell(cli: &Cli) -> Result<CellConfig, String> {
+    let name = |flag: Flag, default: &'static str| cli.text(flag).unwrap_or(default);
+    let model =
+        model_by_name(name(MODEL, "mixtral")).ok_or("unknown --model (try `fmoe_sim list`)")?;
+    let dataset = dataset_by_name(name(DATASET, "lmsys")).ok_or("unknown --dataset")?;
+    let system = system_by_name(name(SYSTEM, "fmoe")).ok_or("unknown --system")?;
     let mut cell = CellConfig::new(model, dataset, system);
-    let parse = |key: &str, default: u64| -> Result<u64, String> {
-        flags.get(key).map_or(Ok(default), |v| {
-            v.parse().map_err(|_| format!("bad --{key}: {v}"))
-        })
-    };
-    if let Some(gb) = flags.get("cache-gb") {
-        let gb: u64 = gb.parse().map_err(|_| format!("bad --cache-gb: {gb}"))?;
-        cell.cache_budget_bytes = gb << 30;
+    if let Some(gb) = cli.value(CACHE_GB) {
+        cell.cache_budget_bytes = (gb as u64) << 30;
     }
-    cell.test_requests = parse("requests", 10)? as usize;
-    cell.max_decode = parse("decode", 24)?;
-    cell.batch_size = parse("batch", 1)? as usize;
-    cell.prefetch_distance = parse("distance", 3)? as u32;
-    cell.gate_seed = parse("seed", cell.gate_seed)?;
-    if let Some(threshold) = flags.get("low-precision") {
-        let threshold: f64 = threshold
-            .parse()
-            .map_err(|_| format!("bad --low-precision: {threshold}"))?;
-        cell.low_precision_threshold = Some(threshold);
+    cell.test_requests = cli.value(REQUESTS).unwrap_or(10);
+    cell.max_decode = parsed(cli, DECODE)?.unwrap_or(24);
+    cell.batch_size = cli.value(BATCH).unwrap_or(1);
+    if let Some(d) = cli.value(DISTANCE) {
+        cell.prefetch_distance = u32::try_from(d).map_err(|_| format!("bad --distance: {d}"))?;
     }
+    if let Some(seed) = parsed(cli, SEED)? {
+        cell.gate_seed = seed;
+    }
+    cell.low_precision_threshold = parsed(cli, LOW_PRECISION)?;
     Ok(cell)
 }
 
-fn serve(flags: &HashMap<String, String>) -> Result<(), String> {
-    let cell = build_cell(flags)?;
+/// A parameter `sweep` varies.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum SweepParam {
+    CacheGb,
+    Distance,
+    Batch,
+    Requests,
+}
+
+impl SweepParam {
+    fn by_name(name: &str) -> Option<Self> {
+        match name {
+            "cache-gb" => Some(Self::CacheGb),
+            "distance" => Some(Self::Distance),
+            "batch" => Some(Self::Batch),
+            "requests" => Some(Self::Requests),
+            _ => None,
+        }
+    }
+
+    fn apply(self, cell: &mut CellConfig, v: u64) {
+        match self {
+            Self::CacheGb => cell.cache_budget_bytes = v << 30,
+            Self::Distance => cell.prefetch_distance = v as u32,
+            Self::Batch => cell.batch_size = v as usize,
+            Self::Requests => cell.test_requests = v as usize,
+        }
+    }
+}
+
+/// A subcommand with every value it reads checked: what `main` runs.
+enum Job {
+    List,
+    Serve(CellConfig),
+    Sweep {
+        cell: CellConfig,
+        param: (String, SweepParam),
+        values: Vec<u64>,
+    },
+    Timeline(CellConfig),
+    AnalyzeStore(String),
+}
+
+impl Job {
+    /// The job `command` asks for with the flags in `cli`; an error names
+    /// the value that cannot be used.
+    fn from_cli(command: &str, cli: &Cli) -> Result<Self, String> {
+        Ok(match command {
+            "serve" => Self::Serve(build_cell(cli)?),
+            "sweep" => {
+                let name = cli
+                    .text(PARAM)
+                    .ok_or("--param required (see `fmoe_sim list`)")?;
+                let param = SweepParam::by_name(name)
+                    .ok_or_else(|| format!("unknown sweep param: {name}"))?;
+                let values = cli
+                    .text(VALUES)
+                    .ok_or("--values required, comma-separated")?
+                    .split(',')
+                    .map(|v| v.trim().parse().map_err(|_| format!("bad value: {v}")))
+                    .collect::<Result<_, _>>()?;
+                Self::Sweep {
+                    cell: build_cell(cli)?,
+                    param: (name.to_string(), param),
+                    values,
+                }
+            }
+            "timeline" => Self::Timeline(build_cell(cli)?),
+            "analyze-store" => Self::AnalyzeStore(
+                cli.text(FILE)
+                    .ok_or("--file <path> required (a store saved with --save-store)")?
+                    .to_string(),
+            ),
+            // `list`, the one command left.
+            _ => Self::List,
+        })
+    }
+
+    fn run(&self, cli: &Cli) -> Result<(), String> {
+        match self {
+            Self::List => {
+                list();
+                Ok(())
+            }
+            Self::Serve(cell) => serve(cli, cell),
+            Self::Sweep {
+                cell,
+                param,
+                values,
+            } => sweep(cli, cell, param, values),
+            Self::Timeline(cell) => timeline(cell),
+            Self::AnalyzeStore(path) => analyze_store(path),
+        }
+    }
+}
+
+fn serve(cli: &Cli, cell: &CellConfig) -> Result<(), String> {
     let mut table = Table::new(
         "fmoe_sim serve",
         &[
@@ -219,11 +390,11 @@ fn serve(flags: &HashMap<String, String>) -> Result<(), String> {
             "p95 (ms)",
         ],
     );
-    if flags.contains_key("online") {
+    if cli.has(ONLINE) {
         let gate = cell.gate();
         let mut predictor = cell.predictor(&gate, &[]);
         let mut engine = cell.engine(gate);
-        let trace = if let Some(path) = flags.get("trace-file") {
+        let trace = if let Some(path) = cli.text(TRACE_FILE) {
             let mut file = std::fs::File::open(path)
                 .map_err(|e| format!("cannot open --trace-file {path}: {e}"))?;
             fmoe_workload::read_trace_csv(&mut file)
@@ -233,8 +404,7 @@ fn serve(flags: &HashMap<String, String>) -> Result<(), String> {
             spec.num_requests = cell.test_requests as u64;
             spec.generate()
         };
-        let options = if let Some(slots) = flags.get("slots") {
-            let slots: usize = slots.parse().map_err(|_| format!("bad --slots: {slots}"))?;
+        let options = if let Some(slots) = cli.value(SLOTS) {
             ServeOptions::continuous(slots)
         } else {
             ServeOptions::fcfs()
@@ -258,7 +428,7 @@ fn serve(flags: &HashMap<String, String>) -> Result<(), String> {
             format!("{:.1}%", a.hit_rate * 100.0),
             format!("{:.1}", cdf.quantile(0.95).unwrap_or(0.0)),
         ]);
-    } else if let (System::Fmoe, Some(store_path)) = (cell.system, flags.get("save-store")) {
+    } else if let (System::Fmoe, Some(store_path)) = (cell.system, cli.text(SAVE_STORE)) {
         // Keep the concrete predictor so its store can be persisted.
         let gate = cell.gate();
         let (history, test) = cell.split();
@@ -300,34 +470,23 @@ fn serve(flags: &HashMap<String, String>) -> Result<(), String> {
         ]);
     }
     table.print();
-    let _ = write_csv(&Cli::default(), &table, "fmoe_sim_serve");
+    let _ = write_csv(cli, &table, "fmoe_sim_serve");
     Ok(())
 }
 
-fn sweep(flags: &HashMap<String, String>) -> Result<(), String> {
-    let param = flags
-        .get("param")
-        .ok_or("--param required (see `fmoe_sim list`)")?
-        .clone();
-    let values: Vec<u64> = flags
-        .get("values")
-        .ok_or("--values required, comma-separated")?
-        .split(',')
-        .map(|v| v.trim().parse().map_err(|_| format!("bad value: {v}")))
-        .collect::<Result<_, _>>()?;
+fn sweep(
+    cli: &Cli,
+    cell: &CellConfig,
+    (name, param): &(String, SweepParam),
+    values: &[u64],
+) -> Result<(), String> {
     let mut table = Table::new(
-        &format!("fmoe_sim sweep over {param}"),
-        &[param.as_str(), "TTFT (ms)", "TPOT (ms)", "hit rate"],
+        &format!("fmoe_sim sweep over {name}"),
+        &[name.as_str(), "TTFT (ms)", "TPOT (ms)", "hit rate"],
     );
-    for &v in &values {
-        let mut cell = build_cell(flags)?;
-        match param.as_str() {
-            "cache-gb" => cell.cache_budget_bytes = v << 30,
-            "distance" => cell.prefetch_distance = v as u32,
-            "batch" => cell.batch_size = v as usize,
-            "requests" => cell.test_requests = v as usize,
-            other => return Err(format!("unknown sweep param: {other}")),
-        }
+    for &v in values {
+        let mut cell = cell.clone();
+        param.apply(&mut cell, v);
         let out = cell.run_offline();
         let a = &out.aggregate;
         table.row(vec![
@@ -338,30 +497,14 @@ fn sweep(flags: &HashMap<String, String>) -> Result<(), String> {
         ]);
     }
     table.print();
-    let _ = write_csv(&Cli::default(), &table, "fmoe_sim_sweep");
+    let _ = write_csv(cli, &table, "fmoe_sim_sweep");
     Ok(())
 }
 
 fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let command = args.first().map(String::as_str).unwrap_or("help");
-    let flags = parse_flags(&args[args.len().min(1)..]);
-    let result = match command {
-        "list" => {
-            list();
-            Ok(())
-        }
-        "serve" => serve(&flags),
-        "sweep" => sweep(&flags),
-        "timeline" => timeline(&flags),
-        "analyze-store" => analyze_store(&flags),
-        _ => {
-            println!("usage: fmoe_sim <list|serve|sweep|timeline|analyze-store> [--flags]\n");
-            list();
-            Ok(())
-        }
-    };
-    match result {
+    let (command, cli) = Cli::parse_command(COMMANDS);
+    let job = Job::from_cli(command.name, &cli).unwrap_or_else(|e| refuse(COMMANDS, &e));
+    match job.run(&cli) {
         Ok(()) => ExitCode::SUCCESS,
         Err(e) => {
             eprintln!("error: {e}");
@@ -373,18 +516,6 @@ fn main() -> ExitCode {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn parse_flags_handles_values_and_switches() {
-        let args: Vec<String> = ["--model", "phi", "--online", "--requests", "4"]
-            .iter()
-            .map(|s| (*s).to_string())
-            .collect();
-        let flags = parse_flags(&args);
-        assert_eq!(flags.get("model").map(String::as_str), Some("phi"));
-        assert_eq!(flags.get("online").map(String::as_str), Some("true"));
-        assert_eq!(flags.get("requests").map(String::as_str), Some("4"));
-    }
 
     #[test]
     fn lookups_cover_all_names() {
@@ -410,27 +541,56 @@ mod tests {
         assert!(system_by_name("vllm").is_none());
     }
 
+    /// `args` parsed against the flags `command` declares.
+    fn cli(command: &str, args: &[&str]) -> Cli {
+        let flags = COMMANDS.iter().find(|c| c.name == command).unwrap().flags;
+        let args: Vec<String> = args.iter().map(|s| (*s).to_string()).collect();
+        match Cli::try_parse(flags, &args) {
+            Ok(fmoe_bench::cli::Parsed::Run(cli)) => cli,
+            other => panic!("{command} {args:?} parsed to {other:?}"),
+        }
+    }
+
     #[test]
     fn build_cell_applies_flags() {
-        let mut flags = HashMap::new();
-        flags.insert("model".into(), "small".into());
-        flags.insert("cache-gb".into(), "2".into());
-        flags.insert("distance".into(), "5".into());
-        flags.insert("low-precision".into(), "0.2".into());
-        let cell = build_cell(&flags).unwrap();
+        let cell = build_cell(&cli(
+            "serve",
+            &[
+                "--model",
+                "small",
+                "--cache-gb",
+                "2",
+                "--distance",
+                "5",
+                "--low-precision",
+                "0.2",
+                "--seed",
+                "0",
+            ],
+        ))
+        .unwrap();
         assert_eq!(cell.model.name, "Small-Test-MoE");
         assert_eq!(cell.cache_budget_bytes, 2 << 30);
         assert_eq!(cell.prefetch_distance, 5);
         assert_eq!(cell.low_precision_threshold, Some(0.2));
+        assert_eq!(cell.gate_seed, 0);
     }
 
     #[test]
-    fn build_cell_rejects_bad_values() {
-        let mut flags = HashMap::new();
-        flags.insert("model".into(), "nonsense".into());
-        assert!(build_cell(&flags).is_err());
-        let mut flags = HashMap::new();
-        flags.insert("requests".into(), "many".into());
-        assert!(build_cell(&flags).is_err());
+    fn jobs_refuse_values_they_cannot_use() {
+        for (command, args) in [
+            ("serve", &["--model", "nonsense"][..]),
+            ("serve", &["--decode", "many"]),
+            ("serve", &["--seed", "-1"]),
+            ("serve", &["--low-precision", "low"]),
+            ("timeline", &["--system", "vllm"]),
+            ("sweep", &["--values", "1"]),
+            ("sweep", &["--param", "nonsense", "--values", "1"]),
+            ("sweep", &["--param", "batch", "--values", "1,x"]),
+            ("analyze-store", &[]),
+        ] {
+            let cli = cli(command, args);
+            assert!(Job::from_cli(command, &cli).is_err(), "{command} {args:?}");
+        }
     }
 }

@@ -31,6 +31,11 @@
 //!   the 32 `observe_gate` calls and `end` with one context, where the
 //!   deduplication reuses the iteration's search dots. All use a
 //!   full-size store: smaller stores never fill.
+//! * `history_populate` — fMoE's offline fill,
+//!   `FmoePredictor::populate_from_history` through
+//!   `CellConfig::fmoe_predictor`, of a Mixtral-8x7B store from an
+//!   offline-fmoe-sized LMSYS history: 200 requests of the history split,
+//!   at most 6 iterations each, routed on every core.
 //!
 //! Every timed loop lasts about 100 ms or more on a 2-vCPU VM, and a
 //! whole run about two seconds, so a gate can afford many rounds per
@@ -50,16 +55,15 @@
 
 use fmoe::map::ExpertMap;
 use fmoe::matcher::{Matcher, TrajectoryTracker};
-use fmoe::predictor::HistoryRequest;
 use fmoe::store::ExpertMapStore;
 use fmoe::{FmoeConfig, FmoePredictor};
 use fmoe_bench::cli::{Cli, JOBS};
 use fmoe_bench::harness::{CellConfig, ParallelRunner, System};
 use fmoe_bench::perf::{PerfRecord, PerfReport};
 use fmoe_model::gate::{GateScratch, TokenSpan};
-use fmoe_model::{presets, GateParams, GateSimulator, RequestRouting};
+use fmoe_model::{presets, GateParams, GateSimulator, HistoryRequest, RequestRouting};
 use fmoe_serving::{ExpertPredictor, IterationContext};
-use fmoe_workload::DatasetSpec;
+use fmoe_workload::{split, DatasetSpec};
 use std::hint::black_box;
 use std::time::Instant;
 
@@ -352,6 +356,30 @@ fn predictor_records() -> Vec<PerfRecord> {
     ]
 }
 
+/// `history_populate`: the offline store fill of an offline-fmoe-sized
+/// history, from routing to the last insert.
+fn populate_record() -> PerfRecord {
+    const HISTORY: usize = 200;
+    const ITERS: u64 = 2;
+    let cell = CellConfig::new(
+        presets::mixtral_8x7b(),
+        DatasetSpec::lmsys_chat(),
+        System::Fmoe,
+    );
+    let gate = cell.gate();
+    let (history, _) = split::paper_split(&cell.dataset.prompts(2 * HISTORY as u64));
+    let history = &history[..HISTORY];
+    let (wall_ms, iters_per_s) = time_iters(ITERS, || {
+        black_box(cell.fmoe_predictor(&gate, history).store_len());
+    });
+    PerfRecord {
+        scenario: "history_populate".to_string(),
+        wall_ms,
+        iters_per_s,
+        jobs: ParallelRunner::available_parallelism(),
+    }
+}
+
 fn main() {
     let cli = Cli::parse(&[JOBS]);
     let jobs = cli.jobs();
@@ -370,6 +398,7 @@ fn main() {
     records.extend(matcher_records());
     records.extend(router_records());
     records.extend(predictor_records());
+    records.push(populate_record());
     let report = PerfReport { jobs, records };
 
     println!("perf_smoke (jobs = {jobs}, effective = {effective})");

@@ -1,9 +1,7 @@
 //! Shared experiment harness.
 
 use crate::cli::Cli;
-use fmoe::predictor::HistoryRequest;
 use fmoe::{FmoeConfig, FmoePredictor};
-use fmoe_baselines::moe_infinity::EamHistoryRequest;
 use fmoe_baselines::{
     DeepSpeedPredictor, MixtralOffloadingPredictor, MoeInfinityPredictor, OraclePredictor,
     ProMoePredictor, SwapMoePredictor,
@@ -11,7 +9,7 @@ use fmoe_baselines::{
 use fmoe_cache::{EvictionPolicy, FmoePriorityPolicy, LfuPolicy, LruPolicy};
 use fmoe_memsim::Topology;
 use fmoe_model::gate::{GateScratch, TokenSpan};
-use fmoe_model::{GateParams, GateSimulator, GpuSpec, ModelConfig};
+use fmoe_model::{GateParams, GateSimulator, GpuSpec, HistoryRequest, ModelConfig};
 use fmoe_serving::{
     AggregateMetrics, Breakdown, EngineConfig, ExpertPredictor, IterationContext, RequestMetrics,
     ServingEngine,
@@ -176,14 +174,7 @@ impl CellConfig {
     pub fn fmoe_predictor(&self, gate: &GateSimulator, history: &[Prompt]) -> FmoePredictor {
         let config = FmoeConfig::for_model(&self.model).with_distance(self.prefetch_distance);
         let mut p = FmoePredictor::new(self.model.clone(), config);
-        let hist: Vec<HistoryRequest> = history
-            .iter()
-            .map(|pr| HistoryRequest {
-                routing: pr.routing,
-                prompt_tokens: pr.prompt_tokens,
-                iterations: pr.iterations().min(self.max_history_iterations),
-            })
-            .collect();
+        let hist: Vec<HistoryRequest> = history.iter().map(|pr| pr.history_request()).collect();
         p.populate_from_history(gate, &hist, self.max_history_iterations);
         p
     }
@@ -197,14 +188,8 @@ impl CellConfig {
             System::MoeInfinity => {
                 let mut p =
                     MoeInfinityPredictor::new(&self.model).with_distance(self.prefetch_distance);
-                let hist: Vec<EamHistoryRequest> = history
-                    .iter()
-                    .map(|pr| EamHistoryRequest {
-                        routing: pr.routing,
-                        prompt_tokens: pr.prompt_tokens,
-                        iterations: pr.iterations().min(self.max_history_iterations),
-                    })
-                    .collect();
+                let hist: Vec<HistoryRequest> =
+                    history.iter().map(|pr| pr.history_request()).collect();
                 p.populate_from_history(gate, &hist, self.max_history_iterations);
                 Box::new(p)
             }

@@ -83,6 +83,35 @@ fn serve_online_with_slots_runs_continuous_batching() {
 }
 
 #[test]
+fn an_unusable_command_line_exits_2_with_the_usage_before_anything_runs() {
+    for args in [
+        &[][..],
+        &["bogus"],
+        &["list", "--no-such-flag"],
+        &["serve", "--model", "gpt5"],
+        &["serve", "--requests", "x"],
+        &["serve", "--seed", "-1"],
+        &["sweep", "--param", "nonsense", "--values", "1"],
+        &["analyze-store"],
+    ] {
+        let name = format!("refused{}", args.join("_"));
+        let _ = std::fs::remove_dir_all(scratch(&name));
+        let dir = scratch(&name);
+        let out = Command::new(env!("CARGO_BIN_EXE_fmoe_sim"))
+            .args(args)
+            .current_dir(&dir)
+            .output()
+            .expect("binary runs");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {stderr}");
+        assert!(stderr.contains("usage:"), "{args:?}: {stderr}");
+        assert!(out.stdout.is_empty(), "{args:?} printed to stdout");
+        let left = std::fs::read_dir(&dir).expect("scratch dir").count();
+        assert_eq!(left, 0, "{args:?} wrote files");
+    }
+}
+
+#[test]
 fn unknown_names_fail_with_a_clear_error() {
     let (ok, text) = fmoe_sim(&["serve", "--model", "gpt5"]);
     assert!(!ok);

@@ -1,10 +1,11 @@
 //! Cluster determinism, routing behaviour, and single-engine equivalence.
 
-use fmoe::predictor::HistoryRequest;
 use fmoe::{FmoeConfig, FmoePredictor};
 use fmoe_cluster::{AffinityConfig, Cluster, RoutingPolicy};
 use fmoe_memsim::Topology;
-use fmoe_model::{presets, GateParams, GateSimulator, GpuSpec, ModelConfig, RequestRouting};
+use fmoe_model::{
+    presets, GateParams, GateSimulator, GpuSpec, HistoryRequest, ModelConfig, RequestRouting,
+};
 use fmoe_serving::{serve, EngineBuilder, EngineConfig, NoPrefetch, ServeOptions, SloPolicy};
 use fmoe_trace::TraceSink;
 use fmoe_workload::{AzureTraceSpec, DatasetSpec, TraceEvent};

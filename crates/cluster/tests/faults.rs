@@ -1,12 +1,13 @@
 //! Replica-level fault tolerance: crash reconciliation, health-aware
 //! routing, warm restart, and the inert-schedule identity.
 
-use fmoe::predictor::HistoryRequest;
 use fmoe::{FmoeConfig, FmoePredictor};
 use fmoe_cluster::{AffinityConfig, Cluster, FailoverConfig, RoutingPolicy, WarmupMode};
 use fmoe_faults::ReplicaFaultSchedule;
 use fmoe_memsim::Topology;
-use fmoe_model::{presets, GateParams, GateSimulator, GpuSpec, ModelConfig, RequestRouting};
+use fmoe_model::{
+    presets, GateParams, GateSimulator, GpuSpec, HistoryRequest, ModelConfig, RequestRouting,
+};
 use fmoe_serving::{EngineBuilder, EngineConfig, SloPolicy};
 use fmoe_trace::{Marker, TraceSink};
 use fmoe_workload::{AzureTraceSpec, DatasetSpec, TraceEvent};

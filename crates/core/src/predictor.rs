@@ -24,22 +24,9 @@ use crate::map::ExpertMap;
 use crate::matcher::{MatchResult, Matcher, SemanticScan, TrajectoryTracker};
 use crate::selection::{prefetch_priority, rank_into, threshold_len, SelectedExpert};
 use crate::store::ExpertMapStore;
-use fmoe_model::gate::{GateScratch, TokenSpan};
-use fmoe_model::{ExpertId, GateParams, GateSimulator, ModelConfig, RequestRouting};
+use fmoe_model::{ExpertId, GateParams, GateSimulator, HistoryRequest, HistoryRouter, ModelConfig};
 use fmoe_serving::{ExpertPredictor, IterationContext, PredictorTiming, PrefetchPlan};
 use std::ops::Range;
-
-/// A historical request used to pre-populate the store offline (the
-/// paper's 70% split).
-#[derive(Debug, Clone, Copy)]
-pub struct HistoryRequest {
-    /// Routing identity of the historical prompt.
-    pub routing: RequestRouting,
-    /// Prompt length in tokens.
-    pub prompt_tokens: u64,
-    /// Iterations to record (prefill + decodes).
-    pub iterations: u64,
-}
 
 #[derive(Debug, Default)]
 struct ElementState {
@@ -194,34 +181,25 @@ impl FmoePredictor {
 
     /// Pre-populates the store by replaying historical requests through
     /// the router — the paper's offline setup, where 70% of each dataset's
-    /// context data is stored before evaluation (§6.1). An iteration whose
-    /// embedding the store refuses is not recorded.
+    /// context data is stored before evaluation (§6.1). The requests are
+    /// routed on every core ([`HistoryRouter`]) and inserted here in
+    /// history order, so the store is the one a sequential fill builds.
+    /// An iteration whose embedding the store refuses is not recorded.
     pub fn populate_from_history(
         &mut self,
         gate: &GateSimulator,
         history: &[HistoryRequest],
         max_iterations_per_request: u64,
     ) {
-        let layers = self.model.num_layers;
         let j = self.model.experts_per_layer as usize;
-        let mut scratch = GateScratch::default();
-        for req in history {
-            let iters = req.iterations.min(max_iterations_per_request).max(1);
-            for iter in 0..iters {
-                let span = if iter == 0 {
-                    TokenSpan::prefill(req.prompt_tokens)
-                } else {
-                    TokenSpan::single(req.prompt_tokens + iter - 1)
-                };
-                let mut flat = Vec::with_capacity(layers as usize * j);
-                for l in 0..layers {
-                    gate.route_into(req.routing, iter, l, span, &mut scratch);
-                    flat.extend_from_slice(&scratch.dist);
+        let store = &mut self.store;
+        HistoryRouter::new(gate, max_iterations_per_request)
+            .with_embeddings()
+            .for_each(history, |routed| {
+                for (map, embedding) in routed.maps.into_iter().zip(routed.embeddings) {
+                    let _ = store.insert(embedding, ExpertMap::from_flat(map, j));
                 }
-                let embedding = gate.semantic_embedding(req.routing, iter);
-                let _ = self.store.insert(embedding, ExpertMap::from_flat(flat, j));
-            }
-        }
+            });
     }
 
     /// Prefetch plans from match `m`'s stored map for the target
@@ -412,7 +390,9 @@ impl ExpertPredictor for FmoePredictor {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fmoe_model::presets;
+    use crate::store::ReplacementPolicy;
+    use fmoe_model::gate::{GateScratch, TokenSpan};
+    use fmoe_model::{presets, RequestRouting};
 
     fn gate() -> GateSimulator {
         let cfg = presets::small_test_model();
@@ -472,6 +452,81 @@ mod tests {
         let cap = p.config().store_capacity;
         p.populate_from_history(&g, &history(2, 2000), 1);
         assert!(p.store_len() <= cap);
+    }
+
+    /// The fill as one sequential loop on the calling thread: route each
+    /// iteration's layers, then insert its map and embedding.
+    fn populate_sequentially(
+        p: &mut FmoePredictor,
+        gate: &GateSimulator,
+        history: &[HistoryRequest],
+        max_iterations_per_request: u64,
+    ) {
+        let layers = p.model.num_layers;
+        let j = p.model.experts_per_layer as usize;
+        let mut scratch = GateScratch::default();
+        for req in history {
+            let iters = req.iterations.min(max_iterations_per_request).max(1);
+            for iter in 0..iters {
+                let span = if iter == 0 {
+                    TokenSpan::prefill(req.prompt_tokens)
+                } else {
+                    TokenSpan::single(req.prompt_tokens + iter - 1)
+                };
+                let mut flat = Vec::with_capacity(layers as usize * j);
+                for l in 0..layers {
+                    gate.route_into(req.routing, iter, l, span, &mut scratch);
+                    flat.extend_from_slice(&scratch.dist);
+                }
+                let embedding = gate.semantic_embedding(req.routing, iter);
+                let _ = p.store.insert(embedding, ExpertMap::from_flat(flat, j));
+            }
+        }
+    }
+
+    fn store_bytes(p: &FmoePredictor) -> Vec<u8> {
+        let mut bytes = Vec::new();
+        p.store().save_to(&mut bytes).unwrap();
+        bytes
+    }
+
+    #[test]
+    fn populated_store_is_byte_identical_to_the_sequential_fill() {
+        let g = gate();
+        let cfg = presets::small_test_model();
+        let cap = u64::from(g.params().prefill_token_cap);
+        // Prompts below and past the prefill cap, iterations of 0 and
+        // above the per-request cap, and enough of them to overflow the
+        // store, so every replacement rule and its RNG run.
+        let history: Vec<HistoryRequest> = (0..40u64)
+            .map(|i| HistoryRequest {
+                routing: RequestRouting {
+                    cluster: i % 7,
+                    request_seed: 500 + i,
+                },
+                prompt_tokens: [3, 40, cap + 9][(i % 3) as usize],
+                iterations: [0, 2, 5, 11][(i % 4) as usize],
+            })
+            .collect();
+        for policy in [
+            ReplacementPolicy::Redundancy,
+            ReplacementPolicy::Fifo,
+            ReplacementPolicy::Random,
+        ] {
+            let mut config = FmoeConfig::for_model(&cfg);
+            config.store_capacity = 48;
+            config.store_replacement = policy;
+            let mut parallel = FmoePredictor::new(cfg.clone(), config.clone());
+            let mut oracle = FmoePredictor::new(cfg.clone(), config);
+            parallel.populate_from_history(&g, &history, 6);
+            populate_sequentially(&mut oracle, &g, &history, 6);
+            assert_eq!(
+                parallel.store_len(),
+                48,
+                "{policy:?}: the store must overflow"
+            );
+            assert_eq!(store_bytes(&parallel), store_bytes(&oracle), "{policy:?}");
+        }
     }
 
     #[test]

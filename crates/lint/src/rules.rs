@@ -346,7 +346,7 @@ pub fn lint_source(ctx: &FileContext, source: &str) -> Vec<Diagnostic> {
                     Severity::Error,
                     tok,
                     "shared-state hazard in a thread-spawning module: only \
-                     `parking_lot::RwLock` and crossbeam channels are approved \
+                     `parking_lot::RwLock` and channels (`std::sync::mpsc`, crossbeam) are approved \
                      for cross-thread state (see DESIGN.md §10)"
                         .to_string(),
                     &lines,

@@ -17,6 +17,8 @@
 //!   structure the paper measures on real routers (peaked per-iteration
 //!   distributions, balanced long-run routing, semantic-cluster-conditioned
 //!   trajectories, decaying inter-layer correlation). See `DESIGN.md` §3.
+//! * [`history`] — routing a request history on every core, handed back
+//!   in history order, for the predictors' offline fills.
 //! * [`compute`] — an analytical roofline cost model for attention and
 //!   expert FFN execution, used by the serving engine to advance virtual
 //!   time.
@@ -29,6 +31,7 @@ pub mod config;
 pub mod dense;
 pub mod expert;
 pub mod gate;
+pub mod history;
 pub mod presets;
 
 pub use compute::{CostModel, GpuSpec};
@@ -36,6 +39,7 @@ pub use config::{ModelConfig, BYTES_PER_PARAM_FP16};
 pub use dense::{DenseIdMap, DenseIdSet};
 pub use expert::{ExpertId, LayerId};
 pub use gate::{GateParams, GateSimulator, RequestRouting};
+pub use history::{HistoryRequest, HistoryRouter, RoutedRequest};
 
 #[cfg(test)]
 mod proptests;

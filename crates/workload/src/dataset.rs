@@ -1,6 +1,6 @@
 //! Clustered synthetic prompt datasets.
 
-use fmoe_model::RequestRouting;
+use fmoe_model::{HistoryRequest, RequestRouting};
 use fmoe_stats::rng::{hash_to_unit, normal_noise};
 use serde::{Deserialize, Serialize};
 
@@ -24,6 +24,17 @@ impl Prompt {
     #[must_use]
     pub fn iterations(&self) -> u64 {
         1 + self.output_tokens.saturating_sub(1)
+    }
+
+    /// This prompt as a history request for a predictor's offline fill,
+    /// every iteration included; the fill caps them.
+    #[must_use]
+    pub fn history_request(&self) -> HistoryRequest {
+        HistoryRequest {
+            routing: self.routing,
+            prompt_tokens: self.prompt_tokens,
+            iterations: self.iterations(),
+        }
     }
 }
 

@@ -5,11 +5,10 @@
 //! cargo run --release --example quickstart
 //! ```
 
-use fmoe::predictor::HistoryRequest;
 use fmoe::{FmoeConfig, FmoePredictor};
 use fmoe_cache::FmoePriorityPolicy;
 use fmoe_memsim::Topology;
-use fmoe_model::{presets, GateParams, GateSimulator, GpuSpec};
+use fmoe_model::{presets, GateParams, GateSimulator, GpuSpec, HistoryRequest};
 use fmoe_serving::{EngineConfig, ServingEngine};
 use fmoe_workload::{split, DatasetSpec};
 
@@ -34,14 +33,7 @@ fn main() {
 
     // 3. Build the fMoE policy and pre-populate its store.
     let mut predictor = FmoePredictor::new(model.clone(), FmoeConfig::for_model(&model));
-    let hist: Vec<HistoryRequest> = history
-        .iter()
-        .map(|p| HistoryRequest {
-            routing: p.routing,
-            prompt_tokens: p.prompt_tokens,
-            iterations: p.iterations().min(6),
-        })
-        .collect();
+    let hist: Vec<HistoryRequest> = history.iter().map(|p| p.history_request()).collect();
     predictor.populate_from_history(&gate, &hist, 6);
     println!(
         "expert map store: {} maps from {} history prompts",

@@ -2,11 +2,10 @@
 //! paper's design: tunable memory budgets (SwapMoE-style) and
 //! mixed-precision expert staging (Hobbit-style).
 
-use fmoe::predictor::HistoryRequest;
 use fmoe::{FmoeConfig, FmoePredictor};
 use fmoe_cache::FmoePriorityPolicy;
 use fmoe_memsim::Topology;
-use fmoe_model::{presets, GateParams, GateSimulator, GpuSpec, ModelConfig};
+use fmoe_model::{presets, GateParams, GateSimulator, GpuSpec, HistoryRequest, ModelConfig};
 use fmoe_serving::{EngineConfig, ServingEngine};
 use fmoe_workload::{split, DatasetSpec, Prompt};
 
@@ -41,14 +40,7 @@ fn predictor() -> FmoePredictor {
     let gate = GateSimulator::new(m.clone(), GateParams::for_model(&m));
     let mut p = FmoePredictor::new(m.clone(), FmoeConfig::for_model(&m));
     let (history, _) = workload();
-    let hist: Vec<HistoryRequest> = history
-        .iter()
-        .map(|pr| HistoryRequest {
-            routing: pr.routing,
-            prompt_tokens: pr.prompt_tokens,
-            iterations: pr.iterations().min(5),
-        })
-        .collect();
+    let hist: Vec<HistoryRequest> = history.iter().map(|pr| pr.history_request()).collect();
     p.populate_from_history(&gate, &hist, 5);
     p
 }

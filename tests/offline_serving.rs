@@ -2,12 +2,11 @@
 //! history population → engine serving — for fMoE and the baselines, on a
 //! scaled-down model so the suite stays fast.
 
-use fmoe::predictor::HistoryRequest;
 use fmoe::{FmoeConfig, FmoePredictor};
 use fmoe_baselines::{DeepSpeedPredictor, MixtralOffloadingPredictor, OraclePredictor};
 use fmoe_cache::{FmoePriorityPolicy, LruPolicy};
 use fmoe_memsim::Topology;
-use fmoe_model::{presets, GateParams, GateSimulator, GpuSpec, ModelConfig};
+use fmoe_model::{presets, GateParams, GateSimulator, GpuSpec, HistoryRequest, ModelConfig};
 use fmoe_serving::{
     AggregateMetrics, EngineConfig, ExpertPredictor, RequestMetrics, ServingEngine,
 };
@@ -74,14 +73,7 @@ fn fmoe_predictor() -> FmoePredictor {
     let m = model();
     let mut p = FmoePredictor::new(m.clone(), FmoeConfig::for_model(&m));
     let (history, _) = workload();
-    let hist: Vec<HistoryRequest> = history
-        .iter()
-        .map(|pr| HistoryRequest {
-            routing: pr.routing,
-            prompt_tokens: pr.prompt_tokens,
-            iterations: pr.iterations().min(5),
-        })
-        .collect();
+    let hist: Vec<HistoryRequest> = history.iter().map(|pr| pr.history_request()).collect();
     p.populate_from_history(&gate(), &hist, 5);
     p
 }

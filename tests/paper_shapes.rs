@@ -3,14 +3,12 @@
 //! the small test model so CI catches a regression in any claim within
 //! seconds.
 
-use fmoe::predictor::HistoryRequest;
 use fmoe::selection::select_experts;
 use fmoe::{FmoeConfig, FmoePredictor};
-use fmoe_baselines::moe_infinity::EamHistoryRequest;
 use fmoe_baselines::MoeInfinityPredictor;
 use fmoe_bench::harness::coverage_probe;
 use fmoe_model::gate::TokenSpan;
-use fmoe_model::{presets, GateParams, GateSimulator, ModelConfig};
+use fmoe_model::{presets, GateParams, GateSimulator, HistoryRequest, ModelConfig};
 use fmoe_stats::shannon_entropy_of_counts;
 use fmoe_workload::{split, DatasetSpec, Prompt};
 
@@ -83,11 +81,7 @@ fn fine_grained_prediction_beats_coarse() {
         &g,
         &history
             .iter()
-            .map(|p| HistoryRequest {
-                routing: p.routing,
-                prompt_tokens: p.prompt_tokens,
-                iterations: p.iterations().min(5),
-            })
+            .map(|p| p.history_request())
             .collect::<Vec<_>>(),
         5,
     );
@@ -97,11 +91,7 @@ fn fine_grained_prediction_beats_coarse() {
         &g,
         &history
             .iter()
-            .map(|p| EamHistoryRequest {
-                routing: p.routing,
-                prompt_tokens: p.prompt_tokens,
-                iterations: p.iterations().min(5),
-            })
+            .map(|p| p.history_request())
             .collect::<Vec<_>>(),
         5,
     );
@@ -119,14 +109,7 @@ fn fine_grained_prediction_beats_coarse() {
 fn coverage_decays_with_prefetch_distance() {
     let g = gate();
     let (history, test) = workload();
-    let hist: Vec<HistoryRequest> = history
-        .iter()
-        .map(|p| HistoryRequest {
-            routing: p.routing,
-            prompt_tokens: p.prompt_tokens,
-            iterations: p.iterations().min(5),
-        })
-        .collect();
+    let hist: Vec<HistoryRequest> = history.iter().map(|p| p.history_request()).collect();
     let at = |d: u32| {
         let mut config = FmoeConfig::for_model(&model()).with_distance(d);
         config.prefetch_window = 1;
