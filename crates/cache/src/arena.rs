@@ -1,7 +1,7 @@
 //! Arena-allocated intrusive doubly-linked list.
 //!
-//! The cache core and the queue-ordered eviction policies (FIFO, SIEVE)
-//! need a recency/insertion-ordered list whose nodes never move and can
+//! The cache core and SIEVE's eviction queue need a
+//! recency/insertion-ordered list whose nodes never move and can
 //! be unlinked in O(1) — without per-node heap allocation, without
 //! `unsafe`, and without pointer-chasing through `Box`es. The classic
 //! answer (ported from SIEVE-style cache implementations, e.g. the
@@ -11,8 +11,8 @@
 //! backing storage past its high-water mark.
 //!
 //! Orientation: the list runs **head (newest) → tail (oldest)**. New
-//! nodes are pushed at the head; FIFO scans start at the tail; SIEVE's
-//! hand walks tail → head, wrapping back to the tail.
+//! nodes are pushed at the head; SIEVE's hand walks tail → head,
+//! wrapping back to the tail.
 //!
 //! There is no panicking index math in the public surface: every
 //! accessor returns `Option`, and a stale index simply yields `None`.

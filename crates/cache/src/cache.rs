@@ -529,18 +529,18 @@ impl ExpertCache {
         self.policy.name()
     }
 
-    /// Drops all residency, pins and statistics, keeping the policy's
-    /// long-term bookkeeping intact only if `reset_policy` is `false`.
-    pub fn clear(&mut self, reset_policy: bool) {
+    /// Drops all residency, pins, statistics and the policy's
+    /// bookkeeping. The policy must forget too: FIFO and SIEVE skip an
+    /// insert of an expert they still queue, so a kept queue would hand a
+    /// re-inserted expert its old position.
+    pub fn clear(&mut self) {
         self.arena.clear();
         self.index.clear();
         for used in &mut self.per_gpu_used {
             *used = 0;
         }
         self.stats = CacheStats::default();
-        if reset_policy {
-            self.policy.reset();
-        }
+        self.policy.reset();
     }
 
     /// Iterator over resident experts (expert-id order).
@@ -561,7 +561,7 @@ impl ExpertCache {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::policy::{FmoePriorityPolicy, LfuPolicy, LruPolicy};
+    use crate::policy::{FifoPolicy, FmoePriorityPolicy, LfuPolicy, LruPolicy};
     use fmoe_model::presets;
 
     fn tiny_cache(slots_per_gpu: u64, gpus: u32) -> ExpertCache {
@@ -737,10 +737,28 @@ mod tests {
         let mut c = tiny_cache(2, 1);
         c.insert(e(0, 0), 0);
         c.record_access(e(0, 0), 1);
-        c.clear(true);
+        c.clear();
         assert_eq!(c.resident_count(), 0);
         assert_eq!(c.total_used_bytes(), 0);
         assert_eq!(c.stats().accesses(), 0);
+    }
+
+    #[test]
+    fn fifo_evicts_in_reinsertion_order_after_a_clear() {
+        let cfg = presets::tiny_test_model();
+        let mut c = ExpertCache::new(&cfg, cfg.expert_bytes() * 2, 1, Box::new(FifoPolicy::new()));
+        c.insert(e(0, 0), 0);
+        c.insert(e(0, 1), 1);
+        c.clear();
+        // Re-inserted in the opposite order: E[0,1] is now the oldest.
+        c.insert(e(0, 1), 2);
+        c.insert(e(0, 0), 3);
+        assert_eq!(
+            c.insert(e(0, 2), 4),
+            InsertOutcome::Inserted {
+                evicted: vec![e(0, 1)]
+            }
+        );
     }
 
     #[test]

@@ -18,7 +18,9 @@
 //!
 //! The residency core is an arena-allocated intrusive list
 //! ([`arena::LinkArena`]: `Vec<Option<Node>>` + `u32` indices, no
-//! unsafe).
+//! unsafe). The baseline policies keep their per-expert state in one
+//! dense table type, rows by layer, and every policy evaluates each
+//! victim candidate once.
 //!
 //! The cache is a pure bookkeeping structure: it knows nothing about
 //! virtual time beyond the monotone counter callers pass for recency, and
@@ -31,6 +33,7 @@ pub mod arena;
 pub mod cache;
 pub mod policy;
 pub mod stats;
+mod table;
 
 pub use cache::{ExpertCache, InsertOutcome, Placement};
 pub use policy::{

@@ -12,8 +12,9 @@
 //! mechanics that produce that ordering.
 
 use crate::arena::{LinkArena, NIL};
+use crate::table::ExpertTable;
 use fmoe_model::ExpertId;
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 
 /// Chooses eviction victims among resident experts.
 pub trait EvictionPolicy: std::fmt::Debug + Send {
@@ -31,7 +32,10 @@ pub trait EvictionPolicy: std::fmt::Debug + Send {
     fn on_remove(&mut self, expert: ExpertId);
 
     /// Picks the next victim among `candidates` (all currently resident,
-    /// none pinned). Returns `None` only when `candidates` is empty.
+    /// none pinned, in any order). Returns `None` only when `candidates`
+    /// is empty. Every policy evaluates each candidate once; a policy
+    /// that ranks by a key evicts the least `(key, ExpertId)`, so the
+    /// victim does not depend on the candidates' order.
     fn choose_victim(&self, candidates: &[ExpertId]) -> Option<ExpertId>;
 
     /// [`Self::choose_victim`] with mutable access, for policies whose
@@ -66,7 +70,8 @@ pub trait EvictionPolicy: std::fmt::Debug + Send {
 /// Least-recently-used eviction (Mixtral-Offloading's cache).
 #[derive(Debug, Default)]
 pub struct LruPolicy {
-    last_used: BTreeMap<ExpertId, u64>,
+    /// Last insert or hit stamp; 0 for an expert not resident.
+    last_used: ExpertTable<u64>,
 }
 
 impl LruPolicy {
@@ -83,22 +88,23 @@ impl EvictionPolicy for LruPolicy {
     }
 
     fn on_insert(&mut self, expert: ExpertId, now: u64) {
-        self.last_used.insert(expert, now);
+        self.last_used.set(expert, now);
     }
 
     fn on_hit(&mut self, expert: ExpertId, now: u64) {
-        self.last_used.insert(expert, now);
+        self.last_used.set(expert, now);
     }
 
     fn on_remove(&mut self, expert: ExpertId) {
-        self.last_used.remove(&expert);
+        self.last_used.set(expert, 0);
     }
 
     fn choose_victim(&self, candidates: &[ExpertId]) -> Option<ExpertId> {
         candidates
             .iter()
-            .min_by_key(|e| (self.last_used.get(e).copied().unwrap_or(0), **e))
-            .copied()
+            .map(|&e| (self.last_used.get(e), e))
+            .min()
+            .map(|(_, e)| e)
     }
 
     fn reset(&mut self) {
@@ -116,19 +122,39 @@ impl EvictionPolicy for LruPolicy {
 ///   credited at most once per iteration, mirroring the aggregated
 ///   activation counts its Expert Activation Matrix stores. This is the
 ///   "LFU" of the paper's Fig. 12b.
-#[derive(Debug, Default)]
+#[derive(Debug)]
 pub struct LfuPolicy {
-    freq: BTreeMap<ExpertId, u64>,
+    counts: ExpertTable<LfuCount>,
     /// When `true`, hits are deduplicated within an iteration.
     coarse: bool,
-    seen_this_iteration: BTreeSet<ExpertId>,
+    /// The current iteration, counted from 1 so that an expert never
+    /// credited (`credited_in == 0`) reads as not yet seen.
+    iteration: u64,
+}
+
+/// One expert's LFU bookkeeping.
+#[derive(Debug, Clone, Copy, Default)]
+struct LfuCount {
+    freq: u64,
+    /// Iteration of the last credited hit (coarse counting only).
+    credited_in: u64,
+}
+
+impl Default for LfuPolicy {
+    fn default() -> Self {
+        Self::new()
+    }
 }
 
 impl LfuPolicy {
     /// Creates an idealized per-access LFU policy.
     #[must_use]
     pub fn new() -> Self {
-        Self::default()
+        Self {
+            counts: ExpertTable::default(),
+            coarse: false,
+            iteration: 1,
+        }
     }
 
     /// Creates the MoE-Infinity-faithful coarse-counting LFU policy.
@@ -136,7 +162,7 @@ impl LfuPolicy {
     pub fn coarse() -> Self {
         Self {
             coarse: true,
-            ..Self::default()
+            ..Self::new()
         }
     }
 }
@@ -150,15 +176,18 @@ impl EvictionPolicy for LfuPolicy {
         }
     }
 
-    fn on_insert(&mut self, expert: ExpertId, _now: u64) {
-        self.freq.entry(expert).or_insert(0);
-    }
+    fn on_insert(&mut self, _expert: ExpertId, _now: u64) {}
 
     fn on_hit(&mut self, expert: ExpertId, _now: u64) {
-        if self.coarse && !self.seen_this_iteration.insert(expert) {
-            return;
+        let mut count = self.counts.get(expert);
+        if self.coarse {
+            if count.credited_in == self.iteration {
+                return;
+            }
+            count.credited_in = self.iteration;
         }
-        *self.freq.entry(expert).or_insert(0) += 1;
+        count.freq += 1;
+        self.counts.set(expert, count);
     }
 
     fn on_remove(&mut self, expert: ExpertId) {
@@ -170,17 +199,17 @@ impl EvictionPolicy for LfuPolicy {
     fn choose_victim(&self, candidates: &[ExpertId]) -> Option<ExpertId> {
         candidates
             .iter()
-            .min_by_key(|e| (self.freq.get(e).copied().unwrap_or(0), **e))
-            .copied()
+            .map(|&e| (self.counts.get(e).freq, e))
+            .min()
+            .map(|(_, e)| e)
     }
 
     fn on_iteration_boundary(&mut self) {
-        self.seen_this_iteration.clear();
+        self.iteration += 1;
     }
 
     fn reset(&mut self) {
-        self.freq.clear();
-        self.seen_this_iteration.clear();
+        self.counts.clear();
     }
 }
 
@@ -259,10 +288,12 @@ impl EvictionPolicy for FmoePriorityPolicy {
     fn on_remove(&mut self, _expert: ExpertId) {}
 
     fn choose_victim(&self, candidates: &[ExpertId]) -> Option<ExpertId> {
+        // One score per candidate: the least `(score, id)` in one pass.
         candidates
             .iter()
-            .min_by(|a, b| self.score(**a).total_cmp(&self.score(**b)).then(a.cmp(b)))
-            .copied()
+            .map(|&e| (self.score(e), e))
+            .min_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)))
+            .map(|(_, e)| e)
     }
 
     fn update_probability(&mut self, expert: ExpertId, probability: f64) {
@@ -285,14 +316,17 @@ impl EvictionPolicy for FmoePriorityPolicy {
     }
 }
 
-/// First-in-first-out eviction on the arena-allocated intrusive list:
-/// hits do nothing, so the eviction order is pure insertion order. The
-/// classic lower baseline for SIEVE (both keep a write-free hit path;
-/// FIFO just never spares anything).
+/// First-in-first-out eviction: hits do nothing, so the eviction order
+/// is pure insertion order. The classic lower baseline for SIEVE (both
+/// keep a write-free hit path; FIFO just never spares anything). Each
+/// queued expert carries its insertion number, so the victim is the
+/// candidate with the least one: one read per candidate, no queue walk.
 #[derive(Debug, Default)]
 pub struct FifoPolicy {
-    queue: LinkArena<ExpertId>,
-    index: BTreeMap<ExpertId, u32>,
+    /// Insertion number of each queued expert; 0 for one not queued.
+    inserted: ExpertTable<u64>,
+    /// Number of inserts so far.
+    inserts: u64,
 }
 
 impl FifoPolicy {
@@ -309,9 +343,9 @@ impl EvictionPolicy for FifoPolicy {
     }
 
     fn on_insert(&mut self, expert: ExpertId, _now: u64) {
-        if !self.index.contains_key(&expert) {
-            let idx = self.queue.push_head(expert);
-            self.index.insert(expert, idx);
+        if self.inserted.get(expert) == 0 {
+            self.inserts += 1;
+            self.inserted.set(expert, self.inserts);
         }
     }
 
@@ -320,25 +354,24 @@ impl EvictionPolicy for FifoPolicy {
     }
 
     fn on_remove(&mut self, expert: ExpertId) {
-        if let Some(idx) = self.index.remove(&expert) {
-            let _ = self.queue.remove(idx);
-        }
+        self.inserted.set(expert, 0);
     }
 
     fn choose_victim(&self, candidates: &[ExpertId]) -> Option<ExpertId> {
-        for (_, expert) in self.queue.iter_oldest_first() {
-            if candidates.contains(expert) {
-                return Some(*expert);
-            }
-        }
-        // Candidates the policy never saw an insert for (defensive):
-        // deterministic fallback to the smallest id.
-        candidates.iter().min().copied()
+        // The oldest queued candidate; candidates the policy never saw an
+        // insert for (defensive) rank after every queued one, by id.
+        candidates
+            .iter()
+            .map(|&e| {
+                let inserted = self.inserted.get(e);
+                (inserted == 0, inserted, e)
+            })
+            .min()
+            .map(|(_, _, e)| e)
     }
 
     fn reset(&mut self) {
-        self.queue.clear();
-        self.index.clear();
+        self.inserted.clear();
     }
 }
 
@@ -346,6 +379,8 @@ impl EvictionPolicy for FifoPolicy {
 struct SieveEntry {
     expert: ExpertId,
     visited: bool,
+    /// The victim scan that last named this entry a candidate.
+    candidate_in: u64,
 }
 
 /// SIEVE eviction (NSDI '24) on the arena-allocated intrusive list.
@@ -359,14 +394,26 @@ struct SieveEntry {
 ///
 /// Entries outside the candidate set (pinned, or resident on another
 /// GPU) are skipped without touching their bits: they are not
-/// examinable, so they keep whatever second chance they have.
-#[derive(Debug, Default)]
+/// examinable, so they keep whatever second chance they have. A scan
+/// first stamps each candidate's entry, so a step of the hand tests
+/// membership by reading the entry it is on.
+#[derive(Debug, Clone)]
 pub struct SievePolicy {
     queue: LinkArena<SieveEntry>,
-    index: BTreeMap<ExpertId, u32>,
+    /// Arena node of each queued expert.
+    index: ExpertTable<Option<u32>>,
     /// Arena index the next eviction scan starts from; [`NIL`] wraps to
     /// the tail.
     hand: u32,
+    /// Victim scans so far; the current scan's candidates carry this
+    /// number in `candidate_in`.
+    scans: u64,
+}
+
+impl Default for SievePolicy {
+    fn default() -> Self {
+        Self::new()
+    }
 }
 
 impl SievePolicy {
@@ -375,8 +422,9 @@ impl SievePolicy {
     pub fn new() -> Self {
         Self {
             queue: LinkArena::new(),
-            index: BTreeMap::new(),
+            index: ExpertTable::default(),
             hand: NIL,
+            scans: 0,
         }
     }
 
@@ -384,8 +432,8 @@ impl SievePolicy {
     #[must_use]
     pub fn is_visited(&self, expert: ExpertId) -> bool {
         self.index
-            .get(&expert)
-            .and_then(|&idx| self.queue.get(idx))
+            .get(expert)
+            .and_then(|idx| self.queue.get(idx))
             .is_some_and(|e| e.visited)
     }
 
@@ -406,18 +454,19 @@ impl EvictionPolicy for SievePolicy {
     }
 
     fn on_insert(&mut self, expert: ExpertId, _now: u64) {
-        if !self.index.contains_key(&expert) {
+        if self.index.get(expert).is_none() {
             let idx = self.queue.push_head(SieveEntry {
                 expert,
                 visited: false,
+                candidate_in: 0,
             });
-            self.index.insert(expert, idx);
+            self.index.set(expert, Some(idx));
         }
     }
 
     fn on_hit(&mut self, expert: ExpertId, _now: u64) {
         // The single-bit-flip hit path.
-        if let Some(&idx) = self.index.get(&expert) {
+        if let Some(idx) = self.index.get(expert) {
             if let Some(entry) = self.queue.get_mut(idx) {
                 entry.visited = true;
             }
@@ -425,7 +474,8 @@ impl EvictionPolicy for SievePolicy {
     }
 
     fn on_remove(&mut self, expert: ExpertId) {
-        if let Some(idx) = self.index.remove(&expert) {
+        if let Some(idx) = self.index.get(expert) {
+            self.index.set(expert, None);
             if self.hand == idx {
                 // Park the hand just past the removed node (toward the
                 // head); NIL wraps to the tail on the next scan.
@@ -436,71 +486,47 @@ impl EvictionPolicy for SievePolicy {
     }
 
     fn choose_victim(&self, candidates: &[ExpertId]) -> Option<ExpertId> {
-        // Pure preview of the mutable scan: simulate bit clears locally
-        // so repeated calls (and the oracle-diff suite) see exactly the
-        // victim `choose_victim_mut` would take, without advancing state.
-        if candidates.is_empty() || self.queue.is_empty() {
-            return candidates.iter().min().copied();
-        }
-        let mut cleared: BTreeSet<u32> = BTreeSet::new();
-        let mut cur = if self.hand != NIL {
-            self.hand
-        } else {
-            self.queue.tail()
-        };
-        let max_steps = 2 * self.queue.len() + 1;
-        for _ in 0..max_steps {
-            if cur == NIL {
-                break;
-            }
-            if let Some(entry) = self.queue.get(cur) {
-                if candidates.contains(&entry.expert) {
-                    if entry.visited && !cleared.contains(&cur) {
-                        cleared.insert(cur);
-                    } else {
-                        return Some(entry.expert);
-                    }
-                }
-            }
-            cur = self.advance(cur);
-        }
-        candidates.iter().min().copied()
+        // A preview of the scan on a copy, so repeated calls (and the
+        // oracle-diff suite) see exactly the victim `choose_victim_mut`
+        // would take, without advancing state. The cache never calls it.
+        self.clone().choose_victim_mut(candidates)
     }
 
     fn choose_victim_mut(&mut self, candidates: &[ExpertId]) -> Option<ExpertId> {
-        if candidates.is_empty() || self.queue.is_empty() {
-            return candidates.iter().min().copied();
-        }
-        let mut cur = if self.hand != NIL {
-            self.hand
-        } else {
-            self.queue.tail()
-        };
-        // One lap clears every visited candidate bit; the second lap must
-        // then find an unvisited candidate, so 2·len+1 steps bound the
-        // walk even under heavy pinning.
-        let max_steps = 2 * self.queue.len() + 1;
-        for _ in 0..max_steps {
-            if cur == NIL {
-                break;
+        self.scans += 1;
+        let mut queued = false;
+        for &e in candidates {
+            if let Some(entry) = self.index.get(e).and_then(|idx| self.queue.get_mut(idx)) {
+                entry.candidate_in = self.scans;
+                queued = true;
             }
-            let examined = self
-                .queue
-                .get(cur)
-                .filter(|e| candidates.contains(&e.expert))
-                .map(|e| (e.expert, e.visited));
-            if let Some((expert, visited)) = examined {
-                if visited {
-                    if let Some(entry) = self.queue.get_mut(cur) {
-                        entry.visited = false;
+        }
+        if queued {
+            let mut cur = if self.hand != NIL {
+                self.hand
+            } else {
+                self.queue.tail()
+            };
+            // One lap clears every visited candidate bit; the second lap
+            // must then find an unvisited candidate, so 2·len+1 steps
+            // bound the walk even under heavy pinning.
+            for _ in 0..2 * self.queue.len() + 1 {
+                let Some(entry) = self.queue.get_mut(cur) else {
+                    break;
+                };
+                if entry.candidate_in == self.scans {
+                    if !entry.visited {
+                        let victim = entry.expert;
+                        self.hand = self.queue.newer(cur);
+                        return Some(victim);
                     }
-                } else {
-                    self.hand = self.queue.newer(cur);
-                    return Some(expert);
+                    entry.visited = false;
                 }
+                cur = self.advance(cur);
             }
-            cur = self.advance(cur);
         }
+        // Candidates the policy never saw an insert for (defensive):
+        // deterministic fallback to the smallest id.
         candidates.iter().min().copied()
     }
 

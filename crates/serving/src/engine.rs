@@ -188,12 +188,28 @@ struct Element {
     /// `true` when the request runs in SLO-degraded mode: on-demand
     /// loads that only degraded elements need move half payloads.
     degraded: bool,
-    /// Realized per-layer distributions of the current iteration.
+    /// Realized per-layer distributions of the current iteration. The
+    /// `L` rows live as long as the element: each layer overwrites its
+    /// row in place, and every iteration runs all `L` layers before
+    /// step 5 reads them.
     realized_map: Vec<Vec<f64>>,
     /// Semantic embedding of the current iteration.
     embedding: Vec<f64>,
-    /// Activated expert slots per layer of the current iteration.
+    /// Activated expert slots per layer of the current iteration, kept
+    /// like `realized_map`.
     activated: Vec<Vec<u32>>,
+}
+
+/// Sets `rows[layer]` to `values`, reusing the row's allocation; the
+/// first iteration, which reaches each layer in order, appends the row.
+fn overwrite_row<T: Clone>(rows: &mut Vec<Vec<T>>, layer: u32, values: &[T]) {
+    if let Some(row) = rows.get_mut(layer as usize) {
+        row.clear();
+        row.extend_from_slice(values);
+    } else {
+        debug_assert_eq!(rows.len(), layer as usize, "layers run in order");
+        rows.push(values.to_vec());
+    }
 }
 
 /// Batch-wide quantities every layer of one iteration reads; constant
@@ -797,7 +813,7 @@ impl ServingEngine {
     /// carry the snapshot externally (see `fmoe_cache::CacheStats::merged`).
     pub fn restart_at(&mut self, at: Nanos) -> fmoe_cache::CacheStats {
         let pre_crash = self.cache.stats();
-        self.cache.clear(true);
+        self.cache.clear();
         self.staged.clear();
         self.in_flight.clear();
         self.active.clear();
@@ -1059,8 +1075,6 @@ impl ServingEngine {
             el.embedding = self
                 .gate
                 .semantic_embedding(el.prompt.routing, el.iteration);
-            el.realized_map.clear();
-            el.activated.clear();
         }
         // One context per element for the whole iteration: every field
         // is constant until step 5's bookkeeping, so predictors at each
@@ -1214,8 +1228,8 @@ impl ServingEngine {
                     scratch.full_precision.insert(d);
                 }
             }
-            el.realized_map.push(scratch.gate.dist.clone());
-            el.activated.push(scratch.gate.activated.clone());
+            overwrite_row(&mut el.realized_map, layer, &scratch.gate.dist);
+            overwrite_row(&mut el.activated, layer, &scratch.gate.activated);
             scratch
                 .layer_plans
                 .extend(predictor.observe_gate(ctx, layer, &scratch.gate.dist));
