@@ -36,6 +36,10 @@
 //!   `CellConfig::fmoe_predictor`, of a Mixtral-8x7B store from an
 //!   offline-fmoe-sized LMSYS history: 200 requests of the history split,
 //!   at most 6 iterations each, routed on every core.
+//! * `router_wrappers` — the allocating wrapper pair perfbench's router
+//!   replay times per logged call, `iteration_distribution` then
+//!   `activated_slots`, on the coordinates `router_prefill` (1,000 pairs)
+//!   and `router_decode` (50,000 pairs) walk.
 //!
 //! Every timed loop lasts about 100 ms or more on a 2-vCPU VM, and a
 //! whole run about two seconds, so a gate can afford many rounds per
@@ -205,32 +209,46 @@ fn matcher_records() -> Vec<PerfRecord> {
     ]
 }
 
+/// The router scenarios' walk over Mixtral-8x7B coordinates: call `call`
+/// routes layer `call mod L` of request `call / L`, so every call routes
+/// fresh coordinates. Prefill calls route iteration 0 over a 512-token
+/// span; decode calls one of the first 16 decode iterations.
+fn router_coords(layers: u64, call: u64, prefill: bool) -> (RequestRouting, u64, u32, TokenSpan) {
+    let routing = RequestRouting {
+        cluster: call / layers % 40,
+        request_seed: call / layers,
+    };
+    let layer = (call % layers) as u32;
+    if prefill {
+        (routing, 0, layer, TokenSpan::prefill(512))
+    } else {
+        let iteration = 1 + call % 16;
+        (
+            routing,
+            iteration,
+            layer,
+            TokenSpan::single(511 + iteration),
+        )
+    }
+}
+
 /// The router kernel alone: `route_into` with one reused scratch, walking
 /// requests × layers so every call routes fresh coordinates.
 fn router_records() -> Vec<PerfRecord> {
     let (prefill_calls, decode_calls) = (2_000, 100_000);
     let gate = GateSimulator::with_defaults(presets::mixtral_8x7b());
     let layers = u64::from(gate.config().num_layers);
-    let coords = |call: u64| {
-        let routing = RequestRouting {
-            cluster: call / layers % 40,
-            request_seed: call / layers,
-        };
-        (routing, (call % layers) as u32)
-    };
     let mut scratch = GateScratch::default();
     let mut call = 0u64;
     let (prefill_ms, prefill_ips) = time_iters(prefill_calls, || {
-        let (routing, layer) = coords(call);
-        gate.route_into(routing, 0, layer, TokenSpan::prefill(512), &mut scratch);
+        let (routing, iteration, layer, span) = router_coords(layers, call, true);
+        gate.route_into(routing, iteration, layer, span, &mut scratch);
         black_box(&scratch);
         call += 1;
     });
     let mut call = 0u64;
     let (decode_ms, decode_ips) = time_iters(decode_calls, || {
-        let (routing, layer) = coords(call);
-        let iteration = 1 + call % 16;
-        let span = TokenSpan::single(511 + iteration);
+        let (routing, iteration, layer, span) = router_coords(layers, call, false);
         gate.route_into(routing, iteration, layer, span, &mut scratch);
         black_box(&scratch);
         call += 1;
@@ -356,6 +374,31 @@ fn predictor_records() -> Vec<PerfRecord> {
     ]
 }
 
+/// `router_wrappers`: the allocating wrapper pair perfbench's router
+/// replay times per logged call, `iteration_distribution` then
+/// `activated_slots`, over the walks of `router_prefill` (1,000 pairs)
+/// and `router_decode` (50,000 pairs). `iters_per_s` is pairs per second.
+fn wrappers_record() -> PerfRecord {
+    let (prefill_pairs, decode_pairs) = (1_000, 50_000);
+    let gate = GateSimulator::with_defaults(presets::mixtral_8x7b());
+    let layers = u64::from(gate.config().num_layers);
+    let mut call = 0u64;
+    let (wall_ms, iters_per_s) = time_iters(prefill_pairs + decode_pairs, || {
+        let prefill = call < prefill_pairs;
+        let walk = if prefill { call } else { call - prefill_pairs };
+        let (routing, iteration, layer, span) = router_coords(layers, walk, prefill);
+        black_box(gate.iteration_distribution(routing, iteration, layer, span));
+        black_box(gate.activated_slots(routing, iteration, layer, span));
+        call += 1;
+    });
+    PerfRecord {
+        scenario: "router_wrappers".to_string(),
+        wall_ms,
+        iters_per_s,
+        jobs: 1,
+    }
+}
+
 /// `history_populate`: the offline store fill of an offline-fmoe-sized
 /// history, from routing to the last insert.
 fn populate_record() -> PerfRecord {
@@ -399,6 +442,7 @@ fn main() {
     records.extend(router_records());
     records.extend(predictor_records());
     records.push(populate_record());
+    records.push(wrappers_record());
     let report = PerfReport { jobs, records };
 
     println!("perf_smoke (jobs = {jobs}, effective = {effective})");

@@ -185,18 +185,21 @@ const TAG_EMB_REQUEST: u64 = 0x07;
 const TAG_EMB_ITER: u64 = 0x08;
 const TAG_EMB_PHASE: u64 = 0x09;
 
-/// Reusable working memory of [`GateSimulator::route_into`].
+/// Reusable working memory of [`GateSimulator::route_into`] and its
+/// one-output modes.
 ///
 /// One scratch serves any number of calls, on any model: every call
 /// resizes the buffers to its model's `J` and overwrites them, so a
 /// caller that keeps one scratch routes without allocating once the
-/// buffers have grown.
+/// buffers have grown. A mode that does not compute an output leaves it
+/// empty.
 #[derive(Debug, Clone, Default)]
 pub struct GateScratch {
-    /// The iteration distribution of the last call (length `J`).
+    /// The iteration distribution of the last call (length `J`); empty
+    /// after an activations-only pass.
     pub dist: Vec<f64>,
     /// The slots the last call activated: the union of every routed
-    /// token's top-K, ascending.
+    /// token's top-K, ascending; empty after a distribution-only pass.
     pub activated: Vec<u32>,
     /// One token's logits, then (in place) its softmax numerators.
     logits: Vec<f64>,
@@ -305,6 +308,8 @@ impl GateSimulator {
     /// Softmax distribution over experts for one token — the `P_l^{(i)}`
     /// of the paper, at token granularity (the token is treated as its
     /// span's first position, as in every decode iteration).
+    ///
+    /// A distribution-only pass: no token's top-K is computed.
     #[must_use]
     pub fn token_distribution(
         &self,
@@ -317,6 +322,8 @@ impl GateSimulator {
     }
 
     /// Top-K expert slots for one token, highest probability first.
+    ///
+    /// An activations-only pass: no token's softmax is computed.
     #[must_use]
     pub fn token_top_k(
         &self,
@@ -326,13 +333,8 @@ impl GateSimulator {
         token: u64,
     ) -> Vec<u32> {
         let mut scratch = GateScratch::default();
-        self.route_into(
-            req,
-            iteration,
-            layer,
-            TokenSpan::single(token),
-            &mut scratch,
-        );
+        let span = TokenSpan::single(token);
+        self.route_activations_into(req, iteration, layer, span, &mut scratch);
         scratch.top
     }
 
@@ -341,8 +343,9 @@ impl GateSimulator {
     /// single token's distribution).
     ///
     /// This is the row an expert map records for `(iteration, layer)`.
-    /// A full [`Self::route_into`] pass; callers that also need the
-    /// activated set should call that once instead.
+    /// A distribution-only pass, which skips every token's top-K;
+    /// callers that also need the activated set should make one
+    /// [`Self::route_into`] call instead.
     #[must_use]
     pub fn iteration_distribution(
         &self,
@@ -352,15 +355,16 @@ impl GateSimulator {
         span: TokenSpan,
     ) -> Vec<f64> {
         let mut scratch = GateScratch::default();
-        self.route_into(req, iteration, layer, span, &mut scratch);
+        self.route_distribution_into(req, iteration, layer, span, &mut scratch);
         scratch.dist
     }
 
     /// The set of expert slots activated by the span at this layer: the
     /// union of every token's top-K. Sorted ascending.
     ///
-    /// A full [`Self::route_into`] pass; callers that also need the
-    /// distribution should call that once instead.
+    /// An activations-only pass, which skips every token's softmax;
+    /// callers that also need the distribution should make one
+    /// [`Self::route_into`] call instead.
     #[must_use]
     pub fn activated_slots(
         &self,
@@ -370,7 +374,7 @@ impl GateSimulator {
         span: TokenSpan,
     ) -> Vec<u32> {
         let mut scratch = GateScratch::default();
-        self.route_into(req, iteration, layer, span, &mut scratch);
+        self.route_activations_into(req, iteration, layer, span, &mut scratch);
         scratch.activated
     }
 
@@ -390,6 +394,49 @@ impl GateSimulator {
     /// operations and their order are those of the per-token formula, so
     /// the output is bit-identical to it.
     pub fn route_into(
+        &self,
+        req: RequestRouting,
+        iteration: u64,
+        layer: u32,
+        span: TokenSpan,
+        scratch: &mut GateScratch,
+    ) {
+        self.route_pass::<true, true>(req, iteration, layer, span, scratch);
+    }
+
+    /// [`Self::route_into`] without the activated set: fills
+    /// `scratch.dist` and leaves `scratch.activated` empty, skipping every
+    /// token's top-K. `scratch.dist` is bit-identical to `route_into`'s.
+    pub(crate) fn route_distribution_into(
+        &self,
+        req: RequestRouting,
+        iteration: u64,
+        layer: u32,
+        span: TokenSpan,
+        scratch: &mut GateScratch,
+    ) {
+        self.route_pass::<true, false>(req, iteration, layer, span, scratch);
+    }
+
+    /// [`Self::route_into`] without the distribution: fills
+    /// `scratch.activated` and leaves `scratch.dist` empty, skipping every
+    /// token's softmax. `scratch.activated` equals `route_into`'s.
+    pub(crate) fn route_activations_into(
+        &self,
+        req: RequestRouting,
+        iteration: u64,
+        layer: u32,
+        span: TokenSpan,
+        scratch: &mut GateScratch,
+    ) {
+        self.route_pass::<false, true>(req, iteration, layer, span, scratch);
+    }
+
+    /// The one loop body of the three routing modes: `DIST` computes the
+    /// distribution (each token's softmax), `ACT` the activated set (each
+    /// token's top-K). Both read the same logits, so a mode that skips an
+    /// output computes the other exactly as the fused pass does.
+    fn route_pass<const DIST: bool, const ACT: bool>(
         &self,
         req: RequestRouting,
         iteration: u64,
@@ -439,9 +486,15 @@ impl GateSimulator {
             }
         }
         dist.clear();
-        dist.resize(j, 0.0);
         hit.clear();
-        hit.resize(j, false);
+        top.clear();
+        activated.clear();
+        if DIST {
+            dist.resize(j, 0.0);
+        }
+        if ACT {
+            hit.resize(j, false);
+        }
         logits.resize(j, 0.0);
 
         let count = span.count.max(1);
@@ -464,27 +517,33 @@ impl GateSimulator {
                     p.amplitude * kernel + bias[slot] + shared[slot] + p.token_noise * per_token;
             }
 
-            top_k_into(logits, k, top);
-            for &slot in top.iter() {
-                hit[slot as usize] = true;
+            if ACT {
+                top_k_into(logits, k, top);
+                for &slot in top.iter() {
+                    hit[slot as usize] = true;
+                }
             }
-
-            // Softmax, accumulated into the span mean.
-            let max = logits.iter().copied().fold(f64::NEG_INFINITY, f64::max);
-            for l in logits.iter_mut() {
-                *l = ((*l - max) / temperature).exp();
-            }
-            let sum: f64 = logits.iter().sum();
-            for (a, e) in dist.iter_mut().zip(logits.iter()) {
-                *a += e / sum;
+            if DIST {
+                // Softmax, accumulated into the span mean.
+                let max = logits.iter().copied().fold(f64::NEG_INFINITY, f64::max);
+                for l in logits.iter_mut() {
+                    *l = ((*l - max) / temperature).exp();
+                }
+                let sum: f64 = logits.iter().sum();
+                for (a, e) in dist.iter_mut().zip(logits.iter()) {
+                    *a += e / sum;
+                }
             }
         }
-        let n = routed as f64;
-        for a in dist.iter_mut() {
-            *a /= n;
+        if DIST {
+            let n = routed as f64;
+            for a in dist.iter_mut() {
+                *a /= n;
+            }
         }
-        activated.clear();
-        activated.extend((0..j as u32).filter(|&slot| hit[slot as usize]));
+        if ACT {
+            activated.extend((0..j as u32).filter(|&slot| hit[slot as usize]));
+        }
     }
 
     /// The `L×J` static-bias table, built on first call.
@@ -507,29 +566,73 @@ impl GateSimulator {
     /// alone: it models how the embedding-layer output drifts as the
     /// sequence grows, letting semantic search align a new request with
     /// historical iterations at the same point of generation.
+    ///
+    /// Composed from its three parts ([`Self::embedding_request_part`],
+    /// [`Self::embedding_phase_row`], [`Self::compose_embedding`]); a
+    /// caller that embeds many iterations of one request, or one
+    /// iteration of many requests, computes the shared parts once.
     #[must_use]
     pub fn semantic_embedding(&self, req: RequestRouting, iteration: u64) -> Vec<f64> {
+        let (mut request, mut phase, mut out) = (Vec::new(), Vec::new(), Vec::new());
+        self.embedding_request_part(req, &mut request);
+        self.embedding_phase_row(iteration, &mut phase);
+        self.compose_embedding(req, iteration, &request, &phase, &mut out);
+        out
+    }
+
+    /// Writes the per-request part of [`Self::semantic_embedding`] into
+    /// `out`: the cluster direction plus the weighted request noise, one
+    /// value per embedding dimension.
+    pub fn embedding_request_part(&self, req: RequestRouting, out: &mut Vec<f64>) {
         let p = &self.params;
-        let dim = p.embedding_dim as usize;
-        let mut v: Vec<f64> = (0..dim as u64)
-            .map(|k| {
-                let cluster = normal_noise(&[p.seed, req.cluster, k, TAG_EMB_CLUSTER]);
-                let request = normal_noise(&[p.seed, req.request_seed, k, TAG_EMB_REQUEST]);
-                let phase = normal_noise(&[p.seed, iteration, k, TAG_EMB_PHASE]);
+        out.clear();
+        out.extend((0..u64::from(p.embedding_dim)).map(|k| {
+            let cluster = normal_noise(&[p.seed, req.cluster, k, TAG_EMB_CLUSTER]);
+            let request = normal_noise(&[p.seed, req.request_seed, k, TAG_EMB_REQUEST]);
+            cluster + p.embedding_request_noise * request
+        }));
+    }
+
+    /// Writes the weighted iteration-phase row of
+    /// [`Self::semantic_embedding`] into `out`: keyed by the iteration
+    /// index alone, so every request shares it.
+    pub fn embedding_phase_row(&self, iteration: u64, out: &mut Vec<f64>) {
+        let p = &self.params;
+        out.clear();
+        out.extend((0..u64::from(p.embedding_dim)).map(|k| {
+            p.embedding_phase_weight * normal_noise(&[p.seed, iteration, k, TAG_EMB_PHASE])
+        }));
+    }
+
+    /// Writes [`Self::semantic_embedding`]`(req, iteration)` into `out`
+    /// from its cached parts: `request_part` (from
+    /// [`Self::embedding_request_part`] for `req`) plus `phase_row` (from
+    /// [`Self::embedding_phase_row`] for `iteration`) plus the weighted
+    /// per-(request, iteration) noise, normalized. The sum runs in the
+    /// order of the four-term formula, `((cluster + request) + phase) +
+    /// noise`, so the result is bit-identical to it.
+    pub fn compose_embedding(
+        &self,
+        req: RequestRouting,
+        iteration: u64,
+        request_part: &[f64],
+        phase_row: &[f64],
+        out: &mut Vec<f64>,
+    ) {
+        let p = &self.params;
+        out.clear();
+        out.extend((0u64..).zip(request_part.iter().zip(phase_row)).map(
+            |(k, (&request, &phase))| {
                 let iter = normal_noise(&[p.seed, req.request_seed, iteration, k, TAG_EMB_ITER]);
-                cluster
-                    + p.embedding_request_noise * request
-                    + p.embedding_phase_weight * phase
-                    + p.embedding_iteration_noise * iter
-            })
-            .collect();
-        let norm = v.iter().map(|x| x * x).sum::<f64>().sqrt();
+                request + phase + p.embedding_iteration_noise * iter
+            },
+        ));
+        let norm = out.iter().map(|x| x * x).sum::<f64>().sqrt();
         if norm > 0.0 {
-            for x in &mut v {
+            for x in out.iter_mut() {
                 *x /= norm;
             }
         }
-        v
     }
 }
 
@@ -554,15 +657,44 @@ fn top_k_into(values: &[f64], k: usize, top: &mut Vec<u32>) {
 
 /// The router as first written, one token at a time: every logit hashes
 /// its own noise and bias, and every token allocates its logits, softmax
-/// and top-K. This is the specification [`GateSimulator::route_into`] is
-/// pinned to bit for bit (`crate::proptests`); it never runs outside
-/// tests.
+/// and top-K; and the semantic embedding as one sum per dimension. This
+/// is the specification [`GateSimulator::route_into`], its one-output
+/// modes and [`GateSimulator::semantic_embedding`] are pinned to bit for
+/// bit (`crate::proptests`); it never runs outside tests.
 #[cfg(test)]
 pub(crate) mod reference {
     use super::{
-        GateSimulator, RequestRouting, TokenSpan, TAG_EXPERT_BIAS, TAG_ITER_NOISE, TAG_TOKEN,
+        GateSimulator, RequestRouting, TokenSpan, TAG_EMB_CLUSTER, TAG_EMB_ITER, TAG_EMB_PHASE,
+        TAG_EMB_REQUEST, TAG_EXPERT_BIAS, TAG_ITER_NOISE, TAG_TOKEN,
     };
     use fmoe_stats::rng::{gumbel_noise, normal_noise};
+
+    /// The semantic embedding as one four-term sum per dimension, every
+    /// normal drawn afresh: the specification
+    /// [`GateSimulator::semantic_embedding`]'s composition from cached
+    /// parts is pinned to.
+    pub fn semantic_embedding(g: &GateSimulator, req: RequestRouting, iteration: u64) -> Vec<f64> {
+        let p = &g.params;
+        let mut v: Vec<f64> = (0..u64::from(p.embedding_dim))
+            .map(|k| {
+                let cluster = normal_noise(&[p.seed, req.cluster, k, TAG_EMB_CLUSTER]);
+                let request = normal_noise(&[p.seed, req.request_seed, k, TAG_EMB_REQUEST]);
+                let phase = normal_noise(&[p.seed, iteration, k, TAG_EMB_PHASE]);
+                let iter = normal_noise(&[p.seed, req.request_seed, iteration, k, TAG_EMB_ITER]);
+                cluster
+                    + p.embedding_request_noise * request
+                    + p.embedding_phase_weight * phase
+                    + p.embedding_iteration_noise * iter
+            })
+            .collect();
+        let norm = v.iter().map(|x| x * x).sum::<f64>().sqrt();
+        if norm > 0.0 {
+            for x in &mut v {
+                *x /= norm;
+            }
+        }
+        v
+    }
 
     /// Circular (ring) distance between expert slot `slot` and a
     /// real-valued center position.

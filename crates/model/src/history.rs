@@ -4,11 +4,11 @@
 //! dataset's context data (§6.1), and MoE-Infinity's activation-matrix
 //! collection is built the same way. Both fills route every
 //! `(request, iteration, layer)` of the history, which dominates their
-//! cost. [`HistoryRouter`] spreads that routing over the calling thread
-//! and a scoped worker thread per further core, and hands each routed
-//! request to the caller in history order. The caller's fill therefore runs
-//! exactly as a sequential loop would: the same inserts, in the same
-//! order, through the same state.
+//! cost. [`HistoryRouter`] spreads that routing over a scoped worker
+//! thread per core, and hands each routed request to the calling thread in
+//! history order. The caller's fill therefore runs exactly as a
+//! sequential loop would: the same inserts, in the same order, through
+//! the same state.
 //!
 //! Routing is a pure function of the router and the request (the gate's
 //! randomness is hashed from coordinates), so which worker routes a
@@ -42,9 +42,20 @@ pub struct RoutedRequest {
 }
 
 /// Routed requests a worker may hold ready before the caller takes them:
-/// the hand-off bound. With `W` lanes at most `(W − 1) · (AHEAD + 1) + 1`
-/// requests are routed but not yet consumed, however long the history.
+/// the hand-off bound. With `W` workers at most `W · (AHEAD + 1)` requests
+/// are routed but not yet consumed, however long the history.
 const AHEAD: usize = 4;
+
+/// One worker's reusable working memory: the router's scratch and the
+/// embedding parts that outlive a single iteration.
+#[derive(Debug, Default)]
+pub(crate) struct Lane {
+    gate: GateScratch,
+    /// The per-request embedding part of the request being routed.
+    request_part: Vec<f64>,
+    /// Embedding phase rows by iteration index, each computed once.
+    phase_rows: Vec<Vec<f64>>,
+}
 
 /// Routes histories for one [`GateSimulator`].
 ///
@@ -91,9 +102,12 @@ impl<'g> HistoryRouter<'g> {
 
     /// Routes one request on the calling thread: its prefill over
     /// `[0, prompt_tokens)`, then one decode per further iteration, every
-    /// layer of the router's model.
+    /// layer of the router's model. Only distributions are computed (no
+    /// fill reads the activated sets), and each embedding is composed from
+    /// the request's part, computed once here, and the lane's phase row
+    /// for its iteration, computed once per lane.
     #[must_use]
-    pub(crate) fn route(&self, req: &HistoryRequest, scratch: &mut GateScratch) -> RoutedRequest {
+    pub(crate) fn route(&self, req: &HistoryRequest, lane: &mut Lane) -> RoutedRequest {
         let config = self.gate.config();
         let lj = (config.num_layers * config.experts_per_layer) as usize;
         let iterations = req.iterations.min(self.max_iterations).max(1);
@@ -107,22 +121,41 @@ impl<'g> HistoryRouter<'g> {
             let mut map = Vec::with_capacity(lj);
             for layer in 0..config.num_layers {
                 self.gate
-                    .route_into(req.routing, iter, layer, span, scratch);
-                map.extend_from_slice(&scratch.dist);
+                    .route_distribution_into(req.routing, iter, layer, span, &mut lane.gate);
+                map.extend_from_slice(&lane.gate.dist);
             }
             routed.maps.push(map);
-            if self.embeddings {
-                routed
-                    .embeddings
-                    .push(self.gate.semantic_embedding(req.routing, iter));
+        }
+        if self.embeddings {
+            self.gate
+                .embedding_request_part(req.routing, &mut lane.request_part);
+            for iter in lane.phase_rows.len() as u64..iterations {
+                let mut row = Vec::new();
+                self.gate.embedding_phase_row(iter, &mut row);
+                lane.phase_rows.push(row);
             }
+            routed.embeddings = (0..iterations)
+                .zip(&lane.phase_rows)
+                .map(|(iter, phase_row)| {
+                    let mut embedding = Vec::new();
+                    self.gate.compose_embedding(
+                        req.routing,
+                        iter,
+                        &lane.request_part,
+                        phase_row,
+                        &mut embedding,
+                    );
+                    embedding
+                })
+                .collect();
         }
         routed
     }
 
-    /// Routes `history` on every available core — the calling thread and
-    /// one scoped worker per further core — and calls `sink` on the
-    /// calling thread with each routed request, in history order.
+    /// Routes `history` on every available core, one scoped worker per
+    /// core, and calls `sink` on the calling thread with each routed
+    /// request, in history order. The calling thread routes nothing: it
+    /// runs every `sink` call, the fill's inserts.
     ///
     /// A panic while routing resurfaces here, after the routed requests
     /// before the one that panicked have reached `sink`.
@@ -131,42 +164,41 @@ impl<'g> HistoryRouter<'g> {
         in_order(
             lanes,
             history,
-            |req, scratch| self.route(req, scratch),
+            |req, lane: &mut Lane| self.route(req, lane),
             sink,
         );
     }
 }
 
-/// Maps `route` over `items` on `lanes` threads and calls `sink` on the
-/// calling thread with each result, in item order.
+/// Maps `route` over `items` on `lanes` scoped worker threads and calls
+/// `sink` on the calling thread with each result, in item order.
 ///
-/// Lane `w` routes items `w, w + W, w + 2W, …`. Lane 0 is the calling
-/// thread, which routes its item when the item is next; every other lane
-/// is a scoped worker that sends its results into a channel of its own
-/// holding [`AHEAD`] of them. Taking item `i` from lane `i mod W`, the
-/// caller reads every item in order, and no worker runs more than
-/// `AHEAD + 1` items ahead of it. One lane spawns no thread at all.
+/// Worker `w` routes items `w, w + W, w + 2W, …` and sends each result
+/// into a channel of its own holding [`AHEAD`] of them; it keeps one state
+/// `S` for every item it routes. The calling thread only sinks: taking
+/// item `i` from worker `i mod W`, it reads every item in order, and no
+/// worker runs more than `AHEAD + 1` items ahead of it.
 ///
-/// When a worker dies its channel closes: the caller stops, drops every
-/// channel so the other workers' sends fail and they return, and re-raises
-/// the worker's panic. A panic on the calling thread drops the channels
-/// the same way as it unwinds.
-fn in_order<T: Sync, R: Send>(
+/// When a worker dies its channel closes: the caller stops, re-raises the
+/// worker's panic and, unwinding, drops every channel, so the other
+/// workers' sends fail and they return. A panic in `sink` drops the
+/// channels the same way.
+fn in_order<T: Sync, S: Default, R: Send>(
     lanes: usize,
     items: &[T],
-    route: impl Fn(&T, &mut GateScratch) -> R + Sync,
+    route: impl Fn(&T, &mut S) -> R + Sync,
     mut sink: impl FnMut(R),
 ) {
     let lanes = lanes.clamp(1, items.len().max(1));
     let route = &route;
     std::thread::scope(|scope| {
-        let (handles, receivers): (Vec<_>, Vec<_>) = (1..lanes)
+        let (mut handles, receivers): (Vec<_>, Vec<_>) = (0..lanes)
             .map(|lane| {
                 let (tx, rx) = mpsc::sync_channel(AHEAD);
                 let handle = scope.spawn(move || {
-                    let mut scratch = GateScratch::default();
+                    let mut state = S::default();
                     for item in items.iter().skip(lane).step_by(lanes) {
-                        if tx.send(route(item, &mut scratch)).is_err() {
+                        if tx.send(route(item, &mut state)).is_err() {
                             return; // the caller has stopped taking results
                         }
                     }
@@ -174,21 +206,17 @@ fn in_order<T: Sync, R: Send>(
                 (handle, rx)
             })
             .unzip();
-        let mut scratch = GateScratch::default();
-        for (i, item) in items.iter().enumerate() {
-            let result = match i % lanes {
-                0 => route(item, &mut scratch),
-                lane => match receivers[lane - 1].recv() {
-                    Ok(result) => result,
-                    Err(mpsc::RecvError) => break,
-                },
-            };
-            sink(result);
-        }
-        drop(receivers);
-        for handle in handles {
-            if let Err(panic) = handle.join() {
-                std::panic::resume_unwind(panic);
+        for i in 0..items.len() {
+            let lane = i % lanes;
+            match receivers[lane].recv() {
+                Ok(result) => sink(result),
+                // Only a panic closes a worker's channel early.
+                Err(mpsc::RecvError) => {
+                    if let Err(panic) = handles.swap_remove(lane).join() {
+                        std::panic::resume_unwind(panic);
+                    }
+                    return;
+                }
             }
         }
     });
@@ -199,6 +227,9 @@ mod tests {
     use super::*;
     use crate::presets;
     use std::panic::{catch_unwind, AssertUnwindSafe};
+    use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+    use std::sync::Mutex;
+    use std::time::Duration;
 
     fn gate() -> GateSimulator {
         GateSimulator::with_defaults(presets::small_test_model())
@@ -263,7 +294,7 @@ mod tests {
         in_order(
             lanes,
             history,
-            |req, scratch| router.route(req, scratch),
+            |req, lane: &mut Lane| router.route(req, lane),
             |r| out.push(r),
         );
         out
@@ -328,8 +359,11 @@ mod tests {
     #[test]
     fn a_routing_panic_propagates_after_the_requests_before_it() {
         let items: Vec<u64> = (0..20).collect();
-        // Request 11 is routed on a worker at every lane count but 1,
-        // request 12 on the calling thread at 1, 2 and 3 lanes.
+        let caller = std::thread::current().id();
+        // Request `i` is routed on worker `i mod W`, so at 2, 3 and 8 lanes
+        // requests 11 and 12 fail on different workers. The request after
+        // the bad one fails too, on another worker once there are two:
+        // the caller must still re-raise the earlier request's panic.
         for bad in [11, 12] {
             for lanes in [1, 2, 3, 8] {
                 let mut seen = Vec::new();
@@ -337,8 +371,9 @@ mod tests {
                     in_order(
                         lanes,
                         &items,
-                        |&i, _| {
-                            assert!(i != bad, "request {i} cannot be routed");
+                        |&i, _: &mut ()| {
+                            assert_ne!(std::thread::current().id(), caller, "routed on the caller");
+                            assert!(i != bad && i != bad + 1, "request {i} cannot be routed");
                             i
                         },
                         |i| seen.push(i),
@@ -347,7 +382,7 @@ mod tests {
                 let panic = result.expect_err("the panic must propagate");
                 let message = panic.downcast_ref::<String>().map(String::as_str);
                 let expected = format!("request {bad} cannot be routed");
-                assert_eq!(message, Some(expected.as_str()));
+                assert_eq!(message, Some(expected.as_str()), "{lanes} lanes");
                 assert_eq!(seen, (0..bad).collect::<Vec<_>>(), "{lanes} lanes");
             }
         }
@@ -356,15 +391,86 @@ mod tests {
     #[test]
     fn a_sink_panic_stops_every_worker() {
         let items: Vec<u64> = (0..200).collect();
-        let result = catch_unwind(AssertUnwindSafe(|| {
+        for lanes in [1, 2, 4] {
+            // Every worker holds `AHEAD + 1` requests past the last one the
+            // caller took, worker 0 one more past request 0.
+            let most = lanes * (AHEAD + 1) + 1;
+            let routed = AtomicUsize::new(0);
+            let (full, wait) = mpsc::channel();
+            let result = catch_unwind(AssertUnwindSafe(|| {
+                in_order(
+                    lanes,
+                    &items,
+                    |&i, _: &mut ()| {
+                        if routed.fetch_add(1, Ordering::SeqCst) + 1 == most {
+                            full.send(()).unwrap();
+                        }
+                        i
+                    },
+                    |i| {
+                        // Refuse request 0 only once every worker is blocked.
+                        let signal = wait.recv_timeout(Duration::from_secs(30));
+                        assert!(signal.is_ok(), "{lanes} lanes never reached the bound");
+                        panic!("the sink refuses {i}");
+                    },
+                );
+            }));
+            // Returning at all shows the blocked workers were released.
+            let panic = result.expect_err("the panic must propagate");
+            let message = panic.downcast_ref::<String>().map(String::as_str);
+            assert_eq!(message, Some("the sink refuses 0"), "{lanes} lanes");
+            assert_eq!(routed.into_inner(), most, "{lanes} lanes");
+        }
+    }
+
+    #[test]
+    fn no_request_is_routed_past_the_hand_off_bound() {
+        let items: Vec<usize> = (0..200).collect();
+        for lanes in [2, 3, 8] {
+            // What the other workers may route while the caller waits for
+            // request 0: `AHEAD + 1` requests each.
+            let bound: Vec<usize> = (1..lanes)
+                .flat_map(|w| (0..=AHEAD).map(move |k| w + k * lanes))
+                .collect();
+            let (release, blocked) = mpsc::channel();
+            let blocked = Mutex::new(blocked);
+            let first_done = AtomicBool::new(false);
+            // Every request routed while request 0 is still routing.
+            let early = Mutex::new(Vec::new());
+            let mut sunk = Vec::new();
             in_order(
-                4,
+                lanes,
                 &items,
-                |&i, _| i,
-                |i| assert!(i < 5, "the sink refuses {i}"),
+                |&i, _: &mut ()| {
+                    if i == 0 {
+                        // Request 0 blocks the sink until the other
+                        // workers have routed every request the bound
+                        // admits.
+                        let signal = blocked
+                            .lock()
+                            .unwrap()
+                            .recv_timeout(Duration::from_secs(30));
+                        assert!(signal.is_ok(), "{lanes} lanes never reached the bound");
+                        first_done.store(true, Ordering::SeqCst);
+                    } else if !first_done.load(Ordering::SeqCst) {
+                        let mut early = early.lock().unwrap();
+                        early.push(i);
+                        if early.len() == bound.len() {
+                            release.send(()).unwrap();
+                        }
+                    }
+                    i
+                },
+                |i| sunk.push(i),
             );
-        }));
-        // Returning at all shows the blocked workers were released.
-        assert!(result.is_err());
+            assert_eq!(sunk, items, "{lanes} lanes");
+            let mut early = early.into_inner().unwrap();
+            early.sort_unstable();
+            // The others' first `AHEAD + 1` requests, each once, and no
+            // further: a worker blocks once its channel is full.
+            let mut bound = bound;
+            bound.sort_unstable();
+            assert_eq!(early, bound, "{lanes} lanes");
+        }
     }
 }

@@ -80,6 +80,126 @@ proptest! {
     }
 }
 
+/// The models the router tests interleave: `J` of 8 (the small test
+/// model and Mixtral-8x7B), 16 (Phi-3.5-MoE) and 60 (Qwen1.5-MoE), so a
+/// reused scratch meets every change of width.
+fn interleaved_gates() -> Vec<GateSimulator> {
+    [
+        presets::small_test_model(),
+        presets::mixtral_8x7b(),
+        presets::phi35_moe(),
+        presets::qwen15_moe_a27b(),
+    ]
+    .into_iter()
+    .map(GateSimulator::with_defaults)
+    .collect()
+}
+
+/// One wrapper call: which model, which wrapper, which coordinates.
+fn wrapper_call() -> impl Strategy<Value = (usize, u8, RequestRouting, u64, u32, u64, u64)> {
+    (
+        0usize..4,
+        0u8..4,
+        routing(),
+        0u64..200,
+        0u32..64,
+        0u64..2048,
+        span_count(),
+    )
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    #[test]
+    fn every_wrapper_is_bit_identical_to_the_reference_when_calls_interleave(
+        calls in proptest::collection::vec(wrapper_call(), 1..40),
+    ) {
+        let gates = interleaved_gates();
+        // Consecutive calls change model, output and span kind.
+        for (model, wrapper, req, iteration, layer, start, count) in calls {
+            let g = &gates[model];
+            let layer = layer % g.config().num_layers;
+            let span = TokenSpan { start, count };
+            match wrapper {
+                0 => {
+                    let got = g.iteration_distribution(req, iteration, layer, span);
+                    let want = reference::iteration_distribution(g, req, iteration, layer, span);
+                    prop_assert_eq!(bits(&got), bits(&want));
+                }
+                1 => prop_assert_eq!(
+                    g.activated_slots(req, iteration, layer, span),
+                    reference::activated_slots(g, req, iteration, layer, span)
+                ),
+                2 => {
+                    let got = g.token_distribution(req, iteration, layer, start);
+                    let want = reference::token_distribution(g, req, iteration, layer, start);
+                    prop_assert_eq!(bits(&got), bits(&want));
+                }
+                _ => prop_assert_eq!(
+                    g.token_top_k(req, iteration, layer, start),
+                    reference::token_top_k(g, req, iteration, layer, start)
+                ),
+            }
+        }
+    }
+
+    #[test]
+    fn one_output_modes_fill_only_their_output_in_a_reused_scratch(
+        calls in proptest::collection::vec(wrapper_call(), 1..12),
+    ) {
+        let gates = interleaved_gates();
+        let (mut fused, mut scratch) = (GateScratch::default(), GateScratch::default());
+        for (model, _, req, iteration, layer, start, count) in calls {
+            let g = &gates[model];
+            let layer = layer % g.config().num_layers;
+            let span = TokenSpan { start, count };
+            let dist = bits(&reference::iteration_distribution(g, req, iteration, layer, span));
+            let activated = reference::activated_slots(g, req, iteration, layer, span);
+            g.route_into(req, iteration, layer, span, &mut fused);
+            prop_assert_eq!(bits(&fused.dist), dist.clone());
+            prop_assert_eq!(&fused.activated, &activated);
+            g.route_distribution_into(req, iteration, layer, span, &mut scratch);
+            prop_assert_eq!(bits(&scratch.dist), dist);
+            prop_assert!(scratch.activated.is_empty());
+            g.route_activations_into(req, iteration, layer, span, &mut scratch);
+            prop_assert_eq!(&scratch.activated, &activated);
+            prop_assert!(scratch.dist.is_empty());
+        }
+    }
+
+    #[test]
+    fn composed_embeddings_are_bit_identical_to_the_four_term_sum(
+        requests in proptest::collection::vec(routing(), 1..6),
+        preset in 0usize..4,
+    ) {
+        let g = &interleaved_gates()[preset];
+        // Phase rows computed once and shared by every request, as the
+        // history fill's lanes share them.
+        let phase_rows: Vec<Vec<f64>> = (0..=40u64)
+            .map(|iteration| {
+                let mut row = Vec::new();
+                g.embedding_phase_row(iteration, &mut row);
+                row
+            })
+            .collect();
+        let (mut request_part, mut composed) = (Vec::new(), Vec::new());
+        for req in requests {
+            g.embedding_request_part(req, &mut request_part);
+            for (iteration, phase_row) in (0..=40u64).zip(&phase_rows) {
+                let want = bits(&reference::semantic_embedding(g, req, iteration));
+                g.compose_embedding(req, iteration, &request_part, phase_row, &mut composed);
+                prop_assert_eq!(bits(&composed), want.clone());
+                prop_assert_eq!(bits(&g.semantic_embedding(req, iteration)), want);
+            }
+        }
+    }
+}
+
+fn bits(values: &[f64]) -> Vec<u64> {
+    values.iter().map(|v| v.to_bits()).collect()
+}
+
 proptest! {
     #[test]
     fn distributions_are_always_normalized(

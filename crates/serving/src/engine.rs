@@ -193,8 +193,9 @@ struct Element {
     /// row in place, and every iteration runs all `L` layers before
     /// step 5 reads them.
     realized_map: Vec<Vec<f64>>,
-    /// Semantic embedding of the current iteration.
-    embedding: Vec<f64>,
+    /// The per-request part of every iteration's semantic embedding
+    /// (`GateSimulator::embedding_request_part`), computed at admission.
+    embedding_request_part: Vec<f64>,
     /// Activated expert slots per layer of the current iteration, kept
     /// like `realized_map`.
     activated: Vec<Vec<u32>>,
@@ -281,9 +282,9 @@ struct IterationScratch {
     /// Stage pins whose target layer has passed.
     passed: Vec<ExpertId>,
     /// Per-element iteration contexts, computed once per iteration. The
-    /// context is constant for the whole iteration, so this replaces an
-    /// embedding clone per predictor call (one per element per *layer*)
-    /// with one per element per iteration.
+    /// context is constant for the whole iteration, so predictors borrow
+    /// it at every layer; each slot's embedding buffer is reused from
+    /// iteration to iteration.
     contexts: Vec<IterationContext>,
     /// Per-GPU expert-FFN time accumulator for
     /// [`ServingEngine::expert_compute_time`].
@@ -295,6 +296,8 @@ struct IterationScratch {
     a2a_per_gpu: Vec<Nanos>,
     /// Router working memory: one fused pass per (element, layer).
     gate: GateScratch,
+    /// The embedding phase row of the element being contextualized.
+    phase_row: Vec<f64>,
 }
 
 impl IterationScratch {
@@ -393,14 +396,15 @@ impl Element {
         }
     }
 
-    fn context(&self) -> IterationContext {
+    /// The current iteration's context, carrying `embedding`.
+    fn context(&self, embedding: Vec<f64>) -> IterationContext {
         IterationContext {
             element: self.slot,
             request_id: self.prompt.id,
             iteration: self.iteration,
             is_prefill: self.iteration == 0,
             span: self.span(),
-            embedding: self.embedding.clone(),
+            embedding,
             routing: self.prompt.routing,
         }
     }
@@ -881,6 +885,9 @@ impl ServingEngine {
             Some(cap) => prompt.iterations().min(1 + cap),
             None => prompt.iterations(),
         };
+        let mut embedding_request_part = Vec::new();
+        self.gate
+            .embedding_request_part(prompt.routing, &mut embedding_request_part);
         self.active.push(Element {
             prompt,
             slot,
@@ -897,7 +904,7 @@ impl ServingEngine {
             degraded_loads: 0,
             degraded,
             realized_map: Vec::new(),
-            embedding: Vec::new(),
+            embedding_request_part,
             activated: Vec::new(),
         });
         slot
@@ -1070,19 +1077,35 @@ impl ServingEngine {
 
     /// Step ①: context collection (synchronous), then the iteration
     /// boundary — stale prefetches pruned, pins released.
-    fn collect_context(&mut self, elements: &mut [Element], scratch: &mut IterationScratch) {
-        for el in elements.iter_mut() {
-            el.embedding = self
-                .gate
-                .semantic_embedding(el.prompt.routing, el.iteration);
-        }
+    fn collect_context(&mut self, elements: &[Element], scratch: &mut IterationScratch) {
         // One context per element for the whole iteration: every field
         // is constant until step 5's bookkeeping, so predictors at each
-        // layer see exactly what per-call construction produced.
-        scratch.contexts.clear();
-        scratch
-            .contexts
-            .extend(elements.iter().map(Element::context));
+        // layer see exactly what per-call construction produced. Each
+        // context slot keeps its embedding buffer from the last
+        // iteration, and the embedding is composed from the element's
+        // request part, so an iteration allocates no embedding.
+        scratch.contexts.truncate(elements.len());
+        for (i, el) in elements.iter().enumerate() {
+            let mut embedding = scratch
+                .contexts
+                .get_mut(i)
+                .map(|ctx| std::mem::take(&mut ctx.embedding))
+                .unwrap_or_default();
+            self.gate
+                .embedding_phase_row(el.iteration, &mut scratch.phase_row);
+            self.gate.compose_embedding(
+                el.prompt.routing,
+                el.iteration,
+                &el.embedding_request_part,
+                &scratch.phase_row,
+                &mut embedding,
+            );
+            let ctx = el.context(embedding);
+            match scratch.contexts.get_mut(i) {
+                Some(slot) => *slot = ctx,
+                None => scratch.contexts.push(ctx),
+            }
+        }
         self.charge(
             Phase::ContextCollect,
             NO_LAYER,
