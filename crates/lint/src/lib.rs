@@ -24,9 +24,10 @@
 //! are *semantic*: a second stage ([`parser`] → [`graph`] → [`taint`])
 //! parses items, builds the cross-crate call graph, and propagates
 //! panic / wall-clock / randomness taint caller-ward, so a public API
-//! that reaches `panic!` three crates away is still caught. Reports can
-//! be rendered as text, flat JSON, or SARIF 2.1.0 ([`sarif`]), and the
-//! unambiguous rewrites have autofixes behind a dry-run diff ([`fix`]).
+//! that reaches `panic!` three crates away is still caught. The one
+//! output is text: each [`Diagnostic`] renders as
+//! `path:line:col: CODE [severity] message` plus the offending line, in
+//! location order, so two runs over the same tree print the same bytes.
 //!
 //! Intended violations are suppressed via the checked-in `lint.toml`
 //! allowlist; every entry must carry a non-empty justification (FM000
@@ -48,12 +49,10 @@
 
 pub mod allowlist;
 pub mod diag;
-pub mod fix;
 pub mod graph;
 pub mod lexer;
 pub mod parser;
 pub mod rules;
-pub mod sarif;
 pub mod taint;
 pub mod walk;
 

@@ -1,19 +1,17 @@
 //! CLI for `fmoe-lint`. See the library docs for the rule catalog.
 //!
 //! ```text
-//! cargo run -p fmoe-lint -- --workspace [--deny-all] [--format sarif]
-//! cargo run -p fmoe-lint -- --workspace --fix --dry-run
+//! cargo run -p fmoe-lint -- --workspace [--deny-all] [--pedantic-panics]
 //! cargo run -p fmoe-lint -- crates/cache/src/cache.rs
 //! ```
 //!
-//! Exit codes: 0 clean, 1 findings at failing severity (or a non-empty
-//! `--fix --dry-run` diff), 2 usage or I/O error.
+//! Diagnostics and the summary line are text on stderr; stdout carries
+//! only `--help`. Exit codes: 0 clean, 1 findings at failing severity,
+//! 2 usage or I/O error.
 
 #![forbid(unsafe_code)]
 
-use fmoe_lint::{
-    fix, lint_files, lint_workspace_with, sarif, walk, LintOptions, LintReport, Severity,
-};
+use fmoe_lint::{lint_files, lint_workspace_with, walk, LintOptions, LintReport, Severity};
 use std::path::PathBuf;
 use std::process::ExitCode;
 
@@ -23,21 +21,15 @@ const USAGE: &str = "usage: fmoe-lint (--workspace | FILE...) [options]
                         FM001-FM008 plus the cross-crate taint rules
                         FM010-FM012)
   --deny-all            treat warnings as errors
-  --allowlist PATH      lint.toml location (default: <root>/lint.toml)
-  --format FMT          output format: text (default), json, sarif
-  --pedantic-panics     widen FM010 panic seeds to slice indexing and
-                        non-literal division
-  --fix                 apply the unambiguous autofixes (FM001, FM005)
-  --dry-run             with --fix: print the diff, change nothing;
-                        exits 1 when the diff is non-empty";
+  --allowlist PATH      lint.toml location (default: <root>/lint.toml);
+                        an explicit PATH must be readable
+  --pedantic-panics     with --workspace: widen FM010 panic seeds to
+                        slice indexing and non-literal division";
 
 fn main() -> ExitCode {
     let mut workspace = false;
     let mut deny_all = false;
-    let mut fix_mode = false;
-    let mut dry_run = false;
     let mut pedantic = false;
-    let mut format = Format::Text;
     let mut allowlist: Option<PathBuf> = None;
     let mut files: Vec<String> = Vec::new();
 
@@ -46,46 +38,34 @@ fn main() -> ExitCode {
         match arg.as_str() {
             "--workspace" => workspace = true,
             "--deny-all" => deny_all = true,
-            "--fix" => fix_mode = true,
-            "--dry-run" => dry_run = true,
             "--pedantic-panics" => pedantic = true,
             "--allowlist" => match args.next() {
                 Some(p) => allowlist = Some(PathBuf::from(p)),
-                None => {
-                    eprintln!("--allowlist needs a path\n{USAGE}");
-                    return ExitCode::from(2);
-                }
-            },
-            "--format" => match args.next().as_deref() {
-                Some("text") => format = Format::Text,
-                Some("json") => format = Format::Json,
-                Some("sarif") => format = Format::Sarif,
-                other => {
-                    eprintln!(
-                        "--format needs one of text, json, sarif (got {})\n{USAGE}",
-                        other.unwrap_or("nothing")
-                    );
-                    return ExitCode::from(2);
-                }
+                None => return usage_error("--allowlist needs a path"),
             },
             "--help" | "-h" => {
                 println!("{USAGE}");
                 return ExitCode::SUCCESS;
             }
-            flag if flag.starts_with("--") => {
-                eprintln!("unknown flag {flag}\n{USAGE}");
-                return ExitCode::from(2);
-            }
+            flag if flag.starts_with("--") => return usage_error(&format!("unknown flag {flag}")),
             path => files.push(path.to_string()),
         }
     }
     if !workspace && files.is_empty() {
-        eprintln!("{USAGE}");
-        return ExitCode::from(2);
+        return usage_error("give --workspace or at least one FILE");
     }
-    if dry_run && !fix_mode {
-        eprintln!("--dry-run only makes sense with --fix\n{USAGE}");
-        return ExitCode::from(2);
+    // FM010 runs only in workspace mode, so in FILE mode the flag would
+    // be silently ignored.
+    if pedantic && !workspace {
+        return usage_error("--pedantic-panics needs --workspace");
+    }
+    // The library reads a missing allowlist as an empty one (fixture
+    // workspaces have none); a path given by hand must exist, or every
+    // intended exception would be reported as a finding.
+    if let Some(path) = &allowlist {
+        if let Err(e) = std::fs::read_to_string(path) {
+            return usage_error(&format!("cannot read allowlist {}: {e}", path.display()));
+        }
     }
 
     let cwd = match std::env::current_dir() {
@@ -113,78 +93,34 @@ fn main() -> ExitCode {
     } else {
         lint_files(&root, &files, &allowlist_path)
     };
-    let report = match report {
-        Ok(r) => r,
+    match report {
+        Ok(report) => render(&report, deny_all),
         Err(e) => {
             eprintln!("fmoe-lint: {e}");
-            return ExitCode::from(2);
-        }
-    };
-
-    if fix_mode {
-        return run_fix(&root, &report, dry_run);
-    }
-    match format {
-        Format::Text => render(&report, deny_all),
-        Format::Json => {
-            print!("{}", sarif::to_json(&report, deny_all));
-            summary_and_code(&report, deny_all)
-        }
-        Format::Sarif => {
-            print!("{}", sarif::to_sarif(&report, deny_all));
-            summary_and_code(&report, deny_all)
-        }
-    }
-}
-
-/// Output format selector.
-#[derive(Clone, Copy)]
-enum Format {
-    Text,
-    Json,
-    Sarif,
-}
-
-/// Plans (and optionally applies) the autofixes for a report.
-fn run_fix(root: &std::path::Path, report: &LintReport, dry_run: bool) -> ExitCode {
-    let plans = match fix::plan(root, &report.diagnostics) {
-        Ok(p) => p,
-        Err(e) => {
-            eprintln!("fmoe-lint: fix planning failed: {e}");
-            return ExitCode::from(2);
-        }
-    };
-    let edits: usize = plans.iter().map(|p| p.edits.len()).sum();
-    if dry_run {
-        print!("{}", fix::render_diff(&plans));
-        eprintln!(
-            "fmoe-lint: --fix --dry-run: {edits} edit(s) in {} file(s) would be applied",
-            plans.len()
-        );
-        return if edits == 0 {
-            ExitCode::SUCCESS
-        } else {
-            ExitCode::FAILURE
-        };
-    }
-    match fix::apply(root, &plans) {
-        Ok(applied) => {
-            eprintln!(
-                "fmoe-lint: --fix: applied {applied} edit(s) in {} file(s)",
-                plans.len()
-            );
-            ExitCode::SUCCESS
-        }
-        Err(e) => {
-            eprintln!("fmoe-lint: fix application failed: {e}");
             ExitCode::from(2)
         }
     }
 }
 
-/// Summary line on stderr plus the exit code, for machine formats whose
-/// stdout must stay a single well-formed document.
-fn summary_and_code(report: &LintReport, deny_all: bool) -> ExitCode {
+/// Prints `fmoe-lint: MSG` and the usage on stderr; exit code 2.
+fn usage_error(msg: &str) -> ExitCode {
+    eprintln!("fmoe-lint: {msg}\n{USAGE}");
+    ExitCode::from(2)
+}
+
+/// Prints the diagnostics and the summary line on stderr; computes the
+/// exit code.
+fn render(report: &LintReport, deny_all: bool) -> ExitCode {
+    for d in &report.diagnostics {
+        let shown = if deny_all && d.severity == Severity::Warning {
+            let mut promoted = d.clone();
+            promoted.severity = Severity::Error;
+            promoted
+        } else {
+            d.clone()
+        };
+        eprint!("{shown}");
+    }
     let errors = report.errors(deny_all);
     eprintln!(
         "fmoe-lint: {} file(s), {} error(s), {} warning(s), {} suppressed by lint.toml",
@@ -198,19 +134,4 @@ fn summary_and_code(report: &LintReport, deny_all: bool) -> ExitCode {
     } else {
         ExitCode::SUCCESS
     }
-}
-
-/// Prints diagnostics and the summary; computes the exit code.
-fn render(report: &LintReport, deny_all: bool) -> ExitCode {
-    for d in &report.diagnostics {
-        let shown = if deny_all && d.severity == Severity::Warning {
-            let mut promoted = d.clone();
-            promoted.severity = Severity::Error;
-            promoted
-        } else {
-            d.clone()
-        };
-        eprint!("{shown}");
-    }
-    summary_and_code(report, deny_all)
 }

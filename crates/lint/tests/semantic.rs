@@ -2,7 +2,7 @@
 //! taint) over the on-disk chain fixture workspaces under
 //! `tests/fixtures/chain/`.
 
-use fmoe_lint::{lint_workspace_with, sarif, LintOptions};
+use fmoe_lint::{lint_workspace_with, LintOptions};
 use std::path::PathBuf;
 
 fn fixture_root(kind: &str) -> PathBuf {
@@ -84,13 +84,18 @@ fn good_chain_workspace_is_clean() {
 }
 
 #[test]
-fn sarif_is_byte_identical_across_independent_runs() {
+fn rendered_diagnostics_are_byte_identical_across_independent_runs() {
     let root = fixture_root("bad");
-    let r1 = lint_workspace_with(&root, &root.join("lint.toml"), &opts()).expect("run 1");
-    let r2 = lint_workspace_with(&root, &root.join("lint.toml"), &opts()).expect("run 2");
-    let s1 = sarif::to_sarif(&r1, true);
-    let s2 = sarif::to_sarif(&r2, true);
-    assert_eq!(s1, s2, "SARIF must be deterministic across runs");
-    assert!(s1.contains("\"ruleId\":\"FM010\""));
-    assert_eq!(sarif::to_json(&r1, true), sarif::to_json(&r2, true));
+    let render = || -> String {
+        let report =
+            lint_workspace_with(&root, &root.join("lint.toml"), &opts()).expect("lint run");
+        report.diagnostics.iter().map(ToString::to_string).collect()
+    };
+    let first = render();
+    assert_eq!(
+        first,
+        render(),
+        "rendered diagnostics must be deterministic across runs"
+    );
+    assert!(first.contains(": FM010 [error] "), "{first}");
 }
