@@ -52,13 +52,6 @@ impl MixtralOffloadingPredictor {
         self
     }
 
-    /// Overrides the per-layer prefetch width.
-    #[must_use]
-    pub fn with_prefetch_width(mut self, width: usize) -> Self {
-        self.prefetch_per_layer = width.max(1);
-        self
-    }
-
     /// The speculation distance in use.
     #[must_use]
     pub fn distance(&self) -> u32 {

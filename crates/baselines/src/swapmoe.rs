@@ -44,14 +44,6 @@ impl SwapMoePredictor {
         }
     }
 
-    /// Sets the critical-set width per layer (the "tunable memory budget"
-    /// knob of SwapMoE).
-    #[must_use]
-    pub fn with_critical_per_layer(mut self, n: usize) -> Self {
-        self.critical_per_layer = n.max(1);
-        self
-    }
-
     fn flat(&self, layer: u32, slot: usize) -> usize {
         (layer * self.experts_per_layer) as usize + slot
     }

@@ -15,12 +15,14 @@
 use fmoe_bench::cli::Cli;
 use fmoe_bench::harness::{CellConfig, System};
 use fmoe_bench::report::{write_csv, Table};
-use fmoe_cache::Placement;
 use fmoe_model::presets;
-use fmoe_serving::{AggregateMetrics, EngineConfig, ServingEngine};
+use fmoe_serving::{
+    AggregateMetrics, EngineConfig, LayerContiguousPlacement, PlacementPolicy, RoundRobinPlacement,
+    ServingEngine,
+};
 use fmoe_workload::DatasetSpec;
 
-fn run(system: System, placement: Placement) -> AggregateMetrics {
+fn run(system: System, placement: &dyn PlacementPolicy) -> AggregateMetrics {
     let model = presets::mixtral_8x7b();
     let mut cell = CellConfig::new(model.clone(), DatasetSpec::lmsys_chat(), system);
     cell.test_requests = 8;
@@ -28,18 +30,16 @@ fn run(system: System, placement: Placement) -> AggregateMetrics {
     let gate = cell.gate();
     let (history, test) = cell.split();
     let mut predictor = cell.predictor(&gate, &history);
-    let mut engine = ServingEngine::new(
-        gate,
-        fmoe_model::GpuSpec::rtx_3090(),
-        cell.topology.clone(),
-        system.cache_policy(model.experts_per_layer),
-        EngineConfig {
-            cache_budget_bytes: cell.cache_budget_bytes,
-            max_decode_iterations: Some(cell.max_decode),
-            placement,
-            ..EngineConfig::paper_default()
-        },
-    );
+    let mut engine =
+        ServingEngine::builder(gate, fmoe_model::GpuSpec::rtx_3090(), cell.topology.clone())
+            .policy(system.cache_policy(model.experts_per_layer))
+            .config(EngineConfig {
+                cache_budget_bytes: cell.cache_budget_bytes,
+                max_decode_iterations: Some(cell.max_decode),
+                ..EngineConfig::paper_default()
+            })
+            .placement_policy(placement)
+            .build();
     for p in history.iter().take(cell.warmup_requests) {
         let _ = engine.serve_request(*p, predictor.as_mut());
     }
@@ -58,10 +58,11 @@ fn main() {
         &["system", "placement", "TTFT (ms)", "TPOT (ms)", "hit rate"],
     );
     for system in [System::Fmoe, System::DeepSpeed, System::SwapMoe] {
-        for (name, placement) in [
-            ("round-robin (paper)", Placement::RoundRobin),
-            ("layer-contiguous", Placement::LayerContiguous),
-        ] {
+        let placements: [(&str, &dyn PlacementPolicy); 2] = [
+            ("round-robin (paper)", &RoundRobinPlacement),
+            ("layer-contiguous", &LayerContiguousPlacement),
+        ];
+        for (name, placement) in placements {
             let a = run(system, placement);
             table.row(vec![
                 system.name().into(),

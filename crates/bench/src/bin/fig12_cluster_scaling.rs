@@ -38,7 +38,7 @@ use fmoe_memsim::Topology;
 use fmoe_model::{
     presets, GateParams, GateSimulator, GpuSpec, HistoryRequest, ModelConfig, RequestRouting,
 };
-use fmoe_serving::{EngineBuilder, EngineConfig};
+use fmoe_serving::{EngineConfig, ServingEngine};
 use fmoe_workload::{AzureTraceSpec, DatasetSpec, TraceEvent};
 
 fn model() -> ModelConfig {
@@ -117,8 +117,9 @@ fn run_cell(replicas: usize, rate_scale: f64, policy: RoutingPolicy, requests: u
             framework_overhead_per_layer_ns: 50_000,
             ..EngineConfig::paper_default()
         };
-        let engine = EngineBuilder::new(gate(), GpuSpec::rtx_3090(), Topology::single_gpu(8 << 30))
-            .config(config);
+        let engine =
+            ServingEngine::builder(gate(), GpuSpec::rtx_3090(), Topology::single_gpu(8 << 30))
+                .config(config);
         cluster.add_replica(engine, Box::new(warmed_predictor(replica, replicas)));
     }
     let report = cluster.dispatch(&events);

@@ -37,8 +37,8 @@ use fmoe_bench::report::{write_csv, Table};
 use fmoe_memsim::{All2AllBackend, Topology};
 use fmoe_model::{presets, GateParams, GateSimulator, GpuSpec, ModelConfig};
 use fmoe_serving::{
-    serve, EngineBuilder, EngineConfig, ExpertParallelConfig, FmoeMapPlacement,
-    LoadBalancedPlacement, RoundRobinPlacement, ServeOptions,
+    serve, EngineConfig, ExpertParallelConfig, FmoeMapPlacement, LoadBalancedPlacement,
+    RoundRobinPlacement, ServeOptions, ServingEngine,
 };
 use fmoe_stats::EmpiricalCdf;
 use fmoe_workload::{AzureTraceSpec, DatasetSpec, TraceEvent};
@@ -180,7 +180,7 @@ fn run_cell(cell: &Cell, events: &[TraceEvent], counts: &[u64]) -> CellOutcome {
         }),
         ..EngineConfig::paper_default()
     };
-    let mut builder = EngineBuilder::new(gate(), GpuSpec::rtx_3090(), topo).config(config);
+    let mut builder = ServingEngine::builder(gate(), GpuSpec::rtx_3090(), topo).config(config);
     let total: f64 = counts.iter().map(|&c| c as f64).sum();
     match cell.placement {
         Some(PlacementKind::RoundRobin) => {

@@ -9,24 +9,7 @@
 
 use fmoe_cache::{ExpertCache, PolicyKind};
 use fmoe_model::{ExpertId, ModelConfig};
-
-/// Splitmix64; seeded, tiny, deterministic.
-struct SplitMix64(u64);
-
-impl SplitMix64 {
-    fn next(&mut self) -> u64 {
-        self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-        z ^ (z >> 31)
-    }
-
-    /// Uniform in `[0, 1)` from the top 53 bits.
-    fn next_f64(&mut self) -> f64 {
-        (self.next() >> 11) as f64 / (1u64 << 53) as f64
-    }
-}
+use fmoe_stats::SplitMix64;
 
 /// A seeded Zipf(s)-distributed expert-access trace over all of
 /// `model`'s experts. Rank → expert is scrambled by a seeded
@@ -40,12 +23,12 @@ pub fn zipf_expert_trace(
     seed: u64,
 ) -> Vec<ExpertId> {
     let n = (model.num_layers * model.experts_per_layer) as usize;
-    let mut rng = SplitMix64(seed);
+    let mut rng = SplitMix64::new(seed);
 
     // Rank permutation: rank r (popular → rare) maps to experts[perm[r]].
     let mut perm: Vec<usize> = (0..n).collect();
     for i in (1..n).rev() {
-        let j = (rng.next() % (i as u64 + 1)) as usize;
+        let j = (rng.next_u64() % (i as u64 + 1)) as usize;
         perm.swap(i, j);
     }
 

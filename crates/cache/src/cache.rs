@@ -20,20 +20,6 @@ struct Resident {
 /// [`DenseIdMap`] capacity, so lookups report it absent.
 const OUTSIDE_MODEL: usize = usize::MAX;
 
-/// How experts map to home GPUs under expert parallelism.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, serde::Serialize, serde::Deserialize)]
-pub enum Placement {
-    /// Round-robin over the dense expert index — the paper's §5 choice,
-    /// which spreads every layer's experts across all links.
-    #[default]
-    RoundRobin,
-    /// Contiguous layer blocks: each GPU owns a slab of consecutive
-    /// layers (the naive pipeline-style placement; the ablation shows why
-    /// the paper avoids it — a layer's on-demand loads serialize on one
-    /// link).
-    LayerContiguous,
-}
-
 /// Result of attempting to insert an expert.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum InsertOutcome {
@@ -81,9 +67,8 @@ pub struct ExpertCache {
     num_layers: u32,
     expert_bytes: u64,
     num_gpus: u32,
-    placement: Placement,
     /// Optional explicit owner table (dense expert index → GPU) installed
-    /// by a placement policy; overrides `placement` when present.
+    /// by a placement policy; overrides round-robin when present.
     assignment: Option<Vec<u32>>,
     per_gpu_budget: u64,
     per_gpu_used: Vec<u64>,
@@ -129,7 +114,6 @@ impl ExpertCache {
             num_layers: config.num_layers,
             expert_bytes: config.expert_bytes(),
             num_gpus,
-            placement: Placement::RoundRobin,
             assignment: None,
             per_gpu_budget: total_budget_bytes / u64::from(num_gpus),
             per_gpu_used: vec![0; num_gpus as usize],
@@ -178,20 +162,11 @@ impl ExpertCache {
         );
     }
 
-    /// Switches the expert-parallel placement scheme (ablations; the
-    /// paper's choice is round-robin).
-    #[must_use]
-    pub fn with_placement(mut self, placement: Placement) -> Self {
-        self.placement = placement;
-        self.rehome_residents();
-        self
-    }
-
     /// Installs an explicit owner table produced by a placement policy:
     /// `owners[dense_index]` is the expert's home GPU. Entries are
     /// clamped to the GPU count; experts past the table's end fall back
-    /// to the structural placement. With no table installed (the
-    /// default) behavior is byte-identical to the structural placement.
+    /// to round-robin, as every expert does with no table installed (the
+    /// default).
     ///
     /// Residents move to their new homes. A GPU left over its budget
     /// evicts on its next insert, as after a budget shrink.
@@ -216,23 +191,17 @@ impl ExpertCache {
         self.assignment.as_deref()
     }
 
-    /// The home GPU index of an expert under the configured placement.
+    /// The home GPU index of an expert: its entry in the installed owner
+    /// table, else round-robin over the dense index.
     #[must_use]
     pub fn home_gpu(&self, expert: ExpertId) -> u32 {
+        let dense = expert.dense_index(self.experts_per_layer);
         if let Some(owners) = &self.assignment {
-            if let Some(&gpu) = owners.get(expert.dense_index(self.experts_per_layer)) {
+            if let Some(&gpu) = owners.get(dense) {
                 return gpu.min(self.num_gpus.saturating_sub(1));
             }
         }
-        match self.placement {
-            Placement::RoundRobin => {
-                (expert.dense_index(self.experts_per_layer) % self.num_gpus as usize) as u32
-            }
-            Placement::LayerContiguous => {
-                (u64::from(expert.layer) * u64::from(self.num_gpus)
-                    / u64::from(self.num_layers.max(1))) as u32
-            }
-        }
+        (dense % self.num_gpus as usize) as u32
     }
 
     /// Bytes one expert occupies.
@@ -523,12 +492,6 @@ impl ExpertCache {
         self.stats
     }
 
-    /// The policy's display name.
-    #[must_use]
-    pub fn policy_name(&self) -> &'static str {
-        self.policy.name()
-    }
-
     /// Drops all residency, pins, statistics and the policy's
     /// bookkeeping. The policy must forget too: FIFO and SIEVE skip an
     /// insert of an expert they still queue, so a kept queue would hand a
@@ -548,13 +511,6 @@ impl ExpertCache {
         self.index
             .keys()
             .map(|d| ExpertId::from_dense_index(d, self.experts_per_layer))
-    }
-
-    /// Iterator over resident experts oldest-insertion-first — the
-    /// arena's intrusive-list order, which FIFO evicts in and SIEVE's
-    /// hand sweeps through.
-    pub fn resident_oldest_first(&self) -> impl Iterator<Item = ExpertId> + '_ {
-        self.arena.iter_oldest_first().map(|(_, r)| r.expert)
     }
 }
 
@@ -817,22 +773,6 @@ mod tests {
     fn pin_nonresident_returns_false() {
         let mut c = tiny_cache(1, 1);
         assert!(!c.pin(e(0, 0)));
-    }
-
-    #[test]
-    fn layer_contiguous_placement_groups_layers() {
-        let cfg = presets::tiny_test_model(); // 4 layers x 4 experts
-        let c = ExpertCache::new(&cfg, cfg.expert_bytes() * 16, 2, Box::new(LruPolicy::new()))
-            .with_placement(Placement::LayerContiguous);
-        // Layers 0..2 on GPU 0, layers 2..4 on GPU 1.
-        assert_eq!(c.home_gpu(e(0, 0)), 0);
-        assert_eq!(c.home_gpu(e(0, 3)), 0);
-        assert_eq!(c.home_gpu(e(1, 2)), 0);
-        assert_eq!(c.home_gpu(e(2, 0)), 1);
-        assert_eq!(c.home_gpu(e(3, 3)), 1);
-        // Round-robin spreads within a layer instead.
-        let rr = ExpertCache::new(&cfg, cfg.expert_bytes() * 16, 2, Box::new(LruPolicy::new()));
-        assert_ne!(rr.home_gpu(e(0, 0)), rr.home_gpu(e(0, 1)));
     }
 
     #[test]

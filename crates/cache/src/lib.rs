@@ -35,7 +35,7 @@ pub mod policy;
 pub mod stats;
 mod table;
 
-pub use cache::{ExpertCache, InsertOutcome, Placement};
+pub use cache::{ExpertCache, InsertOutcome};
 pub use policy::{
     EvictionPolicy, FifoPolicy, FmoePriorityPolicy, LfuPolicy, LruPolicy, PolicyKind, SievePolicy,
 };

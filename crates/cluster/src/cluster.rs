@@ -209,12 +209,6 @@ impl Cluster {
         self.failover_cfg = config;
     }
 
-    /// The failover policy in force.
-    #[must_use]
-    pub fn failover_config(&self) -> FailoverConfig {
-        self.failover_cfg
-    }
-
     /// Routes and serves every trace event, returning the aggregated
     /// report. Events must be sorted by arrival time. Dispatching on an
     /// empty cluster serves nothing and returns an empty report. State

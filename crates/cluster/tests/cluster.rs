@@ -6,7 +6,9 @@ use fmoe_memsim::Topology;
 use fmoe_model::{
     presets, GateParams, GateSimulator, GpuSpec, HistoryRequest, ModelConfig, RequestRouting,
 };
-use fmoe_serving::{serve, EngineBuilder, EngineConfig, NoPrefetch, ServeOptions, SloPolicy};
+use fmoe_serving::{
+    serve, EngineBuilder, EngineConfig, NoPrefetch, ServeOptions, ServingEngine, SloPolicy,
+};
 use fmoe_trace::TraceSink;
 use fmoe_workload::{AzureTraceSpec, DatasetSpec, TraceEvent};
 
@@ -32,7 +34,7 @@ fn engine_config() -> EngineConfig {
 }
 
 fn builder() -> EngineBuilder {
-    EngineBuilder::new(gate(), GpuSpec::rtx_3090(), Topology::single_gpu(8 << 30))
+    ServingEngine::builder(gate(), GpuSpec::rtx_3090(), Topology::single_gpu(8 << 30))
         .config(engine_config())
 }
 
@@ -355,7 +357,7 @@ fn ep_replicas_compose_with_data_parallel_dispatch() {
         };
         let mut c = Cluster::new(gate(), RoutingPolicy::RoundRobin, None);
         for _ in 0..2 {
-            let b = EngineBuilder::new(gate(), GpuSpec::rtx_3090(), topo.clone())
+            let b = ServingEngine::builder(gate(), GpuSpec::rtx_3090(), topo.clone())
                 .config(config.clone())
                 .placement_policy(&LoadBalancedPlacement::uniform());
             c.add_replica(b, Box::new(predictor()));

@@ -8,7 +8,7 @@ use fmoe_memsim::Topology;
 use fmoe_model::{
     presets, GateParams, GateSimulator, GpuSpec, HistoryRequest, ModelConfig, RequestRouting,
 };
-use fmoe_serving::{EngineBuilder, EngineConfig, SloPolicy};
+use fmoe_serving::{EngineBuilder, EngineConfig, ServingEngine, SloPolicy};
 use fmoe_trace::{Marker, TraceSink};
 use fmoe_workload::{AzureTraceSpec, DatasetSpec, TraceEvent};
 
@@ -34,7 +34,7 @@ fn engine_config() -> EngineConfig {
 }
 
 fn builder() -> EngineBuilder {
-    EngineBuilder::new(gate(), GpuSpec::rtx_3090(), Topology::single_gpu(8 << 30))
+    ServingEngine::builder(gate(), GpuSpec::rtx_3090(), Topology::single_gpu(8 << 30))
         .config(engine_config())
 }
 

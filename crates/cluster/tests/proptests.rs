@@ -6,7 +6,7 @@ use fmoe_cluster::{Cluster, FailoverConfig, RoutingPolicy, WarmupMode};
 use fmoe_faults::ReplicaFaultSchedule;
 use fmoe_memsim::Topology;
 use fmoe_model::{presets, GateParams, GateSimulator, GpuSpec, ModelConfig};
-use fmoe_serving::{EngineBuilder, EngineConfig};
+use fmoe_serving::{EngineBuilder, EngineConfig, ServingEngine};
 use fmoe_trace::TraceSink;
 use fmoe_workload::{AzureTraceSpec, DatasetSpec, TraceEvent};
 use proptest::prelude::*;
@@ -30,7 +30,8 @@ fn builder() -> EngineBuilder {
         framework_overhead_per_layer_ns: 50_000,
         ..EngineConfig::paper_default()
     };
-    EngineBuilder::new(gate(), GpuSpec::rtx_3090(), Topology::single_gpu(8 << 30)).config(config)
+    ServingEngine::builder(gate(), GpuSpec::rtx_3090(), Topology::single_gpu(8 << 30))
+        .config(config)
 }
 
 fn predictor() -> FmoePredictor {

@@ -61,7 +61,7 @@ pub use diag::{Diagnostic, Severity};
 pub use rules::{lint_source, FileContext, FileKind};
 
 use std::fs;
-use std::path::Path;
+use std::path::{Path, PathBuf};
 
 /// Outcome of a full lint run, ready for rendering and exit-code logic.
 #[derive(Debug, Default)]
@@ -169,21 +169,27 @@ pub fn lint_workspace_with(
     Ok(apply_allowlist(raw, allowlist_path, files.len(), true))
 }
 
-/// Lints an explicit set of files (paths are classified by their
-/// repo-relative shape, so pass paths relative to the workspace root).
+/// Lints an explicit set of files. Each path is read as given, so a
+/// relative one resolves against the working directory, and is
+/// classified by its path relative to the workspace `root`.
 ///
 /// # Errors
 ///
-/// Returns an [`std::io::Error`] when a source file cannot be read.
+/// Returns an [`std::io::Error`] that names the file when a source file
+/// cannot be read.
 pub fn lint_files(
     root: &Path,
-    paths: &[String],
+    paths: &[PathBuf],
     allowlist_path: &Path,
 ) -> std::io::Result<LintReport> {
+    let root = fs::canonicalize(root)?;
     let mut raw = Vec::new();
-    for rel in paths {
-        let source = fs::read_to_string(root.join(rel))?;
-        let ctx = FileContext::classify(rel);
+    for path in paths {
+        let named =
+            |e: std::io::Error| std::io::Error::new(e.kind(), format!("{}: {e}", path.display()));
+        let source = fs::read_to_string(path).map_err(named)?;
+        let rel = walk::relative_display(&root, &fs::canonicalize(path).map_err(named)?);
+        let ctx = FileContext::classify(&rel);
         raw.extend(lint_source(&ctx, &source));
     }
     Ok(apply_allowlist(raw, allowlist_path, paths.len(), false))

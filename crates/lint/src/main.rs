@@ -2,8 +2,12 @@
 //!
 //! ```text
 //! cargo run -p fmoe-lint -- --workspace [--deny-all] [--pedantic-panics]
-//! cargo run -p fmoe-lint -- crates/cache/src/cache.rs
+//! cd crates/cache && cargo run -p fmoe-lint -- src/cache.rs
 //! ```
+//!
+//! FILE arguments resolve against the working directory, like
+//! `--allowlist`; each file is classified by its path relative to the
+//! workspace root.
 //!
 //! Diagnostics and the summary line are text on stderr; stdout carries
 //! only `--help`. Exit codes: 0 clean, 1 findings at failing severity,
@@ -17,6 +21,7 @@ use std::process::ExitCode;
 
 const USAGE: &str = "usage: fmoe-lint (--workspace | FILE...) [options]
 
+  FILE                  a source file, relative to the working directory
   --workspace           lint every workspace src/ tree (token rules
                         FM001-FM008 plus the cross-crate taint rules
                         FM010-FM012)
@@ -31,7 +36,7 @@ fn main() -> ExitCode {
     let mut deny_all = false;
     let mut pedantic = false;
     let mut allowlist: Option<PathBuf> = None;
-    let mut files: Vec<String> = Vec::new();
+    let mut files: Vec<PathBuf> = Vec::new();
 
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
@@ -48,7 +53,7 @@ fn main() -> ExitCode {
                 return ExitCode::SUCCESS;
             }
             flag if flag.starts_with("--") => return usage_error(&format!("unknown flag {flag}")),
-            path => files.push(path.to_string()),
+            path => files.push(PathBuf::from(path)),
         }
     }
     if !workspace && files.is_empty() {

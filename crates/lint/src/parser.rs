@@ -52,12 +52,6 @@ impl SeedKind {
             Self::PanicExplicit | Self::PanicIndex | Self::PanicDiv
         )
     }
-
-    /// `true` for seeds only collected under `--pedantic-panics`.
-    #[must_use]
-    pub fn is_pedantic(self) -> bool {
-        matches!(self, Self::PanicIndex | Self::PanicDiv)
-    }
 }
 
 /// One taint seed found inside a function body.

@@ -78,14 +78,6 @@ impl Topology {
     pub fn total_gpu_memory(&self) -> u64 {
         u64::from(self.num_gpus) * self.gpu_memory_bytes
     }
-
-    /// Round-robin home GPU for a dense expert index — the paper's expert-
-    /// parallel placement ("round-robin manner to balance the overall GPU
-    /// load", §5).
-    #[must_use]
-    pub fn round_robin_gpu(&self, dense_expert_index: usize) -> GpuId {
-        GpuId((dense_expert_index % self.num_gpus as usize) as u32)
-    }
 }
 
 /// Why a [`TopologyBuilder::build`] call was rejected.
@@ -210,20 +202,9 @@ mod tests {
     }
 
     #[test]
-    fn round_robin_balances() {
-        let t = Topology::paper_testbed();
-        let mut counts = [0u32; 6];
-        for i in 0..600 {
-            counts[t.round_robin_gpu(i).index()] += 1;
-        }
-        assert!(counts.iter().all(|&c| c == 100));
-    }
-
-    #[test]
     fn single_gpu_topology() {
         let t = Topology::single_gpu(8 << 30);
         assert_eq!(t.num_gpus, 1);
-        assert_eq!(t.round_robin_gpu(17), GpuId(0));
     }
 
     #[test]

@@ -1,25 +1,7 @@
-//! Strongly-typed identifiers for MoE layers and experts.
+//! Strongly-typed identifier for MoE experts.
 
 use serde::{Deserialize, Serialize};
 use std::fmt;
-
-/// Index of an MoE layer within a model (`0..L`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
-pub struct LayerId(pub u32);
-
-impl LayerId {
-    /// The layer index as a `usize` for slice indexing.
-    #[must_use]
-    pub fn index(self) -> usize {
-        self.0 as usize
-    }
-}
-
-impl fmt::Display for LayerId {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "L{}", self.0)
-    }
-}
 
 /// Identifies one expert: `(layer, slot within the layer)`.
 ///
@@ -41,12 +23,6 @@ impl ExpertId {
     #[must_use]
     pub fn new(layer: u32, slot: u32) -> Self {
         Self { layer, slot }
-    }
-
-    /// The layer as a [`LayerId`].
-    #[must_use]
-    pub fn layer_id(self) -> LayerId {
-        LayerId(self.layer)
     }
 
     /// Flattens the identifier to a dense index given the per-layer expert
@@ -97,7 +73,6 @@ mod tests {
     #[test]
     fn display_formats() {
         assert_eq!(ExpertId::new(3, 5).to_string(), "E[3,5]");
-        assert_eq!(LayerId(7).to_string(), "L7");
     }
 
     #[test]

@@ -9,7 +9,7 @@
 //! * [`config`] / [`presets`] — architectural descriptions of the three
 //!   evaluated models (paper Table 1): layer count `L`, experts per layer
 //!   `J`, activated experts `K`, hidden sizes, and per-expert weight bytes.
-//! * [`expert`] — strongly-typed expert/layer identifiers.
+//! * [`expert`] — the strongly-typed expert identifier.
 //! * [`dense`] — flat bitset/array containers keyed by dense expert
 //!   index, the allocation-free hot-path replacement for `BTreeMap`
 //!   (DESIGN.md §16).
@@ -37,7 +37,7 @@ pub mod presets;
 pub use compute::{CostModel, GpuSpec};
 pub use config::{ModelConfig, BYTES_PER_PARAM_FP16};
 pub use dense::{DenseIdMap, DenseIdSet};
-pub use expert::{ExpertId, LayerId};
+pub use expert::ExpertId;
 pub use gate::{GateParams, GateSimulator, RequestRouting};
 pub use history::{HistoryRequest, HistoryRouter, RoutedRequest};
 

@@ -53,9 +53,6 @@ pub struct EngineConfig {
     /// paper builds on — the paper notes all systems' latency "is
     /// inherently impacted by MoE-Infinity's implementation", §6.2).
     pub framework_overhead_per_layer_ns: Nanos,
-    /// Expert-parallel placement scheme (the paper's §5 round-robin by
-    /// default; `LayerContiguous` exists for the placement ablation).
-    pub placement: fmoe_cache::Placement,
     /// KV-cache-aware budgeting (off by default): when set, the expert
     /// cache's effective budget each iteration is `cache_budget_bytes`
     /// minus the live KV-cache bytes of the active batch — experts yield
@@ -123,7 +120,6 @@ impl EngineConfig {
             max_decode_iterations: None,
             context_collection_ns: 1_200_000,           // 1.2 ms
             framework_overhead_per_layer_ns: 3_000_000, // 3 ms/layer host dispatch
-            placement: fmoe_cache::Placement::RoundRobin,
             kv_aware_budget: false,
             low_precision_threshold: None,
             on_demand_deadline_ns: None,
@@ -498,11 +494,13 @@ pub struct ServingEngine {
     per_gpu: PerGpuBreakdown,
 }
 
-/// Fluent constructor for [`ServingEngine`]: gathers the model, device,
-/// eviction policy, and every post-construction knob so a fully
-/// configured engine is buildable in one expression. The `fmoe-cluster`
-/// crate constructs replicas exclusively through this builder; the
-/// individual setters on [`ServingEngine`] remain for runtime retuning.
+/// Fluent constructor for [`ServingEngine`], started by
+/// [`ServingEngine::builder`]: the model, device and topology, plus the
+/// eviction policy, [`EngineConfig`], trace sink and placement policy, so
+/// a fully configured engine is buildable in one expression. The
+/// `fmoe-cluster` crate constructs replicas exclusively through this
+/// builder; the individual setters on [`ServingEngine`] remain for
+/// runtime retuning (fault schedule, retry policy, budgets).
 pub struct EngineBuilder {
     gate: GateSimulator,
     gpu: GpuSpec,
@@ -510,54 +508,18 @@ pub struct EngineBuilder {
     policy: Box<dyn EvictionPolicy>,
     config: EngineConfig,
     trace_sink: TraceSink,
-    fault_schedule: FaultSchedule,
-    retry_policy: RetryPolicy,
     assignment: Option<Vec<u32>>,
 }
 
 impl EngineBuilder {
-    /// Starts a builder with the paper-default [`EngineConfig`] and an
-    /// LRU eviction policy.
-    #[must_use]
-    pub fn new(gate: GateSimulator, gpu: GpuSpec, topology: Topology) -> Self {
-        Self {
-            gate,
-            gpu,
-            topology,
-            policy: Box::new(fmoe_cache::LruPolicy::new()),
-            config: EngineConfig::paper_default(),
-            trace_sink: TraceSink::disabled(),
-            fault_schedule: FaultSchedule::none(),
-            retry_policy: RetryPolicy::default(),
-            assignment: None,
-        }
-    }
-
-    /// Enables expert parallelism inside the replica (DESIGN.md §17).
-    /// Meaningful only on multi-GPU topologies; single-GPU engines
-    /// ignore it and stay byte-identical to the pre-EP path.
-    #[must_use]
-    pub fn expert_parallel(mut self, ep: ExpertParallelConfig) -> Self {
-        self.config.expert_parallel = Some(ep);
-        self
-    }
-
     /// Computes and installs an expert owner table from a
     /// [`PlacementPolicy`] evaluated against this builder's model and
-    /// topology. Overrides the structural
-    /// [`fmoe_cache::Placement`] for `home_gpu` and everything
-    /// downstream of it (caching, transfers, all2all routing).
+    /// topology. Overrides the default round-robin for `home_gpu` and
+    /// everything downstream of it (caching, transfers, all2all routing).
     #[must_use]
     pub fn placement_policy(mut self, policy: &dyn PlacementPolicy) -> Self {
         self.assignment = Some(policy.assign(self.gate.config(), self.topology.num_gpus));
         self
-    }
-
-    /// Replaces the eviction policy from the [`fmoe_cache::PolicyKind`]
-    /// catalog (convenience over [`Self::policy`]).
-    #[must_use]
-    pub fn policy_kind(self, kind: fmoe_cache::PolicyKind) -> Self {
-        self.policy(kind.build())
     }
 
     /// Replaces the eviction policy (default: LRU).
@@ -574,39 +536,10 @@ impl EngineBuilder {
         self
     }
 
-    /// Sets the total expert-cache budget in bytes.
-    #[must_use]
-    pub fn cache_budget(mut self, total_bytes: u64) -> Self {
-        self.config.cache_budget_bytes = total_bytes;
-        self
-    }
-
-    /// Caps decode length per request.
-    #[must_use]
-    pub fn max_decode(mut self, iterations: u64) -> Self {
-        self.config.max_decode_iterations = Some(iterations);
-        self
-    }
-
     /// Installs a structured-event trace sink (default: disabled).
     #[must_use]
     pub fn trace_sink(mut self, sink: TraceSink) -> Self {
         self.trace_sink = sink;
-        self
-    }
-
-    /// Installs a fault schedule (default: [`FaultSchedule::none`]).
-    #[must_use]
-    pub fn fault_schedule(mut self, schedule: FaultSchedule) -> Self {
-        self.fault_schedule = schedule;
-        self
-    }
-
-    /// Sets the transfer retry/backoff policy for transient faults
-    /// (default: [`RetryPolicy::default`]).
-    #[must_use]
-    pub fn retry_policy(mut self, retry: RetryPolicy) -> Self {
-        self.retry_policy = retry;
         self
     }
 
@@ -618,8 +551,6 @@ impl EngineBuilder {
         let mut engine =
             ServingEngine::new(self.gate, self.gpu, self.topology, self.policy, self.config);
         engine.set_trace_sink(self.trace_sink);
-        engine.set_fault_schedule(self.fault_schedule);
-        engine.set_retry_policy(self.retry_policy);
         if let Some(owners) = self.assignment {
             engine.set_expert_assignment(owners);
         }
@@ -628,10 +559,19 @@ impl EngineBuilder {
 }
 
 impl ServingEngine {
-    /// Starts an [`EngineBuilder`] for one model on one topology.
+    /// Starts an [`EngineBuilder`] for one model on one topology, with
+    /// the paper-default [`EngineConfig`] and an LRU eviction policy.
     #[must_use]
     pub fn builder(gate: GateSimulator, gpu: GpuSpec, topology: Topology) -> EngineBuilder {
-        EngineBuilder::new(gate, gpu, topology)
+        EngineBuilder {
+            gate,
+            gpu,
+            topology,
+            policy: Box::new(fmoe_cache::LruPolicy::new()),
+            config: EngineConfig::paper_default(),
+            trace_sink: TraceSink::disabled(),
+            assignment: None,
+        }
     }
 
     /// Builds an engine for one model on one topology.
@@ -645,8 +585,7 @@ impl ServingEngine {
     ) -> Self {
         let model = gate.config().clone();
         let num_experts = model.num_layers as usize * model.experts_per_layer as usize;
-        let cache = ExpertCache::new(&model, config.cache_budget_bytes, topology.num_gpus, policy)
-            .with_placement(config.placement);
+        let cache = ExpertCache::new(&model, config.cache_budget_bytes, topology.num_gpus, policy);
         let transfer = TransferEngine::new(&topology);
         let cost = CostModel::new(model, gpu);
         let ep = config

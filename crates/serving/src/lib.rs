@@ -35,7 +35,8 @@ pub use online::{
     ShedRequest, SloAction, SloPolicy,
 };
 pub use placement::{
-    FmoeMapPlacement, LoadBalancedPlacement, PlacementPolicy, RoundRobinPlacement,
+    FmoeMapPlacement, LayerContiguousPlacement, LoadBalancedPlacement, PlacementPolicy,
+    RoundRobinPlacement,
 };
 pub use predictor::{ExpertPredictor, IterationContext, NoPrefetch, PredictorTiming, PrefetchPlan};
 

@@ -4,15 +4,16 @@
 //! table decides which GPU serves (and caches) each expert, and — via
 //! the gate — how many tokens each GPU receives in the per-layer
 //! all2all. A [`PlacementPolicy`] maps a model shape to an owner table
-//! (`owners[dense_expert_index] = gpu`), which the engine installs into
-//! the cache so `home_gpu` and every downstream GPU attribution follow
-//! it.
+//! (`owners[dense_expert_index] = gpu`), which
+//! [`EngineBuilder::placement_policy`](crate::EngineBuilder::placement_policy)
+//! installs into the cache so `home_gpu` and every downstream GPU
+//! attribution follow it. It is the only way to place experts other than
+//! the cache's default, round-robin over the dense index.
 //!
-//! Three policies cover the sweep in fig17:
-//!
-//! * [`RoundRobinPlacement`] — the paper's §5 static choice; exactly
-//!   [`Topology::round_robin_gpu`](fmoe_memsim::Topology::round_robin_gpu)
-//!   as a trait impl.
+//! * [`RoundRobinPlacement`] — the paper's §5 static choice; the same
+//!   owners as the cache's default with no table installed.
+//! * [`LayerContiguousPlacement`] — contiguous layer blocks per GPU, the
+//!   naive alternative the placement ablation compares against.
 //! * [`LoadBalancedPlacement`] — greedy global balance over historical
 //!   activation frequencies, capped so ownership stays a near-even
 //!   partition.
@@ -20,6 +21,8 @@
 //!   layer* using predicted activation probabilities, so no single
 //!   layer's hot experts pile onto one GPU and bottleneck that layer's
 //!   all2all.
+//!
+//! Round-robin, load-balanced and fMoE-map cover the sweep in fig17.
 
 use fmoe_model::ModelConfig;
 
@@ -36,7 +39,7 @@ pub trait PlacementPolicy {
 }
 
 /// Static round-robin over the dense expert index — the paper's §5
-/// placement, and the trait-side twin of `Topology::round_robin_gpu`.
+/// placement, and the owner table of the cache's default placement.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct RoundRobinPlacement;
 
@@ -51,6 +54,33 @@ impl PlacementPolicy for RoundRobinPlacement {
         }
         let total = model.num_layers as usize * model.experts_per_layer as usize;
         (0..total).map(|d| (d % num_gpus as usize) as u32).collect()
+    }
+}
+
+/// Contiguous layer blocks: GPU `g` owns every expert of layers
+/// `[g·L/G, (g+1)·L/G)`, so each expert of layer `l` goes to `l·G / L`.
+/// The naive pipeline-style placement: each layer's on-demand loads
+/// serialize on one host link, which is why the paper spreads every
+/// layer round-robin instead (§5).
+#[derive(Debug, Clone, Copy, Default)]
+pub struct LayerContiguousPlacement;
+
+impl PlacementPolicy for LayerContiguousPlacement {
+    fn name(&self) -> &'static str {
+        "layer-contiguous"
+    }
+
+    fn assign(&self, model: &ModelConfig, num_gpus: u32) -> Vec<u32> {
+        if num_gpus == 0 {
+            return Vec::new();
+        }
+        let layers = u64::from(model.num_layers);
+        (0..model.num_layers)
+            .flat_map(|layer| {
+                let gpu = (u64::from(layer) * u64::from(num_gpus) / layers) as u32;
+                std::iter::repeat_n(gpu, model.experts_per_layer as usize)
+            })
+            .collect()
     }
 }
 
@@ -200,8 +230,8 @@ impl PlacementPolicy for FmoeMapPlacement {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fmoe_memsim::Topology;
-    use fmoe_model::presets;
+    use fmoe_cache::{ExpertCache, LruPolicy};
+    use fmoe_model::{presets, ExpertId};
 
     fn model() -> ModelConfig {
         presets::tiny_test_model()
@@ -210,6 +240,7 @@ mod tests {
     fn policies(freq: Vec<f64>) -> Vec<Box<dyn PlacementPolicy>> {
         vec![
             Box::new(RoundRobinPlacement),
+            Box::new(LayerContiguousPlacement),
             Box::new(LoadBalancedPlacement {
                 frequencies: freq.clone(),
             }),
@@ -272,17 +303,64 @@ mod tests {
         }
     }
 
+    fn all_presets() -> Vec<ModelConfig> {
+        vec![
+            presets::mixtral_8x7b(),
+            presets::qwen15_moe_a27b(),
+            presets::phi35_moe(),
+            presets::deepseek_moe_16b(),
+            presets::tiny_test_model(),
+            presets::small_test_model(),
+        ]
+    }
+
+    /// The table `RoundRobinPlacement` installs changes no home: it is
+    /// what the cache computes with no table installed.
     #[test]
-    fn round_robin_matches_topology_round_robin_gpu() {
-        let m = model();
-        let topo = Topology::builder()
-            .num_gpus(4)
-            .build()
-            .expect("valid topology");
-        let owners = RoundRobinPlacement.assign(&m, topo.num_gpus);
-        for (dense, &gpu) in owners.iter().enumerate() {
-            assert_eq!(gpu, topo.round_robin_gpu(dense).0);
+    fn round_robin_matches_the_cache_default() {
+        for m in all_presets() {
+            for gpus in 1..=8u32 {
+                let cache = ExpertCache::new(&m, 0, gpus, Box::new(LruPolicy::new()));
+                assert!(cache.assignment().is_none());
+                let owners = RoundRobinPlacement.assign(&m, gpus);
+                assert_eq!(
+                    owners.len(),
+                    m.all_experts().count(),
+                    "{} on {gpus}",
+                    m.name
+                );
+                for (dense, &gpu) in owners.iter().enumerate() {
+                    let expert = ExpertId::from_dense_index(dense, m.experts_per_layer);
+                    assert_eq!(gpu, cache.home_gpu(expert), "{} on {gpus}", m.name);
+                }
+            }
         }
+    }
+
+    #[test]
+    fn layer_contiguous_owner_is_layer_times_gpus_over_layers() {
+        for m in all_presets() {
+            for gpus in 1..=8u32 {
+                let owners = LayerContiguousPlacement.assign(&m, gpus);
+                assert_eq!(
+                    owners.len(),
+                    m.all_experts().count(),
+                    "{} on {gpus}",
+                    m.name
+                );
+                for (dense, &gpu) in owners.iter().enumerate() {
+                    let layer = ExpertId::from_dense_index(dense, m.experts_per_layer).layer;
+                    let want = u64::from(layer) * u64::from(gpus) / u64::from(m.num_layers);
+                    assert_eq!(u64::from(gpu), want, "{} on {gpus}", m.name);
+                }
+            }
+        }
+        // Tiny model (4 layers × 4 experts) on two GPUs: layers 0..2 on
+        // GPU 0, layers 2..4 on GPU 1.
+        assert_eq!(
+            LayerContiguousPlacement.assign(&model(), 2),
+            [[0; 8], [1; 8]].concat()
+        );
     }
 
     #[test]

@@ -13,8 +13,8 @@ use fmoe_cache::FmoePriorityPolicy;
 use fmoe_memsim::Topology;
 use fmoe_model::{presets, GateParams, GateSimulator, GpuSpec};
 use fmoe_serving::{
-    serve, EngineConfig, ExpertParallelConfig, PlacementPolicy, RoundRobinPlacement, ServeOptions,
-    ServingEngine,
+    serve, EngineConfig, ExpertParallelConfig, LayerContiguousPlacement, PlacementPolicy,
+    RoundRobinPlacement, ServeOptions, ServingEngine,
 };
 use fmoe_trace::TraceSink;
 use fmoe_workload::{AzureTraceSpec, DatasetSpec, TraceEvent};
@@ -120,7 +120,9 @@ fn expert_parallel_is_inert_on_single_gpu_topologies() {
 }
 
 /// `EngineBuilder::placement_policy` is sugar for computing the
-/// assignment and installing it with `set_expert_assignment`.
+/// assignment and installing it with `set_expert_assignment`. The
+/// round-robin table reproduces the engine's default placement, and the
+/// layer-contiguous one moves experts off it.
 #[test]
 fn builder_placement_policy_matches_manual_assignment() {
     let events = trace(8);
@@ -134,22 +136,34 @@ fn builder_placement_policy_matches_manual_assignment() {
         expert_parallel: Some(ExpertParallelConfig::default()),
         ..base_config()
     };
+    let default_placement = fingerprint_of(engine_with(config.clone(), topo.clone()), &events);
 
-    let gate = GateSimulator::new(m.clone(), GateParams::for_model(&m));
-    let via_builder = ServingEngine::builder(gate, GpuSpec::rtx_3090(), topo.clone())
-        .policy(Box::new(FmoePriorityPolicy::new()))
-        .config(config.clone())
-        .placement_policy(&RoundRobinPlacement)
-        .trace_sink(TraceSink::recording(1 << 16))
-        .build();
-    let sugar = fingerprint_of(via_builder, &events);
+    let policies: [&dyn PlacementPolicy; 2] = [&RoundRobinPlacement, &LayerContiguousPlacement];
+    for policy in policies {
+        let gate = GateSimulator::new(m.clone(), GateParams::for_model(&m));
+        let via_builder = ServingEngine::builder(gate, GpuSpec::rtx_3090(), topo.clone())
+            .policy(Box::new(FmoePriorityPolicy::new()))
+            .config(config.clone())
+            .placement_policy(policy)
+            .trace_sink(TraceSink::recording(1 << 16))
+            .build();
+        let sugar = fingerprint_of(via_builder, &events);
 
-    let mut by_hand = engine_with(config, topo.clone());
-    by_hand.set_expert_assignment(RoundRobinPlacement.assign(&m, topo.num_gpus));
-    let manual = fingerprint_of(by_hand, &events);
+        let mut by_hand = engine_with(config.clone(), topo.clone());
+        by_hand.set_expert_assignment(policy.assign(&m, topo.num_gpus));
+        let manual = fingerprint_of(by_hand, &events);
 
-    assert_eq!(
-        sugar, manual,
-        "placement_policy must install exactly the policy's assignment"
-    );
+        assert_eq!(
+            sugar,
+            manual,
+            "placement_policy({}) must install exactly the policy's assignment",
+            policy.name()
+        );
+        assert_eq!(
+            sugar == default_placement,
+            policy.name() == "round-robin",
+            "only round-robin reproduces the default placement ({})",
+            policy.name()
+        );
+    }
 }
