@@ -38,9 +38,11 @@ fn policy_miss_table(cli: &Cli, runner: &ParallelRunner) {
     let model = presets::small_test_model();
     let accesses = if quick { 6_000 } else { 24_000 };
     let trace = zipf_expert_trace(&model, accesses, 1.0, 0xf30e);
+    let mut header = vec!["slots"];
+    header.extend(POLICIES.map(PolicyKind::name));
     let mut table = Table::new(
         "Figure 11 companion: miss ratio by eviction policy (Zipf s=1.0)",
-        &["slots", "LRU", "LFU", "SIEVE", "FIFO"],
+        &header,
     );
     let mut sweep = Vec::new();
     for &slots in &POLICY_SLOTS {

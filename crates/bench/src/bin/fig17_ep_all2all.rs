@@ -174,10 +174,7 @@ fn run_cell(cell: &Cell, events: &[TraceEvent], counts: &[u64]) -> CellOutcome {
         max_decode_iterations: Some(4),
         context_collection_ns: 10_000,
         framework_overhead_per_layer_ns: 50_000,
-        expert_parallel: cell.backend.map(|backend| ExpertParallelConfig {
-            backend,
-            ..ExpertParallelConfig::default()
-        }),
+        expert_parallel: cell.backend.map(|backend| ExpertParallelConfig { backend }),
         ..EngineConfig::paper_default()
     };
     let mut builder = ServingEngine::builder(gate(), GpuSpec::rtx_3090(), topo).config(config);

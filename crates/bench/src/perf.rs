@@ -16,13 +16,14 @@
 //! Runs made with different `--jobs` cannot be compared: [`gate`]
 //! returns a [`GateError`] for them instead of a verdict.
 //!
-//! The JSON is hand-rolled both ways (the workspace deliberately has no
-//! JSON dependency); [`PerfReport::from_json`] is a tiny recursive-
-//! descent parser over exactly the value grammar the schema uses, and
-//! ignores fields it does not know. No wall clocks here: timing stays
+//! The workspace deliberately has no JSON dependency: [`PerfReport::to_json`]
+//! writes the schema by hand, and [`PerfReport::from_json`] reads it
+//! through the workspace's one JSON reader, [`fmoe_trace::json::parse`],
+//! ignoring fields it does not know. No wall clocks here: timing stays
 //! in the bench *binaries* (FM002).
 
 use fmoe_stats::EmpiricalCdf;
+use fmoe_trace::json::{self, Value};
 use std::fmt;
 
 /// The largest fractional slowdown of a scenario's median, head against
@@ -85,25 +86,32 @@ impl PerfReport {
     /// order, whitespace and fields it does not read (reports from
     /// older commits carry a few more).
     pub fn from_json(s: &str) -> Result<Self, String> {
-        let value = parse_json(s)?;
-        let obj = value.as_obj().ok_or("top level is not an object")?;
-        let jobs = obj_get(obj, "jobs")
-            .and_then(JsonValue::as_f64)
+        let value = json::parse(s).map_err(|e| e.to_string())?;
+        if value.as_object().is_none() {
+            return Err("top level is not an object".into());
+        }
+        let jobs = value
+            .get("jobs")
+            .and_then(Value::as_f64)
             .ok_or("missing numeric field `jobs`")?;
-        let records_val = obj_get(obj, "records")
-            .and_then(JsonValue::as_arr)
+        let records_val = value
+            .get("records")
+            .and_then(Value::as_array)
             .ok_or("missing array field `records`")?;
         let mut records = Vec::with_capacity(records_val.len());
         for rv in records_val {
-            let ro = rv.as_obj().ok_or("record is not an object")?;
+            if rv.as_object().is_none() {
+                return Err("record is not an object".into());
+            }
             let rnum = |name: &str| -> Result<f64, String> {
-                obj_get(ro, name)
-                    .and_then(JsonValue::as_f64)
+                rv.get(name)
+                    .and_then(Value::as_f64)
                     .ok_or_else(|| format!("record missing numeric field `{name}`"))
             };
             records.push(PerfRecord {
-                scenario: obj_get(ro, "scenario")
-                    .and_then(JsonValue::as_str)
+                scenario: rv
+                    .get("scenario")
+                    .and_then(Value::as_str)
                     .ok_or("record missing string field `scenario`")?
                     .to_string(),
                 wall_ms: rnum("wall_ms")?,
@@ -115,224 +123,6 @@ impl PerfReport {
             jobs: jobs as usize,
             records,
         })
-    }
-}
-
-// ---------------------------------------------------------------------
-// Minimal JSON value parser (objects, arrays, strings, numbers, null,
-// booleans) — just enough for the schema above, no escapes beyond `\"`
-// and `\\` (the schema never emits others).
-
-#[derive(Debug, Clone, PartialEq)]
-enum JsonValue {
-    Null,
-    Bool(bool),
-    Num(f64),
-    Str(String),
-    Arr(Vec<JsonValue>),
-    Obj(Vec<(String, JsonValue)>),
-}
-
-impl JsonValue {
-    fn as_f64(&self) -> Option<f64> {
-        match self {
-            JsonValue::Num(n) => Some(*n),
-            _ => None,
-        }
-    }
-
-    fn as_str(&self) -> Option<&str> {
-        match self {
-            JsonValue::Str(s) => Some(s),
-            _ => None,
-        }
-    }
-
-    fn as_arr(&self) -> Option<&[JsonValue]> {
-        match self {
-            JsonValue::Arr(a) => Some(a),
-            _ => None,
-        }
-    }
-
-    fn as_obj(&self) -> Option<&[(String, JsonValue)]> {
-        match self {
-            JsonValue::Obj(o) => Some(o),
-            _ => None,
-        }
-    }
-}
-
-fn obj_get<'a>(obj: &'a [(String, JsonValue)], name: &str) -> Option<&'a JsonValue> {
-    obj.iter().find(|(k, _)| k == name).map(|(_, v)| v)
-}
-
-struct Parser<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-fn parse_json(s: &str) -> Result<JsonValue, String> {
-    let mut p = Parser {
-        bytes: s.as_bytes(),
-        pos: 0,
-    };
-    let v = p.value()?;
-    p.skip_ws();
-    if p.pos != p.bytes.len() {
-        return Err(format!("trailing garbage at byte {}", p.pos));
-    }
-    Ok(v)
-}
-
-impl Parser<'_> {
-    fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
-    }
-
-    fn skip_ws(&mut self) {
-        while matches!(self.peek(), Some(b' ' | b'\t' | b'\n' | b'\r')) {
-            self.pos += 1;
-        }
-    }
-
-    fn consume(&mut self, byte: u8) -> Result<(), String> {
-        if self.peek() == Some(byte) {
-            self.pos += 1;
-            Ok(())
-        } else {
-            Err(format!(
-                "expected `{}` at byte {}",
-                char::from(byte),
-                self.pos
-            ))
-        }
-    }
-
-    fn eat_literal(&mut self, lit: &str) -> bool {
-        if self.bytes[self.pos..].starts_with(lit.as_bytes()) {
-            self.pos += lit.len();
-            true
-        } else {
-            false
-        }
-    }
-
-    fn value(&mut self) -> Result<JsonValue, String> {
-        self.skip_ws();
-        match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
-            Some(b'"') => Ok(JsonValue::Str(self.string()?)),
-            Some(b'n') if self.eat_literal("null") => Ok(JsonValue::Null),
-            Some(b't') if self.eat_literal("true") => Ok(JsonValue::Bool(true)),
-            Some(b'f') if self.eat_literal("false") => Ok(JsonValue::Bool(false)),
-            Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
-            _ => Err(format!("unexpected input at byte {}", self.pos)),
-        }
-    }
-
-    fn object(&mut self) -> Result<JsonValue, String> {
-        self.consume(b'{')?;
-        let mut fields = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b'}') {
-            self.pos += 1;
-            return Ok(JsonValue::Obj(fields));
-        }
-        loop {
-            self.skip_ws();
-            let key = self.string()?;
-            self.skip_ws();
-            self.consume(b':')?;
-            let value = self.value()?;
-            fields.push((key, value));
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b'}') => {
-                    self.pos += 1;
-                    return Ok(JsonValue::Obj(fields));
-                }
-                _ => return Err(format!("expected `,` or `}}` at byte {}", self.pos)),
-            }
-        }
-    }
-
-    fn array(&mut self) -> Result<JsonValue, String> {
-        self.consume(b'[')?;
-        let mut items = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b']') {
-            self.pos += 1;
-            return Ok(JsonValue::Arr(items));
-        }
-        loop {
-            items.push(self.value()?);
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b']') => {
-                    self.pos += 1;
-                    return Ok(JsonValue::Arr(items));
-                }
-                _ => return Err(format!("expected `,` or `]` at byte {}", self.pos)),
-            }
-        }
-    }
-
-    fn string(&mut self) -> Result<String, String> {
-        self.consume(b'"')?;
-        let mut out = String::new();
-        loop {
-            match self.peek() {
-                Some(b'"') => {
-                    self.pos += 1;
-                    return Ok(out);
-                }
-                Some(b'\\') => {
-                    self.pos += 1;
-                    match self.peek() {
-                        Some(b'"') => out.push('"'),
-                        Some(b'\\') => out.push('\\'),
-                        _ => return Err(format!("unsupported escape at byte {}", self.pos)),
-                    }
-                    self.pos += 1;
-                }
-                Some(_) => {
-                    // Advance one whole UTF-8 scalar so multi-byte text
-                    // in scenario names round-trips.
-                    let rest = &self.bytes[self.pos..];
-                    let step = match std::str::from_utf8(rest)
-                        .ok()
-                        .and_then(|s| s.chars().next())
-                    {
-                        Some(c) => {
-                            out.push(c);
-                            c.len_utf8()
-                        }
-                        None => return Err(format!("invalid UTF-8 at byte {}", self.pos)),
-                    };
-                    self.pos += step;
-                }
-                None => return Err("unterminated string".to_string()),
-            }
-        }
-    }
-
-    fn number(&mut self) -> Result<JsonValue, String> {
-        let start = self.pos;
-        while matches!(
-            self.peek(),
-            Some(b'0'..=b'9' | b'-' | b'+' | b'.' | b'e' | b'E')
-        ) {
-            self.pos += 1;
-        }
-        std::str::from_utf8(&self.bytes[start..self.pos])
-            .ok()
-            .and_then(|s| s.parse::<f64>().ok())
-            .map(JsonValue::Num)
-            .ok_or_else(|| format!("malformed number at byte {start}"))
     }
 }
 

@@ -1,7 +1,6 @@
-//! Arena-allocated intrusive doubly-linked list.
+//! Arena-allocated intrusive doubly-linked list: SIEVE's eviction queue.
 //!
-//! The cache core and SIEVE's eviction queue need a
-//! recency/insertion-ordered list whose nodes never move and can
+//! SIEVE needs an insertion-ordered list whose nodes never move and can
 //! be unlinked in O(1) — without per-node heap allocation, without
 //! `unsafe`, and without pointer-chasing through `Box`es. The classic
 //! answer (ported from SIEVE-style cache implementations, e.g. the
@@ -14,15 +13,16 @@
 //! nodes are pushed at the head; SIEVE's hand walks tail → head,
 //! wrapping back to the tail.
 //!
-//! There is no panicking index math in the public surface: every
-//! accessor returns `Option`, and a stale index simply yields `None`.
+//! There is no panicking index math in the surface: every accessor
+//! returns `Option` (or [`NIL`]), and a stale index simply yields
+//! `None`.
 
 use std::fmt::Debug;
 
 /// Sentinel index meaning "no node".
-pub const NIL: u32 = u32::MAX;
+pub(crate) const NIL: u32 = u32::MAX;
 
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 struct Node<T> {
     value: T,
     /// Neighbor toward the head (newer side); `NIL` at the head.
@@ -32,24 +32,8 @@ struct Node<T> {
 }
 
 /// An arena-backed intrusive doubly-linked list over values of type `T`.
-///
-/// ```
-/// use fmoe_cache::arena::{LinkArena, NIL};
-///
-/// let mut list: LinkArena<&'static str> = LinkArena::new();
-/// let a = list.push_head("a");
-/// let b = list.push_head("b");
-/// assert_eq!(list.tail(), a);
-/// assert_eq!(list.head(), b);
-/// assert_eq!(list.remove(a), Some("a"));
-/// assert_eq!(list.tail(), b);
-/// // The freed slot is recycled by the next push.
-/// assert_eq!(list.push_head("c"), a);
-/// assert_eq!(list.len(), 2);
-/// assert_ne!(list.head(), NIL);
-/// ```
-#[derive(Debug, Clone)]
-pub struct LinkArena<T> {
+#[derive(Debug)]
+pub(crate) struct LinkArena<T> {
     nodes: Vec<Option<Node<T>>>,
     free: Vec<u32>,
     head: u32,
@@ -57,18 +41,10 @@ pub struct LinkArena<T> {
     len: u32,
 }
 
-impl<T> Default for LinkArena<T> {
-    // Manual impl: the derive would demand `T: Default`, which the
-    // empty list does not need.
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
 impl<T> LinkArena<T> {
     /// An empty list.
     #[must_use]
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self {
             nodes: Vec::new(),
             free: Vec::new(),
@@ -78,42 +54,21 @@ impl<T> LinkArena<T> {
         }
     }
 
-    /// An empty list with room for `capacity` nodes before reallocating.
-    #[must_use]
-    pub fn with_capacity(capacity: usize) -> Self {
-        Self {
-            nodes: Vec::with_capacity(capacity),
-            ..Self::new()
-        }
-    }
-
     /// Number of linked nodes.
     #[must_use]
-    pub fn len(&self) -> u32 {
+    pub(crate) fn len(&self) -> u32 {
         self.len
-    }
-
-    /// Whether no node is linked.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    /// The newest node's index, or [`NIL`] when empty.
-    #[must_use]
-    pub fn head(&self) -> u32 {
-        self.head
     }
 
     /// The oldest node's index, or [`NIL`] when empty.
     #[must_use]
-    pub fn tail(&self) -> u32 {
+    pub(crate) fn tail(&self) -> u32 {
         self.tail
     }
 
     /// Pushes `value` at the head (newest end), returning its index.
     /// Freed slots are reused before the backing vec grows.
-    pub fn push_head(&mut self, value: T) -> u32 {
+    pub(crate) fn push_head(&mut self, value: T) -> u32 {
         let node = Node {
             value,
             newer: NIL,
@@ -145,7 +100,7 @@ impl<T> LinkArena<T> {
 
     /// The value at `idx`, if the slot holds a live node.
     #[must_use]
-    pub fn get(&self, idx: u32) -> Option<&T> {
+    pub(crate) fn get(&self, idx: u32) -> Option<&T> {
         self.nodes
             .get(idx as usize)
             .and_then(|n| n.as_ref())
@@ -153,7 +108,7 @@ impl<T> LinkArena<T> {
     }
 
     /// Mutable access to the value at `idx`.
-    pub fn get_mut(&mut self, idx: u32) -> Option<&mut T> {
+    pub(crate) fn get_mut(&mut self, idx: u32) -> Option<&mut T> {
         self.nodes
             .get_mut(idx as usize)
             .and_then(|n| n.as_mut())
@@ -163,26 +118,16 @@ impl<T> LinkArena<T> {
     /// The neighbor of `idx` toward the head (newer side), [`NIL`] at
     /// the head or for a dead index.
     #[must_use]
-    pub fn newer(&self, idx: u32) -> u32 {
+    pub(crate) fn newer(&self, idx: u32) -> u32 {
         self.nodes
             .get(idx as usize)
             .and_then(|n| n.as_ref())
             .map_or(NIL, |n| n.newer)
     }
 
-    /// The neighbor of `idx` toward the tail (older side), [`NIL`] at
-    /// the tail or for a dead index.
-    #[must_use]
-    pub fn older(&self, idx: u32) -> u32 {
-        self.nodes
-            .get(idx as usize)
-            .and_then(|n| n.as_ref())
-            .map_or(NIL, |n| n.older)
-    }
-
     /// Unlinks and frees the node at `idx`, returning its value, or
     /// `None` if the slot is already dead.
-    pub fn remove(&mut self, idx: u32) -> Option<T> {
+    pub(crate) fn remove(&mut self, idx: u32) -> Option<T> {
         let node = self.nodes.get_mut(idx as usize).and_then(Option::take)?;
         if let Some(Some(n)) = self.nodes.get_mut(node.newer as usize) {
             n.older = node.older;
@@ -201,40 +146,8 @@ impl<T> LinkArena<T> {
         Some(node.value)
     }
 
-    /// Unlinks `idx` and relinks it at the head (LRU-style
-    /// move-to-front). No-op for a dead index or the current head.
-    pub fn move_to_head(&mut self, idx: u32) {
-        if idx == self.head {
-            return;
-        }
-        if let Some(value) = self.remove(idx) {
-            // Reuse pushes onto the free list we just extended, so the
-            // node keeps its slot index and outstanding indices held by
-            // the caller for *other* nodes stay valid.
-            let new_idx = self.push_head(value);
-            debug_assert_eq!(new_idx, idx);
-        }
-    }
-
-    /// Applies `f` to every live value, in slot order (not list order).
-    /// For order-insensitive bulk updates — e.g. clearing every
-    /// resident's pin — without allocating an index list first.
-    pub fn for_each_value_mut(&mut self, mut f: impl FnMut(&mut T)) {
-        for node in self.nodes.iter_mut().flatten() {
-            f(&mut node.value);
-        }
-    }
-
-    /// Iterates values from the tail (oldest) toward the head (newest).
-    pub fn iter_oldest_first(&self) -> OldestFirst<'_, T> {
-        OldestFirst {
-            arena: self,
-            cur: self.tail,
-        }
-    }
-
     /// Drops every node and recycles all slots.
-    pub fn clear(&mut self) {
+    pub(crate) fn clear(&mut self) {
         self.nodes.clear();
         self.free.clear();
         self.head = NIL;
@@ -243,30 +156,20 @@ impl<T> LinkArena<T> {
     }
 }
 
-/// Iterator returned by [`LinkArena::iter_oldest_first`].
-#[derive(Debug)]
-pub struct OldestFirst<'a, T> {
-    arena: &'a LinkArena<T>,
-    cur: u32,
-}
-
-impl<'a, T> Iterator for OldestFirst<'a, T> {
-    type Item = (u32, &'a T);
-
-    fn next(&mut self) -> Option<Self::Item> {
-        let idx = self.cur;
-        let value = self.arena.get(idx)?;
-        self.cur = self.arena.newer(idx);
-        Some((idx, value))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    /// Values from the tail (oldest) to the head (newest), walking the
+    /// `newer` links the way SIEVE's hand does.
     fn collect(list: &LinkArena<u32>) -> Vec<u32> {
-        list.iter_oldest_first().map(|(_, &v)| v).collect()
+        let mut out = Vec::new();
+        let mut cur = list.tail();
+        while let Some(&v) = list.get(cur) {
+            out.push(v);
+            cur = list.newer(cur);
+        }
+        out
     }
 
     #[test]
@@ -278,7 +181,6 @@ mod tests {
         assert_eq!(collect(&l), vec![0, 1, 2, 3]);
         assert_eq!(l.len(), 4);
         assert_eq!(l.get(l.tail()), Some(&0));
-        assert_eq!(l.get(l.head()), Some(&3));
     }
 
     #[test]
@@ -295,6 +197,9 @@ mod tests {
         // Double-remove is a no-op.
         assert_eq!(l.remove(idx[4]), None);
         assert_eq!(l.len(), 2);
+        // The next push links behind the new head.
+        l.push_head(5);
+        assert_eq!(collect(&l), vec![1, 3, 5]);
     }
 
     #[test]
@@ -312,30 +217,14 @@ mod tests {
     }
 
     #[test]
-    fn move_to_head_keeps_slot_index() {
-        let mut l = LinkArena::new();
-        let a = l.push_head(0);
-        let _b = l.push_head(1);
-        let c = l.push_head(2);
-        l.move_to_head(a);
-        assert_eq!(collect(&l), vec![1, 2, 0]);
-        assert_eq!(l.get(a), Some(&0), "index survives the move");
-        l.move_to_head(c); // head already? no: head is now a
-        assert_eq!(collect(&l), vec![1, 0, 2]);
-        l.move_to_head(c); // now a no-op
-        assert_eq!(collect(&l), vec![1, 0, 2]);
-    }
-
-    #[test]
     fn dead_and_out_of_range_indices_are_safe() {
         let mut l: LinkArena<u32> = LinkArena::new();
         assert_eq!(l.get(0), None);
         assert_eq!(l.get(NIL), None);
+        assert_eq!(l.get_mut(NIL), None);
         assert_eq!(l.newer(7), NIL);
-        assert_eq!(l.older(NIL), NIL);
         assert_eq!(l.remove(3), None);
-        l.move_to_head(9); // no-op
-        assert!(l.is_empty());
+        assert_eq!(l.len(), 0);
     }
 
     #[test]
@@ -345,9 +234,10 @@ mod tests {
             l.push_head(v);
         }
         l.clear();
-        assert!(l.is_empty());
-        assert_eq!(l.head(), NIL);
+        assert_eq!(l.len(), 0);
         assert_eq!(l.tail(), NIL);
         assert_eq!(collect(&l), Vec::<u32>::new());
+        l.push_head(7);
+        assert_eq!(collect(&l), vec![7]);
     }
 }

@@ -1,22 +1,19 @@
 //! The expert cache proper.
 
-use crate::arena::LinkArena;
 use crate::policy::EvictionPolicy;
 use crate::stats::CacheStats;
 use fmoe_model::{DenseIdMap, ExpertId, ModelConfig};
 use fmoe_trace::{Marker, TraceSink, NO_REQUEST, NO_VALUE};
 
-/// One resident expert's arena node: its identity, footprint, and pin
-/// state live together in the intrusive list (newest → oldest insertion
-/// order), so byte/pin lookups are one index hop after the id lookup.
-#[derive(Debug, Clone, Copy)]
+/// One resident expert's row in the residency table: its footprint and
+/// pin state. The table's key is the expert's dense index.
+#[derive(Debug, Clone, Copy, Default)]
 struct Resident {
-    expert: ExpertId,
     bytes: u64,
     pinned: bool,
 }
 
-/// Residency-index key of an expert outside the model: past every
+/// Residency-table key of an expert outside the model: past every
 /// [`DenseIdMap`] capacity, so lookups report it absent.
 const OUTSIDE_MODEL: usize = usize::MAX;
 
@@ -72,16 +69,13 @@ pub struct ExpertCache {
     assignment: Option<Vec<u32>>,
     per_gpu_budget: u64,
     per_gpu_used: Vec<u64>,
-    /// Arena-allocated residency nodes (`Vec<Option<Node>>` + `u32`
-    /// indices, no unsafe), intrusively linked newest → oldest in
-    /// insertion order. Full-precision experts occupy `expert_bytes`;
-    /// quantized ones less.
-    arena: LinkArena<Resident>,
-    /// Dense expert id (see [`Self::key`]) → arena node. Iterating this
-    /// yields residents in ascending dense index, which equals
-    /// `ExpertId`'s `(layer, slot)` order — the order victim-candidate
-    /// lists (and thus the whole sim path) are pinned to.
-    index: DenseIdMap<u32>,
+    /// The residency table: dense expert id (see [`Self::key`]) → bytes
+    /// and pin. Full-precision experts occupy `expert_bytes`; quantized
+    /// ones less. Iterating it yields residents in ascending dense
+    /// index, which equals `ExpertId`'s `(layer, slot)` order — the
+    /// order victim-candidate lists (and thus the whole sim path) are
+    /// pinned to.
+    residents: DenseIdMap<Resident>,
     policy: Box<dyn EvictionPolicy>,
     stats: CacheStats,
     /// Reused victim-candidate buffer (`mem::take` round-trip), so
@@ -117,8 +111,7 @@ impl ExpertCache {
             assignment: None,
             per_gpu_budget: total_budget_bytes / u64::from(num_gpus),
             per_gpu_used: vec![0; num_gpus as usize],
-            arena: LinkArena::new(),
-            index: DenseIdMap::with_capacity(
+            residents: DenseIdMap::with_capacity(
                 config.num_layers as usize * config.experts_per_layer as usize,
             ),
             policy,
@@ -129,8 +122,8 @@ impl ExpertCache {
         }
     }
 
-    /// `expert`'s key in [`Self::index`]: its dense index, or
-    /// [`OUTSIDE_MODEL`] — a key the index never holds — when its layer
+    /// `expert`'s key in [`Self::residents`]: its dense index, or
+    /// [`OUTSIDE_MODEL`] — a key the table never holds — when its layer
     /// or slot lies outside the model. Checking both coordinates keeps an
     /// out-of-range slot from aliasing the next layer's expert.
     fn key(&self, expert: ExpertId) -> usize {
@@ -179,8 +172,9 @@ impl ExpertCache {
     /// homes, after the placement changed.
     fn rehome_residents(&mut self) {
         let mut used = vec![0; self.per_gpu_used.len()];
-        for (_, r) in self.arena.iter_oldest_first() {
-            used[self.home_gpu(r.expert) as usize] += r.bytes;
+        for (d, r) in self.residents.iter() {
+            let e = ExpertId::from_dense_index(d, self.experts_per_layer);
+            used[self.home_gpu(e) as usize] += r.bytes;
         }
         self.per_gpu_used = used;
     }
@@ -228,13 +222,13 @@ impl ExpertCache {
     /// `true` when `expert` is resident.
     #[must_use]
     pub fn contains(&self, expert: ExpertId) -> bool {
-        self.index.contains(self.key(expert))
+        self.residents.contains(self.key(expert))
     }
 
     /// Number of resident experts.
     #[must_use]
     pub fn resident_count(&self) -> usize {
-        self.index.len()
+        self.residents.len()
     }
 
     /// Bytes used on one GPU.
@@ -294,18 +288,17 @@ impl ExpertCache {
         self.last_now = self.last_now.max(now);
         let key = self.key(expert);
         if key == OUTSIDE_MODEL {
-            // An id outside the model can never be stored in the dense
-            // index; refuse it the way an oversized expert is refused
+            // An id outside the model can never be stored in the residency
+            // table; refuse it the way an oversized expert is refused
             // rather than panicking.
             return self.reject(expert, now, bytes);
         }
-        if let Some(&idx) = self.index.get(key) {
+        if let Some(existing) = self.residents.get(key).map(|r| r.bytes) {
             self.policy.on_hit(expert, now);
-            let existing = self.arena.get(idx).map_or(self.expert_bytes, |r| r.bytes);
             if existing != bytes {
                 let gpu = self.home_gpu(expert) as usize;
                 self.per_gpu_used[gpu] = self.per_gpu_used[gpu] - existing + bytes;
-                if let Some(r) = self.arena.get_mut(idx) {
+                if let Some(r) = self.residents.get_mut(key) {
                     r.bytes = bytes;
                 }
             }
@@ -329,12 +322,13 @@ impl ExpertCache {
             evicted.push(victim);
         }
         self.per_gpu_used[gpu as usize] += bytes;
-        let idx = self.arena.push_head(Resident {
-            expert,
-            bytes,
-            pinned: false,
-        });
-        self.index.insert(key, idx);
+        self.residents.insert(
+            key,
+            Resident {
+                bytes,
+                pinned: false,
+            },
+        );
         self.policy.on_insert(expert, now);
         let counter = if warm {
             self.stats.warmup_inserts += 1;
@@ -357,20 +351,19 @@ impl ExpertCache {
     }
 
     /// Asks the policy for a victim among unpinned residents homed on
-    /// `gpu`. Candidates are gathered in expert-id order (the order the
-    /// pre-arena `BTreeMap` core produced — load-bearing for
-    /// byte-identical victim selection) into a reused buffer, so
+    /// `gpu`. Candidates are gathered in expert-id order (load-bearing
+    /// for byte-identical victim selection) into a reused buffer, so
     /// steady-state evictions allocate nothing.
     fn choose_victim(&mut self, gpu: u32) -> Option<ExpertId> {
         let mut buf = std::mem::take(&mut self.victim_buf);
         buf.clear();
-        for (d, &idx) in self.index.iter() {
+        for (d, r) in self.residents.iter() {
             let e = ExpertId::from_dense_index(d, self.experts_per_layer);
-            if self.home_gpu(e) == gpu && self.arena.get(idx).is_some_and(|r| !r.pinned) {
+            if !r.pinned && self.home_gpu(e) == gpu {
                 buf.push(e);
             }
         }
-        let victim = self.policy.choose_victim_mut(&buf);
+        let victim = self.policy.choose_victim(&buf);
         self.victim_buf = buf;
         victim
     }
@@ -378,8 +371,7 @@ impl ExpertCache {
     /// Bytes a resident expert occupies, or `None` if not resident.
     #[must_use]
     pub fn resident_bytes(&self, expert: ExpertId) -> Option<u64> {
-        let &idx = self.index.get(self.key(expert))?;
-        self.arena.get(idx).map(|r| r.bytes)
+        self.residents.get(self.key(expert)).map(|r| r.bytes)
     }
 
     /// `true` when `expert` is resident below full precision.
@@ -403,9 +395,8 @@ impl ExpertCache {
     fn remove_internal(&mut self, expert: ExpertId) {
         let gpu = self.home_gpu(expert);
         let bytes = self
-            .index
+            .residents
             .remove(self.key(expert))
-            .and_then(|idx| self.arena.remove(idx))
             .map_or(self.expert_bytes, |r| r.bytes);
         self.per_gpu_used[gpu as usize] -= bytes;
         self.policy.on_remove(expert);
@@ -415,28 +406,24 @@ impl ExpertCache {
     /// during execution). Pinning a non-resident expert is a no-op and
     /// returns `false`.
     pub fn pin(&mut self, expert: ExpertId) -> bool {
-        let Some(&idx) = self.index.get(self.key(expert)) else {
+        let Some(r) = self.residents.get_mut(self.key(expert)) else {
             return false;
         };
-        if let Some(r) = self.arena.get_mut(idx) {
-            r.pinned = true;
-        }
+        r.pinned = true;
         true
     }
 
     /// Removes one expert's pin. No-op when not pinned.
     pub fn unpin(&mut self, expert: ExpertId) {
-        if let Some(&idx) = self.index.get(self.key(expert)) {
-            if let Some(r) = self.arena.get_mut(idx) {
-                r.pinned = false;
-            }
+        if let Some(r) = self.residents.get_mut(self.key(expert)) {
+            r.pinned = false;
         }
     }
 
-    /// Clears all pins. Walks the arena directly, so no per-call
-    /// allocation.
+    /// Clears all pins. Walks the residency table in place, so no
+    /// per-call allocation.
     pub fn unpin_all(&mut self) {
-        self.arena.for_each_value_mut(|r| r.pinned = false);
+        self.residents.for_each_value_mut(|r| r.pinned = false);
     }
 
     /// Pushes a probability belief to the policy (fMoE's searched-map
@@ -497,8 +484,7 @@ impl ExpertCache {
     /// insert of an expert they still queue, so a kept queue would hand a
     /// re-inserted expert its old position.
     pub fn clear(&mut self) {
-        self.arena.clear();
-        self.index.clear();
+        self.residents.clear();
         for used in &mut self.per_gpu_used {
             *used = 0;
         }
@@ -508,7 +494,7 @@ impl ExpertCache {
 
     /// Iterator over resident experts (expert-id order).
     pub fn resident_experts(&self) -> impl Iterator<Item = ExpertId> + '_ {
-        self.index
+        self.residents
             .keys()
             .map(|d| ExpertId::from_dense_index(d, self.experts_per_layer))
     }

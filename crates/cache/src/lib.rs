@@ -16,11 +16,14 @@
 //! * [`policy::FifoPolicy`] — strict insertion-order eviction, the
 //!   scan-resistance baseline SIEVE is measured against.
 //!
-//! The residency core is an arena-allocated intrusive list
-//! ([`arena::LinkArena`]: `Vec<Option<Node>>` + `u32` indices, no
-//! unsafe). The baseline policies keep their per-expert state in one
-//! dense table type, rows by layer, and every policy evaluates each
-//! victim candidate once.
+//! The residency core is one table keyed by dense expert index, holding
+//! each resident's bytes and pin; victim candidates come out of it in
+//! ascending `ExpertId` order. Each policy has one victim call,
+//! [`policy::EvictionPolicy::choose_victim`], and evaluates each
+//! candidate once. The baseline policies keep their per-expert state in
+//! one dense table type, rows by layer; SIEVE's queue is an
+//! arena-allocated intrusive list (`Vec<Option<Node>>` + `u32` indices,
+//! no unsafe).
 //!
 //! The cache is a pure bookkeeping structure: it knows nothing about
 //! virtual time beyond the monotone counter callers pass for recency, and
@@ -29,7 +32,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod arena;
+mod arena;
 pub mod cache;
 pub mod policy;
 pub mod stats;

@@ -18,9 +18,6 @@ use std::collections::BTreeMap;
 
 /// Chooses eviction victims among resident experts.
 pub trait EvictionPolicy: std::fmt::Debug + Send {
-    /// Stable policy name for reports.
-    fn name(&self) -> &'static str;
-
     /// Called when `expert` becomes resident. `now` is a monotone counter.
     fn on_insert(&mut self, expert: ExpertId, now: u64);
 
@@ -35,17 +32,10 @@ pub trait EvictionPolicy: std::fmt::Debug + Send {
     /// none pinned, in any order). Returns `None` only when `candidates`
     /// is empty. Every policy evaluates each candidate once; a policy
     /// that ranks by a key evicts the least `(key, ExpertId)`, so the
-    /// victim does not depend on the candidates' order.
-    fn choose_victim(&self, candidates: &[ExpertId]) -> Option<ExpertId>;
-
-    /// [`Self::choose_victim`] with mutable access, for policies whose
-    /// victim scan *itself* updates bookkeeping — SIEVE clears visited
-    /// bits and advances its hand while scanning. The cache always calls
-    /// this variant; the default delegates to the immutable scan, so
-    /// stateless-scan policies (LRU/LFU/fMoE-priority) are untouched.
-    fn choose_victim_mut(&mut self, candidates: &[ExpertId]) -> Option<ExpertId> {
-        self.choose_victim(candidates)
-    }
+    /// victim does not depend on the candidates' order. The scan may
+    /// update bookkeeping: SIEVE clears visited bits and advances its
+    /// hand while scanning.
+    fn choose_victim(&mut self, candidates: &[ExpertId]) -> Option<ExpertId>;
 
     /// Updates the policy's belief about the activation probability of an
     /// expert (from a searched expert map). Default: ignored — only
@@ -83,10 +73,6 @@ impl LruPolicy {
 }
 
 impl EvictionPolicy for LruPolicy {
-    fn name(&self) -> &'static str {
-        "LRU"
-    }
-
     fn on_insert(&mut self, expert: ExpertId, now: u64) {
         self.last_used.set(expert, now);
     }
@@ -99,7 +85,7 @@ impl EvictionPolicy for LruPolicy {
         self.last_used.set(expert, 0);
     }
 
-    fn choose_victim(&self, candidates: &[ExpertId]) -> Option<ExpertId> {
+    fn choose_victim(&mut self, candidates: &[ExpertId]) -> Option<ExpertId> {
         candidates
             .iter()
             .map(|&e| (self.last_used.get(e), e))
@@ -168,14 +154,6 @@ impl LfuPolicy {
 }
 
 impl EvictionPolicy for LfuPolicy {
-    fn name(&self) -> &'static str {
-        if self.coarse {
-            "LFU (coarse)"
-        } else {
-            "LFU"
-        }
-    }
-
     fn on_insert(&mut self, _expert: ExpertId, _now: u64) {}
 
     fn on_hit(&mut self, expert: ExpertId, _now: u64) {
@@ -196,7 +174,7 @@ impl EvictionPolicy for LfuPolicy {
         let _ = expert;
     }
 
-    fn choose_victim(&self, candidates: &[ExpertId]) -> Option<ExpertId> {
+    fn choose_victim(&mut self, candidates: &[ExpertId]) -> Option<ExpertId> {
         candidates
             .iter()
             .map(|&e| (self.counts.get(e).freq, e))
@@ -273,10 +251,6 @@ impl FmoePriorityPolicy {
 }
 
 impl EvictionPolicy for FmoePriorityPolicy {
-    fn name(&self) -> &'static str {
-        "fMoE"
-    }
-
     fn on_insert(&mut self, expert: ExpertId, _now: u64) {
         self.freq.entry(expert).or_insert(0);
     }
@@ -287,7 +261,7 @@ impl EvictionPolicy for FmoePriorityPolicy {
 
     fn on_remove(&mut self, _expert: ExpertId) {}
 
-    fn choose_victim(&self, candidates: &[ExpertId]) -> Option<ExpertId> {
+    fn choose_victim(&mut self, candidates: &[ExpertId]) -> Option<ExpertId> {
         // One score per candidate: the least `(score, id)` in one pass.
         candidates
             .iter()
@@ -338,10 +312,6 @@ impl FifoPolicy {
 }
 
 impl EvictionPolicy for FifoPolicy {
-    fn name(&self) -> &'static str {
-        "FIFO"
-    }
-
     fn on_insert(&mut self, expert: ExpertId, _now: u64) {
         if self.inserted.get(expert) == 0 {
             self.inserts += 1;
@@ -357,7 +327,7 @@ impl EvictionPolicy for FifoPolicy {
         self.inserted.set(expert, 0);
     }
 
-    fn choose_victim(&self, candidates: &[ExpertId]) -> Option<ExpertId> {
+    fn choose_victim(&mut self, candidates: &[ExpertId]) -> Option<ExpertId> {
         // The oldest queued candidate; candidates the policy never saw an
         // insert for (defensive) rank after every queued one, by id.
         candidates
@@ -397,7 +367,7 @@ struct SieveEntry {
 /// examinable, so they keep whatever second chance they have. A scan
 /// first stamps each candidate's entry, so a step of the hand tests
 /// membership by reading the entry it is on.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct SievePolicy {
     queue: LinkArena<SieveEntry>,
     /// Arena node of each queued expert.
@@ -449,10 +419,6 @@ impl SievePolicy {
 }
 
 impl EvictionPolicy for SievePolicy {
-    fn name(&self) -> &'static str {
-        "SIEVE"
-    }
-
     fn on_insert(&mut self, expert: ExpertId, _now: u64) {
         if self.index.get(expert).is_none() {
             let idx = self.queue.push_head(SieveEntry {
@@ -485,14 +451,7 @@ impl EvictionPolicy for SievePolicy {
         }
     }
 
-    fn choose_victim(&self, candidates: &[ExpertId]) -> Option<ExpertId> {
-        // A preview of the scan on a copy, so repeated calls (and the
-        // oracle-diff suite) see exactly the victim `choose_victim_mut`
-        // would take, without advancing state. The cache never calls it.
-        self.clone().choose_victim_mut(candidates)
-    }
-
-    fn choose_victim_mut(&mut self, candidates: &[ExpertId]) -> Option<ExpertId> {
+    fn choose_victim(&mut self, candidates: &[ExpertId]) -> Option<ExpertId> {
         self.scans += 1;
         let mut queued = false;
         for &e in candidates {
@@ -575,7 +534,7 @@ impl PolicyKind {
         }
     }
 
-    /// The display name the built policy reports.
+    /// The policy's display name, for reports and table headers.
     #[must_use]
     pub fn name(self) -> &'static str {
         match self {
@@ -674,17 +633,19 @@ mod tests {
 
     #[test]
     fn empty_candidates_yield_none() {
-        let p = LruPolicy::new();
-        assert_eq!(p.choose_victim(&[]), None);
-        let p = LfuPolicy::new();
-        assert_eq!(p.choose_victim(&[]), None);
-        let p = FmoePriorityPolicy::new();
-        assert_eq!(p.choose_victim(&[]), None);
-        let mut p = SievePolicy::new();
-        assert_eq!(p.choose_victim(&[]), None);
-        assert_eq!(p.choose_victim_mut(&[]), None);
-        let p = FifoPolicy::new();
-        assert_eq!(p.choose_victim(&[]), None);
+        let kinds = [
+            PolicyKind::Lru,
+            PolicyKind::Lfu,
+            PolicyKind::LfuCoarse,
+            PolicyKind::FmoePriority {
+                neutral_probability: 0.25,
+            },
+            PolicyKind::Sieve,
+            PolicyKind::Fifo,
+        ];
+        for kind in kinds {
+            assert_eq!(kind.build().choose_victim(&[]), None, "{}", kind.name());
+        }
     }
 
     #[test]
@@ -709,31 +670,11 @@ mod tests {
         let all = [e(0, 0), e(0, 1)];
         // Hand starts at the tail: e(0,0) is visited → spared (bit
         // cleared), e(0,1) is unvisited → victim.
-        assert_eq!(p.choose_victim_mut(&all), Some(e(0, 1)));
+        assert_eq!(p.choose_victim(&all), Some(e(0, 1)));
         p.on_remove(e(0, 1));
         assert!(!p.is_visited(e(0, 0)), "the reprieve consumed the bit");
         // Next eviction takes it unless it is hit again.
-        assert_eq!(p.choose_victim_mut(&[e(0, 0)]), Some(e(0, 0)));
-    }
-
-    #[test]
-    fn sieve_peek_matches_mutable_scan() {
-        let mut p = SievePolicy::new();
-        for s in 0..6 {
-            p.on_insert(e(0, s), u64::from(s));
-        }
-        for s in [0u32, 2, 4] {
-            p.on_hit(e(0, s), 10 + u64::from(s));
-        }
-        let all: Vec<ExpertId> = (0..6).map(|s| e(0, s)).collect();
-        for round in 0..5 {
-            let peek = p.choose_victim(&all);
-            let taken = p.choose_victim_mut(&all);
-            assert_eq!(peek, taken, "round {round}");
-            if let Some(v) = taken {
-                p.on_remove(v);
-            }
-        }
+        assert_eq!(p.choose_victim(&[e(0, 0)]), Some(e(0, 0)));
     }
 
     #[test]
@@ -744,7 +685,7 @@ mod tests {
         p.on_insert(e(0, 1), 2);
         // e(0,0) is pinned (not a candidate): the scan must pass over it
         // without spending its visited bit.
-        assert_eq!(p.choose_victim_mut(&[e(0, 1)]), Some(e(0, 1)));
+        assert_eq!(p.choose_victim(&[e(0, 1)]), Some(e(0, 1)));
         assert!(p.is_visited(e(0, 0)));
     }
 
@@ -759,27 +700,10 @@ mod tests {
         }
         let all: Vec<ExpertId> = (0..4).map(|s| e(0, s)).collect();
         // All visited: first lap clears, wrap picks the tail-most again.
-        assert_eq!(p.choose_victim_mut(&all), Some(e(0, 0)));
+        assert_eq!(p.choose_victim(&all), Some(e(0, 0)));
         p.on_remove(e(0, 0));
         // Removing the entry the hand parked next to must not wedge it.
-        assert_eq!(p.choose_victim_mut(&[e(0, 1), e(0, 2)]), Some(e(0, 1)));
-    }
-
-    #[test]
-    fn policy_kind_builds_matching_names() {
-        let kinds = [
-            PolicyKind::Lru,
-            PolicyKind::Lfu,
-            PolicyKind::LfuCoarse,
-            PolicyKind::FmoePriority {
-                neutral_probability: 0.25,
-            },
-            PolicyKind::Sieve,
-            PolicyKind::Fifo,
-        ];
-        for kind in kinds {
-            assert_eq!(kind.build().name(), kind.name());
-        }
+        assert_eq!(p.choose_victim(&[e(0, 1), e(0, 2)]), Some(e(0, 1)));
     }
 
     #[test]
@@ -797,7 +721,7 @@ mod tests {
 
     #[test]
     fn ties_break_deterministically() {
-        let p = LruPolicy::new();
+        let mut p = LruPolicy::new();
         // No bookkeeping at all: lowest ExpertId wins the tie.
         assert_eq!(p.choose_victim(&[e(1, 1), e(0, 3), e(2, 0)]), Some(e(0, 3)));
     }

@@ -9,6 +9,7 @@ use crate::policy::{
 };
 use fmoe_model::{presets, ExpertId};
 use proptest::prelude::*;
+use std::collections::BTreeSet;
 
 #[derive(Debug, Clone)]
 enum Op {
@@ -41,6 +42,33 @@ fn policies() -> Vec<Box<dyn EvictionPolicy>> {
         Box::new(FmoePriorityPolicy::new()),
         Box::new(SievePolicy::new()),
         Box::new(FifoPolicy::new()),
+    ]
+}
+
+/// Operations that move residency bytes between GPUs or change their
+/// size: the accounting `used_bytes` must keep in step with.
+#[derive(Debug, Clone)]
+enum AccountingOp {
+    InsertHalf(u8),
+    InsertWarm(u8),
+    Assign(Vec<u32>),
+    Budget(u64),
+    Remove(u8),
+    Pin(u8),
+    Unpin(u8),
+    UnpinAll,
+}
+
+fn accounting_op_strategy() -> impl Strategy<Value = AccountingOp> {
+    prop_oneof![
+        (0u8..16).prop_map(AccountingOp::InsertHalf),
+        (0u8..16).prop_map(AccountingOp::InsertWarm),
+        prop::collection::vec(0u32..4, 0..=16).prop_map(AccountingOp::Assign),
+        (1u64..8).prop_map(AccountingOp::Budget),
+        (0u8..16).prop_map(AccountingOp::Remove),
+        (0u8..16).prop_map(AccountingOp::Pin),
+        (0u8..16).prop_map(AccountingOp::Unpin),
+        Just(AccountingOp::UnpinAll),
     ]
 }
 
@@ -210,7 +238,7 @@ proptest! {
         while !remaining.is_empty() {
             let mut candidates = remaining.clone();
             candidates.sort();
-            let victim = policy.choose_victim_mut(&candidates).unwrap();
+            let victim = policy.choose_victim(&candidates).unwrap();
             policy.on_remove(victim);
             remaining.retain(|&e| e != victim);
             evicted.push(victim);
@@ -218,37 +246,77 @@ proptest! {
         prop_assert_eq!(evicted, order);
     }
 
-    /// SIEVE's read-only preview (`choose_victim`) must name the same
-    /// victim its mutating scan (`choose_victim_mut`) then takes, for
-    /// any insert/hit history — the cache core relies on the preview
-    /// for introspection without perturbing hand state.
+    /// Byte accounting under mixed sizes and re-homes: after every
+    /// operation each GPU's `used_bytes` is the sum of `resident_bytes`
+    /// over the residents homed on it, residents list in strictly
+    /// ascending id order, and no eviction ever takes a pinned expert.
     #[test]
-    fn sieve_preview_agrees_with_scan_for_any_history(
-        inserts in prop::collection::vec(0u8..16, 1..16),
-        hits in prop::collection::vec((0u8..16, 1u64..100), 0..48),
-        evictions in 1usize..8,
+    fn per_gpu_bytes_match_residents_under_mixed_sizes_and_rehomes(
+        ops in prop::collection::vec(accounting_op_strategy(), 1..200),
+        slots in 1u64..8,
+        gpus in 1u32..4,
+        policy_idx in 0usize..6,
     ) {
-        let mut policy = SievePolicy::new();
-        let mut resident: Vec<ExpertId> = Vec::new();
-        for (t, &i) in inserts.iter().enumerate() {
-            let e = expert(i);
-            if !resident.contains(&e) {
-                policy.on_insert(e, t as u64);
-                resident.push(e);
+        let cfg = presets::tiny_test_model();
+        let budget = cfg.expert_bytes() * slots * u64::from(gpus);
+        let policy = policies().swap_remove(policy_idx);
+        let mut cache = ExpertCache::new(&cfg, budget, gpus, policy);
+        let half = cache.expert_bytes() / 2;
+        let mut pinned: BTreeSet<ExpertId> = BTreeSet::new();
+        let mut clock = 0u64;
+        for op in ops {
+            clock += 1;
+            let evicted = match op {
+                AccountingOp::InsertHalf(i) => match cache.insert_sized(expert(i), half, clock) {
+                    InsertOutcome::Inserted { evicted } => evicted,
+                    _ => Vec::new(),
+                },
+                AccountingOp::InsertWarm(i) => match cache.insert_warm(expert(i), clock) {
+                    InsertOutcome::Inserted { evicted } => evicted,
+                    _ => Vec::new(),
+                },
+                AccountingOp::Assign(owners) => {
+                    cache.set_assignment(owners);
+                    Vec::new()
+                }
+                AccountingOp::Budget(slots) => {
+                    cache.set_total_budget(cfg.expert_bytes() * slots * u64::from(gpus))
+                }
+                AccountingOp::Remove(i) => {
+                    cache.remove(expert(i));
+                    pinned.remove(&expert(i));
+                    Vec::new()
+                }
+                AccountingOp::Pin(i) => {
+                    if cache.pin(expert(i)) {
+                        pinned.insert(expert(i));
+                    }
+                    Vec::new()
+                }
+                AccountingOp::Unpin(i) => {
+                    cache.unpin(expert(i));
+                    pinned.remove(&expert(i));
+                    Vec::new()
+                }
+                AccountingOp::UnpinAll => {
+                    cache.unpin_all();
+                    pinned.clear();
+                    Vec::new()
+                }
+            };
+            for e in &evicted {
+                prop_assert!(!pinned.contains(e), "pinned {:?} was evicted", e);
             }
-        }
-        for &(i, t) in &hits {
-            policy.on_hit(expert(i), 100 + t);
-        }
-        for _ in 0..evictions.min(resident.len().saturating_sub(1)) {
-            let mut candidates = resident.clone();
-            candidates.sort();
-            let preview = policy.choose_victim(&candidates);
-            let victim = policy.choose_victim_mut(&candidates);
-            prop_assert_eq!(preview, victim);
-            let victim = victim.unwrap();
-            policy.on_remove(victim);
-            resident.retain(|&e| e != victim);
+            let residents: Vec<ExpertId> = cache.resident_experts().collect();
+            prop_assert!(residents.windows(2).all(|w| w[0] < w[1]), "{:?}", residents);
+            for g in 0..gpus {
+                let homed: u64 = residents
+                    .iter()
+                    .filter(|&&e| cache.home_gpu(e) == g)
+                    .map(|&e| cache.resident_bytes(e).unwrap_or(0))
+                    .sum();
+                prop_assert_eq!(cache.used_bytes(g), homed, "gpu {}", g);
+            }
         }
     }
 }

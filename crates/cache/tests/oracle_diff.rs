@@ -485,8 +485,8 @@ fn assert_agrees(
 
 /// Drives a bare `kind` policy and its oracle through one op stream. An
 /// [`Op::Evict`] draws a non-empty subset of the residents, shuffles it,
-/// and requires the policy's victim (scan and preview) to be the
-/// oracle's; the victim then leaves both.
+/// and requires the policy's victim to be the oracle's; the victim then
+/// leaves both.
 fn run_policy(kind: PolicyKind, ops: &[Op], label: &str) {
     let mut policy: Box<dyn EvictionPolicy> = kind.build();
     let mut oracle = oracle_for(kind);
@@ -543,14 +543,12 @@ fn run_policy(kind: PolicyKind, ops: &[Op], label: &str) {
                     candidates.swap(k, rng.below(k + 1));
                 }
                 let want = oracle.pick_victim(&candidates);
-                let preview = policy.choose_victim(&candidates);
-                let got = policy.choose_victim_mut(&candidates);
+                let got = policy.choose_victim(&candidates);
                 assert_eq!(
                     got,
                     Some(want),
                     "{label} step {step}: victim among {candidates:?}"
                 );
-                assert_eq!(preview, got, "{label} step {step}: preview");
                 policy.on_remove(want);
                 oracle.on_remove(want);
                 resident.retain(|&x| x != want);

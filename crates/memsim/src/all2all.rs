@@ -8,8 +8,9 @@
 //! so gate skew directly stretches the critical path.
 //!
 //! The model is analytic and clocked in virtual time on the topology's
-//! [`Link`] parameters — no queueing through the transfer engine, since
-//! all2all is a synchronous collective on the forward critical path:
+//! [`Link`](crate::link::Link) parameters — no queueing through the
+//! transfer engine, since all2all is a synchronous collective on the
+//! forward critical path:
 //!
 //! ```text
 //! phase_time(g) = setup_factor · peer.setup_latency

@@ -272,6 +272,13 @@ impl<T: Default> DenseIdMap<T> {
     pub fn values(&self) -> impl Iterator<Item = &T> + '_ {
         self.present.iter().map(move |i| &self.values[i])
     }
+
+    /// Applies `f` to every present value, in ascending index order.
+    pub fn for_each_value_mut(&mut self, mut f: impl FnMut(&mut T)) {
+        for i in self.present.iter() {
+            f(&mut self.values[i]);
+        }
+    }
 }
 
 #[cfg(test)]
@@ -370,6 +377,21 @@ mod tests {
         assert_eq!(map.iter().count(), 0);
         map.insert(3, 9);
         assert_eq!(map.get(3), Some(&9));
+    }
+
+    #[test]
+    fn for_each_value_mut_visits_only_present_entries() {
+        let mut map: DenseIdMap<u64> = DenseIdMap::with_capacity(8);
+        map.insert(6, 60);
+        map.insert(1, 10);
+        let mut seen = Vec::new();
+        map.for_each_value_mut(|v| {
+            seen.push(*v);
+            *v += 1;
+        });
+        assert_eq!(seen, vec![10, 60], "ascending index order");
+        assert_eq!(map.iter().collect::<Vec<_>>(), vec![(1, &11), (6, &61)]);
+        assert_eq!(map.len(), 2);
     }
 
     #[test]

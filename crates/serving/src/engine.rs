@@ -80,28 +80,19 @@ pub struct EngineConfig {
 }
 
 /// Expert-parallelism knobs for a multi-GPU replica (DESIGN.md §17).
-#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
+/// A miss on an expert that still sits in a peer device's bounded spill
+/// pool is always served over the peer link instead of reloading from
+/// host.
+#[derive(Debug, Clone, Copy, Default, PartialEq, serde::Serialize, serde::Deserialize)]
 pub struct ExpertParallelConfig {
     /// All2all kernel family used for per-layer token routing.
     pub backend: fmoe_memsim::All2AllBackend,
-    /// Serve misses from a peer device's spill pool over the peer link
-    /// when possible, instead of always reloading from host.
-    pub peer_fetch: bool,
-    /// Number of experts the peer spill pool can hold (spare aggregate
-    /// device memory outside the cache budget). Oldest spills drop
-    /// first when full.
-    pub peer_pool_slots: usize,
 }
 
-impl Default for ExpertParallelConfig {
-    fn default() -> Self {
-        Self {
-            backend: fmoe_memsim::All2AllBackend::default(),
-            peer_fetch: true,
-            peer_pool_slots: 16,
-        }
-    }
-}
+/// Number of experts the peer spill pool can hold (spare aggregate
+/// device memory outside the cache budget). Oldest spills drop first
+/// when full.
+const PEER_POOL_SLOTS: usize = 16;
 
 impl Default for EngineConfig {
     fn default() -> Self {
@@ -326,7 +317,7 @@ fn accumulate(into: &mut [Nanos], from: &[Nanos]) {
 /// Runtime state for expert parallelism: the configuration plus the
 /// peer spill pool — experts evicted from their owner GPU that still
 /// live in a peer device's spare memory, FIFO-bounded, servable over
-/// the peer link. Tiny (≤ `peer_pool_slots` entries), so membership is
+/// the peer link. Tiny (≤ [`PEER_POOL_SLOTS`] entries), so membership is
 /// a dense bitset and order a plain vector.
 struct EpState {
     config: ExpertParallelConfig,
@@ -346,18 +337,14 @@ impl EpState {
     }
 
     /// Records an eviction into the spill pool, dropping the oldest
-    /// spill when full. No-op when peer fetching is off or the pool has
-    /// no capacity.
+    /// spill when full.
     fn spill(&mut self, dense: usize) {
-        if !self.config.peer_fetch || self.config.peer_pool_slots == 0 {
-            return;
-        }
         if self.members.contains(dense) {
             return;
         }
         self.members.insert(dense);
         self.fifo.push(dense);
-        if self.fifo.len() > self.config.peer_pool_slots {
+        if self.fifo.len() > PEER_POOL_SLOTS {
             let oldest = self.fifo.remove(0);
             self.members.remove(oldest);
         }

@@ -25,8 +25,9 @@
 //! * [`export`] — Chrome-trace JSON (`chrome://tracing`-loadable), the
 //!   canonical golden-trace text format, and per-phase totals for the
 //!   bench CSVs.
-//! * [`json`] — a minimal dependency-free JSON validator used to prove
-//!   exports are well-formed.
+//! * [`json`] — the workspace's one dependency-free JSON reader: it
+//!   proves exports are well-formed and reads `BENCH_perf.json` for the
+//!   perf gate.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
